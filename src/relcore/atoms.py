@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import BaseMismatch, InvalidLabel, NotAnInterval
+from .errors import BaseMismatch, InvalidLabel, NotAnInterval, parsing
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,8 @@ class AtomBase:
 
     @staticmethod
     def from_json(data: dict) -> "AtomBase":
-        return AtomBase(bool(data["ordered"]), int(data.get("alphabet", 1)))
+        with parsing("atom base"):
+            return AtomBase(bool(data["ordered"]), int(data.get("alphabet", 1)))
 
 
 PURE_SET = AtomBase(ordered=False, alphabet=1)
@@ -79,12 +80,13 @@ class Atom:
     def parse(text: str) -> "Atom":
         text = text.strip()
         label = 0
-        if ":" in text:
-            body, lab = text.rsplit(":", 1)
-            label = int(lab)
-        else:
-            body = text
-        return Atom(Fraction(body), label)
+        with parsing(f"atom {text!r}"):
+            if ":" in text:
+                body, lab = text.rsplit(":", 1)
+                label = int(lab)
+            else:
+                body = text
+            return Atom(Fraction(body), label)
 
 
 @dataclass(frozen=True)

@@ -42,19 +42,19 @@ class CliError(Exception):
     pass
 
 
-def _emit(data, as_json: bool = True) -> None:
-    if as_json:
-        print(json.dumps(data, sort_keys=True, indent=2))
-    else:
-        print(data)
+def _emit(data) -> None:
+    print(json.dumps(data, sort_keys=True, indent=2))
 
 
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
+    if not isinstance(data, dict):
+        raise CliError(f"{path} does not hold a JSON object")
+    return data
 
 
 def _parse_atoms_spec(base, spec: str) -> AtomSample:
@@ -244,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     parser.add_argument("--atom-budget", type=int, default=None, help="support-size budget")
-    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility")
-    parser.add_argument("--json", action="store_true", help="JSON output (default for most commands)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample a definable structure on a finite atom set")

@@ -23,6 +23,7 @@ from .errors import (
     SignatureMismatch,
     TooLarge,
     Unsupported,
+    parsing,
 )
 from .finstruct import FinStructure, Signature, canonical_form
 from . import formulas as fm
@@ -172,18 +173,19 @@ class DefStructure:
 
     @staticmethod
     def from_json(data: dict) -> "DefStructure":
-        base = AtomBase.from_json(data["base"])
-        sorts = tuple(Sort(d["name"], int(d["dim"])) for d in data["sorts"])
-        clauses = tuple(
-            RelationClause(
-                c["name"],
-                int(c["arity"]),
-                tuple(frozenset(g) if isinstance(g, list) else g for g in c["guard"]),
-                fm.from_json(c["formula"]),
+        with parsing("definable structure"):
+            base = AtomBase.from_json(data["base"])
+            sorts = tuple(Sort(d["name"], int(d["dim"])) for d in data["sorts"])
+            clauses = tuple(
+                RelationClause(
+                    c["name"],
+                    int(c["arity"]),
+                    tuple(frozenset(g) if isinstance(g, list) else g for g in c["guard"]),
+                    fm.from_json(c["formula"]),
+                )
+                for c in data["relations"]
             )
-            for c in data["relations"]
-        )
-        return DefStructure(base, sorts, clauses)
+            return DefStructure(base, sorts, clauses)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+from contextlib import contextmanager
+
 
 class RelcoreError(Exception):
     """Base class for every error raised by this library."""
@@ -55,3 +57,16 @@ class KernelViolation(RelcoreError):
 
 class HomValidationError(RelcoreError):
     pass
+
+
+class InvalidInput(RelcoreError):
+    """Serialized input with a missing key or a value of the wrong kind."""
+
+
+@contextmanager
+def parsing(what: str):
+    """Report the lookup and conversion errors of reading `what` as InvalidInput."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"malformed {what} ({type(exc).__name__}: {exc})") from exc

@@ -2,8 +2,8 @@
 
 Provides homomorphism / embedding / isomorphism search by backtracking with
 forward pruning, endomorphism enumeration, core computation by iterated
-image shrinking, and a brute-force canonical form for isomorphism testing
-on small structures.
+image shrinking, and a canonical form by individualization-refinement for
+isomorphism testing.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .errors import (
     InvalidElement,
     SignatureMismatch,
     TooLarge,
+    parsing,
 )
 
 
@@ -51,7 +52,8 @@ class Signature:
 
     @staticmethod
     def from_json(data: list) -> "Signature":
-        return Signature(tuple((d["name"], d["arity"]) for d in data))
+        with parsing("signature"):
+            return Signature(tuple((d["name"], d["arity"]) for d in data))
 
 
 @dataclass(frozen=True, eq=True)
@@ -93,9 +95,10 @@ class FinStructure:
 
     @staticmethod
     def from_json(data: dict) -> "FinStructure":
-        sig = Signature.from_json(data["signature"])
-        rels = {name: frozenset(tuple(t) for t in ts) for name, ts in data["relations"].items()}
-        return FinStructure(sig, int(data["size"]), rels)
+        with parsing("finite structure"):
+            sig = Signature.from_json(data["signature"])
+            rels = {name: frozenset(tuple(t) for t in ts) for name, ts in data["relations"].items()}
+            return FinStructure(sig, int(data["size"]), rels)
 
 
 def hom_violations(source: FinStructure, target: FinStructure, mapping: Sequence[int]) -> list[str]:
@@ -518,55 +521,125 @@ def compute_core(structure: FinStructure) -> CoreResult:
     return CoreResult(core, retraction, old_ids, was_core)
 
 
-def _vertex_invariants(structure: FinStructure) -> list[tuple]:
-    inv = [[] for _ in range(structure.size)]
-    for name, arity in structure.signature.relations:
-        counts = [[0] * arity for _ in range(structure.size)]
-        for t in structure.relations[name]:
-            for pos, x in enumerate(t):
-                counts[x][pos] += 1
-        for v in range(structure.size):
-            inv[v].extend(counts[v])
-    return [tuple(x) for x in inv]
+def _refine(incidences: list[list[tuple[int, int]]], tuples: list[tuple], colours: list[int]) -> list[int]:
+    """Coarsest equitable colouring that refines `colours`.
+
+    tuples lists (relation index, tuple) and incidences[v] lists (position,
+    tuple index) for every position at which v occurs.  Each round gives v
+    the key (old colour, sorted multiset of (position, relation, colours of
+    the tuple)) and renumbers the keys 0..k-1 in sorted order, so cells keep
+    their relative order and the result does not depend on how the domain
+    is labelled.
+    """
+    cells = len(set(colours))
+    while cells < len(colours):
+        coloured = [(r, tuple([colours[x] for x in t])) for r, t in tuples]
+        keys = [
+            (colours[v], tuple(sorted([(p, coloured[i]) for p, i in occ])))
+            for v, occ in enumerate(incidences)
+        ]
+        ranked = sorted(set(keys))
+        if len(ranked) == cells:
+            break
+        rank = {k: i for i, k in enumerate(ranked)}
+        colours = [rank[k] for k in keys]
+        cells = len(ranked)
+    return colours
+
+
+def _individualize(colours: list[int], w: int) -> list[int]:
+    """Split w off as a singleton placed first within its cell."""
+    c = colours[w]
+    return [x + 1 if x > c or (x == c and v != w) else x for v, x in enumerate(colours)]
+
+
+def _orbit_meets(w: int, tried: list[int], generators: list[list[int]]) -> bool:
+    """Whether the orbit of w under the group generated by `generators` meets `tried`."""
+    orbit = {w}
+    frontier = [w]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = g[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return not orbit.isdisjoint(tried)
 
 
 def canonical_form(structure: FinStructure, bound: int = 10) -> bytes:
     """Canonical byte encoding: equal exactly for isomorphic structures.
 
-    Minimizes a deterministic encoding over all domain permutations that
-    respect the vertex invariant partition (any isomorphism preserves the
-    invariants, so restricting to these permutations is sound).
+    Individualization-refinement in the style of McKay and Piperno,
+    "Practical graph isomorphism II" (2014), for relations of any arity.
+    The search tree starts at the coarsest equitable colouring; each node
+    individualizes, in turn, every vertex of its first smallest non-singleton
+    cell and refines again.  Every discrete leaf orders the domain, and the
+    form is the least encoding of the relabelled relations over all leaves.
+    The tree is built from labelling-invariant choices only, so isomorphic
+    structures get the same set of leaf encodings.
+
+    Two leaves with equal encodings give an automorphism mapping one leaf's
+    path onto the other's.  The subtree where the later path left the
+    earlier one is then an image of a searched subtree, so the search
+    returns to that level; and a node skips every child in the orbit of an
+    already searched child under the automorphisms found so far that fix
+    the node's path.
     """
     n = structure.size
     if n > bound:
         raise TooLarge(f"canonical form limited to {bound} elements, got {n}")
-    inv = _vertex_invariants(structure)
-    blocks: dict[tuple, list[int]] = {}
-    for v in range(n):
-        blocks.setdefault(inv[v], []).append(v)
-    ordered_blocks = sorted(blocks.items())
-    profile = tuple((key, len(vs)) for key, vs in ordered_blocks)
+    rels = [structure.relations[name] for name in structure.signature.names()]
+    tuples = [(r, t) for r, ts in enumerate(rels) for t in ts]
+    incidences: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (_, t) in enumerate(tuples):
+        for p, x in enumerate(t):
+            incidences[x].append((p, i))
 
-    offsets = []
-    start = 0
-    for _, vs in ordered_blocks:
-        offsets.append((vs, start))
-        start += len(vs)
+    # Leaves are (encoding, labels, path); best holds the least encoding.
+    first: Optional[tuple] = None
+    best: Optional[tuple] = None
+    automorphisms: list[list[int]] = []
 
-    names = structure.signature.names()
-    best = None
-    for arrangement in itertools.product(
-        *[itertools.permutations(vs) for vs, _ in offsets]
-    ):
-        perm = [0] * n
-        for (vs, off), arranged in zip(offsets, arrangement):
-            for k, v in enumerate(arranged):
-                perm[v] = off + k
-        encoded = tuple(
-            tuple(sorted(tuple(perm[x] for x in t) for t in structure.relations[name]))
-            for name in names
-        )
-        if best is None or encoded < best:
-            best = encoded
-    payload = (tuple(structure.signature.relations), n, profile, best)
+    def leaf(labels: list[int], path: list[int]) -> Optional[int]:
+        nonlocal first, best
+        encoding = tuple(tuple(sorted([tuple([labels[x] for x in t]) for t in ts])) for ts in rels)
+        if first is None:
+            first = best = (encoding, labels, path)
+            return None
+        for seen in (first, best):
+            if encoding == seen[0]:
+                vertex_at = [0] * n
+                for v, c in enumerate(labels):
+                    vertex_at[c] = v
+                automorphisms.append([vertex_at[c] for c in seen[1]])
+                return next(k for k, (a, b) in enumerate(zip(seen[2], path)) if a != b)
+        if encoding < best[0]:
+            best = (encoding, labels, path)
+        return None
+
+    def visit(colours: list[int], path: list[int]) -> Optional[int]:
+        """Search below a node; returns the depth to resume at, if shallower."""
+        colours = _refine(incidences, tuples, colours)
+        if len(set(colours)) == n:
+            return leaf(colours, path)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colours):
+            cells.setdefault(c, []).append(v)
+        _, target = min((len(vs), c) for c, vs in cells.items() if len(vs) > 1)
+        depth = len(path)
+        tried: list[int] = []
+        for w in cells[target]:
+            if tried:
+                fixing = [g for g in automorphisms if all(g[u] == u for u in path)]
+                if _orbit_meets(w, tried, fixing):
+                    continue
+            tried.append(w)
+            resume = visit(_individualize(colours, w), path + [w])
+            if resume is not None and resume < depth:
+                return resume
+        return None
+
+    visit([0] * n, [])
+    payload = (tuple(structure.signature.relations), n, best[0])
     return repr(payload).encode("utf-8")

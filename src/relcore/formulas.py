@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .atoms import Atom, AtomBase
-from .errors import ArityMismatch, InvalidLabel, OrderNotAvailable
+from .errors import ArityMismatch, InvalidLabel, OrderNotAvailable, parsing
 
 
 class Formula:
@@ -243,21 +243,22 @@ def to_json(phi: Formula) -> dict:
 
 
 def from_json(data: dict) -> Formula:
-    op = data["op"]
-    if op == "true":
-        return TRUE
-    if op == "false":
-        return FALSE
-    if op == "lt":
-        return Less(int(data["i"]), int(data["j"]))
-    if op == "eq":
-        return Eq(int(data["i"]), int(data["j"]))
-    if op == "label":
-        return Label(int(data["i"]), int(data["l"]))
-    if op == "and":
-        return And(tuple(from_json(d) for d in data["args"]))
-    if op == "or":
-        return Or(tuple(from_json(d) for d in data["args"]))
-    if op == "not":
-        return Not(from_json(data["args"][0]))
-    raise ArityMismatch(f"unknown formula op {op!r}")
+    with parsing("formula"):
+        op = data["op"]
+        if op == "true":
+            return TRUE
+        if op == "false":
+            return FALSE
+        if op == "lt":
+            return Less(int(data["i"]), int(data["j"]))
+        if op == "eq":
+            return Eq(int(data["i"]), int(data["j"]))
+        if op == "label":
+            return Label(int(data["i"]), int(data["l"]))
+        if op == "and":
+            return And(tuple(from_json(d) for d in data["args"]))
+        if op == "or":
+            return Or(tuple(from_json(d) for d in data["args"]))
+        if op == "not":
+            return Not(from_json(data["args"][0]))
+        raise ArityMismatch(f"unknown formula op {op!r}")

@@ -13,7 +13,7 @@ from relcore.atoms import (
     make_sample,
     order_type,
 )
-from relcore.errors import BaseMismatch, InvalidLabel, NotAnInterval
+from relcore.errors import BaseMismatch, InvalidInput, InvalidLabel, NotAnInterval
 
 
 def test_make_sample_plain():
@@ -121,3 +121,9 @@ def test_atom_string_roundtrip():
         assert Atom.parse(str(a)) == a
     assert str(Atom(Fraction(3, 4), 1)) == "3/4:1"
     assert str(Atom(Fraction(5))) == "5"
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc", "1:x", "", "1:2:3"])
+def test_atom_parse_rejects_malformed(text):
+    with pytest.raises(InvalidInput):
+        Atom.parse(text)

@@ -1,0 +1,170 @@
+"""Canonical form by individualization-refinement against a brute-force oracle."""
+
+import itertools
+import random
+import time
+
+import pytest
+
+from relcore import gallery
+from relcore.atoms import make_sample
+from relcore.definable import sample, unlabelled_growth
+from relcore.finstruct import FinStructure, Signature, canonical_form
+from relcore.verify import _mutated_copy, _permuted_copy, local_order_count, random_structure
+
+
+def _vertex_invariants(structure):
+    inv = [[] for _ in range(structure.size)]
+    for name, arity in structure.signature.relations:
+        counts = [[0] * arity for _ in range(structure.size)]
+        for t in structure.relations[name]:
+            for pos, x in enumerate(t):
+                counts[x][pos] += 1
+        for v in range(structure.size):
+            inv[v].extend(counts[v])
+    return [tuple(x) for x in inv]
+
+
+def brute_force_form(structure):
+    """Least encoding over every domain permutation that respects the
+    per-position occurrence counts of each vertex."""
+    n = structure.size
+    inv = _vertex_invariants(structure)
+    blocks = {}
+    for v in range(n):
+        blocks.setdefault(inv[v], []).append(v)
+    ordered_blocks = sorted(blocks.items())
+    profile = tuple((key, len(vs)) for key, vs in ordered_blocks)
+    offsets = []
+    start = 0
+    for _, vs in ordered_blocks:
+        offsets.append((vs, start))
+        start += len(vs)
+    names = structure.signature.names()
+    best = None
+    for arrangement in itertools.product(*[itertools.permutations(vs) for vs, _ in offsets]):
+        perm = [0] * n
+        for (vs, off), arranged in zip(offsets, arrangement):
+            for k, v in enumerate(arranged):
+                perm[v] = off + k
+        encoded = tuple(
+            tuple(sorted(tuple(perm[x] for x in t) for t in structure.relations[name]))
+            for name in names
+        )
+        if best is None or encoded < best:
+            best = encoded
+    return (tuple(structure.signature.relations), n, profile, best)
+
+
+def partition(forms):
+    """Class index of each item, numbered in order of first appearance."""
+    index = {}
+    return [index.setdefault(f, len(index)) for f in forms]
+
+
+def test_random_structures_against_oracle():
+    rng = random.Random(2014)
+    groups_with_isomorphic_mutants = 0
+    for _ in range(150):
+        s = random_structure(rng, max_size=7)
+        assert canonical_form(_permuted_copy(s, rng)) == canonical_form(s)
+        # one tuple flipped, then relabelled: two mutants can be isomorphic
+        # to each other, never to the original
+        group = [s] + [_permuted_copy(_mutated_copy(s, rng), rng) for _ in range(4)]
+        classes = partition(map(canonical_form, group))
+        assert classes == partition(map(brute_force_form, group))
+        groups_with_isomorphic_mutants += len(set(classes)) < len(classes)
+    assert groups_with_isomorphic_mutants > 0
+
+
+def induced_structures(D, n):
+    """The structure induced on each n-point support class of a gallery
+    object whose single sort sits on labelled atoms of dimension one."""
+    return [
+        sample(D, make_sample(D.base, n, list(word))).structure
+        for word in itertools.product(range(D.base.alphabet), repeat=n)
+    ]
+
+
+@pytest.mark.parametrize("build", [gallery.dense_local_order, gallery.betweenness_reduct])
+def test_gallery_class_partitions_against_oracle(build):
+    D = build()
+    for n in range(1, 7):
+        structures = induced_structures(D, n)
+        assert partition(map(canonical_form, structures)) == partition(map(brute_force_form, structures))
+
+
+def _full(arity, n):
+    return FinStructure(
+        Signature((("E", arity),)), n, {"E": frozenset(itertools.product(range(n), repeat=arity))}
+    )
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [
+        FinStructure(Signature((("E", 2),)), 10, {"E": frozenset()}),
+        FinStructure(
+            Signature((("E", 2),)),
+            10,
+            {"E": frozenset((i, j) for i in range(10) for j in range(10) if i != j)},
+        ),
+        _full(3, 10),
+    ],
+    ids=["empty-digraph", "complete-digraph", "full-ternary"],
+)
+def test_highly_symmetric_structures_are_fast(structure):
+    start = time.perf_counter()
+    form = canonical_form(structure)
+    assert time.perf_counter() - start < 1.0
+    assert canonical_form(_permuted_copy(structure, random.Random(3))) == form
+
+
+def _graph(n, edges):
+    return FinStructure(Signature((("E", 2),)), n, {"E": frozenset(e for a, b in edges for e in ((a, b), (b, a)))})
+
+
+def _cycles(*lengths, directed=False):
+    edges = []
+    for offset, length in zip(itertools.accumulate((0,) + lengths), lengths):
+        edges += [(offset + i, offset + (i + 1) % length) for i in range(length)]
+    if directed:
+        return FinStructure(Signature((("E", 2),)), sum(lengths), {"E": frozenset(edges)})
+    return _graph(sum(lengths), edges)
+
+
+_PAIRS = [frozenset(c) for c in itertools.combinations(range(5), 2)]
+# Refinement cannot split any of these, and several of them mix vertices that
+# refinement cannot tell apart with vertices in other orbits, so the result
+# depends on searching every leaf class that automorphisms do not cover.
+SYMMETRIC = {
+    "C3+C3+C4": _cycles(3, 3, 4),
+    "C4+C6": _cycles(4, 6),
+    "C3+C7": _cycles(3, 7),
+    "C5+C5": _cycles(5, 5),
+    "C10": _cycles(10),
+    "directed C3+C3+C4": _cycles(3, 3, 4, directed=True),
+    "directed C4+C6": _cycles(4, 6, directed=True),
+    "petersen": _graph(10, [(a, b) for a in range(10) for b in range(a) if not _PAIRS[a] & _PAIRS[b]]),
+    "prism": _graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i + 5, (i + 1) % 5 + 5) for i in range(5)]
+                    + [(i, i + 5) for i in range(5)]),
+    "moebius-ladder": _graph(10, [(i, (i + 1) % 10) for i in range(10)] + [(i, i + 5) for i in range(5)]),
+    "loops": FinStructure(Signature((("E", 2),)), 10, {"E": frozenset((i, i) for i in range(10))}),
+    "full": _full(2, 10),
+}
+
+
+def test_symmetric_structures_relabel_and_separate():
+    rng = random.Random(5)
+    forms = {}
+    for name, structure in SYMMETRIC.items():
+        forms[name] = canonical_form(structure)
+        for _ in range(10):
+            assert canonical_form(_permuted_copy(structure, rng)) == forms[name], name
+    assert len(set(forms.values())) == len(forms)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_local_order_growth_beyond_default_cap(n):
+    s2 = gallery.dense_local_order()
+    assert unlabelled_growth(s2, n, "homogeneous", max_n=10) == local_order_count(n)

@@ -1,4 +1,8 @@
 import json
+import subprocess
+import sys
+
+import pytest
 
 from relcore.cli import main
 from relcore.definable import increasing_tuple_structure, sample
@@ -168,3 +172,95 @@ def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "sample", "gallery:Y", "--atoms", "4")
     _, out2, _ = run(capsys, "sample", "gallery:Y", "--atoms", "4")
     assert out1 == out2
+
+
+GOOD_FINITE = {"signature": [{"name": "E", "arity": 2}], "size": 2, "relations": {"E": [[0, 1]]}}
+MALFORMED_FINITE = {
+    "no-arity": {"signature": [{"name": "E"}], "size": 2, "relations": {"E": [[0, 1]]}},
+    "no-size": {"signature": [{"name": "E", "arity": 2}], "relations": {"E": [[0, 1]]}},
+    "size-not-a-number": dict(GOOD_FINITE, size="two"),
+    "relations-not-an-object": dict(GOOD_FINITE, relations=[[0, 1]]),
+    "tuple-not-a-list": dict(GOOD_FINITE, relations={"E": [5]}),
+    "element-not-a-number": dict(GOOD_FINITE, relations={"E": [["a", 1]]}),
+    "not-an-object": [GOOD_FINITE],
+}
+GOOD_DEFINABLE = {
+    "base": {"ordered": True, "alphabet": 1},
+    "sorts": [{"name": "q", "dim": 1}],
+    "relations": [{"name": "lt", "arity": 2, "guard": ["*", "*"], "formula": {"op": "lt", "i": 0, "j": 1}}],
+}
+MALFORMED_DEFINABLE = {
+    "no-base": {k: v for k, v in GOOD_DEFINABLE.items() if k != "base"},
+    "sort-without-dim": dict(GOOD_DEFINABLE, sorts=[{"name": "q"}]),
+    "formula-without-op": dict(
+        GOOD_DEFINABLE,
+        relations=[{"name": "lt", "arity": 2, "guard": ["*", "*"], "formula": {"i": 0, "j": 1}}],
+    ),
+    "formula-index-not-a-number": dict(
+        GOOD_DEFINABLE,
+        relations=[{"name": "lt", "arity": 2, "guard": ["*", "*"], "formula": {"op": "lt", "i": "x", "j": 1}}],
+    ),
+}
+FINITE_COMMANDS = [
+    ["hom", "{bad}", "{good}"],
+    ["hom", "{good}", "{bad}"],
+    ["core", "{bad}"],
+    ["is-core", "{bad}"],
+    ["endos", "{bad}"],
+    ["power", "{bad}", "--d", "2"],
+    ["union", "{good}", "{bad}"],
+]
+DEFINABLE_COMMANDS = [
+    ["sample", "{bad}", "--atoms", "3"],
+    ["orbits", "{bad}", "--n", "2"],
+    ["growth", "{bad}", "--n", "2"],
+    ["power", "{bad}", "--d", "2"],
+]
+MALFORMED_INPUTS = [
+    pytest.param(good, bad, cmd, id=f"{case}:{cmd[0]}")
+    for good, table, commands in (
+        (GOOD_FINITE, MALFORMED_FINITE, FINITE_COMMANDS),
+        (GOOD_DEFINABLE, MALFORMED_DEFINABLE, DEFINABLE_COMMANDS),
+    )
+    for case, bad in table.items()
+    for cmd in commands
+]
+
+
+def assert_input_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("good,bad,command", MALFORMED_INPUTS)
+def test_malformed_file_exits_2(tmp_path, capsys, good, bad, command):
+    files = {}
+    for role, data in (("good", good), ("bad", bad)):
+        files[role] = tmp_path / f"{role}.json"
+        files[role].write_text(json.dumps(data))
+    argv = [arg.format(**files) for arg in command]
+    assert_input_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("spec", ["1/0", "abc", "0:x", "1:2:3", "0,,1"])
+def test_malformed_atom_spec_exits_2(capsys, spec):
+    assert_input_error(*run(capsys, "sample", "gallery:QST", "--atoms", spec))
+
+
+def test_malformed_atom_spec_from_entry_point():
+    proc = subprocess.run(
+        [sys.executable, "-m", "relcore.cli", "sample", "gallery:DLO", "--atoms", "1/0"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert_input_error(proc.returncode, proc.stdout, proc.stderr)
+
+
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--json"]])
+def test_removed_global_flags_are_rejected(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*flag, "orbits", "gallery:Jord1", "--n", "1"])
+    assert exc.value.code == 2

@@ -6,6 +6,7 @@ import pytest
 from relcore.errors import (
     HomValidationError,
     InvalidDimension,
+    InvalidInput,
     InvalidElement,
     SignatureMismatch,
     TooLarge,
@@ -265,3 +266,8 @@ def test_json_roundtrip():
     for _ in range(10):
         s = random_structure(rng, max_size=5)
         assert FinStructure.from_json(s.to_json()) == s
+
+
+def test_signature_from_json_rejects_missing_arity():
+    with pytest.raises(InvalidInput):
+        Signature.from_json([{"name": "E"}])
