@@ -18,7 +18,6 @@ from .definable import (
     classify_signed_lex,
     enumerate_invariant_orders,
     full_power_def,
-    growth_up_to_reversal,
     increasing_tuple_structure,
     point_orbits,
     sample,
@@ -184,7 +183,7 @@ def cmd_union(args) -> int:
 
 def cmd_orbits(args) -> int:
     d = _load_definable(args.structure)
-    extra = {"atom_budget": args.atom_budget} if args.atom_budget else {}
+    extra = {"atom_budget": args.atom_budget} if args.atom_budget is not None else {}
     descriptors = point_orbits(d, args.n, **extra)
     _emit({"n": args.n, "count": len(descriptors), "orbits": descriptors})
     return 0
@@ -192,13 +191,8 @@ def cmd_orbits(args) -> int:
 
 def cmd_growth(args) -> int:
     d = _load_definable(args.structure)
-    extra = {"atom_budget": args.atom_budget} if args.atom_budget else {}
-    values = []
-    for n in range(1, args.n + 1):
-        if args.mode == "reversal":
-            values.append(growth_up_to_reversal(d, n, **extra))
-        else:
-            values.append(unlabelled_growth(d, n, args.mode, **extra))
+    extra = {"atom_budget": args.atom_budget} if args.atom_budget is not None else {}
+    values = [unlabelled_growth(d, n, args.mode, **extra) for n in range(1, args.n + 1)]
     print(",".join(map(str, values)))
     return 0
 

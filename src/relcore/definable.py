@@ -11,6 +11,7 @@ support patterns instead of concrete samples.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -272,18 +273,6 @@ def disjoint_union_def(left: DefStructure, right: DefStructure) -> DefStructure:
     return DefStructure(left.base, left.sorts + tuple(new_right_sorts), tuple(clauses))
 
 
-def _power_patterns(m: int, d: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All ways d increasing m-tuples can share a support, covering it."""
-    if m == 0:
-        return [((),) * d]
-    out = []
-    for s in range(m, d * m + 1):
-        for rows in itertools.product(itertools.combinations(range(s), m), repeat=d):
-            if set().union(*[set(r) for r in rows]) == set(range(s)):
-                out.append(rows)
-    return sorted(out, key=lambda rows: (len(set().union(*[set(r) for r in rows])), rows))
-
-
 def _pattern_name(rows) -> str:
     return "p[" + "|".join(",".join(map(str, r)) for r in rows) + "]"
 
@@ -301,9 +290,9 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
     if len(D.sorts) != 1:
         raise Unsupported("full power is only defined for single-sort structures")
     m = D.sorts[0].dim
-    patterns = _power_patterns(m, d)
-    support = {_pattern_name(rows): len(set().union(*[set(r) for r in rows])) if m else 0 for rows in patterns}
-    sorts = tuple(Sort(_pattern_name(rows), support[_pattern_name(rows)]) for rows in patterns)
+    orbits = _orbits(DefStructure(DLO, (Sort("t", m),), ()), d, False, d * m, ORBIT_WORK_BUDGET)
+    patterns = [tuple(slots for _, slots in shape) for _, _, shape in orbits]
+    sorts = tuple(Sort(_pattern_name(rows), len(set().union(*rows))) for rows in patterns)
     named = {s.name: rows for s, rows in zip(sorts, patterns)}
 
     merged: dict[str, tuple[int, fm.Formula]] = {}
@@ -348,35 +337,33 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
     return DefStructure(D.base, sorts, tuple(clauses))
 
 
-def _support_of(points: Iterable[Point]) -> list[Atom]:
-    by_value = {}
-    for p in points:
-        for a in p.atoms:
-            by_value[a.value] = a
-    return [by_value[v] for v in sorted(by_value)]
+def _pattern(points: Sequence[Point]):
+    """Support pattern of concrete points: the labels of their support atoms
+    in value order, and each point as (sort, slots into that support)."""
+    labels = {a.value: a.label for p in points for a in p.atoms}
+    values = sorted(labels)
+    rank = {v: i for i, v in enumerate(values)}
+    shape = [(p.sort, tuple(rank[a.value] for a in p.atoms)) for p in points]
+    return tuple(labels[v] for v in values), shape
+
+
+def _type(word, shape, base: AtomBase, as_set: bool) -> str:
+    """Canonical descriptor of a support pattern under base automorphisms;
+    as_set forgets the order of the points."""
+    shape = tuple(sorted(shape) if as_set else shape)
+    if base.ordered:
+        return repr((len(word), word, shape))
+    return repr(_min_under_slot_perms(len(word), word, shape, resort=as_set))
 
 
 def tuple_type(points: Sequence[Point], base: AtomBase) -> str:
     """Canonical descriptor of a tuple of points under base automorphisms."""
-    support = _support_of(points)
-    rank = {a.value: i for i, a in enumerate(support)}
-    word = tuple(a.label for a in support)
-    shape = tuple((p.sort, tuple(rank[a.value] for a in p.atoms)) for p in points)
-    if base.ordered:
-        return repr((len(support), word, shape))
-    return repr(_min_under_slot_perms(len(support), word, shape))
+    return _type(*_pattern(points), base, False)
 
 
 def subset_type(points: Iterable[Point], base: AtomBase) -> str:
     """Canonical descriptor of a set of points under base automorphisms."""
-    pts = list(points)
-    support = _support_of(pts)
-    rank = {a.value: i for i, a in enumerate(support)}
-    word = tuple(a.label for a in support)
-    shape = tuple(sorted((p.sort, tuple(rank[a.value] for a in p.atoms)) for p in pts))
-    if base.ordered:
-        return repr((len(support), word, shape))
-    return repr(_min_under_slot_perms(len(support), word, shape, resort=True))
+    return _type(*_pattern(list(points)), base, True)
 
 
 def _min_under_slot_perms(s, word, shape, resort=False):
@@ -396,23 +383,45 @@ def _min_under_slot_perms(s, word, shape, resort=False):
     return best
 
 
-def _abstract_points(D: DefStructure, s: int) -> list[tuple[int, tuple[int, ...]]]:
-    out = []
-    for si, sort in enumerate(D.sorts):
-        for combo in itertools.combinations(range(s), sort.dim):
-            out.append((si, combo))
-    return out
+def _orbits(D: DefStructure, n: int, as_set: bool, atom_budget: int, work_budget: int):
+    """Yields (descriptor, atoms, shape) once per base-automorphism orbit of
+    n-tuples of points (of n-element point sets when as_set).
 
-
-def _realize(word: tuple[int, ...], assignment) -> tuple[Point, ...]:
-    atoms = tuple(Atom(Fraction(i), word[i]) for i in range(len(word)))
-    return tuple(Point(si, tuple(atoms[k] for k in slots)) for si, slots in assignment)
-
-
-def _support_words(D: DefStructure, s: int):
-    if D.base.ordered:
-        return itertools.product(range(D.base.alphabet), repeat=s)
-    return [(0,) * s]
+    Walks the supports {0..s-1} for s = 0..n*max_dim, every label word on
+    a support, and every choice of n abstract points (sort, slots) that
+    covers it; the first choice met in an orbit represents it, realized on
+    atoms by Point(sort, [atoms[k] for k in slots]).  The work budget counts
+    every choice, covering or not, and is checked before the walk.
+    """
+    smax = n * D.max_dim()
+    if smax > atom_budget:
+        raise TooLarge(f"would need supports of size {smax} > budget {atom_budget}")
+    letters = D.base.alphabet if D.base.ordered else 1
+    work = 0
+    for s in range(smax + 1):
+        k = sum(math.comb(s, sort.dim) for sort in D.sorts)
+        work += letters**s * (math.comb(k, n) if as_set else k**n)
+    if work > work_budget:
+        raise TooLarge(f"orbit enumeration exceeded work budget {work_budget}")
+    seen = set()
+    for s in range(smax + 1):
+        abstract = [
+            (si, slots)
+            for si, sort in enumerate(D.sorts)
+            for slots in itertools.combinations(range(s), sort.dim)
+        ]
+        if as_set:
+            choices = itertools.combinations(abstract, n)
+        else:
+            choices = itertools.product(abstract, repeat=n)
+        covering = [c for c in choices if len({k for _, slots in c for k in slots}) == s]
+        for word in itertools.product(range(letters), repeat=s):
+            atoms = [Atom(Fraction(i), label) for i, label in enumerate(word)]
+            for shape in covering:
+                desc = _type(word, shape, D.base, as_set)
+                if desc not in seen:
+                    seen.add(desc)
+                    yield desc, atoms, shape
 
 
 def point_orbits(
@@ -426,57 +435,7 @@ def point_orbits(
     """
     if n < 1:
         raise InvalidDimension(f"need n >= 1, got {n}")
-    smax = n * D.max_dim()
-    if smax > atom_budget:
-        raise TooLarge(f"would need supports of size {smax} > budget {atom_budget}")
-    work = 0
-    descriptors = set()
-    for s in range(smax + 1):
-        abstract = _abstract_points(D, s)
-        if not abstract:
-            continue
-        full = set(range(s))
-        for word in _support_words(D, s):
-            for assignment in itertools.product(abstract, repeat=n):
-                work += 1
-                if work > work_budget:
-                    raise TooLarge(f"orbit enumeration exceeded work budget {work_budget}")
-                used = set()
-                for _, slots in assignment:
-                    used.update(slots)
-                if used != full:
-                    continue
-                descriptors.add(tuple_type(_realize(word, assignment), D.base))
-    return sorted(descriptors)
-
-
-def _subset_reps(D: DefStructure, n: int, atom_budget: int, work_budget: int):
-    """One concrete representative per orbit of n-element point sets."""
-    smax = n * D.max_dim()
-    if smax > atom_budget:
-        raise TooLarge(f"would need supports of size {smax} > budget {atom_budget}")
-    work = 0
-    reps: dict[str, tuple[Point, ...]] = {}
-    for s in range(smax + 1):
-        abstract = _abstract_points(D, s)
-        if len(abstract) < n:
-            continue
-        full = set(range(s))
-        for word in _support_words(D, s):
-            for assignment in itertools.combinations(abstract, n):
-                work += 1
-                if work > work_budget:
-                    raise TooLarge(f"orbit enumeration exceeded work budget {work_budget}")
-                used = set()
-                for _, slots in assignment:
-                    used.update(slots)
-                if used != full:
-                    continue
-                points = _realize(word, assignment)
-                desc = subset_type(points, D.base)
-                if desc not in reps:
-                    reps[desc] = points
-    return reps
+    return sorted(desc for desc, _, _ in _orbits(D, n, False, atom_budget, work_budget))
 
 
 def unlabelled_growth(
@@ -494,15 +453,27 @@ def unlabelled_growth(
     n-point structures, which equals the orbit count of the full
     automorphism group exactly when D is homogeneous in its listed
     relations; asserting that is the caller's responsibility.
+    mode="reversal" also identifies a class with its relation-reversed
+    class and requires a single binary relation.
     """
+    if mode not in ("base", "homogeneous", "reversal"):
+        raise Unsupported(f"unknown growth mode {mode!r}")
+    sig = D.signature()
+    if mode == "reversal" and (len(sig.relations) != 1 or sig.relations[0][1] != 2):
+        raise Unsupported("reversal counting needs exactly one binary relation")
     if n < 1 or n > max_n:
         raise TooLarge(f"n={n} outside supported range 1..{max_n}")
-    if mode not in ("base", "homogeneous"):
-        raise Unsupported(f"unknown growth mode {mode!r}")
-    reps = _subset_reps(D, n, atom_budget, work_budget)
+    orbits = _orbits(D, n, True, atom_budget, work_budget)
     if mode == "base":
-        return len(reps)
-    forms = {canonical_form(induce_on_points(D, points)) for points in reps.values()}
+        return sum(1 for _ in orbits)
+    forms = set()
+    for _, atoms, shape in orbits:
+        points = [Point(si, tuple(atoms[k] for k in slots)) for si, slots in shape]
+        induced = induce_on_points(D, points)
+        form = canonical_form(induced)
+        if mode == "reversal":
+            form = min(form, canonical_form(_reverse_binary(induced)))
+        forms.add(form)
     return len(forms)
 
 
@@ -521,19 +492,9 @@ def growth_up_to_reversal(
     atom_budget: int = 16,
     work_budget: int = ORBIT_WORK_BUDGET,
 ) -> int:
-    """Isomorphism classes of induced n-point structures, a class and its
-    relation-reversed class identified.  Requires a single binary relation."""
-    sig = D.signature()
-    if len(sig.relations) != 1 or sig.relations[0][1] != 2:
-        raise Unsupported("reversal counting needs exactly one binary relation")
-    if n < 1 or n > max_n:
-        raise TooLarge(f"n={n} outside supported range 1..{max_n}")
-    reps = _subset_reps(D, n, atom_budget, work_budget)
-    forms = set()
-    for points in reps.values():
-        induced = induce_on_points(D, points)
-        forms.add(min(canonical_form(induced), canonical_form(_reverse_binary(induced))))
-    return len(forms)
+    """Growth with a class and its relation-reversed class identified:
+    unlabelled_growth(D, n, "reversal")."""
+    return unlabelled_growth(D, n, "reversal", max_n, atom_budget, work_budget)
 
 
 def increasing_tuple_structure(d: int) -> DefStructure:
@@ -559,19 +520,11 @@ def pair_descriptor(p: Point, q: Point, base: AtomBase = DLO) -> str:
 
 def pair_orbit_reps(d: int) -> dict[str, tuple[Point, Point]]:
     """Representative concrete point pairs, one per orbit of ordered pairs."""
-    reps: dict[str, tuple[Point, Point]] = {}
-    for s in range(d, 2 * d + 1):
-        atoms = tuple(Atom(Fraction(i)) for i in range(s))
-        for c1 in itertools.combinations(range(s), d):
-            for c2 in itertools.combinations(range(s), d):
-                if set(c1) | set(c2) != set(range(s)):
-                    continue
-                p = Point(0, tuple(atoms[k] for k in c1))
-                q = Point(0, tuple(atoms[k] for k in c2))
-                desc = pair_descriptor(p, q)
-                if desc not in reps:
-                    reps[desc] = (p, q)
-    return reps
+    orbits = _orbits(DefStructure(DLO, (Sort("t", d),), ()), 2, False, 2 * d, ORBIT_WORK_BUDGET)
+    return {
+        desc: tuple(Point(si, tuple(atoms[k] for k in slots)) for si, slots in shape)
+        for desc, atoms, shape in orbits
+    }
 
 
 def enumerate_invariant_orders(

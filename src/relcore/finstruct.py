@@ -419,8 +419,6 @@ def _search(
         return False
 
     backtrack(cands)
-    if mode == "iso":
-        solutions = [s for s in solutions if len(set(s)) == target.size]
     return solutions
 
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import relcore
 from relcore.cli import main
 from relcore.definable import increasing_tuple_structure, sample
 from relcore.atoms import DLO, make_sample
@@ -141,6 +144,12 @@ def test_growth_sequences(capsys):
     assert out.strip() == "1,1,2,2,4,6"
 
 
+def test_growth_reversal_sequence(capsys):
+    code, out, _ = run(capsys, "growth", "gallery:S2", "--n", "7", "--mode", "reversal")
+    assert code == 0
+    assert out.strip() == "1,1,2,2,4,5,9"
+
+
 def test_classify_orders(capsys):
     code, out, _ = run(capsys, "classify-orders", "--d", "1")
     assert code == 0
@@ -250,13 +259,24 @@ def test_malformed_atom_spec_exits_2(capsys, spec):
 
 
 def test_malformed_atom_spec_from_entry_point():
+    # the child imports the same relcore as this process, installed or not
+    src = str(Path(relcore.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "relcore.cli", "sample", "gallery:DLO", "--atoms", "1/0"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert_input_error(proc.returncode, proc.stdout, proc.stderr)
+
+
+@pytest.mark.parametrize(
+    "argv", [["orbits", "gallery:Jord1", "--n", "1"], ["growth", "gallery:QST", "--n", "2"]]
+)
+def test_atom_budget_zero_is_honoured(capsys, argv):
+    assert_input_error(*run(capsys, "--atom-budget", "0", *argv))
 
 
 @pytest.mark.parametrize("flag", [["--threads", "2"], ["--json"]])

@@ -143,6 +143,33 @@ def test_full_power_def_matches_finite_power():
         assert transported == set(fin.rel(name)), name
 
 
+def old_power_patterns(m, d):
+    """The former enumeration of power sorts, kept as the oracle for the
+    sort order of full_power_def: every way d increasing m-tuples can share
+    a support, covering it, ordered by support size, then rows."""
+    if m == 0:
+        return [((),) * d]
+    out = []
+    for s in range(m, d * m + 1):
+        for rows in itertools.product(itertools.combinations(range(s), m), repeat=d):
+            if set().union(*[set(r) for r in rows]) == set(range(s)):
+                out.append(rows)
+    return sorted(out, key=lambda rows: (len(set().union(*[set(r) for r in rows])), rows))
+
+
+@pytest.mark.parametrize("m,d", [(0, 1), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (4, 1)])
+def test_full_power_def_sorts_match_pattern_oracle(m, d):
+    power = full_power_def(DefStructure(DLO, (Sort("t", m),), ()), d)
+    patterns = old_power_patterns(m, d)
+    assert _pattern_rows(power) == patterns
+    assert [s.dim for s in power.sorts] == [len(set().union(*rows)) for rows in patterns]
+
+
+def test_full_power_def_sorts_ignore_labels():
+    labelled = DefStructure(labeled_dlo(3), (Sort("q", 1),), ())
+    assert full_power_def(labelled, 3).sorts == full_power_def(increasing_tuple_structure(1), 3).sorts
+
+
 def test_full_power_def_rejects_multi_sort():
     with pytest.raises(Unsupported):
         full_power_def(gallery.partitioned_dlo_companion(), 2)
@@ -205,6 +232,67 @@ def test_subset_type_pure_set_quotient():
     assert subset_type(p01, base) == subset_type(p12, base)
 
 
+def test_subset_type_ignores_point_order():
+    base = labeled_dlo(2)
+    atoms = make_sample(base, 4, [0, 1, 1, 0]).atoms
+    pool = [Point(0, (a,)) for a in atoms] + [Point(1, c) for c in itertools.combinations(atoms, 2)]
+    for pts in itertools.combinations(pool, 3):
+        types = {subset_type(order, base) for order in itertools.permutations(pts)}
+        assert len(types) == 1
+        assert tuple_type(pts, base) != tuple_type(pts[::-1], base)
+
+
+def subset_orbits_by_generators(D, n, k):
+    """Orbits of the n-element point sets of D's sample on k atoms under all
+    permutations of those atoms: each set is closed under the images by a
+    transposition and a k-cycle, which generate the symmetric group."""
+    sampled = make_sample(D.base, k)
+    points = sample(D, sampled).points
+    atoms = sampled.atoms
+    generators = [
+        dict(zip(atoms, atoms[1:2] + atoms[:1] + atoms[2:])),
+        dict(zip(atoms, atoms[1:] + atoms[:1])),
+    ]
+
+    def image(subset, g):
+        return frozenset(
+            Point(p.sort, tuple(sorted((g[a] for a in p.atoms), key=lambda a: a.value)))
+            for p in subset
+        )
+
+    orbit_of = {}
+    for start in itertools.combinations(points, n):
+        start = frozenset(start)
+        if start in orbit_of:
+            continue
+        orbit_of[start] = start
+        frontier = [start]
+        while frontier:
+            x = frontier.pop()
+            for g in generators:
+                y = image(x, g)
+                if y not in orbit_of:
+                    orbit_of[y] = start
+                    frontier.append(y)
+    return orbit_of
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pure_set_subset_classes_against_atom_permutations(n):
+    d = DefStructure(PURE_SET, (Sort("a", 1), Sort("b", 2)), ())
+    orbit_of = subset_orbits_by_generators(d, n, 2 * n)
+    orbits = set(orbit_of.values())
+    types = {subset_type(subset, PURE_SET) for subset in orbit_of}
+    pairs = {(orbit, subset_type(subset, PURE_SET)) for subset, orbit in orbit_of.items()}
+    assert len(orbits) == len(types) == len(pairs)
+    assert unlabelled_growth(d, n, "base") == len(orbits)
+
+
+def test_pair_orbit_reps_are_point_orbits():
+    for d in (1, 2, 3):
+        assert sorted(pair_orbit_reps(d)) == point_orbits(increasing_tuple_structure(d), 2)
+
+
 def test_point_orbits_examples():
     jord1 = increasing_tuple_structure(1)
     assert len(point_orbits(jord1, 1)) == 1
@@ -236,6 +324,24 @@ def test_point_orbits_against_concrete_sample():
 def test_point_orbits_budget():
     with pytest.raises(TooLarge):
         point_orbits(increasing_tuple_structure(3), 8, atom_budget=12)
+
+
+def test_work_budget_counts_every_choice():
+    # supports of size 0, 1, 2: 0 + 1 + 4 ordered pairs of points, 0 + 0 + 1 sets
+    jord1 = increasing_tuple_structure(1)
+    assert len(point_orbits(jord1, 2, work_budget=5)) == 3
+    with pytest.raises(TooLarge):
+        point_orbits(jord1, 2, work_budget=4)
+    assert unlabelled_growth(jord1, 2, work_budget=1) == 1
+    with pytest.raises(TooLarge):
+        unlabelled_growth(jord1, 2, work_budget=0)
+
+
+def test_work_budget_bounds_pair_orbits_and_power_sorts():
+    with pytest.raises(TooLarge):
+        pair_orbit_reps(7)
+    with pytest.raises(TooLarge):
+        full_power_def(increasing_tuple_structure(3), 4)
 
 
 def test_unlabelled_growth_examples():
@@ -315,6 +421,16 @@ def test_growth_up_to_reversal_examples():
 def test_growth_up_to_reversal_requires_single_binary():
     with pytest.raises(Unsupported):
         growth_up_to_reversal(gallery.partitioned_dlo(), 2)
+    for D in (gallery.partitioned_dlo(), gallery.betweenness_reduct(), increasing_tuple_structure(1)):
+        with pytest.raises(Unsupported):
+            unlabelled_growth(D, 2, "reversal")
+
+
+def test_reversal_mode_is_growth_up_to_reversal():
+    s2 = gallery.dense_local_order()
+    seq = [unlabelled_growth(s2, n, "reversal") for n in range(1, 7)]
+    assert seq == [growth_up_to_reversal(s2, n) for n in range(1, 7)]
+    assert seq == [1, 1, 2, 2, 4, 5]
 
 
 def test_enumerate_invariant_orders_d1():

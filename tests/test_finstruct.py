@@ -261,6 +261,72 @@ def test_canonical_form_matches_iso_search():
         assert find_hom(s, twin, "iso") is not None
 
 
+def brute_force_maps(source, target):
+    """Every map source -> target by mode, found by trying all maps.
+
+    An embedding is an injective hom under which every target tuple inside
+    the image comes from a source tuple; an iso is a surjective embedding.
+    """
+    found = {"hom": [], "embedding": [], "iso": []}
+    rels = source.signature.relations
+    for mapping in itertools.product(range(target.size), repeat=source.size):
+        if not all(
+            tuple(mapping[x] for x in t) in target.relations[name]
+            for name, _ in rels
+            for t in source.relations[name]
+        ):
+            continue
+        found["hom"].append(mapping)
+        image = set(mapping)
+        if len(image) < source.size:
+            continue
+        if all(
+            sum(all(y in image for y in t) for t in target.relations[name])
+            == len(source.relations[name])
+            for name, _ in rels
+        ):
+            found["embedding"].append(mapping)
+            if len(image) == target.size:
+                found["iso"].append(mapping)
+    return found
+
+
+def random_target(rng, source):
+    """A structure over the source's signature: a relabelled copy, a copy
+    with one tuple toggled, or random tuples on a random size up to 5."""
+    kind = rng.randrange(3)
+    size = source.size if kind < 2 else rng.randint(1, 5)
+    perm = list(range(size))
+    rng.shuffle(perm)
+    rels = {}
+    for name, arity in source.signature.relations:
+        if kind < 2:
+            tuples = {tuple(perm[x] for x in t) for t in source.relations[name]}
+        else:
+            tuples = {t for t in itertools.product(range(size), repeat=arity) if rng.random() < 0.4}
+        rels[name] = frozenset(tuples)
+    if kind == 1:
+        name, arity = rng.choice(source.signature.relations)
+        t = tuple(rng.randrange(size) for _ in range(arity))
+        rels[name] = rels[name] ^ {t}
+    return FinStructure(source.signature, size, rels)
+
+
+def test_hom_search_against_brute_force():
+    rng = random.Random(17)
+    for i in range(100):
+        s = random_structure(rng, max_size=5)
+        t = random_target(rng, s)
+        valid = brute_force_maps(s, t)
+        for mode, maps in valid.items():
+            h = find_hom(s, t, mode)
+            assert (h is None) == (not maps), f"round {i}, mode {mode}"
+            if h is not None:
+                assert h.mapping in maps, f"round {i}, mode {mode}"
+        endos = brute_force_maps(s, s)["hom"]
+        assert [h.mapping for h in enumerate_endos(s)] == sorted(endos), f"round {i}"
+
+
 def test_json_roundtrip():
     rng = random.Random(12)
     for _ in range(10):
