@@ -199,6 +199,12 @@ class SampleResult:
 
 
 def _relations_on(D: DefStructure, points: Sequence[Point]) -> dict[str, set[tuple[int, ...]]]:
+    """Tuples of each relation on points.  Each point is encoded once as
+    (value rank, label) pairs, and each clause is compiled once per
+    environment width; guard combinations are visited in the order of
+    the per-tuple interpreter, so the same error surfaces first."""
+    rank = {v: r for r, v in enumerate(sorted({a.value for p in points for a in p.atoms}))}
+    encoded = [tuple((rank[a.value], a.label) for a in p.atoms) for p in points]
     by_sort: dict[int, list[int]] = {}
     for pid, p in enumerate(points):
         by_sort.setdefault(p.sort, []).append(pid)
@@ -211,10 +217,15 @@ def _relations_on(D: DefStructure, points: Sequence[Point]) -> dict[str, set[tup
                 if _guard_matches(entry, sort.name):
                     ids.extend(by_sort.get(si, ()))
             groups.append(sorted(ids))
+        out = rels[clause.name]
+        compiled: dict[int, fm.Predicate] = {}
         for combo in itertools.product(*groups):
-            env = tuple(a for pid in combo for a in points[pid].atoms)
-            if fm.evaluate(clause.formula, env, D.base):
-                rels[clause.name].add(combo)
+            env = sum(map(encoded.__getitem__, combo), ())
+            holds = compiled.get(len(env))
+            if holds is None:
+                holds = compiled[len(env)] = fm.compile_formula(clause.formula, D.base, len(env))
+            if holds(env):
+                out.add(combo)
     return rels
 
 
@@ -284,6 +295,8 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
     point is the (increasing) union of the component supports.  Relations
     are the projection-instantiated relations of D plus component equality,
     named exactly as in the finite full power so that samples line up.
+    A relation of arity k takes (d * sorts)^k clauses; more than
+    ORBIT_WORK_BUDGET clauses in all raise TooLarge before any is built.
     """
     if d < 1:
         raise InvalidDimension(f"power dimension must be >= 1, got {d}")
@@ -302,6 +315,9 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
         merged[clause.name] = (clause.arity, phi if parts is None else fm.Or(parts, phi))
 
     atoms_rels = list(merged.items()) + [("=", (2, None))]
+    count = sum((d * len(sorts)) ** k for _, (k, _) in atoms_rels)
+    if count > ORBIT_WORK_BUDGET:
+        raise TooLarge(f"power would have {count} clauses > budget {ORBIT_WORK_BUDGET}")
     clauses = []
     for name, (k, phi) in atoms_rels:
         for js in itertools.product(range(d), repeat=k):
@@ -564,40 +580,28 @@ def enumerate_invariant_orders(
         seen.add(other)
         pairs.append((desc, other))
 
-    witness_atoms = make_sample(DLO, 3 * d)
-    points = [Point(0, combo) for combo in itertools.combinations(witness_atoms.atoms, d)]
-    m = len(points)
-    classes = [[pair_descriptor(points[i], points[j]) for j in range(m)] for i in range(m)]
-
-    # Composition table: descriptor triples realizable by sample triples.
-    comp = set()
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            for k in range(m):
-                if k == j:
-                    continue
-                comp.add((classes[i][j], classes[j][k], classes[i][k]))
-    comp_list = sorted(comp)
+    # A triple (a, b, c) broken by points i, j, k (a, b true, c false)
+    # makes the rotations (b, swap c, swap a) from j, k, i and
+    # (swap c, a, swap b) from k, i, j broken too, so a decision breaks a
+    # triple exactly when it breaks one whose first descriptor it set true.
+    by_first = _composition_by_first(d, diag)
 
     results = []
     status: dict[str, bool] = {}
     work = 0
 
-    def violated() -> bool:
-        for o1, o2, o3 in comp_list:
-            if status.get(o1) and status.get(o2) and status.get(o3) is False:
+    def violated(chosen: str) -> bool:
+        nonlocal work
+        triples = by_first.get(chosen, ())
+        work += len(triples)
+        if work > budget:
+            raise TooLarge(f"invariant order search exceeded budget {budget}")
+        for _, o2, o3 in triples:
+            if status.get(o2) and status.get(o3) is False:
                 return True
         return False
 
     def descend(idx: int):
-        nonlocal work
-        work += len(comp_list)
-        if work > budget:
-            raise TooLarge(f"invariant order search exceeded budget {budget}")
-        if violated():
-            return
         if idx == len(pairs):
             results.append(tuple(sorted(o for o, v in status.items() if v)))
             return
@@ -605,14 +609,37 @@ def enumerate_invariant_orders(
         for chosen, dropped in ((a, b), (b, a)):
             status[chosen] = True
             status[dropped] = False
-            descend(idx + 1)
+            if not violated(chosen):
+                descend(idx + 1)
             del status[chosen]
             del status[dropped]
 
     if diag is not None:
         status[diag] = False
     descend(0)
+    # descend reaches itself through its closure; breaking that cycle frees
+    # the table now instead of at the next cyclic garbage collection.
+    descend = None
     return sorted(results)
+
+
+def _composition_by_first(d: int, diag: Optional[str]) -> dict[str, list[tuple[str, str, str]]]:
+    """Composition table of the 3d-atom sample, indexed by first descriptor:
+    the descriptor triples (c_ij, c_jk, c_ik) of point triples with
+    i != j != k, where c_jk is the diagonal exactly when k == j."""
+    atoms = make_sample(DLO, 3 * d).atoms
+    points = [Point(0, combo) for combo in itertools.combinations(atoms, d)]
+    classes = [[pair_descriptor(p, q) for q in points] for p in points]
+    comp = set()
+    for i, row in enumerate(classes):
+        for j, c_ij in enumerate(row):
+            if i != j:
+                comp.update(zip(itertools.repeat(c_ij), classes[j], row))
+    by_first: dict[str, list[tuple[str, str, str]]] = {}
+    for triple in comp:
+        if triple[1] != diag:
+            by_first.setdefault(triple[0], []).append(triple)
+    return by_first
 
 
 @dataclass(frozen=True)

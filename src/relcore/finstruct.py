@@ -399,9 +399,9 @@ def _search(
             solutions.append(tuple(assignment))  # type: ignore[arg-type]
             return limit is not None and len(solutions) >= limit
         v = pick(current)
+        # In strong modes prune has already removed every assigned image
+        # from the candidate lists, so w is never taken twice.
         for w in current[v]:
-            if strong and w in inverse:
-                continue
             if not consistent_assign(v, w):
                 continue
             pruned = prune(v, w, current)
@@ -639,5 +639,8 @@ def canonical_form(structure: FinStructure, bound: int = 10) -> bytes:
         return None
 
     visit([0] * n, [])
+    # visit reaches itself through its closure; breaking that cycle frees the
+    # search state now instead of at the next cyclic garbage collection.
+    visit = None
     payload = (tuple(structure.signature.relations), n, best[0])
     return repr(payload).encode("utf-8")

@@ -5,12 +5,18 @@ Atomic formulas compare positions of a concatenated argument tuple
 are And, Or, Not plus the constants TRUE and FALSE.  Position indices are
 flat: a binary relation between d-dimensional points uses positions
 0..2d-1.
+
+`evaluate` interprets a formula on concrete atoms and is the reference
+semantics.  `compile_formula` turns a formula into a predicate on encoded
+environments, each atom given as its value rank and its label, which is
+how sampling evaluates clauses.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .atoms import Atom, AtomBase
 from .errors import ArityMismatch, InvalidLabel, OrderNotAvailable, parsing
@@ -113,7 +119,85 @@ def evaluate(phi: Formula, env: Sequence[Atom], base: Optional[AtomBase] = None)
 
 def _check(i: int, env: Sequence[Atom]):
     if not 0 <= i < len(env):
-        raise ArityMismatch(f"position {i} outside environment of length {len(env)}")
+        raise ArityMismatch(_outside(i, len(env)))
+
+
+Predicate = Callable[[Sequence[tuple[int, int]]], bool]
+
+
+@functools.lru_cache(maxsize=256)
+def compile_formula(phi: Formula, base: Optional[AtomBase], width: int) -> Predicate:
+    """Predicate equal to `evaluate(phi, env, base)` on environments of
+    `width` atoms, each encoded as a pair (rank, label).
+
+    Ranks stand in for atom values: any integers ordered and equal exactly
+    as the values are.  Less and Eq compare ranks only, so atoms of equal
+    value and different labels are Eq.  Connectives short-circuit as in
+    `evaluate`, and every error `evaluate` raises (order under an unordered
+    base, a label outside the alphabet, a position outside the environment)
+    is raised only when its node is reached.
+    """
+    return _compile(phi, base, width)
+
+
+def _compile(phi: Formula, base: Optional[AtomBase], width: int) -> Predicate:
+    if isinstance(phi, Const):
+        value = phi.value
+        return lambda env: value
+    if isinstance(phi, (Less, Eq)):
+        i, j = phi.i, phi.j
+        if isinstance(phi, Less) and base is not None and not base.ordered:
+            return _raiser(OrderNotAvailable, "Less atomic under an unordered base")
+        for k in (i, j):
+            if not 0 <= k < width:
+                return _raiser(ArityMismatch, _outside(k, width))
+        if isinstance(phi, Less):
+            return lambda env: env[i][0] < env[j][0]
+        return lambda env: env[i][0] == env[j][0]
+    if isinstance(phi, Label):
+        i, label = phi.i, phi.label
+        if not 0 <= i < width:
+            return _raiser(ArityMismatch, _outside(i, width))
+        if base is not None and label >= base.alphabet:
+            return _raiser(InvalidLabel, f"label {label} outside alphabet {base.alphabet}")
+        return lambda env: env[i][1] == label
+    if isinstance(phi, (And, Or)):
+        parts = tuple(_compile(f, base, width) for f in phi.args)
+        return _connective(parts, isinstance(phi, And))
+    if isinstance(phi, Not):
+        arg = _compile(phi.arg, base, width)
+        return lambda env: not arg(env)
+    return _raiser(TypeError, f"not a formula: {phi!r}")
+
+
+def _connective(parts: tuple[Predicate, ...], conjunctive: bool) -> Predicate:
+    """And (conjunctive) or Or of parts, evaluated left to right up to the
+    first part that decides it; with no parts, And is true and Or false."""
+
+    def every(env):
+        for f in parts:
+            if not f(env):
+                return False
+        return True
+
+    def some(env):
+        for f in parts:
+            if f(env):
+                return True
+        return False
+
+    return every if conjunctive else some
+
+
+def _raiser(error: type, message: str) -> Predicate:
+    def fail(env):
+        raise error(message)
+
+    return fail
+
+
+def _outside(i: int, width: int) -> str:
+    return f"position {i} outside environment of length {width}"
 
 
 def uses_order(phi: Formula) -> bool:

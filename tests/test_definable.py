@@ -6,6 +6,7 @@ import pytest
 
 from relcore.atoms import DLO, PURE_SET, Atom, labeled_dlo, make_sample
 from relcore.definable import (
+    _guard_matches,
     DefStructure,
     Point,
     RelationClause,
@@ -27,8 +28,9 @@ from relcore.definable import (
     tuple_type,
     unlabelled_growth,
 )
-from relcore.errors import ArityMismatch, BaseMismatch, TooLarge, Unsupported
+from relcore.errors import ArityMismatch, BaseMismatch, RelcoreError, TooLarge, Unsupported
 from relcore.finstruct import FinStructure, Signature, canonical_form, disjoint_union, full_power
+from relcore import definable
 from relcore import formulas as fm
 from relcore import gallery
 from relcore.verify import local_order_count, random_def_structure
@@ -344,6 +346,23 @@ def test_work_budget_bounds_pair_orbits_and_power_sorts():
         full_power_def(increasing_tuple_structure(3), 4)
 
 
+def test_full_power_def_clause_budget(monkeypatch):
+    # Jord1^3: 13 sorts and three binary relations, 3 * (3 * 13)^2 clauses;
+    # checked first, so a wrong count fails here before the large cases
+    jord1 = increasing_tuple_structure(1)
+    monkeypatch.setattr(definable, "ORBIT_WORK_BUDGET", 4563)
+    assert len(full_power_def(jord1, 3).clauses) == 4563
+    monkeypatch.setattr(definable, "ORBIT_WORK_BUDGET", 4562)
+    with pytest.raises(TooLarge, match="4563 clauses"):
+        full_power_def(jord1, 3)
+    monkeypatch.undo()
+    # 21,951,075 and 13,549,761 clauses
+    with pytest.raises(TooLarge, match="clauses"):
+        full_power_def(increasing_tuple_structure(1), 5)
+    with pytest.raises(TooLarge, match="clauses"):
+        full_power_def(increasing_tuple_structure(2), 3)
+
+
 def test_unlabelled_growth_examples():
     dlo = increasing_tuple_structure(1)
     assert [unlabelled_growth(dlo, n, "base") for n in range(1, 9)] == [1] * 8
@@ -478,6 +497,33 @@ def test_invariant_orders_are_strict_total_orders_on_samples():
                 assert pr
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_invariant_orders_match_brute_force(d):
+    # every orientation of every pair orbit, kept when it is transitive on
+    # all point triples of a 3d-atom sample
+    reps = pair_orbit_reps(d)
+    pairs = sorted({tuple(sorted((desc, pair_descriptor(q, p)))) for desc, (p, q) in reps.items() if p != q})
+    points = [Point(0, c) for c in itertools.combinations(make_sample(DLO, 3 * d).atoms, d)]
+    classes = {(p, q): pair_descriptor(p, q) for p in points for q in points}
+    expected = []
+    for picks in itertools.product((0, 1), repeat=len(pairs)):
+        chosen = {pair[pick] for pair, pick in zip(pairs, picks)}
+        if all(
+            classes[p, r] in chosen
+            for p, q, r in itertools.product(points, repeat=3)
+            if classes[p, q] in chosen and classes[q, r] in chosen
+        ):
+            expected.append(tuple(sorted(chosen)))
+    assert enumerate_invariant_orders(increasing_tuple_structure(d)) == sorted(expected)
+
+
+def test_invariant_order_search_budget():
+    jord2 = increasing_tuple_structure(2)
+    with pytest.raises(TooLarge):
+        enumerate_invariant_orders(jord2, budget=10)
+    assert len(enumerate_invariant_orders(jord2, budget=10_000)) == 8
+
+
 def test_classify_signed_lex_known_orders():
     # ascending order on single atoms
     asc = tuple(
@@ -524,6 +570,72 @@ def test_induce_on_points_matches_sample():
     atoms = make_sample(labeled_dlo(2), 4)
     full = sample(d, atoms)
     assert induce_on_points(d, full.points) == full.structure
+
+
+def old_relations_on(D, points):
+    """The former per-tuple interpreter loop, kept as the oracle for
+    sampling: every guard combination evaluated on its concrete atoms."""
+    by_sort = {}
+    for pid, p in enumerate(points):
+        by_sort.setdefault(p.sort, []).append(pid)
+    rels = {c.name: set() for c in D.clauses}
+    for clause in D.clauses:
+        groups = []
+        for entry in clause.guard:
+            ids = []
+            for si, sort in enumerate(D.sorts):
+                if _guard_matches(entry, sort.name):
+                    ids.extend(by_sort.get(si, ()))
+            groups.append(sorted(ids))
+        for combo in itertools.product(*groups):
+            env = tuple(a for pid in combo for a in points[pid].atoms)
+            if fm.evaluate(clause.formula, env, D.base):
+                rels[clause.name].add(combo)
+    return FinStructure(D.signature(), len(points), {k: frozenset(v) for k, v in rels.items()})
+
+
+def outcome(run):
+    try:
+        return run()
+    except RelcoreError as exc:
+        return type(exc), str(exc)
+
+
+def hand_built_points(rng, points, truncate):
+    """A shuffled selection of points plus copies with other labels on the
+    same values, and with truncate a point shorter than its sort."""
+    twins = [
+        Point(p.sort, tuple(Atom(a.value, rng.randrange(2)) for a in p.atoms)) for p in points
+    ]
+    chosen = rng.sample(list(points) + twins, min(len(points), 6))
+    if truncate and any(p.atoms for p in points):
+        p = rng.choice([p for p in points if p.atoms])
+        chosen.append(Point(p.sort, p.atoms[:-1]))
+    rng.shuffle(chosen)
+    return chosen
+
+
+def test_sampling_matches_per_tuple_evaluation():
+    rng = random.Random(23)
+    cases = [(name, build(), 4) for name, build in sorted(gallery._definable_registry().items())]
+    cases += [(f"random {i}", random_def_structure(rng), rng.randint(0, 4)) for i in range(60)]
+    for name, D, k in cases:
+        labels = [rng.randrange(D.base.alphabet) for _ in range(k)]
+        got = sample(D, make_sample(D.base, k, labels))
+        assert got.structure == old_relations_on(D, got.points), name
+        for truncate in (False, True):
+            points = hand_built_points(rng, got.points, truncate)
+            assert outcome(lambda: induce_on_points(D, points)) == outcome(
+                lambda: old_relations_on(D, points)
+            ), name
+
+
+def test_sampling_errors_stay_lazy():
+    # Less is never reached under the pure set, so sampling succeeds
+    D = DefStructure(
+        PURE_SET, (Sort("a", 1),), (RelationClause("R", 2, ("*", "*"), fm.Or(fm.TRUE, fm.Less(0, 1))),)
+    )
+    assert len(sample(D, make_sample(PURE_SET, 3)).structure.rel("R")) == 9
 
 
 def test_json_roundtrip():

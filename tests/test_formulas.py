@@ -7,7 +7,8 @@ import pytest
 from relcore.atoms import DLO, PURE_SET, Atom, labeled_dlo
 from relcore import formulas as fm
 from relcore import gallery
-from relcore.errors import ArityMismatch, OrderNotAvailable
+from relcore.errors import ArityMismatch, InvalidLabel, OrderNotAvailable, RelcoreError
+from relcore.verify import _random_formula
 
 
 def atoms(*values, labels=None):
@@ -163,3 +164,102 @@ def test_json_roundtrip():
         phi = random_formula(rng, 4)
         assert fm.from_json(fm.to_json(phi)) == phi
     assert fm.from_json({"op": "true"}) == fm.TRUE
+
+
+# ------------------------------------------------------------ compiled formulas
+
+
+def encode(env):
+    """The environment a compiled predicate reads: (value rank, label) pairs."""
+    rank = {v: r for r, v in enumerate(sorted({a.value for a in env}))}
+    return tuple((rank[a.value], a.label) for a in env)
+
+
+def outcome(run):
+    try:
+        return run()
+    except (RelcoreError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def random_tree(rng, k, base):
+    """Formulas on k positions: verify's random clause formulas, empty And
+    and Or, nested Not, and atomics that may name position k, a label
+    outside the alphabet, or Less under an unordered base."""
+
+    def leaf():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return _random_formula(rng, k, base)
+        if kind == 1:
+            return fm.And() if rng.random() < 0.5 else fm.Or()
+        if kind == 2:
+            return fm.Less(rng.randrange(k + 1), rng.randrange(k + 1))
+        if kind == 3:
+            return fm.Eq(rng.randrange(k + 1), rng.randrange(k + 1))
+        if kind == 4:
+            return fm.Label(rng.randrange(k + 1), rng.randrange(base.alphabet + 1))
+        return fm.Not(fm.Not(leaf()))
+
+    def build(depth):
+        r = rng.random()
+        if depth == 0 or r < 0.3:
+            return leaf()
+        if r < 0.45:
+            return fm.Not(build(depth - 1))
+        parts = tuple(build(depth - 1) for _ in range(rng.randint(0, 4)))
+        return fm.And(parts) if r < 0.75 else fm.Or(parts)
+
+    return build(3)
+
+
+@pytest.mark.parametrize("base", [PURE_SET, DLO, labeled_dlo(2)], ids=["pure", "dlo", "labelled"])
+def test_compiled_formula_matches_evaluate(base):
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(400):
+        k = rng.randint(0, 4)
+        phi = random_tree(rng, k, base)
+        for _ in range(4):
+            # few values, two labels: repeated atoms and equal values with
+            # different labels both occur
+            env = [Atom(Fraction(rng.randint(0, 3)), rng.randrange(2)) for _ in range(k)]
+            for b in (base, None):
+                expected = outcome(lambda: fm.evaluate(phi, env, b))
+                got = outcome(lambda: fm.compile_formula(phi, b, len(env))(encode(env)))
+                assert got == expected, (phi, env, b)
+                seen.add(expected[0] if isinstance(expected, tuple) else expected)
+    errors = {ArityMismatch, InvalidLabel} | ({OrderNotAvailable} if not base.ordered else set())
+    assert {True, False} | errors <= seen
+
+
+def test_compiled_errors_are_lazy():
+    pure = fm.compile_formula(fm.Or(fm.TRUE, fm.Less(0, 1)), PURE_SET, 2)
+    assert pure(encode(atoms(0, 1))) is True
+    skipped = fm.compile_formula(fm.And(fm.FALSE, fm.Label(3, 5)), DLO, 1)
+    assert skipped(encode(atoms(0))) is False
+    reached = fm.compile_formula(fm.Less(0, 1), PURE_SET, 2)
+    with pytest.raises(OrderNotAvailable):
+        reached(encode(atoms(0, 1)))
+    with pytest.raises(InvalidLabel):
+        fm.compile_formula(fm.Label(0, 2), labeled_dlo(2), 1)(encode(atoms(0)))
+
+
+def test_compiled_eq_and_less_compare_values_only():
+    env = encode(atoms(1, 1, 0, labels=[0, 1, 1]))
+    base = labeled_dlo(2)
+    assert fm.compile_formula(fm.Eq(0, 1), base, 3)(env)
+    assert not fm.compile_formula(fm.Less(0, 1), base, 3)(env)
+    assert not fm.compile_formula(fm.Less(1, 0), base, 3)(env)
+    assert fm.compile_formula(fm.Less(2, 1), base, 3)(env)
+    assert fm.compile_formula(fm.Label(0, 0), base, 3)(env)
+    assert not fm.compile_formula(fm.Label(1, 0), base, 3)(env)
+
+
+def test_compile_cache_is_keyed_on_width_and_bounded():
+    phi = fm.Less(0, 1)
+    assert fm.compile_formula(phi, DLO, 2) is fm.compile_formula(fm.Less(0, 1), DLO, 2)
+    assert fm.compile_formula(phi, DLO, 2)(encode(atoms(0, 1)))
+    with pytest.raises(ArityMismatch, match="length 1"):
+        fm.compile_formula(phi, DLO, 1)(encode(atoms(0)))
+    assert fm.compile_formula.cache_info().maxsize is not None
