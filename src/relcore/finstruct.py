@@ -4,6 +4,11 @@ Provides homomorphism / embedding / isomorphism search by backtracking with
 forward pruning, endomorphism enumeration, core computation by iterated
 image shrinking, and a canonical form by individualization-refinement for
 isomorphism testing.
+
+One backtracker, `_search`, assigns every value.  Its callers steer it only
+by restricting the initial candidate lists: `find_hom(partial=...)` fixes
+the images of some elements, and the core test leaves one target element
+out of every list.
 """
 
 from __future__ import annotations
@@ -257,6 +262,7 @@ def _search(
     partial: Optional[dict[int, int]],
     lexicographic: bool,
     limit: Optional[int],
+    avoid: Optional[int] = None,
 ) -> list[tuple[int, ...]]:
     """Backtracking search for structure maps.
 
@@ -264,6 +270,9 @@ def _search(
     variable order is 0,1,2,... and solutions come out sorted as tuples;
     otherwise the smallest-candidate-set variable is assigned first (ties by
     lowest id).  Candidate values are always tried in ascending order.
+    partial fixes the images of some variables and avoid is a target
+    element no variable may take; both only narrow the initial candidate
+    lists.
     """
     if source.signature != target.signature:
         raise SignatureMismatch("hom search requires equal signatures")
@@ -282,12 +291,13 @@ def _search(
     tgt_pairs = {name: target.relations[name] for name in binaries}
     src_pairs = {name: source.relations[name] for name in binaries}
 
-    # Unary constraints fix the initial candidate sets.
+    # Unary constraints, avoid and partial fix the initial candidate sets.
     unaries = [n0 for n0, a in source.signature.relations if a == 1]
+    values = [w for w in range(target.size) if w != avoid]
     cands: list[list[int]] = []
     for v in range(n):
         opts = []
-        for w in range(target.size):
+        for w in values:
             ok = True
             for name in unaries:
                 in_s = (v,) in source.relations[name]
@@ -298,6 +308,10 @@ def _search(
             if ok:
                 opts.append(w)
         cands.append(opts)
+    for v, w in (partial or {}).items():
+        if not 0 <= v < n or not 0 <= w < target.size:
+            return []
+        cands[v] = [w] if w in cands[v] else []
 
     assignment: list[Optional[int]] = [None] * n
     inverse: dict[int, int] = {}
@@ -361,24 +375,6 @@ def _search(
                 updated[u] = filtered
         return updated
 
-    if partial:
-        for v, w in sorted(partial.items()):
-            if not 0 <= v < n or not 0 <= w < target.size:
-                return []
-            if w not in cands[v]:
-                return []
-            if strong and w in inverse:
-                return []
-            if not consistent_assign(v, w):
-                return []
-            assignment[v] = w
-            if strong:
-                inverse[w] = v
-            pruned = prune(v, w, cands)
-            if pruned is None:
-                return []
-            cands = pruned
-
     def pick(current: list[list[int]]) -> int:
         if lexicographic:
             for v in range(n):
@@ -419,6 +415,9 @@ def _search(
         return False
 
     backtrack(cands)
+    # backtrack reaches itself through its closure; breaking that cycle frees
+    # the search state now instead of at the next cyclic garbage collection.
+    backtrack = None
     return solutions
 
 
@@ -438,39 +437,21 @@ def find_hom(
 def enumerate_endos(structure: FinStructure, limit: Optional[int] = None) -> list[Hom]:
     """All endomorphisms in lexicographic order of the map, up to limit."""
     found = _search(structure, structure, "hom", None, lexicographic=True, limit=limit)
-    return [Hom(structure, structure, m) for m in sorted(found)]
-
-
-def _quotient(structure: FinStructure, u: int, v: int) -> tuple[FinStructure, list[int]]:
-    """Identify v with u; returns the quotient and the projection map."""
-    proj = []
-    new_id = 0
-    for x in range(structure.size):
-        if x == v:
-            proj.append(-1)
-        else:
-            proj.append(new_id)
-            new_id += 1
-    proj[v] = proj[u]
-    rels = {
-        name: frozenset(tuple(proj[x] for x in t) for t in structure.relations[name])
-        for name, _ in structure.signature.relations
-    }
-    return FinStructure(structure.signature, structure.size - 1, rels), proj
+    return [Hom(structure, structure, m) for m in found]
 
 
 def find_noninjective_endo(structure: FinStructure) -> Optional[Hom]:
-    """An endomorphism merging two elements, or None if the structure is a core.
+    """An endomorphism that is not injective, or None if the structure is a core.
 
-    Scans collapsing pairs in lexicographic order, so the result is
-    deterministic.
+    A non-injective endomorphism of a finite structure misses some element,
+    so the structure is a core iff no search S -> S without v succeeds, for
+    v = 0, 1, ... (Hell and Nesetril, "The core of a graph", 1992).  The
+    first map found is returned, so the result is deterministic.
     """
-    for u in range(structure.size):
-        for v in range(u + 1, structure.size):
-            quotient, proj = _quotient(structure, u, v)
-            g = find_hom(quotient, structure, "hom")
-            if g is not None:
-                return Hom(structure, structure, tuple(g.mapping[proj[x]] for x in range(structure.size)))
+    for v in range(structure.size):
+        found = _search(structure, structure, "hom", None, lexicographic=False, limit=1, avoid=v)
+        if found:
+            return Hom(structure, structure, found[0])
     return None
 
 

@@ -258,18 +258,34 @@ def test_malformed_atom_spec_exits_2(capsys, spec):
     assert_input_error(*run(capsys, "sample", "gallery:QST", "--atoms", spec))
 
 
-def test_malformed_atom_spec_from_entry_point():
-    # the child imports the same relcore as this process, installed or not
+def run_entry_point(*argv, hash_seed="0"):
+    """Run `python -m relcore.cli` in a child that imports the same relcore as
+    this process, installed or not."""
     src = str(Path(relcore.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "relcore.cli", "sample", "gallery:DLO", "--atoms", "1/0"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "PYTHONHASHSEED": hash_seed,
+    }
+    return subprocess.run(
+        [sys.executable, "-m", "relcore.cli", *argv], capture_output=True, timeout=60, env=env
     )
-    assert_input_error(proc.returncode, proc.stdout, proc.stderr)
+
+
+def test_malformed_atom_spec_from_entry_point():
+    proc = run_entry_point("sample", "gallery:DLO", "--atoms", "1/0")
+    assert_input_error(proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+
+
+@pytest.mark.parametrize("command,code", [("core", 0), ("is-core", 1)])
+def test_core_commands_are_deterministic(command, code):
+    # two processes with different string hashing print the same bytes
+    first, second = (run_entry_point(command, "gallery:spider:3", hash_seed=h) for h in ("1", "2"))
+    assert first.returncode == second.returncode == code
+    assert first.stdout == second.stdout
+    if command == "core":
+        # the hub plus parts 1 and 2
+        assert json.loads(first.stdout)["kept_elements"] == [0, 1, 2, 4, 5, 7, 8]
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,12 @@
+import gc
 import itertools
 import random
 
 import pytest
 
+from relcore import gallery
+from relcore.atoms import DLO, make_sample
+from relcore.definable import sample
 from relcore.errors import (
     HomValidationError,
     InvalidDimension,
@@ -39,6 +43,10 @@ def clique(n):
 
 K3 = clique(3)
 K2 = clique(2)
+
+
+def johnson(atoms):
+    return sample(gallery.johnson_graph_def(), make_sample(DLO, atoms)).structure
 
 
 def linear_order(n):
@@ -137,6 +145,24 @@ def test_find_hom_partial_seed():
     h = find_hom(s, s, "hom", partial={0: 0, 2: 2})
     assert h is not None and h.mapping[0] == 0 and h.mapping[2] == 2
     assert find_hom(s, s, "hom", partial={0: 2}) is None
+    # a variable or an image outside the domains
+    for partial in ({3: 0}, {-1: 0}, {0: 3}, {0: -1}):
+        assert find_hom(s, s, "hom", partial=partial) is None
+
+
+def test_find_hom_partial_conflicts():
+    marked = FinStructure(Signature((("U", 1), ("E", 2))), 2, {"U": frozenset({(0,)})})
+    assert find_hom(marked, marked, "hom", partial={0: 1}) is None
+    assert find_hom(marked, marked, "hom", partial={1: 0}) is not None
+    # strong modes also need U to hold exactly where it holds in the source
+    assert find_hom(marked, marked, "embedding", partial={1: 0}) is None
+    assert find_hom(marked, marked, "iso", partial={1: 0}) is None
+    # two variables sent to one element
+    free = digraph(3, set())
+    merge = {0: 1, 2: 1}
+    assert find_hom(free, free, "hom", partial=merge).mapping == (1, 0, 1)
+    assert find_hom(free, free, "embedding", partial=merge) is None
+    assert find_hom(free, free, "iso", partial=merge) is None
 
 
 def test_find_hom_modes():
@@ -208,6 +234,54 @@ def test_core_idempotent_on_random_structures():
         # retract property
         for new, old in enumerate(res.old_ids):
             assert res.retraction.mapping[old] == new
+
+
+def quotient_scan_is_core(structure):
+    """The earlier core test: for every pair u < v, look for a hom into the
+    structure from its quotient that identifies v with u."""
+    n = structure.size
+    for u in range(n):
+        for v in range(u + 1, n):
+            proj = [x - (x > v) for x in range(n)]
+            proj[v] = u
+            rels = {
+                name: frozenset(tuple(proj[x] for x in t) for t in ts)
+                for name, ts in structure.relations.items()
+            }
+            if find_hom(FinStructure(structure.signature, n - 1, rels), structure) is not None:
+                return False
+    return True
+
+
+def test_is_core_against_quotient_scan():
+    rng = random.Random(19)
+    structures = [random_structure(rng, max_size=6) for _ in range(200)]
+    structures += [disjoint_union(K2, K2), johnson(4), johnson(5)]
+    structures += [gallery.spider(n) for n in range(2, 5)]
+    for i, s in enumerate(structures):
+        e = find_noninjective_endo(s)
+        assert (e is None) == is_core(s) == quotient_scan_is_core(s), f"structure {i}"
+        if e is not None:
+            assert not hom_violations(s, s, e.mapping), f"structure {i}"
+            assert len(set(e.mapping)) < s.size, f"structure {i}"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [is_core, enumerate_endos, lambda s: find_hom(s, s, "iso")],
+    ids=["is_core", "enumerate_endos", "find_hom_iso"],
+)
+def test_search_state_freed_on_return(call):
+    # 15 elements; with gc off, a reference cycle in the search state would
+    # survive the call and be found by the collection afterwards
+    s = johnson(6)
+    gc.collect()
+    gc.disable()
+    try:
+        call(s)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_noninjective_endo_is_deterministic():
@@ -314,6 +388,8 @@ def random_target(rng, source):
 
 def test_hom_search_against_brute_force():
     rng = random.Random(17)
+    # partial maps come from their own stream, so the structures stay those of seed 17
+    partial_rng = random.Random(18)
     for i in range(100):
         s = random_structure(rng, max_size=5)
         t = random_target(rng, s)
@@ -323,6 +399,18 @@ def test_hom_search_against_brute_force():
             assert (h is None) == (not maps), f"round {i}, mode {mode}"
             if h is not None:
                 assert h.mapping in maps, f"round {i}, mode {mode}"
+            # half the partial maps are cut from a valid map, half are random
+            if maps and partial_rng.random() < 0.5:
+                seed = partial_rng.choice(maps)
+            else:
+                seed = [partial_rng.randrange(t.size) for _ in range(s.size)]
+            keys = partial_rng.sample(range(s.size), partial_rng.randint(1, s.size))
+            partial = {v: seed[v] for v in keys}
+            extending = [m for m in maps if all(m[v] == w for v, w in partial.items())]
+            h = find_hom(s, t, mode, partial=partial)
+            assert (h is None) == (not extending), f"round {i}, mode {mode}, partial {partial}"
+            if h is not None:
+                assert h.mapping in extending, f"round {i}, mode {mode}, partial {partial}"
         endos = brute_force_maps(s, s)["hom"]
         assert [h.mapping for h in enumerate_endos(s)] == sorted(endos), f"round {i}"
 
