@@ -1,7 +1,7 @@
 """Exact computation with finite relational structures and orbit-finite
 structures definable over ordered or labelled atom bases."""
 
-from .atoms import DLO, PURE_SET, Atom, AtomBase, AtomSample, insert_between, labeled_dlo, make_sample, order_type
+from .atoms import DLO, PURE_SET, Atom, AtomBase, AtomSample, labeled_dlo, make_sample
 from .definable import (
     DefStructure,
     Point,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import BaseMismatch, InvalidLabel, NotAnInterval, parsing
+from .errors import BaseMismatch, InvalidLabel, parsing
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,6 @@ class AtomSample:
     def restrict(self, indices: Iterable[int]) -> "AtomSample":
         return AtomSample(self.base, tuple(self.atoms[i] for i in sorted(set(indices))))
 
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(a.value for a in self.atoms)
-
 
 def make_sample(base: AtomBase, n: int, labels: Optional[Sequence[int]] = None) -> AtomSample:
     """Sample of n atoms with values 0..n-1.
@@ -139,34 +136,3 @@ def make_sample(base: AtomBase, n: int, labels: Optional[Sequence[int]] = None) 
         if not 0 <= lab < base.alphabet:
             raise InvalidLabel(f"label {lab} out of range for alphabet {base.alphabet}")
     return AtomSample(base, tuple(Atom(Fraction(i), labels[i]) for i in range(n)))
-
-
-def order_type(atoms: Sequence[Atom], base: AtomBase) -> str:
-    """Canonical descriptor of a tuple of atoms.
-
-    Two tuples receive the same descriptor exactly when some automorphism of
-    the base (a monotone label-preserving bijection for ordered bases, any
-    label-preserving bijection otherwise) maps one to the other.
-    """
-    values = [a.value for a in atoms]
-    if base.ordered:
-        ranking = {v: r for r, v in enumerate(sorted(set(values)))}
-        ranks = [ranking[v] for v in values]
-        tag = "ord"
-    else:
-        seen: dict[Fraction, int] = {}
-        ranks = []
-        for v in values:
-            if v not in seen:
-                seen[v] = len(seen)
-            ranks.append(seen[v])
-        tag = "set"
-    labels = [a.label for a in atoms]
-    return f"{tag}[{','.join(map(str, ranks))}|{','.join(map(str, labels))}]"
-
-
-def insert_between(a: Atom, b: Atom, label: int = 0) -> Atom:
-    """Midpoint atom strictly between a and b, carrying the given label."""
-    if not a.value < b.value:
-        raise NotAnInterval(f"{a} is not strictly below {b}")
-    return Atom((a.value + b.value) / 2, label)

@@ -192,7 +192,9 @@ def cmd_orbits(args) -> int:
 def cmd_growth(args) -> int:
     d = _load_definable(args.structure)
     extra = {"atom_budget": args.atom_budget} if args.atom_budget is not None else {}
-    values = [unlabelled_growth(d, n, args.mode, **extra) for n in range(1, args.n + 1)]
+    # n < 1 still goes through unlabelled_growth, which rejects it
+    ns = range(1, args.n + 1) if args.n >= 1 else [args.n]
+    values = [unlabelled_growth(d, n, args.mode, **extra) for n in ns]
     print(",".join(map(str, values)))
     return 0
 

@@ -137,12 +137,6 @@ class DefStructure:
             groups.append(matching)
         return itertools.product(*groups)
 
-    def sort_index(self, name: str) -> int:
-        for i, s in enumerate(self.sorts):
-            if s.name == name:
-                return i
-        raise SignatureMismatch(f"unknown sort {name!r}")
-
     def max_dim(self) -> int:
         return max((s.dim for s in self.sorts), default=0)
 
@@ -193,9 +187,6 @@ class DefStructure:
 class SampleResult:
     structure: FinStructure
     points: tuple[Point, ...]
-
-    def index_of(self, point: Point) -> int:
-        return self.points.index(point)
 
 
 def _relations_on(D: DefStructure, points: Sequence[Point]) -> dict[str, set[tuple[int, ...]]]:
@@ -372,28 +363,22 @@ def _type(word, shape, base: AtomBase, as_set: bool) -> str:
     return repr(_min_under_slot_perms(len(word), word, shape, resort=as_set))
 
 
-def tuple_type(points: Sequence[Point], base: AtomBase) -> str:
-    """Canonical descriptor of a tuple of points under base automorphisms."""
-    return _type(*_pattern(points), base, False)
-
-
-def subset_type(points: Iterable[Point], base: AtomBase) -> str:
-    """Canonical descriptor of a set of points under base automorphisms."""
-    return _type(*_pattern(list(points)), base, True)
+def tuple_type(points: Iterable[Point], base: AtomBase, as_set: bool = False) -> str:
+    """Canonical descriptor of a tuple of points under base automorphisms;
+    as_set forgets the order of the points."""
+    return _type(*_pattern(list(points)), base, as_set)
 
 
 def _min_under_slot_perms(s, word, shape, resort=False):
+    """Least relabelling of a support pattern over every permutation of the
+    support, each atom carrying its label to its new slot."""
     best = None
     for perm in itertools.permutations(range(s)):
-        if any(word[perm[i]] != word[i] for i in range(s)):
-            continue
-        relabeled = []
-        for sort, slots in shape:
-            new_slots = tuple(sorted(perm[k] for k in slots))
-            relabeled.append((sort, new_slots))
+        moved = tuple(label for _, label in sorted(zip(perm, word)))
+        relabeled = [(sort, tuple(sorted(perm[k] for k in slots))) for sort, slots in shape]
         if resort:
             relabeled.sort()
-        cand = (s, word, tuple(relabeled))
+        cand = (s, moved, tuple(relabeled))
         if best is None or cand < best:
             best = cand
     return best
@@ -412,11 +397,10 @@ def _orbits(D: DefStructure, n: int, as_set: bool, atom_budget: int, work_budget
     smax = n * D.max_dim()
     if smax > atom_budget:
         raise TooLarge(f"would need supports of size {smax} > budget {atom_budget}")
-    letters = D.base.alphabet if D.base.ordered else 1
     work = 0
     for s in range(smax + 1):
         k = sum(math.comb(s, sort.dim) for sort in D.sorts)
-        work += letters**s * (math.comb(k, n) if as_set else k**n)
+        work += D.base.alphabet**s * (math.comb(k, n) if as_set else k**n)
     if work > work_budget:
         raise TooLarge(f"orbit enumeration exceeded work budget {work_budget}")
     seen = set()
@@ -431,7 +415,7 @@ def _orbits(D: DefStructure, n: int, as_set: bool, atom_budget: int, work_budget
         else:
             choices = itertools.product(abstract, repeat=n)
         covering = [c for c in choices if len({k for _, slots in c for k in slots}) == s]
-        for word in itertools.product(range(letters), repeat=s):
+        for word in itertools.product(range(D.base.alphabet), repeat=s):
             atoms = [Atom(Fraction(i), label) for i, label in enumerate(word)]
             for shape in covering:
                 desc = _type(word, shape, D.base, as_set)
@@ -477,7 +461,9 @@ def unlabelled_growth(
     sig = D.signature()
     if mode == "reversal" and (len(sig.relations) != 1 or sig.relations[0][1] != 2):
         raise Unsupported("reversal counting needs exactly one binary relation")
-    if n < 1 or n > max_n:
+    if n < 1:
+        raise InvalidDimension(f"need n >= 1, got {n}")
+    if n > max_n:
         raise TooLarge(f"n={n} outside supported range 1..{max_n}")
     orbits = _orbits(D, n, True, atom_budget, work_budget)
     if mode == "base":
@@ -530,10 +516,6 @@ def increasing_tuple_structure(d: int) -> DefStructure:
     return DefStructure(DLO, (Sort("t", d),), tuple(clauses))
 
 
-def pair_descriptor(p: Point, q: Point, base: AtomBase = DLO) -> str:
-    return tuple_type((p, q), base)
-
-
 def pair_orbit_reps(d: int) -> dict[str, tuple[Point, Point]]:
     """Representative concrete point pairs, one per orbit of ordered pairs."""
     orbits = _orbits(DefStructure(DLO, (Sort("t", d),), ()), 2, False, 2 * d, ORBIT_WORK_BUDGET)
@@ -568,7 +550,7 @@ def enumerate_invariant_orders(
     for desc, (p, q) in reps.items():
         if p == q:
             diag = desc
-        swap_of[desc] = pair_descriptor(q, p)
+        swap_of[desc] = tuple_type((q, p), DLO)
 
     pairs = []
     seen = set()
@@ -629,7 +611,7 @@ def _composition_by_first(d: int, diag: Optional[str]) -> dict[str, list[tuple[s
     i != j != k, where c_jk is the diagonal exactly when k == j."""
     atoms = make_sample(DLO, 3 * d).atoms
     points = [Point(0, combo) for combo in itertools.combinations(atoms, d)]
-    classes = [[pair_descriptor(p, q) for q in points] for p in points]
+    classes = [[tuple_type((p, q), DLO) for q in points] for p in points]
     comp = set()
     for i, row in enumerate(classes):
         for j, c_ij in enumerate(row):

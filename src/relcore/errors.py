@@ -11,10 +11,6 @@ class InvalidLabel(RelcoreError):
     pass
 
 
-class NotAnInterval(RelcoreError):
-    pass
-
-
 class ArityMismatch(RelcoreError):
     pass
 

@@ -21,6 +21,7 @@ from .errors import (
     HomValidationError,
     InvalidDimension,
     InvalidElement,
+    InvalidInput,
     SignatureMismatch,
     TooLarge,
     parsing,
@@ -42,12 +43,6 @@ class Signature:
             if arity < 1:
                 raise SignatureMismatch(f"relation {name!r} has arity {arity}")
         object.__setattr__(self, "relations", rels)
-
-    def arity(self, name: str) -> int:
-        for n, a in self.relations:
-            if n == name:
-                return a
-        raise SignatureMismatch(f"unknown relation {name!r}")
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.relations)
@@ -156,19 +151,6 @@ class Hom:
                     if tuple(inv[x] for x in t) not in src:
                         return False
         return True
-
-    def is_isomorphism(self) -> bool:
-        return (
-            self.source.size == self.target.size
-            and self.is_embedding()
-            and len(set(self.mapping)) == self.target.size
-        )
-
-    def then(self, other: "Hom") -> "Hom":
-        """Composite self;other (apply self first)."""
-        if other.source is not self.target and other.source != self.target:
-            raise SignatureMismatch("composition targets do not line up")
-        return Hom(self.source, other.target, tuple(other.mapping[x] for x in self.mapping))
 
     def to_json(self) -> dict:
         return {"map": list(self.mapping)}
@@ -279,7 +261,7 @@ def _search(
     if mode not in ("hom", "embedding", "iso"):
         raise ValueError(f"unknown mode {mode!r}")
     strong = mode in ("embedding", "iso")
-    if mode == "iso" and source.size != target.size:
+    if limit == 0 or (mode == "iso" and source.size != target.size):
         return []
     if strong and source.size > target.size:
         return []
@@ -436,6 +418,8 @@ def find_hom(
 
 def enumerate_endos(structure: FinStructure, limit: Optional[int] = None) -> list[Hom]:
     """All endomorphisms in lexicographic order of the map, up to limit."""
+    if limit is not None and limit < 0:
+        raise InvalidInput(f"endomorphism limit must be >= 0, got {limit}")
     found = _search(structure, structure, "hom", None, lexicographic=True, limit=limit)
     return [Hom(structure, structure, m) for m in found]
 

@@ -80,10 +80,6 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-def iff(a: Formula, b: Formula) -> Formula:
-    return Or(And(a, b), And(Not(a), Not(b)))
-
-
 def evaluate(phi: Formula, env: Sequence[Atom], base: Optional[AtomBase] = None) -> bool:
     """Truth value of phi on a concrete tuple of atoms.
 
@@ -243,69 +239,6 @@ def shift_positions(phi: Formula, mapping: dict[int, int]) -> Formula:
     if isinstance(phi, Not):
         return Not(shift_positions(phi.arg, mapping))
     return phi
-
-
-def _atom_key(phi: Formula) -> tuple:
-    if isinstance(phi, Less):
-        return (0, phi.i, phi.j)
-    if isinstance(phi, Eq):
-        return (1, phi.i, phi.j)
-    if isinstance(phi, Label):
-        return (2, phi.i, phi.label)
-    raise TypeError(f"not atomic: {phi!r}")
-
-
-def _literal_key(lit: tuple[Formula, bool]) -> tuple:
-    atom, neg = lit
-    return _atom_key(atom) + (1 if neg else 0,)
-
-
-def normalize(phi: Formula) -> Formula:
-    """Negation-normal disjunctive form with a fixed total order on atomics.
-
-    The result is semantically equivalent to phi: an Or of Ands of literals,
-    with duplicate literals removed, contradictory conjuncts dropped, and
-    everything sorted so that equivalent inputs produce identical trees.
-    """
-    clauses = _dnf(phi, False)
-    cleaned = set()
-    for clause in clauses:
-        lits = set(clause)
-        if any((atom, not neg) in lits for atom, neg in lits):
-            continue
-        cleaned.add(tuple(sorted(lits, key=_literal_key)))
-    if any(len(c) == 0 for c in cleaned):
-        return TRUE
-    if not cleaned:
-        return FALSE
-    conjuncts = []
-    for clause in sorted(cleaned, key=lambda c: tuple(_literal_key(l) for l in c)):
-        lits = [Not(atom) if neg else atom for atom, neg in clause]
-        conjuncts.append(lits[0] if len(lits) == 1 else And(tuple(lits)))
-    if len(conjuncts) == 1:
-        return conjuncts[0]
-    return Or(tuple(conjuncts))
-
-
-def _dnf(phi: Formula, negated: bool) -> list[tuple]:
-    """List of clauses, each a tuple of (atomic, negated?) literals."""
-    if isinstance(phi, Const):
-        value = phi.value != negated
-        return [()] if value else []
-    if isinstance(phi, (Less, Eq, Label)):
-        return [((phi, negated),)]
-    if isinstance(phi, Not):
-        return _dnf(phi.arg, not negated)
-    if isinstance(phi, (And, Or)):
-        conjunctive = isinstance(phi, And) != negated
-        parts = [_dnf(f, negated) for f in phi.args]
-        if conjunctive:
-            clauses = [()]
-            for part in parts:
-                clauses = [c + d for c in clauses for d in part]
-            return clauses
-        return [c for part in parts for c in part]
-    raise TypeError(f"not a formula: {phi!r}")
 
 
 def to_json(phi: Formula) -> dict:

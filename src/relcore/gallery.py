@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional, Sequence
 
-from .atoms import DLO, Atom, AtomSample, labeled_dlo, make_sample
+from .atoms import DLO, AtomSample, labeled_dlo, make_sample
 from .definable import (
     DefStructure,
     Point,

@@ -546,7 +546,3 @@ def run_suite(name: str, seed: int = 0) -> Report:
     if name in SEEDED_SUITES:
         return SUITES[name](seed=seed)  # type: ignore[call-arg]
     return SUITES[name]()
-
-
-def run_all(seed: int = 0) -> list[Report]:
-    return [run_suite(name, seed) for name in SUITES]

@@ -1,19 +1,35 @@
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
-from relcore.atoms import (
-    DLO,
-    PURE_SET,
-    Atom,
-    AtomSample,
-    insert_between,
-    labeled_dlo,
-    make_sample,
-    order_type,
-)
-from relcore.errors import BaseMismatch, InvalidInput, InvalidLabel, NotAnInterval
+from relcore.atoms import DLO, PURE_SET, Atom, AtomBase, AtomSample, labeled_dlo, make_sample
+from relcore.errors import BaseMismatch, InvalidInput, InvalidLabel
+
+
+def order_type(atoms: Sequence[Atom], base: AtomBase) -> str:
+    """Canonical descriptor of a tuple of atoms, the oracle for point orbits.
+
+    Two tuples receive the same descriptor exactly when some automorphism of
+    the base (a monotone label-preserving bijection for ordered bases, any
+    label-preserving bijection otherwise) maps one to the other.
+    """
+    values = [a.value for a in atoms]
+    if base.ordered:
+        ranking = {v: r for r, v in enumerate(sorted(set(values)))}
+        ranks = [ranking[v] for v in values]
+        tag = "ord"
+    else:
+        seen: dict[Fraction, int] = {}
+        ranks = []
+        for v in values:
+            if v not in seen:
+                seen[v] = len(seen)
+            ranks.append(seen[v])
+        tag = "set"
+    labels = [a.label for a in atoms]
+    return f"{tag}[{','.join(map(str, ranks))}|{','.join(map(str, labels))}]"
 
 
 def test_make_sample_plain():
@@ -88,31 +104,6 @@ def test_order_type_monotone_invariance():
             image[v] = prev
         mapped = [Atom(image[a.value], a.label) for a in tup]
         assert order_type(tup, base) == order_type(mapped, base)
-
-
-def test_insert_between_examples():
-    assert insert_between(Atom(Fraction(0)), Atom(Fraction(1))).value == Fraction(1, 2)
-    assert insert_between(Atom(Fraction(1, 2)), Atom(Fraction(1))).value == Fraction(3, 4)
-    assert insert_between(Atom(Fraction(0)), Atom(Fraction(1, 3))).value == Fraction(1, 6)
-
-
-def test_insert_between_properties():
-    rng = random.Random(2)
-    for _ in range(100):
-        a = Fraction(rng.randint(-50, 50), rng.randint(1, 20))
-        b = a + Fraction(rng.randint(1, 30), rng.randint(1, 20))
-        mid = insert_between(Atom(a), Atom(b), label=0)
-        assert a < mid.value < b
-        from math import gcd
-
-        assert gcd(abs(mid.value.numerator), mid.value.denominator) == 1
-
-
-def test_insert_between_rejects_bad_interval():
-    with pytest.raises(NotAnInterval):
-        insert_between(Atom(Fraction(1)), Atom(Fraction(1)))
-    with pytest.raises(NotAnInterval):
-        insert_between(Atom(Fraction(2)), Atom(Fraction(1)))
 
 
 def test_atom_string_roundtrip():

@@ -116,6 +116,9 @@ def test_endos_limit(tmp_path, capsys):
     code, out, _ = run(capsys, "endos", str(k3))
     assert code == 0
     assert json.loads(out)["count"] == 6
+    code, out, _ = run(capsys, "endos", "gallery:spider2", "--limit", "0")
+    assert code == 0
+    assert json.loads(out) == {"count": 0, "endomorphisms": []}
 
 
 def test_power_and_union(tmp_path, capsys):
@@ -293,6 +296,19 @@ def test_core_commands_are_deterministic(command, code):
 )
 def test_atom_budget_zero_is_honoured(capsys, argv):
     assert_input_error(*run(capsys, "--atom-budget", "0", *argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbits", "gallery:Jord1", "--n", "0"],
+        ["growth", "gallery:QST", "--n", "0"],
+        ["growth", "gallery:QST", "--n", "-1"],
+        ["endos", "gallery:spider2", "--limit", "-1"],
+    ],
+)
+def test_out_of_range_counts_exit_2(capsys, argv):
+    assert_input_error(*run(capsys, *argv))
 
 
 @pytest.mark.parametrize("flag", [["--threads", "2"], ["--json"]])

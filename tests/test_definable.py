@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from relcore.atoms import DLO, PURE_SET, Atom, labeled_dlo, make_sample
+from relcore.atoms import DLO, PURE_SET, Atom, AtomBase, labeled_dlo, make_sample
 from relcore.definable import (
     _guard_matches,
     DefStructure,
@@ -19,21 +19,27 @@ from relcore.definable import (
     growth_up_to_reversal,
     increasing_tuple_structure,
     induce_on_points,
-    pair_descriptor,
     pair_orbit_reps,
     point_orbits,
     reduct,
     sample,
-    subset_type,
     tuple_type,
     unlabelled_growth,
 )
-from relcore.errors import ArityMismatch, BaseMismatch, RelcoreError, TooLarge, Unsupported
+from relcore.errors import (
+    ArityMismatch,
+    BaseMismatch,
+    InvalidDimension,
+    RelcoreError,
+    TooLarge,
+    Unsupported,
+)
 from relcore.finstruct import FinStructure, Signature, canonical_form, disjoint_union, full_power
 from relcore import definable
 from relcore import formulas as fm
 from relcore import gallery
 from relcore.verify import local_order_count, random_def_structure
+from test_atoms import order_type
 
 
 def test_sample_sizes():
@@ -209,21 +215,15 @@ def brute_same_orbit(points_a, points_b, base):
 
 
 def test_tuple_type_matches_brute_force_orbits():
-    rng = random.Random(13)
-    base = labeled_dlo(2)
-    d = DefStructure(
-        base,
-        (Sort("s", 1), Sort("p", 2)),
-        (RelationClause("R", 1, ("*",), fm.TRUE),),
-    )
-    atoms = make_sample(base, 4, [0, 1, 0, 1])
-    pool = [Point(0, (a,)) for a in atoms.atoms]
-    pool += [Point(1, c) for c in itertools.combinations(atoms.atoms, 2)]
-    for _ in range(120):
-        ta = tuple(rng.choice(pool) for _ in range(2))
-        tb = tuple(rng.choice(pool) for _ in range(2))
-        same_desc = tuple_type(ta, base) == tuple_type(tb, base)
-        assert same_desc == brute_same_orbit(ta, tb, base)
+    # every pair of 2-tuples from the pool, over (Q; <) and (N; =) with two labels
+    for base in (labeled_dlo(2), AtomBase(ordered=False, alphabet=2)):
+        atoms = make_sample(base, 4, [0, 1, 0, 1])
+        pool = [Point(0, (a,)) for a in atoms.atoms]
+        pool += [Point(1, c) for c in itertools.combinations(atoms.atoms, 2)]
+        tuples = list(itertools.product(pool, repeat=2))
+        types = {t: tuple_type(t, base) for t in tuples}
+        for ta, tb in itertools.product(tuples, repeat=2):
+            assert (types[ta] == types[tb]) == brute_same_orbit(ta, tb, base), (base, ta, tb)
 
 
 def test_subset_type_pure_set_quotient():
@@ -231,7 +231,7 @@ def test_subset_type_pure_set_quotient():
     atoms = [Atom(Fraction(i)) for i in range(3)]
     p01 = frozenset({Point(0, (atoms[0],)), Point(0, (atoms[1],))})
     p12 = frozenset({Point(0, (atoms[1],)), Point(0, (atoms[2],))})
-    assert subset_type(p01, base) == subset_type(p12, base)
+    assert tuple_type(p01, base, as_set=True) == tuple_type(p12, base, as_set=True)
 
 
 def test_subset_type_ignores_point_order():
@@ -239,7 +239,7 @@ def test_subset_type_ignores_point_order():
     atoms = make_sample(base, 4, [0, 1, 1, 0]).atoms
     pool = [Point(0, (a,)) for a in atoms] + [Point(1, c) for c in itertools.combinations(atoms, 2)]
     for pts in itertools.combinations(pool, 3):
-        types = {subset_type(order, base) for order in itertools.permutations(pts)}
+        types = {tuple_type(order, base, as_set=True) for order in itertools.permutations(pts)}
         assert len(types) == 1
         assert tuple_type(pts, base) != tuple_type(pts[::-1], base)
 
@@ -284,8 +284,8 @@ def test_pure_set_subset_classes_against_atom_permutations(n):
     d = DefStructure(PURE_SET, (Sort("a", 1), Sort("b", 2)), ())
     orbit_of = subset_orbits_by_generators(d, n, 2 * n)
     orbits = set(orbit_of.values())
-    types = {subset_type(subset, PURE_SET) for subset in orbit_of}
-    pairs = {(orbit, subset_type(subset, PURE_SET)) for subset, orbit in orbit_of.items()}
+    types = {tuple_type(subset, PURE_SET, as_set=True) for subset in orbit_of}
+    pairs = {(orbit, tuple_type(subset, PURE_SET, as_set=True)) for subset, orbit in orbit_of.items()}
     assert len(orbits) == len(types) == len(pairs)
     assert unlabelled_growth(d, n, "base") == len(orbits)
 
@@ -308,19 +308,17 @@ def test_point_orbits_examples():
 def test_point_orbits_against_concrete_sample():
     # oracle: distinct (sorts, order pattern) descriptors among all n-tuples
     # of points of concrete samples realizing every label word
-    from relcore.atoms import order_type
-
-    base = labeled_dlo(2)
-    d = DefStructure(base, (Sort("q", 1),), (RelationClause("R", 1, ("*",), fm.TRUE),))
-    n = 2
-    seen = set()
-    for word in itertools.product(range(2), repeat=n * 1):
-        atoms = make_sample(base, n, list(word))
-        pts = sample(d, atoms).points
-        for combo in itertools.product(pts, repeat=n):
-            concat = [a for p in combo for a in p.atoms]
-            seen.add((tuple(p.sort for p in combo), order_type(concat, base)))
-    assert len(point_orbits(d, n)) == len(seen)
+    for base in (labeled_dlo(2), AtomBase(ordered=False, alphabet=2)):
+        d = DefStructure(base, (Sort("q", 1),), (RelationClause("R", 1, ("*",), fm.TRUE),))
+        for n in (1, 2, 3):
+            seen = set()
+            for word in itertools.product(range(2), repeat=n * 1):
+                atoms = make_sample(base, n, list(word))
+                pts = sample(d, atoms).points
+                for combo in itertools.product(pts, repeat=n):
+                    concat = [a for p in combo for a in p.atoms]
+                    seen.add((tuple(p.sort for p in combo), order_type(concat, base)))
+            assert len(point_orbits(d, n)) == len(seen), (base, n)
 
 
 def test_point_orbits_budget():
@@ -371,6 +369,9 @@ def test_unlabelled_growth_examples():
     s2 = gallery.dense_local_order()
     assert unlabelled_growth(s2, 5, "homogeneous") == 4
     assert unlabelled_growth(s2, 5, "homogeneous") == local_order_count(5)
+    # (N; =) with a unary predicate: an n-set is fixed by how many atoms it labels 1
+    labelled_set = DefStructure(AtomBase(ordered=False, alphabet=2), (Sort("q", 1),), ())
+    assert [unlabelled_growth(labelled_set, n) for n in range(1, 5)] == [2, 3, 4, 5]
 
 
 def test_growth_modes_agree_on_homogeneous_cases():
@@ -382,8 +383,17 @@ def test_growth_modes_agree_on_homogeneous_cases():
 
 
 def test_growth_bound():
+    jord1 = increasing_tuple_structure(1)
     with pytest.raises(TooLarge):
-        unlabelled_growth(increasing_tuple_structure(1), 9, "base")
+        unlabelled_growth(jord1, 9, "base")
+    for n in (0, -1):
+        with pytest.raises(InvalidDimension):
+            unlabelled_growth(jord1, n, "base")
+        # the mode and the signature are checked before n
+        with pytest.raises(Unsupported):
+            unlabelled_growth(jord1, n, "bogus")
+        with pytest.raises(Unsupported):
+            unlabelled_growth(jord1, n, "reversal")
 
 
 def all_tournaments(n):
@@ -482,17 +492,17 @@ def test_invariant_orders_are_strict_total_orders_on_samples():
     for order in orders:
         chosen = set(order)
         for p in points:
-            assert pair_descriptor(p, p) not in chosen
+            assert tuple_type((p, p), DLO) not in chosen
             for q in points:
                 if p != q:
-                    forward = pair_descriptor(p, q) in chosen
-                    backward = pair_descriptor(q, p) in chosen
+                    forward = tuple_type((p, q), DLO) in chosen
+                    backward = tuple_type((q, p), DLO) in chosen
                     assert forward != backward
         for _ in range(300):
             p, q, r = (rng.choice(points) for _ in range(3))
-            pq = pair_descriptor(p, q) in chosen
-            qr = pair_descriptor(q, r) in chosen
-            pr = pair_descriptor(p, r) in chosen
+            pq = tuple_type((p, q), DLO) in chosen
+            qr = tuple_type((q, r), DLO) in chosen
+            pr = tuple_type((p, r), DLO) in chosen
             if pq and qr:
                 assert pr
 
@@ -502,9 +512,9 @@ def test_invariant_orders_match_brute_force(d):
     # every orientation of every pair orbit, kept when it is transitive on
     # all point triples of a 3d-atom sample
     reps = pair_orbit_reps(d)
-    pairs = sorted({tuple(sorted((desc, pair_descriptor(q, p)))) for desc, (p, q) in reps.items() if p != q})
+    pairs = sorted({tuple(sorted((desc, tuple_type((q, p), DLO)))) for desc, (p, q) in reps.items() if p != q})
     points = [Point(0, c) for c in itertools.combinations(make_sample(DLO, 3 * d).atoms, d)]
-    classes = {(p, q): pair_descriptor(p, q) for p in points for q in points}
+    classes = {(p, q): tuple_type((p, q), DLO) for p in points for q in points}
     expected = []
     for picks in itertools.product((0, 1), repeat=len(pairs)):
         chosen = {pair[pick] for pair, pick in zip(pairs, picks)}

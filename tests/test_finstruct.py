@@ -12,6 +12,7 @@ from relcore.errors import (
     InvalidDimension,
     InvalidInput,
     InvalidElement,
+    RelcoreError,
     SignatureMismatch,
     TooLarge,
 )
@@ -175,7 +176,7 @@ def test_find_hom_modes():
     assert find_hom(path, loopy, "hom") is not None
     assert find_hom(path, loopy, "embedding") is None
     iso = find_hom(path, path, "iso")
-    assert iso is not None and iso.is_isomorphism()
+    assert iso is not None and sorted(iso.mapping) == list(range(path.size)) and iso.is_embedding()
     assert find_hom(path, bigger, "iso") is None
 
 
@@ -190,6 +191,9 @@ def test_enumerate_endos_examples():
     maps = [h.mapping for h in enumerate_endos(free)]
     assert maps == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert [h.mapping for h in enumerate_endos(free, limit=2)] == [(0, 0), (0, 1)]
+    assert enumerate_endos(free, limit=0) == []
+    with pytest.raises(RelcoreError):
+        enumerate_endos(free, limit=-1)
 
 
 def test_hom_validation_and_composition():
@@ -198,8 +202,9 @@ def test_hom_validation_and_composition():
         s = random_structure(rng, max_size=5)
         h = find_hom(s, s, "hom")
         assert not hom_violations(s, s, h.mapping)
-        hh = h.then(h)
-        assert not hom_violations(s, s, hh.mapping)
+        composed = tuple(h(h(x)) for x in range(s.size))
+        assert not hom_violations(s, s, composed)
+        Hom(s, s, composed)
     with pytest.raises(HomValidationError):
         Hom(K3, K3, (0, 0, 1))
 

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -14,27 +13,6 @@ from relcore.verify import _random_formula
 def atoms(*values, labels=None):
     labels = labels or [0] * len(values)
     return [Atom(Fraction(v), l) for v, l in zip(values, labels)]
-
-
-def all_rank_patterns(k):
-    """Every order type on k positions: surjective rank assignments."""
-    for ranks in itertools.product(range(k), repeat=k):
-        used = sorted(set(ranks))
-        if used == list(range(len(used))):
-            yield ranks
-
-
-def envs_for(phi, base):
-    """Concrete atom tuples realizing every order type (and label word) on
-    the positions of phi."""
-    k = fm.max_position(phi) + 1
-    if k == 0:
-        yield []
-        return
-    label_range = range(base.alphabet)
-    for ranks in all_rank_patterns(k):
-        for labels in itertools.product(label_range, repeat=k):
-            yield [Atom(Fraction(r), l) for r, l in zip(ranks, labels)]
 
 
 def test_eval_atomics():
@@ -79,20 +57,6 @@ def test_tagged_pair_formulas_are_order_free():
     assert not fm.uses_order(fm.And(tuple(c.formula for c in x.clauses)))
 
 
-def test_normalize_de_morgan():
-    phi = fm.Not(fm.And(fm.Less(0, 1), fm.Eq(0, 1)))
-    norm = fm.normalize(phi)
-    assert norm == fm.Or(fm.Not(fm.Less(0, 1)), fm.Not(fm.Eq(0, 1)))
-
-
-def test_normalize_constants_and_double_negation():
-    phi = fm.And(fm.TRUE, fm.Eq(0, 1))
-    assert fm.normalize(phi) == fm.normalize(fm.Eq(0, 1))
-    assert fm.normalize(fm.Not(fm.Not(fm.Eq(0, 1)))) == fm.Eq(0, 1)
-    assert fm.normalize(fm.Or(fm.TRUE, fm.Less(0, 1))) == fm.TRUE
-    assert fm.normalize(fm.And(fm.Eq(0, 1), fm.Not(fm.Eq(0, 1)))) == fm.FALSE
-
-
 def random_formula(rng, k, alphabet=2):
     pool = [fm.Less, fm.Eq]
     def build(depth):
@@ -109,25 +73,6 @@ def random_formula(rng, k, alphabet=2):
         parts = tuple(build(depth - 1) for _ in range(rng.randint(2, 3)))
         return fm.And(parts) if r < 0.8 else fm.Or(parts)
     return build(2)
-
-
-def test_normalize_preserves_semantics_exhaustively():
-    rng = random.Random(3)
-    base = labeled_dlo(2)
-    for _ in range(40):
-        k = rng.randint(1, 4)
-        phi = random_formula(rng, k)
-        norm = fm.normalize(phi)
-        for env in envs_for(phi, base):
-            assert fm.evaluate(phi, env, base) == fm.evaluate(norm, env, base)
-
-
-def test_normalize_idempotent_and_canonical():
-    rng = random.Random(4)
-    for _ in range(30):
-        phi = random_formula(rng, 3)
-        norm = fm.normalize(phi)
-        assert fm.normalize(norm) == norm
 
 
 def test_eval_invariant_under_monotone_maps():
