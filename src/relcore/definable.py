@@ -26,12 +26,11 @@ from .errors import (
     Unsupported,
     parsing,
 )
-from .finstruct import FinStructure, Signature, canonical_form
+from .finstruct import ORBIT_WORK_BUDGET, FinStructure, Signature, canonical_form
 from . import formulas as fm
 
 GUARD_ANY = "*"
 
-ORBIT_WORK_BUDGET = 2_000_000
 ORDER_SEARCH_BUDGET = 50_000_000
 
 

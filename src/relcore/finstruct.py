@@ -27,6 +27,10 @@ from .errors import (
     parsing,
 )
 
+# The most choices, clauses or tuples a construction (orbit enumeration,
+# full_power_def, full_power) may work through before raising TooLarge.
+ORBIT_WORK_BUDGET = 2_000_000
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -109,10 +113,13 @@ def hom_violations(source: FinStructure, target: FinStructure, mapping: Sequence
     for x in mapping:
         if not 0 <= x < target.size:
             return [f"image {x} outside target domain of size {target.size}"]
-    for name, _ in source.signature.relations:
+    for name, arity in source.signature.relations:
+        rel = target.relations[name]
+        if arity == 2 and all((mapping[a], mapping[b]) in rel for a, b in source.relations[name]):
+            continue
         for t in source.relations[name]:
             image = tuple(mapping[x] for x in t)
-            if image not in target.relations[name]:
+            if image not in rel:
                 out.append(f"{name}{t} maps to {name}{image} which is absent")
     return out
 
@@ -197,13 +204,17 @@ def full_power(structure: FinStructure, d: int) -> FinStructure:
 
     For each relation R of arity k (and for equality) and each projection
     pattern (j_1,...,j_k) in [d]^k there is a relation named "R@j_1,...,j_k"
-    holding on (t_1,...,t_k) iff R(t_1[j_1],...,t_k[j_k]).
+    holding on (t_1,...,t_k) iff R(t_1[j_1],...,t_k[j_k]).  Testing more
+    than ORBIT_WORK_BUDGET tuples in all raises TooLarge before any is built.
     """
     if d < 1:
         raise InvalidDimension(f"power dimension must be >= 1, got {d}")
+    atoms = list(structure.signature.relations) + [("=", 2)]
+    work = sum(d**k * structure.size ** (d * k) for _, k in atoms)
+    if work > ORBIT_WORK_BUDGET:
+        raise TooLarge(f"power would test {work} tuples > budget {ORBIT_WORK_BUDGET}")
     domain = list(itertools.product(range(structure.size), repeat=d))
     index = {t: i for i, t in enumerate(domain)}
-    atoms = list(structure.signature.relations) + [("=", 2)]
     names = []
     rels = {}
     for name, arity in atoms:
@@ -224,19 +235,6 @@ def full_power(structure: FinStructure, d: int) -> FinStructure:
     return FinStructure(Signature(tuple(names)), len(domain), rels)
 
 
-def _binary_names(structure: FinStructure) -> list[str]:
-    return [n for n, a in structure.signature.relations if a == 2]
-
-
-def _tuples_by_var(structure: FinStructure) -> dict[int, list[tuple[str, tuple[int, ...]]]]:
-    out: dict[int, list] = {v: [] for v in range(structure.size)}
-    for name, _ in structure.signature.relations:
-        for t in structure.relations[name]:
-            for v in set(t):
-                out[v].append((name, t))
-    return out
-
-
 def _search(
     source: FinStructure,
     target: FinStructure,
@@ -255,148 +253,146 @@ def _search(
     partial fixes the images of some variables and avoid is a target
     element no variable may take; both only narrow the initial candidate
     lists.
+
+    Each candidate set is an int bitmask over target elements.  Assigning
+    v -> w ANDs a precomputed mask into the set of every source neighbour
+    of v through a binary relation; strong modes also need non-neighbours
+    of v to map to non-neighbours of w, so there every other set is cut.
+    Only binary loops and tuples of arity >= 3 are checked at assignment.
     """
     if source.signature != target.signature:
         raise SignatureMismatch("hom search requires equal signatures")
     if mode not in ("hom", "embedding", "iso"):
         raise ValueError(f"unknown mode {mode!r}")
     strong = mode in ("embedding", "iso")
-    if limit == 0 or (mode == "iso" and source.size != target.size):
-        return []
-    if strong and source.size > target.size:
+    n, m = source.size, target.size
+    if limit == 0 or (mode == "iso" and n != m) or (strong and n > m):
         return []
 
-    n = source.size
-    binaries = _binary_names(source)
-    src_by_var = _tuples_by_var(source)
-    tgt_by_elem = _tuples_by_var(target)
-    tgt_pairs = {name: target.relations[name] for name in binaries}
-    src_pairs = {name: source.relations[name] for name in binaries}
-
-    # Unary constraints, avoid and partial fix the initial candidate sets.
-    unaries = [n0 for n0, a in source.signature.relations if a == 1]
-    values = [w for w in range(target.size) if w != avoid]
-    cands: list[list[int]] = []
-    for v in range(n):
-        opts = []
-        for w in values:
-            ok = True
-            for name in unaries:
-                in_s = (v,) in source.relations[name]
-                in_t = (w,) in target.relations[name]
-                if (in_s and not in_t) or (strong and in_s != in_t):
-                    ok = False
-                    break
-            if ok:
-                opts.append(w)
-        cands.append(opts)
+    everything = (1 << m) - 1
+    domains = [everything & ~(1 << avoid) if avoid is not None else everything] * n
+    # checks[v] holds (target relation, source tuple) for the tuples through
+    # v that no mask expresses; in strong modes back[w] holds the converse
+    # (source relation, target tuple) for the tuples through w.
+    checks: list[list] = [[] for _ in range(n)]
+    back: list[list] = [[] for _ in range(m)]
+    # adjacent[2r][w] and adjacent[2r + 1][w] mask the target out- and
+    # in-neighbours of w in the r-th binary relation; kind[v, u] has bit 2r
+    # set when (v, u) is in that relation and bit 2r + 1 when (u, v) is.
+    kind: dict[tuple[int, int], int] = {}
+    adjacent: list[list[int]] = []
+    for name, arity in source.signature.relations:
+        s_rel, t_rel = source.relations[name], target.relations[name]
+        if arity == 1:
+            held = sum(1 << w for (w,) in t_rel)
+            for v in range(n):
+                if (v,) in s_rel:
+                    domains[v] &= held
+                elif strong:
+                    domains[v] &= ~held
+            continue
+        if arity == 2:
+            i = len(adjacent)
+            out, inn = [0] * m, [0] * m
+            for a, b in t_rel:
+                out[a] |= 1 << b
+                inn[b] |= 1 << a
+            adjacent += [out, inn]
+            for a, b in s_rel:
+                if a != b:
+                    kind[a, b] = kind.get((a, b), 0) | 1 << i
+                    kind[b, a] = kind.get((b, a), 0) | 2 << i
+        for t in s_rel:
+            if arity > 2 or t[0] == t[1]:
+                for v in set(t):
+                    checks[v].append((t_rel, t))
+        if strong:
+            for t in t_rel:
+                if arity > 2 or t[0] == t[1]:
+                    for w in set(t):
+                        back[w].append((s_rel, t))
     for v, w in (partial or {}).items():
-        if not 0 <= v < n or not 0 <= w < target.size:
+        if not 0 <= v < n or not 0 <= w < m:
             return []
-        cands[v] = [w] if w in cands[v] else []
+        domains[v] &= 1 << w
+    if not all(domains):
+        return []
+
+    def masks(k: int) -> list[int]:
+        """The mask cut into u's set when v -> w, for each w, where k = kind[v, u]."""
+        rows = []
+        for w in range(m):
+            mask = everything & ~(1 << w) if strong else everything
+            for i, table in enumerate(adjacent):
+                if k >> i & 1:
+                    mask &= table[w]
+                elif strong:
+                    mask &= ~table[w]
+            rows.append(mask)
+        return rows
+
+    tables: dict[int, list[int]] = {}
+    links: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    pairs = [(v, u) for v in range(n) for u in range(n) if u != v] if strong else kind
+    for v, u in pairs:
+        k = kind.get((v, u), 0)
+        if k not in tables:
+            tables[k] = masks(k)
+        links[v].append((u, tables[k]))
 
     assignment: list[Optional[int]] = [None] * n
-    inverse: dict[int, int] = {}
+    # read only in strong modes, where no two variables share an image
+    inverse: list[Optional[int]] = [None] * m
     solutions: list[tuple[int, ...]] = []
 
     def consistent_assign(v: int, w: int) -> bool:
-        for name, t in src_by_var[v]:
-            image = []
-            for x in t:
-                y = w if x == v else assignment[x]
-                if y is None:
-                    break
-                image.append(y)
-            else:
-                if tuple(image) not in target.relations[name]:
-                    return False
-        if strong:
-            for name, t in tgt_by_elem.get(w, ()):
-                pre = []
-                for y in t:
-                    x = v if y == w else inverse.get(y)
-                    if x is None:
-                        break
-                    pre.append(x)
-                else:
-                    if tuple(pre) not in source.relations[name]:
-                        return False
+        for rel, t in checks[v]:
+            image = tuple([w if x == v else assignment[x] for x in t])
+            if None not in image and image not in rel:
+                return False
+        for rel, t in back[w]:
+            pre = tuple([v if y == w else inverse[y] for y in t])
+            if None not in pre and pre not in rel:
+                return False
         return True
 
-    def prune(v: int, w: int, current: list[list[int]]) -> Optional[list[list[int]]]:
-        updated = current
-        for u in range(n):
-            if assignment[u] is not None or u == v:
-                continue
-            opts = updated[u]
-            filtered = []
-            for x in opts:
-                if strong and x == w:
-                    continue
-                ok = True
-                for name in binaries:
-                    fwd_s = (v, u) in src_pairs[name]
-                    bwd_s = (u, v) in src_pairs[name]
-                    fwd_t = (w, x) in tgt_pairs[name]
-                    bwd_t = (x, w) in tgt_pairs[name]
-                    if strong:
-                        if fwd_s != fwd_t or bwd_s != bwd_t:
-                            ok = False
-                            break
-                    else:
-                        if (fwd_s and not fwd_t) or (bwd_s and not bwd_t):
-                            ok = False
-                            break
-                if ok:
-                    filtered.append(x)
-            if len(filtered) < len(opts):
-                if not filtered:
-                    return None
-                if updated is current:
-                    updated = list(current)
-                updated[u] = filtered
-        return updated
-
-    def pick(current: list[list[int]]) -> int:
-        if lexicographic:
-            for v in range(n):
-                if assignment[v] is None:
-                    return v
-            raise AssertionError("pick on full assignment")
-        best, best_len = -1, None
-        for v in range(n):
-            if assignment[v] is None:
-                l = len(current[v])
-                if best_len is None or l < best_len:
-                    best, best_len = v, l
-        return best
-
-    def backtrack(current: list[list[int]]) -> bool:
+    def backtrack(current: list[int], left: int) -> bool:
         """Returns True when the solution limit has been reached."""
-        if all(a is not None for a in assignment):
+        if not left:
             solutions.append(tuple(assignment))  # type: ignore[arg-type]
             return limit is not None and len(solutions) >= limit
-        v = pick(current)
-        # In strong modes prune has already removed every assigned image
-        # from the candidate lists, so w is never taken twice.
-        for w in current[v]:
-            if not consistent_assign(v, w):
+        if lexicographic:
+            v = assignment.index(None)
+        else:
+            v, fewest = -1, m + 1
+            for u in range(n):
+                if assignment[u] is None:
+                    count = current[u].bit_count()
+                    if count < fewest:
+                        v, fewest = u, count
+        rest = current[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            if (checks[v] or back[w]) and not consistent_assign(v, w):
                 continue
-            pruned = prune(v, w, current)
-            if pruned is None:
-                continue
-            assignment[v] = w
-            if strong:
-                inverse[w] = v
-            done = backtrack(pruned)
-            assignment[v] = None
-            if strong:
-                del inverse[w]
-            if done:
-                return True
+            pruned = list(current)
+            for u, rows in links[v]:
+                if assignment[u] is None:
+                    cut = pruned[u] & rows[w]
+                    if not cut:
+                        break
+                    pruned[u] = cut
+            else:
+                assignment[v], inverse[w] = w, v
+                done = backtrack(pruned, left - 1)
+                assignment[v] = inverse[w] = None
+                if done:
+                    return True
         return False
 
-    backtrack(cands)
+    backtrack(domains, n)
     # backtrack reaches itself through its closure; breaking that cycle frees
     # the search state now instead of at the next cyclic garbage collection.
     backtrack = None

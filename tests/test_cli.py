@@ -131,6 +131,13 @@ def test_power_and_union(tmp_path, capsys):
     assert json.loads(out)["size"] == 4
 
 
+def test_power_over_budget_exits_2(capsys):
+    # spider5 has 15 elements: 307,577,250 tuples to test at d = 3
+    code, out, err = run(capsys, "power", "gallery:spider5", "--d", "3")
+    assert (code, out) == (2, "")
+    assert "budget" in err
+
+
 def test_orbits(capsys):
     code, out, _ = run(capsys, "orbits", "gallery:Jord1", "--n", "2")
     assert code == 0

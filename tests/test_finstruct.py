@@ -1,10 +1,12 @@
 import gc
 import itertools
 import random
+import time
+from typing import Optional
 
 import pytest
 
-from relcore import gallery
+from relcore import finstruct, gallery
 from relcore.atoms import DLO, make_sample
 from relcore.definable import sample
 from relcore.errors import (
@@ -31,6 +33,7 @@ from relcore.finstruct import (
     induced_substructure,
     is_core,
 )
+from relcore.finstruct import _search
 from relcore.verify import random_structure
 
 
@@ -125,6 +128,15 @@ def test_full_power_projection_counts():
 def test_full_power_rejects_zero():
     with pytest.raises(InvalidDimension):
         full_power(K3, 0)
+
+
+def test_full_power_work_budget(monkeypatch):
+    # K2 at d = 2: E and = are binary, so 2 * 2^2 * (2^2)^2 = 128 tuples tested
+    monkeypatch.setattr(finstruct, "ORBIT_WORK_BUDGET", 128)
+    assert full_power(K2, 2).size == 4
+    monkeypatch.setattr(finstruct, "ORBIT_WORK_BUDGET", 127)
+    with pytest.raises(TooLarge, match="128 tuples"):
+        full_power(K2, 2)
 
 
 def test_find_hom_identity_exists():
@@ -225,6 +237,19 @@ def test_compute_core_two_edges_collapse():
 def test_is_core_examples():
     assert is_core(FinStructure(Signature((("E", 2),)), 1, {}))
     assert not is_core(disjoint_union(K2, K2))
+
+
+def test_pair_cover_samples_are_cores():
+    # refutations over every element: Y@4 (24 elements) and the 40-element
+    # pair-cover sample on 5 atoms, which the list-based search took ~66 s on
+    y4 = sample(gallery.pair_cover().total, make_sample(DLO, 4)).structure
+    assert is_core(y4)
+    y5 = sample(gallery.pair_cover().total, make_sample(DLO, 5)).structure
+    start = time.perf_counter()
+    res = compute_core(y5)
+    elapsed = time.perf_counter() - start
+    assert (res.core.size, res.was_core) == (40, True)
+    assert elapsed < 20.0, f"compute_core took {elapsed:.1f}s"
 
 
 def test_core_idempotent_on_random_structures():
@@ -418,6 +443,237 @@ def test_hom_search_against_brute_force():
                 assert h.mapping in extending, f"round {i}, mode {mode}, partial {partial}"
         endos = brute_force_maps(s, s)["hom"]
         assert [h.mapping for h in enumerate_endos(s)] == sorted(endos), f"round {i}"
+
+
+def _tuples_by_var(structure: FinStructure) -> dict[int, list[tuple[str, tuple[int, ...]]]]:
+    out: dict[int, list] = {v: [] for v in range(structure.size)}
+    for name, _ in structure.signature.relations:
+        for t in structure.relations[name]:
+            for v in set(t):
+                out[v].append((name, t))
+    return out
+
+
+def old_search(
+    source: FinStructure,
+    target: FinStructure,
+    mode: str,
+    partial: Optional[dict[int, int]],
+    lexicographic: bool,
+    limit: Optional[int],
+    avoid: Optional[int] = None,
+) -> list[tuple[int, ...]]:
+    """The list-based search that `_search` replaced, kept as its oracle.
+
+    Candidate sets are lists; every assignment filters the list of every
+    unassigned variable against every binary relation, and checks every
+    tuple through the assigned variable.
+
+    mode is one of "hom", "embedding", "iso".  With lexicographic=True the
+    variable order is 0,1,2,... and solutions come out sorted as tuples;
+    otherwise the smallest-candidate-set variable is assigned first (ties by
+    lowest id).  Candidate values are always tried in ascending order.
+    partial fixes the images of some variables and avoid is a target
+    element no variable may take; both only narrow the initial candidate
+    lists.
+    """
+    if source.signature != target.signature:
+        raise SignatureMismatch("hom search requires equal signatures")
+    if mode not in ("hom", "embedding", "iso"):
+        raise ValueError(f"unknown mode {mode!r}")
+    strong = mode in ("embedding", "iso")
+    if limit == 0 or (mode == "iso" and source.size != target.size):
+        return []
+    if strong and source.size > target.size:
+        return []
+
+    n = source.size
+    binaries = [name for name, a in source.signature.relations if a == 2]
+    src_by_var = _tuples_by_var(source)
+    tgt_by_elem = _tuples_by_var(target)
+    tgt_pairs = {name: target.relations[name] for name in binaries}
+    src_pairs = {name: source.relations[name] for name in binaries}
+
+    # Unary constraints, avoid and partial fix the initial candidate sets.
+    unaries = [n0 for n0, a in source.signature.relations if a == 1]
+    values = [w for w in range(target.size) if w != avoid]
+    cands: list[list[int]] = []
+    for v in range(n):
+        opts = []
+        for w in values:
+            ok = True
+            for name in unaries:
+                in_s = (v,) in source.relations[name]
+                in_t = (w,) in target.relations[name]
+                if (in_s and not in_t) or (strong and in_s != in_t):
+                    ok = False
+                    break
+            if ok:
+                opts.append(w)
+        cands.append(opts)
+    for v, w in (partial or {}).items():
+        if not 0 <= v < n or not 0 <= w < target.size:
+            return []
+        cands[v] = [w] if w in cands[v] else []
+
+    assignment: list[Optional[int]] = [None] * n
+    inverse: dict[int, int] = {}
+    solutions: list[tuple[int, ...]] = []
+
+    def consistent_assign(v: int, w: int) -> bool:
+        for name, t in src_by_var[v]:
+            image = []
+            for x in t:
+                y = w if x == v else assignment[x]
+                if y is None:
+                    break
+                image.append(y)
+            else:
+                if tuple(image) not in target.relations[name]:
+                    return False
+        if strong:
+            for name, t in tgt_by_elem.get(w, ()):
+                pre = []
+                for y in t:
+                    x = v if y == w else inverse.get(y)
+                    if x is None:
+                        break
+                    pre.append(x)
+                else:
+                    if tuple(pre) not in source.relations[name]:
+                        return False
+        return True
+
+    def prune(v: int, w: int, current: list[list[int]]) -> Optional[list[list[int]]]:
+        updated = current
+        for u in range(n):
+            if assignment[u] is not None or u == v:
+                continue
+            opts = updated[u]
+            filtered = []
+            for x in opts:
+                if strong and x == w:
+                    continue
+                ok = True
+                for name in binaries:
+                    fwd_s = (v, u) in src_pairs[name]
+                    bwd_s = (u, v) in src_pairs[name]
+                    fwd_t = (w, x) in tgt_pairs[name]
+                    bwd_t = (x, w) in tgt_pairs[name]
+                    if strong:
+                        if fwd_s != fwd_t or bwd_s != bwd_t:
+                            ok = False
+                            break
+                    else:
+                        if (fwd_s and not fwd_t) or (bwd_s and not bwd_t):
+                            ok = False
+                            break
+                if ok:
+                    filtered.append(x)
+            if len(filtered) < len(opts):
+                if not filtered:
+                    return None
+                if updated is current:
+                    updated = list(current)
+                updated[u] = filtered
+        return updated
+
+    def pick(current: list[list[int]]) -> int:
+        if lexicographic:
+            for v in range(n):
+                if assignment[v] is None:
+                    return v
+            raise AssertionError("pick on full assignment")
+        best, best_len = -1, None
+        for v in range(n):
+            if assignment[v] is None:
+                l = len(current[v])
+                if best_len is None or l < best_len:
+                    best, best_len = v, l
+        return best
+
+    def backtrack(current: list[list[int]]) -> bool:
+        """Returns True when the solution limit has been reached."""
+        if all(a is not None for a in assignment):
+            solutions.append(tuple(assignment))  # type: ignore[arg-type]
+            return limit is not None and len(solutions) >= limit
+        v = pick(current)
+        # In strong modes prune has already removed every assigned image
+        # from the candidate lists, so w is never taken twice.
+        for w in current[v]:
+            if not consistent_assign(v, w):
+                continue
+            pruned = prune(v, w, current)
+            if pruned is None:
+                continue
+            assignment[v] = w
+            if strong:
+                inverse[w] = v
+            done = backtrack(pruned)
+            assignment[v] = None
+            if strong:
+                del inverse[w]
+            if done:
+                return True
+        return False
+
+    backtrack(cands)
+    # backtrack reaches itself through its closure; breaking that cycle frees
+    # the search state now instead of at the next cyclic garbage collection.
+    backtrack = None
+    return solutions
+
+
+
+def search_args(rng, s, t, limits=(None, 1, 3)):
+    """Every mode, order and limit, each with a random avoid and partial map."""
+    for mode in ("hom", "embedding", "iso"):
+        for lexicographic in (True, False):
+            for limit in limits:
+                avoid = rng.choice([None, rng.randrange(t.size)]) if t.size else None
+                partial = None
+                if s.size and rng.random() < 0.4:
+                    # values up to t.size, so some partial maps leave the target
+                    partial = {rng.randrange(s.size): rng.randrange(t.size + 1) for _ in range(rng.randint(1, 2))}
+                yield mode, partial, lexicographic, limit, avoid
+
+
+def test_search_matches_list_search():
+    rng = random.Random(23)
+    pairs = []
+    for _ in range(120):
+        s = random_structure(rng, max_size=6)
+        pairs += [(s, random_target(rng, s)), (s, s)]
+    empty = FinStructure(K3.signature, 0, {})
+    pairs += [(empty, empty), (empty, K3), (K3, empty)]
+    for i, (s, t) in enumerate(pairs):
+        for args in search_args(rng, s, t):
+            assert _search(s, t, *args) == old_search(s, t, *args), f"pair {i}, {args}"
+
+
+def test_search_matches_list_search_beyond_64_elements():
+    # candidate masks wider than a machine word; unary, binary with loops
+    # and ternary relations, sources cut from the target and a relabelled twin
+    rng = random.Random(29)
+    n = 70
+    sig = Signature((("P", 1), ("E", 2), ("F", 2), ("T", 3)))
+    pairs = itertools.product(range(n), repeat=2)
+    rels = {
+        "P": frozenset((x,) for x in range(n) if rng.random() < 0.5),
+        "E": frozenset(t for t in pairs if rng.random() < 0.3),
+        "F": frozenset((x, x) for x in range(n) if rng.random() < 0.5),
+        "T": frozenset(tuple(rng.sample(range(n), 3)) for _ in range(40)),
+    }
+    big = FinStructure(sig, n, rels)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    twin = FinStructure(sig, n, {name: frozenset(tuple(perm[x] for x in t) for t in ts) for name, ts in rels.items()})
+    cases = [(induced_substructure(big, rng.sample(range(n), k))[0], big) for k in (3, 5)]
+    for i, (s, t) in enumerate(cases + [(big, twin)]):
+        for args in search_args(rng, s, t, limits=(1, 3)):
+            if t is twin and args[0] == "hom":
+                continue  # lexicographic homs of big into twin take the oracle minutes
+            assert _search(s, t, *args) == old_search(s, t, *args), f"case {i}, {args}"
 
 
 def test_json_roundtrip():
