@@ -153,25 +153,17 @@ def cmd_endos(args) -> int:
 
 
 def cmd_power(args) -> int:
-    definable = None
-    if args.structure.startswith("gallery:"):
-        name = args.structure[len("gallery:"):]
-        if "@" not in name:
-            definable = gallery.lookup_definable(name)
-    elif "sorts" in _peek(args.structure):
-        definable = _load_definable(args.structure)
-    if definable is not None:
-        _emit(full_power_def(definable, args.d).to_json())
+    token = args.structure
+    if token.startswith("gallery:"):
+        name = token[len("gallery:"):]
+        structure = None if "@" in name else gallery.lookup_definable(name)
+        structure = structure or _load_finite(token)
     else:
-        _emit(full_power(_load_finite(args.structure), args.d).to_json())
+        data = _load_json(token)
+        structure = (DefStructure if "sorts" in data else FinStructure).from_json(data)
+    power = full_power_def if isinstance(structure, DefStructure) else full_power
+    _emit(power(structure, args.d).to_json())
     return 0
-
-
-def _peek(token: str) -> dict:
-    try:
-        return _load_json(token)
-    except CliError:
-        return {}
 
 
 def cmd_union(args) -> int:
@@ -183,18 +175,16 @@ def cmd_union(args) -> int:
 
 def cmd_orbits(args) -> int:
     d = _load_definable(args.structure)
-    extra = {"atom_budget": args.atom_budget} if args.atom_budget is not None else {}
-    descriptors = point_orbits(d, args.n, **extra)
+    descriptors = point_orbits(d, args.n)
     _emit({"n": args.n, "count": len(descriptors), "orbits": descriptors})
     return 0
 
 
 def cmd_growth(args) -> int:
     d = _load_definable(args.structure)
-    extra = {"atom_budget": args.atom_budget} if args.atom_budget is not None else {}
     # n < 1 still goes through unlabelled_growth, which rejects it
     ns = range(1, args.n + 1) if args.n >= 1 else [args.n]
-    values = [unlabelled_growth(d, n, args.mode, **extra) for n in ns]
+    values = [unlabelled_growth(d, n, args.mode) for n in ns]
     print(",".join(map(str, values)))
     return 0
 
@@ -239,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computation with finite and orbit-finite relational structures.",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    parser.add_argument("--atom-budget", type=int, default=None, help="support-size budget")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample a definable structure on a finite atom set")

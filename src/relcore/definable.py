@@ -26,12 +26,10 @@ from .errors import (
     Unsupported,
     parsing,
 )
-from .finstruct import ORBIT_WORK_BUDGET, FinStructure, Signature, canonical_form
+from .finstruct import WORK_BUDGET, FinStructure, Signature, canonical_form
 from . import formulas as fm
 
 GUARD_ANY = "*"
-
-ORDER_SEARCH_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -192,13 +190,15 @@ def _relations_on(D: DefStructure, points: Sequence[Point]) -> dict[str, set[tup
     """Tuples of each relation on points.  Each point is encoded once as
     (value rank, label) pairs, and each clause is compiled once per
     environment width; guard combinations are visited in the order of
-    the per-tuple interpreter, so the same error surfaces first."""
+    the per-tuple interpreter, so the same error surfaces first.  More than
+    WORK_BUDGET guard combinations in all raise TooLarge before any is evaluated."""
     rank = {v: r for r, v in enumerate(sorted({a.value for p in points for a in p.atoms}))}
     encoded = [tuple((rank[a.value], a.label) for a in p.atoms) for p in points]
     by_sort: dict[int, list[int]] = {}
     for pid, p in enumerate(points):
         by_sort.setdefault(p.sort, []).append(pid)
     rels: dict[str, set[tuple[int, ...]]] = {c.name: set() for c in D.clauses}
+    guarded = []
     for clause in D.clauses:
         groups = []
         for entry in clause.guard:
@@ -207,6 +207,10 @@ def _relations_on(D: DefStructure, points: Sequence[Point]) -> dict[str, set[tup
                 if _guard_matches(entry, sort.name):
                     ids.extend(by_sort.get(si, ()))
             groups.append(sorted(ids))
+        guarded.append((clause, groups))
+    if sum(math.prod(map(len, groups)) for _, groups in guarded) > WORK_BUDGET:
+        raise TooLarge(f"sampling exceeded work budget {WORK_BUDGET}")
+    for clause, groups in guarded:
         out = rels[clause.name]
         compiled: dict[int, fm.Predicate] = {}
         for combo in itertools.product(*groups):
@@ -286,14 +290,14 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
     are the projection-instantiated relations of D plus component equality,
     named exactly as in the finite full power so that samples line up.
     A relation of arity k takes (d * sorts)^k clauses; more than
-    ORBIT_WORK_BUDGET clauses in all raise TooLarge before any is built.
+    WORK_BUDGET clauses in all raise TooLarge before any is built.
     """
     if d < 1:
         raise InvalidDimension(f"power dimension must be >= 1, got {d}")
     if len(D.sorts) != 1:
         raise Unsupported("full power is only defined for single-sort structures")
     m = D.sorts[0].dim
-    orbits = _orbits(DefStructure(DLO, (Sort("t", m),), ()), d, False, d * m, ORBIT_WORK_BUDGET)
+    orbits = _orbits(DefStructure(DLO, (Sort("t", m),), ()), d, False)
     patterns = [tuple(slots for _, slots in shape) for _, _, shape in orbits]
     sorts = tuple(Sort(_pattern_name(rows), len(set().union(*rows))) for rows in patterns)
     named = {s.name: rows for s, rows in zip(sorts, patterns)}
@@ -306,8 +310,8 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
 
     atoms_rels = list(merged.items()) + [("=", (2, None))]
     count = sum((d * len(sorts)) ** k for _, (k, _) in atoms_rels)
-    if count > ORBIT_WORK_BUDGET:
-        raise TooLarge(f"power would have {count} clauses > budget {ORBIT_WORK_BUDGET}")
+    if count > WORK_BUDGET:
+        raise TooLarge(f"power would have {count} clauses > budget {WORK_BUDGET}")
     clauses = []
     for name, (k, phi) in atoms_rels:
         for js in itertools.product(range(d), repeat=k):
@@ -383,27 +387,37 @@ def _min_under_slot_perms(s, word, shape, resort=False):
     return best
 
 
-def _orbits(D: DefStructure, n: int, as_set: bool, atom_budget: int, work_budget: int):
+def _orbits(D: DefStructure, n: int, as_set: bool):
     """Yields (descriptor, atoms, shape) once per base-automorphism orbit of
     n-tuples of points (of n-element point sets when as_set).
 
     Walks the supports {0..s-1} for s = 0..n*max_dim, every label word on
     a support, and every choice of n abstract points (sort, slots) that
     covers it; the first choice met in an orbit represents it, realized on
-    atoms by Point(sort, [atoms[k] for k in slots]).  The work budget counts
-    every choice, covering or not, and is checked before the walk.
+    atoms by Point(sort, [atoms[k] for k in slots]).
+
+    Before the walk, each support size counts against WORK_BUDGET its k
+    abstract points, the choices the covering filter visits, and n steps
+    (one descriptor) for every label word and covering choice; on an
+    unordered base also the s! relabellings of each.  The covering choices
+    are counted by inclusion-exclusion over the atoms a choice misses.
     """
     smax = n * D.max_dim()
-    if smax > atom_budget:
-        raise TooLarge(f"would need supports of size {smax} > budget {atom_budget}")
     work = 0
+    within = []  # within[t]: the choices inside a fixed set of t atoms
+    covers = []
     for s in range(smax + 1):
         k = sum(math.comb(s, sort.dim) for sort in D.sorts)
-        work += D.base.alphabet**s * (math.comb(k, n) if as_set else k**n)
-    if work > work_budget:
-        raise TooLarge(f"orbit enumeration exceeded work budget {work_budget}")
+        within.append(math.comb(k, n) if as_set else k**n)
+        covers.append(within[s] and sum((-1) ** j * math.comb(s, j) * within[s - j] for j in range(s + 1)))
+        steps = n if D.base.ordered else n + math.factorial(s)
+        work += k + within[s] + D.base.alphabet**s * covers[s] * steps
+        if work > WORK_BUDGET:
+            raise TooLarge(f"orbit enumeration exceeded work budget {WORK_BUDGET}")
     seen = set()
     for s in range(smax + 1):
+        if not covers[s]:
+            continue
         abstract = [
             (si, slots)
             for si, sort in enumerate(D.sorts)
@@ -423,9 +437,7 @@ def _orbits(D: DefStructure, n: int, as_set: bool, atom_budget: int, work_budget
                     yield desc, atoms, shape
 
 
-def point_orbits(
-    D: DefStructure, n: int, atom_budget: int = 12, work_budget: int = ORBIT_WORK_BUDGET
-) -> list[str]:
+def point_orbits(D: DefStructure, n: int) -> list[str]:
     """Descriptors of all orbits of n-tuples of points.
 
     Enumerates abstract supports (size and label word) together with all
@@ -434,17 +446,10 @@ def point_orbits(
     """
     if n < 1:
         raise InvalidDimension(f"need n >= 1, got {n}")
-    return sorted(desc for desc, _, _ in _orbits(D, n, False, atom_budget, work_budget))
+    return sorted(desc for desc, _, _ in _orbits(D, n, False))
 
 
-def unlabelled_growth(
-    D: DefStructure,
-    n: int,
-    mode: str = "base",
-    max_n: int = 8,
-    atom_budget: int = 16,
-    work_budget: int = ORBIT_WORK_BUDGET,
-) -> int:
+def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
     """Number of classes of n-element subsets of D's points.
 
     mode="base" counts orbits under base automorphisms (support-pattern
@@ -462,9 +467,7 @@ def unlabelled_growth(
         raise Unsupported("reversal counting needs exactly one binary relation")
     if n < 1:
         raise InvalidDimension(f"need n >= 1, got {n}")
-    if n > max_n:
-        raise TooLarge(f"n={n} outside supported range 1..{max_n}")
-    orbits = _orbits(D, n, True, atom_budget, work_budget)
+    orbits = _orbits(D, n, True)
     if mode == "base":
         return sum(1 for _ in orbits)
     forms = set()
@@ -486,16 +489,10 @@ def _reverse_binary(structure: FinStructure) -> FinStructure:
     return FinStructure(structure.signature, structure.size, rels)
 
 
-def growth_up_to_reversal(
-    D: DefStructure,
-    n: int,
-    max_n: int = 8,
-    atom_budget: int = 16,
-    work_budget: int = ORBIT_WORK_BUDGET,
-) -> int:
+def growth_up_to_reversal(D: DefStructure, n: int) -> int:
     """Growth with a class and its relation-reversed class identified:
     unlabelled_growth(D, n, "reversal")."""
-    return unlabelled_growth(D, n, "reversal", max_n, atom_budget, work_budget)
+    return unlabelled_growth(D, n, "reversal")
 
 
 def increasing_tuple_structure(d: int) -> DefStructure:
@@ -517,23 +514,22 @@ def increasing_tuple_structure(d: int) -> DefStructure:
 
 def pair_orbit_reps(d: int) -> dict[str, tuple[Point, Point]]:
     """Representative concrete point pairs, one per orbit of ordered pairs."""
-    orbits = _orbits(DefStructure(DLO, (Sort("t", d),), ()), 2, False, 2 * d, ORBIT_WORK_BUDGET)
+    orbits = _orbits(DefStructure(DLO, (Sort("t", d),), ()), 2, False)
     return {
         desc: tuple(Point(si, tuple(atoms[k] for k in slots)) for si, slots in shape)
         for desc, atoms, shape in orbits
     }
 
 
-def enumerate_invariant_orders(
-    D: DefStructure, budget: int = ORDER_SEARCH_BUDGET
-) -> list[tuple[str, ...]]:
+def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
     """All invariant strict total orders on D's points, each given as the
     set of pair-orbit descriptors it contains.
 
     Every candidate must be irreflexive, total, antisymmetric and
     transitive on a sample with 3*d atoms; since three points involve at
     most 3*d atoms and every 3-point type is realized at that size,
-    invariance makes the check conclusive.
+    invariance makes the check conclusive.  Past WORK_BUDGET composition
+    triples examined (577,128 in all at d = 3) the search raises TooLarge.
     """
     if len(D.sorts) != 1:
         raise Unsupported("invariant order enumeration needs a single sort")
@@ -575,8 +571,8 @@ def enumerate_invariant_orders(
         nonlocal work
         triples = by_first.get(chosen, ())
         work += len(triples)
-        if work > budget:
-            raise TooLarge(f"invariant order search exceeded budget {budget}")
+        if work > WORK_BUDGET:
+            raise TooLarge(f"invariant order search exceeded work budget {WORK_BUDGET}")
         for _, o2, o3 in triples:
             if status.get(o2) and status.get(o3) is False:
                 return True

@@ -27,9 +27,9 @@ from .errors import (
     parsing,
 )
 
-# The most choices, clauses or tuples a construction (orbit enumeration,
-# full_power_def, full_power) may work through before raising TooLarge.
-ORBIT_WORK_BUDGET = 2_000_000
+# The one work budget: the most steps a bounded construction may count before
+# raising TooLarge.  Each construction's docstring says what it counts.
+WORK_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -205,14 +205,14 @@ def full_power(structure: FinStructure, d: int) -> FinStructure:
     For each relation R of arity k (and for equality) and each projection
     pattern (j_1,...,j_k) in [d]^k there is a relation named "R@j_1,...,j_k"
     holding on (t_1,...,t_k) iff R(t_1[j_1],...,t_k[j_k]).  Testing more
-    than ORBIT_WORK_BUDGET tuples in all raises TooLarge before any is built.
+    than WORK_BUDGET tuples in all raises TooLarge before any is built.
     """
     if d < 1:
         raise InvalidDimension(f"power dimension must be >= 1, got {d}")
     atoms = list(structure.signature.relations) + [("=", 2)]
     work = sum(d**k * structure.size ** (d * k) for _, k in atoms)
-    if work > ORBIT_WORK_BUDGET:
-        raise TooLarge(f"power would test {work} tuples > budget {ORBIT_WORK_BUDGET}")
+    if work > WORK_BUDGET:
+        raise TooLarge(f"power would test {work} tuples > budget {WORK_BUDGET}")
     domain = list(itertools.product(range(structure.size), repeat=d))
     index = {t: i for i, t in enumerate(domain)}
     names = []
@@ -259,6 +259,8 @@ def _search(
     of v through a binary relation; strong modes also need non-neighbours
     of v to map to non-neighbours of w, so there every other set is cut.
     Only binary loops and tuples of arity >= 3 are checked at assignment.
+    Every value tried counts one step and every stored map n steps; past
+    WORK_BUDGET steps the search raises TooLarge.
     """
     if source.signature != target.signature:
         raise SignatureMismatch("hom search requires equal signatures")
@@ -344,6 +346,7 @@ def _search(
     # read only in strong modes, where no two variables share an image
     inverse: list[Optional[int]] = [None] * m
     solutions: list[tuple[int, ...]] = []
+    work = 0
 
     def consistent_assign(v: int, w: int) -> bool:
         for rel, t in checks[v]:
@@ -358,7 +361,11 @@ def _search(
 
     def backtrack(current: list[int], left: int) -> bool:
         """Returns True when the solution limit has been reached."""
+        nonlocal work
         if not left:
+            work += n
+            if work > WORK_BUDGET:
+                raise TooLarge(f"hom search exceeded work budget {WORK_BUDGET}")
             solutions.append(tuple(assignment))  # type: ignore[arg-type]
             return limit is not None and len(solutions) >= limit
         if lexicographic:
@@ -375,6 +382,9 @@ def _search(
             low = rest & -rest
             rest ^= low
             w = low.bit_length() - 1
+            work += 1
+            if work > WORK_BUDGET:
+                raise TooLarge(f"hom search exceeded work budget {WORK_BUDGET}")
             if (checks[v] or back[w]) and not consistent_assign(v, w):
                 continue
             pruned = list(current)
@@ -526,7 +536,7 @@ def _orbit_meets(w: int, tried: list[int], generators: list[list[int]]) -> bool:
     return not orbit.isdisjoint(tried)
 
 
-def canonical_form(structure: FinStructure, bound: int = 10) -> bytes:
+def canonical_form(structure: FinStructure) -> bytes:
     """Canonical byte encoding: equal exactly for isomorphic structures.
 
     Individualization-refinement in the style of McKay and Piperno,
@@ -543,11 +553,10 @@ def canonical_form(structure: FinStructure, bound: int = 10) -> bytes:
     earlier one is then an image of a searched subtree, so the search
     returns to that level; and a node skips every child in the orbit of an
     already searched child under the automorphisms found so far that fix
-    the node's path.
+    the node's path.  Every node visited counts n plus the number of
+    tuples against WORK_BUDGET, and the search raises TooLarge past it.
     """
     n = structure.size
-    if n > bound:
-        raise TooLarge(f"canonical form limited to {bound} elements, got {n}")
     rels = [structure.relations[name] for name in structure.signature.names()]
     tuples = [(r, t) for r, ts in enumerate(rels) for t in ts]
     incidences: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -559,6 +568,7 @@ def canonical_form(structure: FinStructure, bound: int = 10) -> bytes:
     first: Optional[tuple] = None
     best: Optional[tuple] = None
     automorphisms: list[list[int]] = []
+    work = 0
 
     def leaf(labels: list[int], path: list[int]) -> Optional[int]:
         nonlocal first, best
@@ -579,6 +589,10 @@ def canonical_form(structure: FinStructure, bound: int = 10) -> bytes:
 
     def visit(colours: list[int], path: list[int]) -> Optional[int]:
         """Search below a node; returns the depth to resume at, if shallower."""
+        nonlocal work
+        work += n + len(tuples)
+        if work > WORK_BUDGET:
+            raise TooLarge(f"canonical form exceeded work budget {WORK_BUDGET}")
         colours = _refine(incidences, tuples, colours)
         if len(set(colours)) == n:
             return leaf(colours, path)

@@ -249,8 +249,9 @@ def local_order_count(n: int) -> int:
     return total // (2 * n)
 
 
-def suite_growth(max_n: int = 8) -> Report:
+def suite_growth() -> Report:
     report = Report("growth")
+    max_n = 8
 
     def check_dlo():
         dlo = increasing_tuple_structure(1)

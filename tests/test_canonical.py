@@ -164,7 +164,7 @@ def test_symmetric_structures_relabel_and_separate():
     assert len(set(forms.values())) == len(forms)
 
 
-@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("n", [9, 10, 11])
 def test_local_order_growth_beyond_default_cap(n):
     s2 = gallery.dense_local_order()
-    assert unlabelled_growth(s2, n, "homogeneous", max_n=10) == local_order_count(n)
+    assert unlabelled_growth(s2, n, "homogeneous") == local_order_count(n)

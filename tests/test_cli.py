@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import relcore
+from relcore import finstruct
 from relcore.cli import main
 from relcore.definable import increasing_tuple_structure, sample
 from relcore.atoms import DLO, make_sample
@@ -129,6 +130,11 @@ def test_power_and_union(tmp_path, capsys):
     code, out, _ = run(capsys, "union", str(k2), str(k2))
     assert code == 0
     assert json.loads(out)["size"] == 4
+
+
+def test_endos_over_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(finstruct, "WORK_BUDGET", 10)
+    assert_input_error(*run(capsys, "endos", "gallery:spider2"))
 
 
 def test_power_over_budget_exits_2(capsys):
@@ -299,13 +305,6 @@ def test_core_commands_are_deterministic(command, code):
 
 
 @pytest.mark.parametrize(
-    "argv", [["orbits", "gallery:Jord1", "--n", "1"], ["growth", "gallery:QST", "--n", "2"]]
-)
-def test_atom_budget_zero_is_honoured(capsys, argv):
-    assert_input_error(*run(capsys, "--atom-budget", "0", *argv))
-
-
-@pytest.mark.parametrize(
     "argv",
     [
         ["orbits", "gallery:Jord1", "--n", "0"],
@@ -318,7 +317,7 @@ def test_out_of_range_counts_exit_2(capsys, argv):
     assert_input_error(*run(capsys, *argv))
 
 
-@pytest.mark.parametrize("flag", [["--threads", "2"], ["--json"]])
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--json"], ["--atom-budget", "0"]])
 def test_removed_global_flags_are_rejected(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main([*flag, "orbits", "gallery:Jord1", "--n", "1"])

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -323,18 +325,100 @@ def test_point_orbits_against_concrete_sample():
 
 def test_point_orbits_budget():
     with pytest.raises(TooLarge):
-        point_orbits(increasing_tuple_structure(3), 8, atom_budget=12)
+        point_orbits(increasing_tuple_structure(3), 8)
 
 
-def test_work_budget_counts_every_choice():
-    # supports of size 0, 1, 2: 0 + 1 + 4 ordered pairs of points, 0 + 0 + 1 sets
+def orbit_work(D, n, as_set):
+    """The work orbit enumeration counts, from the filtered covering choices."""
+    work = 0
+    for s in range(n * D.max_dim() + 1):
+        abstract = [
+            (si, slots)
+            for si, sort in enumerate(D.sorts)
+            for slots in itertools.combinations(range(s), sort.dim)
+        ]
+        choices = list(
+            itertools.combinations(abstract, n) if as_set else itertools.product(abstract, repeat=n)
+        )
+        cover = sum(1 for c in choices if len({k for _, slots in c for k in slots}) == s)
+        steps = n if D.base.ordered else n + math.factorial(s)
+        work += len(abstract) + len(choices) + D.base.alphabet**s * cover * steps
+    return work
+
+
+def test_work_budget_counts_every_choice(monkeypatch):
+    # supports of size 0, 1, 2 list 0 + 1 + 2 abstract points, and the
+    # filter visits 0 + 1 + 4 ordered pairs (0 + 0 + 1 sets) of points;
+    # n = 2 steps for each of the 0 + 1 + 2 covering pairs (0 + 0 + 1 sets)
     jord1 = increasing_tuple_structure(1)
-    assert len(point_orbits(jord1, 2, work_budget=5)) == 3
-    with pytest.raises(TooLarge):
-        point_orbits(jord1, 2, work_budget=4)
-    assert unlabelled_growth(jord1, 2, work_budget=1) == 1
-    with pytest.raises(TooLarge):
-        unlabelled_growth(jord1, 2, work_budget=0)
+    pure = DefStructure(PURE_SET, (Sort("q", 1),), ())
+    # the unordered base adds s! relabellings per covering choice:
+    # 1 * 1! on the 1-atom support and 2 * 2! on the 2-atom one
+    cases = [
+        (lambda: len(point_orbits(jord1, 2)), 3, 14),
+        (lambda: unlabelled_growth(jord1, 2), 1, 6),
+        (lambda: len(point_orbits(pure, 2)), 2, 19),
+    ]
+    for count, answer, needed in cases:
+        monkeypatch.setattr(definable, "WORK_BUDGET", needed)
+        assert count() == answer
+        monkeypatch.setattr(definable, "WORK_BUDGET", needed - 1)
+        with pytest.raises(TooLarge, match="work budget"):
+            count()
+
+
+def test_orbit_work_counts_covering_choices_exactly(monkeypatch):
+    # the closed-form covering count against the filter, at the threshold
+    rng = random.Random(23)
+    bases = [DLO, labeled_dlo(2), PURE_SET, AtomBase(ordered=False, alphabet=2)]
+    for _ in range(40):
+        dims = [rng.randint(0, 2) for _ in range(rng.randint(1, 2))]
+        D = DefStructure(rng.choice(bases), tuple(Sort(f"s{i}", d) for i, d in enumerate(dims)), ())
+        n, as_set = rng.randint(1, 3 if max(dims) < 2 else 2), rng.random() < 0.5
+        needed = orbit_work(D, n, as_set)
+        count = lambda: unlabelled_growth(D, n) if as_set else len(point_orbits(D, n))
+        monkeypatch.setattr(definable, "WORK_BUDGET", needed)
+        count()
+        monkeypatch.setattr(definable, "WORK_BUDGET", needed - 1)
+        with pytest.raises(TooLarge, match="work budget"):
+            count()
+
+
+def test_pure_set_point_orbits_are_bell_numbers():
+    pure = DefStructure(PURE_SET, (Sort("q", 1),), ())
+    assert [len(point_orbits(pure, n)) for n in range(1, 6)] == [1, 2, 5, 15, 52]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # labelled dim-1 growth at n = 8: 2^8 words * 8! relabellings
+        lambda: unlabelled_growth(DefStructure(AtomBase(False, 2), (Sort("q", 1),), ()), 8),
+        # pure-set dim-1 point orbits at n = 8: 126,000 covering 8-tuples
+        # on five atoms, 5! relabellings each
+        lambda: point_orbits(DefStructure(PURE_SET, (Sort("q", 1),), ()), 8),
+        # QST base growth at n = 40: 40 * 2^40 label words
+        lambda: unlabelled_growth(gallery.partitioned_dlo(), 40),
+        # Jord2 on 300 atoms: 44,850 points, so 44,850^2 pairs per clause
+        lambda: sample(increasing_tuple_structure(2), make_sample(DLO, 300)),
+    ],
+    ids=["labelled-growth-8", "pure-set-orbits-8", "qst-growth-40", "jord2-sample-300"],
+)
+def test_over_budget_raises_at_once(call):
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="work budget"):
+        call()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sample_work_budget(monkeypatch):
+    # Jord1 on three atoms: two binary clauses over 3 * 3 point pairs each
+    jord1 = increasing_tuple_structure(1)
+    monkeypatch.setattr(definable, "WORK_BUDGET", 18)
+    assert sample(jord1, make_sample(DLO, 3)).structure.size == 3
+    monkeypatch.setattr(definable, "WORK_BUDGET", 17)
+    with pytest.raises(TooLarge, match="sampling"):
+        sample(jord1, make_sample(DLO, 3))
 
 
 def test_work_budget_bounds_pair_orbits_and_power_sorts():
@@ -348,9 +432,9 @@ def test_full_power_def_clause_budget(monkeypatch):
     # Jord1^3: 13 sorts and three binary relations, 3 * (3 * 13)^2 clauses;
     # checked first, so a wrong count fails here before the large cases
     jord1 = increasing_tuple_structure(1)
-    monkeypatch.setattr(definable, "ORBIT_WORK_BUDGET", 4563)
+    monkeypatch.setattr(definable, "WORK_BUDGET", 4563)
     assert len(full_power_def(jord1, 3).clauses) == 4563
-    monkeypatch.setattr(definable, "ORBIT_WORK_BUDGET", 4562)
+    monkeypatch.setattr(definable, "WORK_BUDGET", 4562)
     with pytest.raises(TooLarge, match="4563 clauses"):
         full_power_def(jord1, 3)
     monkeypatch.undo()
@@ -384,8 +468,11 @@ def test_growth_modes_agree_on_homogeneous_cases():
 
 def test_growth_bound():
     jord1 = increasing_tuple_structure(1)
-    with pytest.raises(TooLarge):
-        unlabelled_growth(jord1, 9, "base")
+    assert unlabelled_growth(jord1, 9, "base") == 1
+    # the supports of size up to ~2,000 alone list more abstract points
+    # than the work budget allows, so this raises before any walk
+    with pytest.raises(TooLarge, match="work budget"):
+        unlabelled_growth(jord1, 10**5, "base")
     for n in (0, -1):
         with pytest.raises(InvalidDimension):
             unlabelled_growth(jord1, n, "base")
@@ -527,11 +614,14 @@ def test_invariant_orders_match_brute_force(d):
     assert enumerate_invariant_orders(increasing_tuple_structure(d)) == sorted(expected)
 
 
-def test_invariant_order_search_budget():
+def test_invariant_order_search_budget(monkeypatch):
+    # the search examines 1,776 composition-table triples at d = 2
     jord2 = increasing_tuple_structure(2)
-    with pytest.raises(TooLarge):
-        enumerate_invariant_orders(jord2, budget=10)
-    assert len(enumerate_invariant_orders(jord2, budget=10_000)) == 8
+    monkeypatch.setattr(definable, "WORK_BUDGET", 1776)
+    assert len(enumerate_invariant_orders(jord2)) == 8
+    monkeypatch.setattr(definable, "WORK_BUDGET", 1775)
+    with pytest.raises(TooLarge, match="work budget"):
+        enumerate_invariant_orders(jord2)
 
 
 def test_classify_signed_lex_known_orders():

@@ -132,9 +132,9 @@ def test_full_power_rejects_zero():
 
 def test_full_power_work_budget(monkeypatch):
     # K2 at d = 2: E and = are binary, so 2 * 2^2 * (2^2)^2 = 128 tuples tested
-    monkeypatch.setattr(finstruct, "ORBIT_WORK_BUDGET", 128)
+    monkeypatch.setattr(finstruct, "WORK_BUDGET", 128)
     assert full_power(K2, 2).size == 4
-    monkeypatch.setattr(finstruct, "ORBIT_WORK_BUDGET", 127)
+    monkeypatch.setattr(finstruct, "WORK_BUDGET", 127)
     with pytest.raises(TooLarge, match="128 tuples"):
         full_power(K2, 2)
 
@@ -206,6 +206,22 @@ def test_enumerate_endos_examples():
     assert enumerate_endos(free, limit=0) == []
     with pytest.raises(RelcoreError):
         enumerate_endos(free, limit=-1)
+
+
+def test_search_work_budget(monkeypatch):
+    # the edgeless 2-element digraph: 6 values tried and 4 maps of 2 elements
+    free = digraph(2, set())
+    monkeypatch.setattr(finstruct, "WORK_BUDGET", 14)
+    assert len(enumerate_endos(free)) == 4
+    monkeypatch.setattr(finstruct, "WORK_BUDGET", 13)
+    with pytest.raises(TooLarge, match="work budget"):
+        enumerate_endos(free)
+    # find_hom and the core test run the same search
+    monkeypatch.setattr(finstruct, "WORK_BUDGET", 0)
+    with pytest.raises(TooLarge):
+        find_hom(K2, K3)
+    with pytest.raises(TooLarge):
+        is_core(K2)
 
 
 def test_hom_validation_and_composition():
@@ -341,10 +357,23 @@ def test_canonical_form_path_orientations():
     assert canonical_form(directed_path) == canonical_form(reversed_path)
 
 
-def test_canonical_form_bound():
+def test_canonical_form_bound(monkeypatch):
+    # the edgeless 11-vertex digraph: automorphism pruning leaves
+    # 11 + 10 + ... + 1 = 66 nodes, each counting 11 elements and no tuples
     big = digraph(11, set())
-    with pytest.raises(TooLarge):
+    monkeypatch.setattr(finstruct, "WORK_BUDGET", 726)
+    assert canonical_form(big) == repr(((("E", 2),), 11, ((),))).encode()
+    monkeypatch.setattr(finstruct, "WORK_BUDGET", 725)
+    with pytest.raises(TooLarge, match="work budget"):
         canonical_form(big)
+    # the directed 5-cycle: the root and two leaves, the second of which
+    # finds the rotation that prunes the rest; 5 elements + 5 tuples each
+    cycle = digraph(5, {(i, (i + 1) % 5) for i in range(5)})
+    monkeypatch.setattr(finstruct, "WORK_BUDGET", 30)
+    canonical_form(cycle)
+    monkeypatch.setattr(finstruct, "WORK_BUDGET", 29)
+    with pytest.raises(TooLarge, match="work budget"):
+        canonical_form(cycle)
 
 
 def test_canonical_form_matches_iso_search():
