@@ -64,38 +64,38 @@ def _parse_atoms_spec(base, spec: str) -> AtomSample:
     return AtomSample(base, atoms)
 
 
+def _load(token: str):
+    """A structure: a JSON file (definable when it has "sorts"), a gallery
+    object gallery:NAME, or gallery:NAME@K (the sample of a definable
+    gallery object on K default atoms)."""
+    if not token.startswith("gallery:"):
+        data = _load_json(token)
+        return (DefStructure if "sorts" in data else FinStructure).from_json(data)
+    name = token[len("gallery:"):]
+    base_name, at, count = name.partition("@")
+    d = gallery.lookup_definable(base_name)
+    if at:
+        if d is None or not count.isdigit():
+            raise CliError(f"cannot sample gallery object {name!r}")
+        return sample(d, make_sample(d.base, int(count))).structure
+    found = d or gallery.lookup_finite(name)
+    if found is None:
+        raise CliError(f"no gallery object named {name!r}")
+    return found
+
+
 def _load_definable(token: str) -> DefStructure:
-    if token.startswith("gallery:"):
-        name = token[len("gallery:"):]
-        d = gallery.lookup_definable(name)
-        if d is None:
-            raise CliError(f"no definable gallery object named {name!r}")
-        return d
-    data = _load_json(token)
-    if "sorts" not in data:
-        raise CliError(f"{token} is not a definable-structure file")
-    return DefStructure.from_json(data)
+    d = _load(token)
+    if not isinstance(d, DefStructure):
+        raise CliError(f"{token} is not a definable structure")
+    return d
 
 
 def _load_finite(token: str) -> FinStructure:
-    """A finite structure: a JSON file, gallery:spider<n>, or gallery:NAME@K
-    (the sample of a gallery structure on K default atoms)."""
-    if token.startswith("gallery:"):
-        name = token[len("gallery:"):]
-        if "@" in name:
-            base_name, _, count = name.partition("@")
-            d = gallery.lookup_definable(base_name)
-            if d is None or not count.isdigit():
-                raise CliError(f"cannot sample gallery object {name!r}")
-            return sample(d, make_sample(d.base, int(count))).structure
-        fin = gallery.lookup_finite(name)
-        if fin is None:
-            raise CliError(f"no finite gallery object named {name!r}")
-        return fin
-    data = _load_json(token)
-    if "sorts" in data:
+    s = _load(token)
+    if not isinstance(s, FinStructure):
         raise CliError(f"{token} holds a definable structure; sample it first")
-    return FinStructure.from_json(data)
+    return s
 
 
 def _sample_json(result) -> dict:
@@ -153,14 +153,7 @@ def cmd_endos(args) -> int:
 
 
 def cmd_power(args) -> int:
-    token = args.structure
-    if token.startswith("gallery:"):
-        name = token[len("gallery:"):]
-        structure = None if "@" in name else gallery.lookup_definable(name)
-        structure = structure or _load_finite(token)
-    else:
-        data = _load_json(token)
-        structure = (DefStructure if "sorts" in data else FinStructure).from_json(data)
+    structure = _load(args.structure)
     power = full_power_def if isinstance(structure, DefStructure) else full_power
     _emit(power(structure, args.d).to_json())
     return 0

@@ -186,31 +186,39 @@ class SampleResult:
     points: tuple[Point, ...]
 
 
-def _relations_on(D: DefStructure, points: Sequence[Point]) -> dict[str, set[tuple[int, ...]]]:
-    """Tuples of each relation on points.  Each point is encoded once as
-    (value rank, label) pairs, and each clause is compiled once per
-    environment width; guard combinations are visited in the order of
-    the per-tuple interpreter, so the same error surfaces first.  More than
-    WORK_BUDGET guard combinations in all raise TooLarge before any is evaluated."""
+def _count_guard_combinations(D: DefStructure, counts: Sequence[int]) -> None:
+    """Raise TooLarge when D's clauses have more than WORK_BUDGET guard
+    combinations in all, counts[i] being the number of points of sort i."""
+    total = sum(
+        math.prod(
+            sum(n for sort, n in zip(D.sorts, counts) if _guard_matches(entry, sort.name))
+            for entry in clause.guard
+        )
+        for clause in D.clauses
+    )
+    if total > WORK_BUDGET:
+        raise TooLarge(f"sampling exceeded work budget {WORK_BUDGET}")
+
+
+def _structure_on(D: DefStructure, points: Sequence[Point]) -> FinStructure:
+    """The structure D induces on points, in the given order.  Each point
+    is encoded once as (value rank, label) pairs, and each clause is
+    compiled once per environment width; guard combinations are visited in
+    the order of the per-tuple interpreter, so the same error surfaces
+    first.  More than WORK_BUDGET guard combinations in all raise TooLarge
+    before any is evaluated."""
     rank = {v: r for r, v in enumerate(sorted({a.value for p in points for a in p.atoms}))}
     encoded = [tuple((rank[a.value], a.label) for a in p.atoms) for p in points]
     by_sort: dict[int, list[int]] = {}
     for pid, p in enumerate(points):
         by_sort.setdefault(p.sort, []).append(pid)
+    _count_guard_combinations(D, [len(by_sort.get(si, ())) for si in range(len(D.sorts))])
     rels: dict[str, set[tuple[int, ...]]] = {c.name: set() for c in D.clauses}
-    guarded = []
     for clause in D.clauses:
         groups = []
         for entry in clause.guard:
-            ids = []
-            for si, sort in enumerate(D.sorts):
-                if _guard_matches(entry, sort.name):
-                    ids.extend(by_sort.get(si, ()))
-            groups.append(sorted(ids))
-        guarded.append((clause, groups))
-    if sum(math.prod(map(len, groups)) for _, groups in guarded) > WORK_BUDGET:
-        raise TooLarge(f"sampling exceeded work budget {WORK_BUDGET}")
-    for clause, groups in guarded:
+            matching = [si for si, sort in enumerate(D.sorts) if _guard_matches(entry, sort.name)]
+            groups.append(sorted([pid for si in matching for pid in by_sort.get(si, ())]))
         out = rels[clause.name]
         compiled: dict[int, fm.Predicate] = {}
         for combo in itertools.product(*groups):
@@ -220,26 +228,25 @@ def _relations_on(D: DefStructure, points: Sequence[Point]) -> dict[str, set[tup
                 holds = compiled[len(env)] = fm.compile_formula(clause.formula, D.base, len(env))
             if holds(env):
                 out.add(combo)
-    return rels
+    return FinStructure(D.signature(), len(points), {k: frozenset(v) for k, v in rels.items()})
 
 
 def sample(D: DefStructure, A: AtomSample) -> SampleResult:
-    """Explicit finite structure on all points supported inside A."""
+    """Explicit finite structure on all points supported inside A.  The guard
+    combinations are counted against WORK_BUDGET before any point is built."""
     if A.base != D.base:
         raise BaseMismatch(f"sample base {A.base} differs from structure base {D.base}")
+    _count_guard_combinations(D, [math.comb(len(A.atoms), sort.dim) for sort in D.sorts])
     points = []
     for si, sort in enumerate(D.sorts):
         for combo in itertools.combinations(A.atoms, sort.dim):
             points.append(Point(si, combo))
-    rels = _relations_on(D, points)
-    structure = FinStructure(D.signature(), len(points), {k: frozenset(v) for k, v in rels.items()})
-    return SampleResult(structure, tuple(points))
+    return SampleResult(_structure_on(D, points), tuple(points))
 
 
 def induce_on_points(D: DefStructure, points: Sequence[Point]) -> FinStructure:
     """Structure induced on an explicit list of points, in the given order."""
-    rels = _relations_on(D, points)
-    return FinStructure(D.signature(), len(points), {k: frozenset(v) for k, v in rels.items()})
+    return _structure_on(D, points)
 
 
 def reduct(D: DefStructure, clauses: Iterable[RelationClause]) -> DefStructure:
@@ -308,7 +315,8 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
         phi = clause.formula
         merged[clause.name] = (clause.arity, phi if parts is None else fm.Or(parts, phi))
 
-    atoms_rels = list(merged.items()) + [("=", (2, None))]
+    equal = fm.And(tuple(fm.Eq(c, m + c) for c in range(m))) if m else fm.TRUE
+    atoms_rels = list(merged.items()) + [("=", (2, equal))]
     count = sum((d * len(sorts)) ** k for _, (k, _) in atoms_rels)
     if count > WORK_BUDGET:
         raise TooLarge(f"power would have {count} clauses > budget {WORK_BUDGET}")
@@ -322,25 +330,12 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
                 for s in combo:
                     offsets.append(start)
                     start += s.dim
-                if name == "=":
-                    if m == 0:
-                        body: fm.Formula = fm.TRUE
-                    else:
-                        rows1 = named[combo[0].name][js[0]]
-                        rows2 = named[combo[1].name][js[1]]
-                        body = fm.And(
-                            tuple(
-                                fm.Eq(offsets[0] + rows1[c], offsets[1] + rows2[c])
-                                for c in range(m)
-                            )
-                        )
-                else:
-                    mapping = {}
-                    for l in range(k):
-                        rows = named[combo[l].name][js[l]]
-                        for c in range(m):
-                            mapping[l * m + c] = offsets[l] + rows[c]
-                    body = fm.shift_positions(phi, mapping)
+                mapping = {}
+                for l in range(k):
+                    rows = named[combo[l].name][js[l]]
+                    for c in range(m):
+                        mapping[l * m + c] = offsets[l] + rows[c]
+                body = fm.shift_positions(phi, mapping)
                 clauses.append(
                     RelationClause(rel_name, k, tuple(s.name for s in combo), body)
                 )
@@ -539,29 +534,11 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
     if d < 1 or d > 3:
         raise TooLarge(f"dimension {d} outside supported range 1..3")
 
-    reps = pair_orbit_reps(d)
-    diag = None
-    swap_of = {}
-    for desc, (p, q) in reps.items():
-        if p == q:
-            diag = desc
-        swap_of[desc] = tuple_type((q, p), DLO)
-
-    pairs = []
-    seen = set()
-    for desc in sorted(reps):
-        if desc == diag or desc in seen:
-            continue
-        other = swap_of[desc]
-        seen.add(desc)
-        seen.add(other)
-        pairs.append((desc, other))
-
     # A triple (a, b, c) broken by points i, j, k (a, b true, c false)
     # makes the rotations (b, swap c, swap a) from j, k, i and
     # (swap c, a, swap b) from k, i, j broken too, so a decision breaks a
     # triple exactly when it breaks one whose first descriptor it set true.
-    by_first = _composition_by_first(d, diag)
+    by_first, diag, pairs = _composition_by_first(d)
 
     results = []
     status: dict[str, bool] = {}
@@ -591,8 +568,7 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
             del status[chosen]
             del status[dropped]
 
-    if diag is not None:
-        status[diag] = False
+    status[diag] = False
     descend(0)
     # descend reaches itself through its closure; breaking that cycle frees
     # the table now instead of at the next cyclic garbage collection.
@@ -600,23 +576,32 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
     return sorted(results)
 
 
-def _composition_by_first(d: int, diag: Optional[str]) -> dict[str, list[tuple[str, str, str]]]:
-    """Composition table of the 3d-atom sample, indexed by first descriptor:
-    the descriptor triples (c_ij, c_jk, c_ik) of point triples with
-    i != j != k, where c_jk is the diagonal exactly when k == j."""
+def _composition_by_first(d: int):
+    """Pair classes of the 3d-atom sample, which realizes every orbit of
+    point pairs and triples.
+
+    Returns the composition table indexed by first descriptor, the diagonal
+    class, and the sorted (class, swapped class) pairs of the other classes,
+    each with the lesser class first.  The table holds the descriptor
+    triples (c_ij, c_jk, c_ik) of point triples with i != j != k, where c_jk
+    is the diagonal exactly when k == j.
+    """
     atoms = make_sample(DLO, 3 * d).atoms
     points = [Point(0, combo) for combo in itertools.combinations(atoms, d)]
     classes = [[tuple_type((p, q), DLO) for q in points] for p in points]
+    diag = classes[0][0]
     comp = set()
+    swaps = set()
     for i, row in enumerate(classes):
         for j, c_ij in enumerate(row):
             if i != j:
                 comp.update(zip(itertools.repeat(c_ij), classes[j], row))
+                swaps.add(tuple(sorted((c_ij, classes[j][i]))))
     by_first: dict[str, list[tuple[str, str, str]]] = {}
     for triple in comp:
         if triple[1] != diag:
             by_first.setdefault(triple[0], []).append(triple)
-    return by_first
+    return by_first, diag, sorted(swaps)
 
 
 @dataclass(frozen=True)

@@ -215,21 +215,17 @@ def full_power(structure: FinStructure, d: int) -> FinStructure:
         raise TooLarge(f"power would test {work} tuples > budget {WORK_BUDGET}")
     domain = list(itertools.product(range(structure.size), repeat=d))
     index = {t: i for i, t in enumerate(domain)}
+    diagonal = frozenset((x, x) for x in range(structure.size))
     names = []
     rels = {}
     for name, arity in atoms:
-        base = structure.relations[name] if name != "=" else None
+        base = diagonal if name == "=" else structure.relations[name]
         for js in itertools.product(range(d), repeat=arity):
             rel_name = f"{name}@{','.join(str(j + 1) for j in js)}"
             names.append((rel_name, arity))
             tuples = set()
             for combo in itertools.product(domain, repeat=arity):
-                projected = tuple(combo[l][js[l]] for l in range(arity))
-                if name == "=":
-                    ok = projected[0] == projected[1]
-                else:
-                    ok = projected in base
-                if ok:
+                if tuple(combo[l][js[l]] for l in range(arity)) in base:
                     tuples.add(tuple(index[t] for t in combo))
             rels[rel_name] = frozenset(tuples)
     return FinStructure(Signature(tuple(names)), len(domain), rels)

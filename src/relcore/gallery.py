@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .atoms import DLO, AtomSample, labeled_dlo, make_sample
 from .definable import (
@@ -34,7 +35,7 @@ from .errors import (
     TooLarge,
     TooSmall,
 )
-from .finstruct import FinStructure, Hom, Signature, hom_violations
+from .finstruct import WORK_BUDGET, FinStructure, Hom, Signature, hom_violations
 from . import formulas as fm
 
 TAGS = 4
@@ -48,9 +49,24 @@ _NO_COMMON = fm.And(
 )
 
 
-def _sel(orient: int, tag: int) -> int:
-    """Stored position of the tag-selected coordinate of an oriented pair."""
-    return (tag % 2) ^ orient
+def _tagged_pairs(orients: tuple[str, ...]) -> DefStructure:
+    """Increasing pairs with a tag mod 4, one sort per orientation prefix
+    and tag.  The tag-selected coordinate of a pair with orientation o and
+    tag m sits at stored position (m % 2) ^ o.  R steps the tag, E links
+    pairs sharing exactly the selected coordinate, N links pairs with
+    disjoint supports."""
+    names = {(o, m): f"{prefix}{m}" for o, prefix in enumerate(orients) for m in range(TAGS)}
+    clauses = [
+        RelationClause("R", 2, (s, names[o, (m + 1) % TAGS]), fm.And(fm.Eq(0, 2), fm.Eq(1, 3)))
+        for (o, m), s in names.items()
+    ]
+    clauses += [
+        RelationClause("E", 2, (s, t), fm.And(fm.Eq((m % 2) ^ o, 2 + ((n % 2) ^ p)), _EXACTLY_ONE_COMMON))
+        for (o, m), s in names.items()
+        for (p, n), t in names.items()
+    ]
+    clauses.append(RelationClause("N", 2, ("*", "*"), _NO_COMMON))
+    return DefStructure(DLO, tuple(Sort(s, 2) for s in names.values()), tuple(clauses))
 
 
 def tagged_pair_structure() -> DefStructure:
@@ -58,30 +74,9 @@ def tagged_pair_structure() -> DefStructure:
 
     A pair with first coordinate below the second sits in an "a" sort, the
     reverse orientation in a "d" sort, always stored as the increasing pair.
-    R steps the tag, E links pairs sharing exactly the selected coordinate,
-    N links pairs with disjoint supports.  Every defining formula is
-    order-free.
+    Every defining formula is order-free.
     """
-    sorts = tuple(
-        Sort(f"{o}{m}", 2) for o in ("a", "d") for m in range(TAGS)
-    )
-    clauses = []
-    for o in ("a", "d"):
-        for m in range(TAGS):
-            clauses.append(
-                RelationClause(
-                    "R", 2, (f"{o}{m}", f"{o}{(m + 1) % TAGS}"), fm.And(fm.Eq(0, 2), fm.Eq(1, 3))
-                )
-            )
-    for oi, o in enumerate(("a", "d")):
-        for m in range(TAGS):
-            for pj, p in enumerate(("a", "d")):
-                for n in range(TAGS):
-                    guard = (f"{o}{m}", f"{p}{n}")
-                    body = fm.And(fm.Eq(_sel(oi, m), 2 + _sel(pj, n)), _EXACTLY_ONE_COMMON)
-                    clauses.append(RelationClause("E", 2, guard, body))
-    clauses.append(RelationClause("N", 2, ("*", "*"), _NO_COMMON))
-    return DefStructure(DLO, sorts, tuple(clauses))
+    return _tagged_pairs(("a", "d"))
 
 
 def johnson_graph_def() -> DefStructure:
@@ -118,34 +113,17 @@ class CoverData:
     total: DefStructure
     basestruct: DefStructure
 
-    def project_point(self, point: Point) -> Point:
-        return Point(0, point.atoms)
-
     def sample(self, atoms: AtomSample) -> CoverSample:
         total = sample(self.total, atoms)
         base = sample(self.basestruct, atoms)
         base_index = {p: i for i, p in enumerate(base.points)}
-        projection = tuple(base_index[self.project_point(p)] for p in total.points)
+        projection = tuple(base_index[Point(0, p.atoms)] for p in total.points)
         return CoverSample(atoms, total, base, projection)
 
 
 def pair_cover() -> CoverData:
     """Increasing pairs with a tag mod 4, over the Johnson pair graph."""
-    sorts = tuple(Sort(f"m{m}", 2) for m in range(TAGS))
-    clauses = []
-    for m in range(TAGS):
-        clauses.append(
-            RelationClause(
-                "R", 2, (f"m{m}", f"m{(m + 1) % TAGS}"), fm.And(fm.Eq(0, 2), fm.Eq(1, 3))
-            )
-        )
-    for m in range(TAGS):
-        for n in range(TAGS):
-            body = fm.And(fm.Eq(m % 2, 2 + (n % 2)), _EXACTLY_ONE_COMMON)
-            clauses.append(RelationClause("E", 2, (f"m{m}", f"m{n}"), body))
-    clauses.append(RelationClause("N", 2, ("*", "*"), _NO_COMMON))
-    total = DefStructure(DLO, sorts, tuple(clauses))
-    return CoverData(total, johnson_graph_def())
+    return CoverData(_tagged_pairs(("m",)), johnson_graph_def())
 
 
 def fold_orientation(point: Point) -> Point:
@@ -154,9 +132,7 @@ def fold_orientation(point: Point) -> Point:
     Ascending pairs keep their tag; descending pairs step the tag by one.
     """
     orient, tag = divmod(point.sort, TAGS)
-    if orient == 0:
-        return Point(tag, point.atoms)
-    return Point((tag + 1) % TAGS, point.atoms)
+    return Point((tag + orient) % TAGS, point.atoms)
 
 
 def fold_orientation_hom(atoms: AtomSample) -> Hom:
@@ -223,41 +199,50 @@ def fiber_rotation(cs: CoverSample, vertices: Iterable[int], k: int) -> tuple[in
     return tuple(out)
 
 
-def lift_atom_permutation(cs: CoverSample, alpha: Sequence[int]) -> tuple[int, ...]:
-    """Permutation upstairs induced by a permutation of the sample atoms.
+def atom_action(
+    result: SampleResult,
+    atoms: AtomSample,
+    alpha: Sequence[int],
+    step: Callable[[int], int] = lambda sort: sort,
+) -> tuple[int, ...]:
+    """Permutation of a sample's points induced by a permutation alpha of
+    its atoms (by index).
 
-    When the image pair comes out reversed the tag steps by one; the result
-    is an automorphism of the tagged sample.
+    Each point's atoms move by alpha and are stored in increasing order; a
+    point whose moved atoms come out of order (for a pair: decreasing) has
+    its sort sent through step.
     """
-    atoms = cs.atoms.atoms
-    if sorted(alpha) != list(range(len(atoms))):
-        raise InvalidElement(f"{alpha!r} is not a permutation of {len(atoms)} atoms")
-    atom_index = {a.value: i for i, a in enumerate(atoms)}
-    total_index = {p: i for i, p in enumerate(cs.total.points)}
+    pool = atoms.atoms
+    if sorted(alpha) != list(range(len(pool))):
+        raise InvalidElement(f"{alpha!r} is not a permutation of {len(pool)} atoms")
+    atom_index = {a.value: i for i, a in enumerate(pool)}
+    index = {p: i for i, p in enumerate(result.points)}
     out = []
-    for p in cs.total.points:
-        u, v = p.atoms
-        iu, iv = alpha[atom_index[u.value]], alpha[atom_index[v.value]]
-        a1, a2 = atoms[iu], atoms[iv]
-        if a1.value < a2.value:
-            image = Point(p.sort, (a1, a2))
-        else:
-            image = Point((p.sort + 1) % TAGS, (a2, a1))
-        out.append(total_index[image])
+    for p in result.points:
+        moved = [pool[alpha[atom_index[a.value]]] for a in p.atoms]
+        stored = sorted(moved, key=lambda a: a.value)
+        out.append(index[Point(p.sort if moved == stored else step(p.sort), tuple(stored))])
     return tuple(out)
+
+
+def lift_atom_permutation(cs: CoverSample, alpha: Sequence[int]) -> tuple[int, ...]:
+    """Automorphism of the tagged cover sample induced by an atom permutation:
+    a pair that comes out reversed steps its tag by one."""
+    return atom_action(cs.total, cs.atoms, alpha, lambda tag: (tag + 1) % TAGS)
 
 
 def pair_action(cs: CoverSample, alpha: Sequence[int]) -> tuple[int, ...]:
     """Action of an atom permutation on the pair-graph sample."""
-    atoms = cs.atoms.atoms
-    atom_index = {a.value: i for i, a in enumerate(atoms)}
-    base_index = {p: i for i, p in enumerate(cs.base.points)}
-    out = []
-    for p in cs.base.points:
-        u, v = p.atoms
-        pair = sorted((atoms[alpha[atom_index[u.value]]], atoms[alpha[atom_index[v.value]]]))
-        out.append(base_index[Point(0, tuple(pair))])
-    return tuple(out)
+    return atom_action(cs.base, cs.atoms, alpha)
+
+
+def oriented_atom_action(xs: SampleResult, atoms: AtomSample, alpha: Sequence[int]) -> tuple[int, ...]:
+    """Action of an atom permutation on a tagged ordered-pair sample.
+
+    The tag never moves; only the orientation sort flips when the image
+    pair comes out reversed.
+    """
+    return atom_action(xs, atoms, alpha, lambda sort: (sort + TAGS) % (2 * TAGS))
 
 
 def is_sample_automorphism(structure: FinStructure, perm: Sequence[int]) -> bool:
@@ -272,89 +257,92 @@ def is_sample_automorphism(structure: FinStructure, perm: Sequence[int]) -> bool
     return not hom_violations(structure, structure, inverse)
 
 
-def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """Apply q first, then p."""
-    return tuple(p[x] for x in q)
+def _count_generators(atom_count: int, sorts: int, rotations: bool) -> None:
+    """Count n steps for each of the atom_count! atom permutations and, with
+    rotations, each of the 2^C(atom_count, 2) fiber rotations against
+    WORK_BUDGET before any generator is built; n = sorts * C(atom_count, 2)
+    is the number of points each generator moves.  Once x reaches the
+    budget's bit length b (at least 4), x! and 2^x both exceed the budget,
+    so they are computed from arguments capped at b."""
+    b = max(WORK_BUDGET.bit_length(), 4)
+    k = max(atom_count, 0)
+    pairs = math.comb(k, 2)
+    count = math.factorial(min(k, b)) + (2 ** min(pairs, b) if rotations else 0)
+    if sorts * pairs * count > WORK_BUDGET:
+        raise TooLarge(f"group generators on {atom_count} atoms exceed work budget {WORK_BUDGET}")
 
 
-def generate_group(
-    generators: Iterable[Sequence[int]], element_budget: int = 200_000
-) -> set[tuple[int, ...]]:
-    gens = [tuple(g) for g in generators]
-    if not gens:
-        return set()
+def _involution_scan(gens: list[tuple[int, ...]]):
+    """The group generated by the permutations gens, its involutions in
+    sorted order, and the first pair of them that does not commute (None
+    when all commute).
+
+    Every composition counts one step against WORK_BUDGET and every group
+    element stored counts n more, n being the degree; past the budget the
+    scan raises TooLarge.
+    """
+    n = len(gens[0]) if gens else 0
+    work = 0
+
+    def count(steps: int) -> None:
+        nonlocal work
+        work += steps
+        if work > WORK_BUDGET:
+            raise TooLarge(f"involution scan exceeded work budget {WORK_BUDGET}")
+
+    def compose(p, q):
+        """Apply q first, then p."""
+        count(1)
+        return tuple(p[x] for x in q)
+
     group = set(gens)
+    count(n * len(group))
     frontier = list(group)
     while frontier:
         new = []
         for g in gens:
             for h in frontier:
-                c = _compose(g, h)
+                c = compose(g, h)
                 if c not in group:
+                    count(n)
                     group.add(c)
                     new.append(c)
-                    if len(group) > element_budget:
-                        raise TooLarge(f"group generation exceeded {element_budget} elements")
         frontier = new
-    return group
+    identity = tuple(range(n))
+    involutions = sorted(g for g in group if g != identity and compose(g, g) == identity)
+    pairs = itertools.combinations(involutions, 2)
+    witness = next(((g, h) for g, h in pairs if compose(g, h) != compose(h, g)), None)
+    return group, involutions, witness
 
 
-def involution_report(atom_count: int, element_budget: int = 200_000) -> dict:
+def involution_report(atom_count: int) -> dict:
     """Generate the lift-and-rotation group on a tagged cover sample and
     inspect its involutions.
 
     Reports whether all involutions pairwise commute and whether they are
-    exactly the exponent-2 fiber rotations.
+    exactly the exponent-2 fiber rotations.  The atom_count! lifts and the
+    2^C(atom_count, 2) rotations that generate the group are counted
+    against the work budget before any is built, each as the number of
+    points it moves.
     """
-    if atom_count > 5:
-        raise TooLarge("involution analysis is intended for at most 5 atoms")
+    _count_generators(atom_count, TAGS, rotations=True)
     cs = pair_cover().sample(make_sample(DLO, atom_count))
-    base_ids = list(range(cs.base.structure.size))
-    gens = [lift_atom_permutation(cs, alpha) for alpha in itertools.permutations(range(atom_count))]
-    rotations = {}
-    for r in range(len(base_ids) + 1):
-        for subset in itertools.combinations(base_ids, r):
-            rotations[subset] = fiber_rotation(cs, subset, 2)
-    gens.extend(rotations.values())
-    group = generate_group(gens, element_budget)
+    pairs = cs.base.structure.size
+    lifts = [lift_atom_permutation(cs, alpha) for alpha in itertools.permutations(range(atom_count))]
+    rotations = [
+        fiber_rotation(cs, subset, 2)
+        for r in range(pairs + 1)
+        for subset in itertools.combinations(range(pairs), r)
+    ]
+    group, involutions, witness = _involution_scan(lifts + rotations)
     identity = tuple(range(cs.total.structure.size))
-    involutions = sorted(
-        g for g in group if g != identity and _compose(g, g) == identity
-    )
-    all_commute = all(
-        _compose(g, h) == _compose(h, g)
-        for g, h in itertools.combinations(involutions, 2)
-    )
-    rotation_set = set(rotations.values()) - {identity}
     return {
         "atoms": atom_count,
         "group_order": len(group),
         "involution_count": len(involutions),
-        "all_commute": all_commute,
-        "involutions_are_fiber_rotations": set(involutions) == rotation_set,
+        "all_commute": witness is None,
+        "involutions_are_fiber_rotations": set(involutions) == set(rotations) - {identity},
     }
-
-
-def oriented_atom_action(xs: SampleResult, atoms: AtomSample, alpha: Sequence[int]) -> tuple[int, ...]:
-    """Action of an atom permutation on a tagged ordered-pair sample.
-
-    The tag never moves; only the orientation sort flips when the image
-    pair comes out reversed.
-    """
-    pool = atoms.atoms
-    atom_index = {a.value: i for i, a in enumerate(pool)}
-    index = {p: i for i, p in enumerate(xs.points)}
-    out = []
-    for p in xs.points:
-        orient, tag = divmod(p.sort, TAGS)
-        u, v = p.atoms
-        first, second = (u, v) if orient == 0 else (v, u)
-        img1 = pool[alpha[atom_index[first.value]]]
-        img2 = pool[alpha[atom_index[second.value]]]
-        new_orient = 0 if img1.value < img2.value else 1
-        stored = (img1, img2) if new_orient == 0 else (img2, img1)
-        out.append(index[Point(new_orient * TAGS + tag, stored)])
-    return tuple(out)
 
 
 def orientation_control_report(atom_count: int = 3) -> dict:
@@ -363,20 +351,11 @@ def orientation_control_report(atom_count: int = 3) -> dict:
     Here atom transpositions act with the tag untouched, so they are
     involutions, and overlapping transpositions fail to commute.
     """
+    _count_generators(atom_count, 2 * TAGS, rotations=False)
     atoms = make_sample(DLO, atom_count)
     xs = sample(tagged_pair_structure(), atoms)
-    gens = [
-        oriented_atom_action(xs, atoms, alpha)
-        for alpha in itertools.permutations(range(atom_count))
-    ]
-    group = generate_group(gens)
-    identity = tuple(range(xs.structure.size))
-    involutions = sorted(g for g in group if g != identity and _compose(g, g) == identity)
-    witness = None
-    for g, h in itertools.combinations(involutions, 2):
-        if _compose(g, h) != _compose(h, g):
-            witness = (g, h)
-            break
+    perms = itertools.permutations(range(atom_count))
+    group, involutions, witness = _involution_scan([oriented_atom_action(xs, atoms, a) for a in perms])
     return {
         "atoms": atom_count,
         "group_order": len(group),
@@ -396,9 +375,7 @@ def spider(n: int) -> FinStructure:
     def elem(k: int, i: int) -> int:
         return 3 * k + i
 
-    u0 = frozenset((elem(k, 0),) for k in range(n))
-    u1 = frozenset((elem(k, 1),) for k in range(n))
-    u2 = frozenset((elem(k, 2),) for k in range(n))
+    parts = {f"U{i}": frozenset((elem(k, i),) for k in range(n)) for i in range(3)}
     neq = set()
     for i in (1, 2):
         for k in range(n):
@@ -411,11 +388,7 @@ def spider(n: int) -> FinStructure:
         spine.add((elem(k, 0), elem(k, 2)))
         spine.add((elem(0, 0), elem(k, 1)))
         spine.add((elem(0, 0), elem(k, 2)))
-    return FinStructure(
-        sig,
-        3 * n,
-        {"U0": u0, "U1": u1, "U2": u2, "N": frozenset(neq), "R": frozenset(spine)},
-    )
+    return FinStructure(sig, 3 * n, {**parts, "N": frozenset(neq), "R": frozenset(spine)})
 
 
 def spider_collapse_hom(n: int) -> Hom:
@@ -501,44 +474,28 @@ def s2_cut_roundtrip(sample_struct: FinStructure, c: int) -> bool:
     if cls_s & cls_t or cls_s | cls_t != set(dom):
         return False
 
-    def same_class(a, b):
-        return (a in cls_s) == (b in cls_s)
+    def across(rel) -> set:
+        """Ordered pairs of distinct elements of dom that rel holds within a
+        class and reversed across the classes."""
+        return {
+            (a, b)
+            for a in dom
+            for b in dom
+            if a != b and ((a, b) if (a in cls_s) == (b in cls_s) else (b, a)) in rel
+        }
 
-    less = set()
+    less = across(prec)
     for a in dom:
         for b in dom:
-            if a == b:
-                continue
-            if same_class(a, b):
-                if (a, b) in prec:
-                    less.add((a, b))
-            else:
-                if (b, a) in prec:
-                    less.add((a, b))
-    for a in dom:
-        for b in dom:
-            if a == b:
-                continue
-            if ((a, b) in less) == ((b, a) in less):
+            if a != b and ((a, b) in less) == ((b, a) in less):
                 return False
     for a in dom:
         for b in dom:
             for d in dom:
                 if (a, b) in less and (b, d) in less and (a, d) not in less:
                     return False
-    rebuilt = set()
-    for a in dom:
-        for b in dom:
-            if a == b:
-                continue
-            if same_class(a, b):
-                if (a, b) in less:
-                    rebuilt.add((a, b))
-            else:
-                if (b, a) in less:
-                    rebuilt.add((a, b))
     original = {(a, b) for (a, b) in prec if a != c and b != c}
-    return rebuilt == original
+    return across(less) == original
 
 
 def generic_permutation_companion() -> DefStructure:
@@ -552,16 +509,11 @@ def generic_permutation_companion() -> DefStructure:
     clauses = []
     for o1, s1 in enumerate(("pa", "pd")):
         for o2, s2 in enumerate(("pa", "pd")):
-            c1x, c2x = (0, 1) if o1 == 0 else (1, 0)
-            c1y, c2y = (2, 3) if o2 == 0 else (3, 2)
-            prec1 = fm.Or(
-                fm.Less(c1x, c1y), fm.And(fm.Eq(c1x, c1y), fm.Less(c2x, c2y))
-            )
-            prec2 = fm.Or(
-                fm.Less(c2x, c2y), fm.And(fm.Eq(c2x, c2y), fm.Less(c1x, c1y))
-            )
-            clauses.append(RelationClause("prec1", 2, (s1, s2), prec1))
-            clauses.append(RelationClause("prec2", 2, (s1, s2), prec2))
+            # stored positions of the first and second coordinates of each point
+            x, y = (o1, 1 - o1), (2 + o2, 3 - o2)
+            for name, (i, j) in (("prec1", (0, 1)), ("prec2", (1, 0))):
+                body = fm.Or(fm.Less(x[i], y[i]), fm.And(fm.Eq(x[i], y[i]), fm.Less(x[j], y[j])))
+                clauses.append(RelationClause(name, 2, (s1, s2), body))
     return DefStructure(DLO, sorts, tuple(clauses))
 
 

@@ -322,3 +322,33 @@ def test_removed_global_flags_are_rejected(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main([*flag, "orbits", "gallery:Jord1", "--n", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "token,definable",
+    [
+        ("gallery:Jord1", True),
+        ("gallery:spider2", False),
+        ("gallery:Jord1@3", False),
+        ("{definable}", True),
+        ("{finite}", False),
+    ],
+)
+def test_one_loader_serves_every_command(tmp_path, capsys, token, definable):
+    files = {"definable": tmp_path / "definable.json", "finite": tmp_path / "finite.json"}
+    files["definable"].write_text(json.dumps(GOOD_DEFINABLE))
+    files["finite"].write_text(json.dumps(GOOD_FINITE))
+    token = token.format(**files)
+    # power takes either kind and prints a power of the same kind
+    code, out, _ = run(capsys, "power", token, "--d", "1")
+    assert code == 0
+    assert ("sorts" in json.loads(out)) == definable
+    # the other commands refuse the wrong kind with an input error
+    on_definable = run(capsys, "orbits", token, "--n", "1")
+    on_finite = run(capsys, "is-core", token)
+    if definable:
+        assert on_definable[0] == 0
+        assert_input_error(*on_finite)
+    else:
+        assert_input_error(*on_definable)
+        assert on_finite[0] in (0, 1)

@@ -153,6 +153,22 @@ def test_full_power_def_matches_finite_power():
         assert transported == set(fin.rel(name)), name
 
 
+@pytest.mark.parametrize("m,d", [(0, 2), (1, 2), (2, 2), (3, 1)])
+def test_power_equality_clauses_match_old_construction(m, d):
+    # the former special case for "=": component-wise equality of the two
+    # selected rows, or TRUE on a dimension-0 sort
+    power = full_power_def(DefStructure(DLO, (Sort("t", m),), ()), d)
+    rows = dict(zip((s.name for s in power.sorts), _pattern_rows(power)))
+    dims = {s.name: s.dim for s in power.sorts}
+    equalities = [c for c in power.clauses if c.name.startswith("=@")]
+    assert len(equalities) == d * d * len(power.sorts) ** 2
+    for clause in equalities:
+        j1, j2 = (int(j) - 1 for j in clause.name[2:].split(","))
+        s1, s2 = clause.guard
+        old = fm.And(tuple(fm.Eq(rows[s1][j1][c], dims[s1] + rows[s2][j2][c]) for c in range(m)))
+        assert clause.formula == (old if m else fm.TRUE)
+
+
 def old_power_patterns(m, d):
     """The former enumeration of power sorts, kept as the oracle for the
     sort order of full_power_def: every way d increasing m-tuples can share
@@ -401,8 +417,10 @@ def test_pure_set_point_orbits_are_bell_numbers():
         lambda: unlabelled_growth(gallery.partitioned_dlo(), 40),
         # Jord2 on 300 atoms: 44,850 points, so 44,850^2 pairs per clause
         lambda: sample(increasing_tuple_structure(2), make_sample(DLO, 300)),
+        # Jord3 on 160 atoms: 669,920 points, counted before any is built
+        lambda: sample(increasing_tuple_structure(3), make_sample(DLO, 160)),
     ],
-    ids=["labelled-growth-8", "pure-set-orbits-8", "qst-growth-40", "jord2-sample-300"],
+    ids=["labelled-growth-8", "pure-set-orbits-8", "qst-growth-40", "jord2-sample-300", "jord3-sample-160"],
 )
 def test_over_budget_raises_at_once(call):
     start = time.perf_counter()

@@ -1,12 +1,13 @@
 import itertools
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from relcore.atoms import DLO, Atom, labeled_dlo, make_sample
-from relcore.definable import Point, sample
-from relcore.errors import KernelViolation, TooSmall
+from relcore.definable import DefStructure, Point, RelationClause, Sort, sample
+from relcore.errors import InvalidElement, KernelViolation, TooLarge, TooSmall
 from relcore.finstruct import (
     FinStructure,
     Hom,
@@ -15,6 +16,7 @@ from relcore.finstruct import (
     hom_violations,
     is_core,
 )
+from relcore import formulas as fm
 from relcore import gallery
 
 
@@ -27,6 +29,11 @@ def x_pid(xs, a, b, m):
 
 def y_pid(ys, a, b, m):
     return ys.points.index(Point(m, (Atom(Fraction(a)), Atom(Fraction(b)))))
+
+
+def compose(p, q):
+    """Apply q first, then p."""
+    return tuple(p[x] for x in q)
 
 
 def test_tagged_pair_sample_relations():
@@ -143,10 +150,10 @@ def test_fiber_rotations_form_elementary_abelian_group():
         for s in itertools.combinations(range(cs.base.structure.size), r)
     ]
     for rot in rotations:
-        assert gallery._compose(rot, rot) == identity
+        assert compose(rot, rot) == identity
         assert gallery.is_sample_automorphism(cs.total.structure, rot)
     for r1, r2 in itertools.combinations(rotations[:16], 2):
-        assert gallery._compose(r1, r2) == gallery._compose(r2, r1)
+        assert compose(r1, r2) == compose(r2, r1)
 
 
 def test_lift_examples():
@@ -363,3 +370,165 @@ def test_lookup():
     assert gallery.lookup_definable("nothing") is None
     assert gallery.lookup_finite("spider3").size == 9
     assert gallery.lookup_finite("spider:4").size == 12
+
+
+# The former hand-written actions and clause builders, kept as oracles for
+# the shared atom action and tagged-pair builder.
+
+
+def old_lift_atom_permutation(cs, alpha):
+    atoms = cs.atoms.atoms
+    atom_index = {a.value: i for i, a in enumerate(atoms)}
+    total_index = {p: i for i, p in enumerate(cs.total.points)}
+    out = []
+    for p in cs.total.points:
+        u, v = p.atoms
+        a1, a2 = atoms[alpha[atom_index[u.value]]], atoms[alpha[atom_index[v.value]]]
+        if a1.value < a2.value:
+            image = Point(p.sort, (a1, a2))
+        else:
+            image = Point((p.sort + 1) % gallery.TAGS, (a2, a1))
+        out.append(total_index[image])
+    return tuple(out)
+
+
+def old_pair_action(cs, alpha):
+    atoms = cs.atoms.atoms
+    atom_index = {a.value: i for i, a in enumerate(atoms)}
+    base_index = {p: i for i, p in enumerate(cs.base.points)}
+    out = []
+    for p in cs.base.points:
+        u, v = p.atoms
+        pair = sorted((atoms[alpha[atom_index[u.value]]], atoms[alpha[atom_index[v.value]]]))
+        out.append(base_index[Point(0, tuple(pair))])
+    return tuple(out)
+
+
+def old_oriented_atom_action(xs, atoms, alpha):
+    pool = atoms.atoms
+    atom_index = {a.value: i for i, a in enumerate(pool)}
+    index = {p: i for i, p in enumerate(xs.points)}
+    out = []
+    for p in xs.points:
+        orient, tag = divmod(p.sort, gallery.TAGS)
+        u, v = p.atoms
+        first, second = (u, v) if orient == 0 else (v, u)
+        img1 = pool[alpha[atom_index[first.value]]]
+        img2 = pool[alpha[atom_index[second.value]]]
+        new_orient = 0 if img1.value < img2.value else 1
+        stored = (img1, img2) if new_orient == 0 else (img2, img1)
+        out.append(index[Point(new_orient * gallery.TAGS + tag, stored)])
+    return tuple(out)
+
+
+def old_tagged_pair_structure():
+    def sel(orient, tag):
+        return (tag % 2) ^ orient
+
+    sorts = tuple(Sort(f"{o}{m}", 2) for o in ("a", "d") for m in range(gallery.TAGS))
+    clauses = []
+    for o in ("a", "d"):
+        for m in range(gallery.TAGS):
+            guard = (f"{o}{m}", f"{o}{(m + 1) % gallery.TAGS}")
+            clauses.append(RelationClause("R", 2, guard, fm.And(fm.Eq(0, 2), fm.Eq(1, 3))))
+    for oi, o in enumerate(("a", "d")):
+        for m in range(gallery.TAGS):
+            for pj, p in enumerate(("a", "d")):
+                for n in range(gallery.TAGS):
+                    body = fm.And(fm.Eq(sel(oi, m), 2 + sel(pj, n)), gallery._EXACTLY_ONE_COMMON)
+                    clauses.append(RelationClause("E", 2, (f"{o}{m}", f"{p}{n}"), body))
+    clauses.append(RelationClause("N", 2, ("*", "*"), gallery._NO_COMMON))
+    return DefStructure(DLO, sorts, tuple(clauses))
+
+
+def old_pair_cover_total():
+    sorts = tuple(Sort(f"m{m}", 2) for m in range(gallery.TAGS))
+    clauses = []
+    for m in range(gallery.TAGS):
+        guard = (f"m{m}", f"m{(m + 1) % gallery.TAGS}")
+        clauses.append(RelationClause("R", 2, guard, fm.And(fm.Eq(0, 2), fm.Eq(1, 3))))
+    for m in range(gallery.TAGS):
+        for n in range(gallery.TAGS):
+            body = fm.And(fm.Eq(m % 2, 2 + (n % 2)), gallery._EXACTLY_ONE_COMMON)
+            clauses.append(RelationClause("E", 2, (f"m{m}", f"m{n}"), body))
+    clauses.append(RelationClause("N", 2, ("*", "*"), gallery._NO_COMMON))
+    return DefStructure(DLO, sorts, tuple(clauses))
+
+
+def test_tagged_pair_builders_match_old_builders():
+    assert gallery.tagged_pair_structure().to_json() == old_tagged_pair_structure().to_json()
+    assert gallery.pair_cover().total.to_json() == old_pair_cover_total().to_json()
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_atom_actions_match_old_actions(k):
+    atoms = make_sample(DLO, k)
+    cs = gallery.pair_cover().sample(atoms)
+    xs = sample(gallery.tagged_pair_structure(), atoms)
+    for alpha in itertools.permutations(range(k)):
+        assert gallery.lift_atom_permutation(cs, alpha) == old_lift_atom_permutation(cs, alpha)
+        assert gallery.pair_action(cs, alpha) == old_pair_action(cs, alpha)
+        assert gallery.oriented_atom_action(xs, atoms, alpha) == old_oriented_atom_action(xs, atoms, alpha)
+
+
+def test_atom_actions_validate_alpha():
+    atoms = make_sample(DLO, 3)
+    cs = gallery.pair_cover().sample(atoms)
+    xs = sample(gallery.tagged_pair_structure(), atoms)
+    for alpha in [(0, 1), (0, 0, 1), (1, 2, 3), (0, 1, 2, 3)]:
+        with pytest.raises(InvalidElement):
+            gallery.lift_atom_permutation(cs, alpha)
+        with pytest.raises(InvalidElement):
+            gallery.pair_action(cs, alpha)
+        with pytest.raises(InvalidElement):
+            gallery.oriented_atom_action(xs, atoms, alpha)
+
+
+def test_involution_scan_work_budget(monkeypatch):
+    # two transpositions generating S3 on three points, n = 3: the two
+    # generators stored (6), 2 * 6 compositions in the closure (12), the 4
+    # further elements stored (12), one square per non-identity element (5),
+    # and two compositions for the first pair of involutions, which already
+    # fails to commute (2)
+    gens = [(1, 0, 2), (0, 2, 1)]
+    monkeypatch.setattr(gallery, "WORK_BUDGET", 37)
+    group, involutions, witness = gallery._involution_scan(gens)
+    assert len(group) == 6
+    assert involutions == [(0, 2, 1), (1, 0, 2), (2, 1, 0)]
+    assert witness == ((0, 2, 1), (1, 0, 2))
+    monkeypatch.setattr(gallery, "WORK_BUDGET", 36)
+    with pytest.raises(TooLarge, match="work budget"):
+        gallery._involution_scan(gens)
+
+
+def test_generator_count_work_budget(monkeypatch):
+    # three atoms: 3! lifts and 2^3 rotations, each moving 4 * 3 points
+    monkeypatch.setattr(gallery, "WORK_BUDGET", 168)
+    gallery._count_generators(3, gallery.TAGS, rotations=True)
+    monkeypatch.setattr(gallery, "WORK_BUDGET", 167)
+    with pytest.raises(TooLarge, match="work budget"):
+        gallery._count_generators(3, gallery.TAGS, rotations=True)
+    # 3! oriented actions, each moving 8 * 3 points
+    monkeypatch.setattr(gallery, "WORK_BUDGET", 144)
+    gallery._count_generators(3, 2 * gallery.TAGS, rotations=False)
+    monkeypatch.setattr(gallery, "WORK_BUDGET", 143)
+    with pytest.raises(TooLarge, match="work budget"):
+        gallery._count_generators(3, 2 * gallery.TAGS, rotations=False)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # 6! + 2^15 generators of 60 points each; 7! + 2^21 of 84
+        lambda: gallery.involution_report(6),
+        lambda: gallery.involution_report(7),
+        lambda: gallery.involution_report(10**6),
+        lambda: gallery.orientation_control_report(10**6),
+    ],
+    ids=["involutions-6", "involutions-7", "involutions-huge", "control-huge"],
+)
+def test_involution_analysis_over_budget_raises_at_once(call):
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="work budget"):
+        call()
+    assert time.perf_counter() - start < 1.0
