@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .atoms import DLO, Atom, AtomBase, AtomSample, make_sample
+from .atoms import DLO, Atom, AtomBase, AtomSample
 from .errors import (
     ArityMismatch,
     BaseMismatch,
@@ -186,10 +185,11 @@ class SampleResult:
     points: tuple[Point, ...]
 
 
-def _count_guard_combinations(D: DefStructure, counts: Sequence[int]) -> None:
-    """Raise TooLarge when D's clauses have more than WORK_BUDGET guard
-    combinations in all, counts[i] being the number of points of sort i."""
-    total = sum(
+def _count_sampling_work(D: DefStructure, counts: Sequence[int]) -> None:
+    """Raise TooLarge when the points, dim + 1 steps each, and the guard
+    combinations of D's clauses come to more than WORK_BUDGET in all,
+    counts[i] being the number of points of sort i."""
+    total = sum(n * (sort.dim + 1) for sort, n in zip(D.sorts, counts)) + sum(
         math.prod(
             sum(n for sort, n in zip(D.sorts, counts) if _guard_matches(entry, sort.name))
             for entry in clause.guard
@@ -200,19 +200,25 @@ def _count_guard_combinations(D: DefStructure, counts: Sequence[int]) -> None:
         raise TooLarge(f"sampling exceeded work budget {WORK_BUDGET}")
 
 
-def _structure_on(D: DefStructure, points: Sequence[Point]) -> FinStructure:
-    """The structure D induces on points, in the given order.  Each point
-    is encoded once as (value rank, label) pairs, and each clause is
-    compiled once per environment width; guard combinations are visited in
-    the order of the per-tuple interpreter, so the same error surfaces
-    first.  More than WORK_BUDGET guard combinations in all raise TooLarge
-    before any is evaluated."""
+def _encode(points: Sequence[Point]) -> list:
+    """Points as (sort, ((rank, label), ...)), the rank of an atom being the
+    place of its value among all values the points use.  This is the one
+    point encoding inside this module."""
     rank = {v: r for r, v in enumerate(sorted({a.value for p in points for a in p.atoms}))}
-    encoded = [tuple((rank[a.value], a.label) for a in p.atoms) for p in points]
+    return [(p.sort, tuple((rank[a.value], a.label) for a in p.atoms)) for p in points]
+
+
+def _structure_on(D: DefStructure, encoded: Sequence) -> FinStructure:
+    """The structure D induces on encoded points, in the given order.  Each
+    clause is compiled once per environment width; guard combinations are
+    visited in the order of the per-tuple interpreter, so the same error
+    surfaces first.  Past WORK_BUDGET (see _count_sampling_work) it raises
+    TooLarge before any combination is evaluated."""
     by_sort: dict[int, list[int]] = {}
-    for pid, p in enumerate(points):
-        by_sort.setdefault(p.sort, []).append(pid)
-    _count_guard_combinations(D, [len(by_sort.get(si, ())) for si in range(len(D.sorts))])
+    for pid, (si, _) in enumerate(encoded):
+        by_sort.setdefault(si, []).append(pid)
+    _count_sampling_work(D, [len(by_sort.get(si, ())) for si in range(len(D.sorts))])
+    words = [word for _, word in encoded]
     rels: dict[str, set[tuple[int, ...]]] = {c.name: set() for c in D.clauses}
     for clause in D.clauses:
         groups = []
@@ -222,31 +228,36 @@ def _structure_on(D: DefStructure, points: Sequence[Point]) -> FinStructure:
         out = rels[clause.name]
         compiled: dict[int, fm.Predicate] = {}
         for combo in itertools.product(*groups):
-            env = sum(map(encoded.__getitem__, combo), ())
+            env = sum(map(words.__getitem__, combo), ())
             holds = compiled.get(len(env))
             if holds is None:
                 holds = compiled[len(env)] = fm.compile_formula(clause.formula, D.base, len(env))
             if holds(env):
                 out.add(combo)
-    return FinStructure(D.signature(), len(points), {k: frozenset(v) for k, v in rels.items()})
+    return FinStructure(D.signature(), len(encoded), {k: frozenset(v) for k, v in rels.items()})
 
 
 def sample(D: DefStructure, A: AtomSample) -> SampleResult:
-    """Explicit finite structure on all points supported inside A.  The guard
-    combinations are counted against WORK_BUDGET before any point is built."""
+    """Explicit finite structure on all points supported inside A.  The
+    points and their guard combinations are counted against WORK_BUDGET
+    before any point is built.  A's atoms are sorted and distinct, so an
+    atom's index is its rank."""
     if A.base != D.base:
         raise BaseMismatch(f"sample base {A.base} differs from structure base {D.base}")
-    _count_guard_combinations(D, [math.comb(len(A.atoms), sort.dim) for sort in D.sorts])
-    points = []
+    _count_sampling_work(D, [math.comb(len(A.atoms), sort.dim) for sort in D.sorts])
+    ranked = [(k, a.label) for k, a in enumerate(A.atoms)]
+    encoded, points = [], []
     for si, sort in enumerate(D.sorts):
-        for combo in itertools.combinations(A.atoms, sort.dim):
-            points.append(Point(si, combo))
-    return SampleResult(_structure_on(D, points), tuple(points))
+        words = itertools.combinations(ranked, sort.dim)
+        for word, atoms in zip(words, itertools.combinations(A.atoms, sort.dim)):
+            encoded.append((si, word))
+            points.append(Point(si, atoms))
+    return SampleResult(_structure_on(D, encoded), tuple(points))
 
 
 def induce_on_points(D: DefStructure, points: Sequence[Point]) -> FinStructure:
     """Structure induced on an explicit list of points, in the given order."""
-    return _structure_on(D, points)
+    return _structure_on(D, _encode(points))
 
 
 def reduct(D: DefStructure, clauses: Iterable[RelationClause]) -> DefStructure:
@@ -342,14 +353,14 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
     return DefStructure(D.base, sorts, tuple(clauses))
 
 
-def _pattern(points: Sequence[Point]):
-    """Support pattern of concrete points: the labels of their support atoms
-    in value order, and each point as (sort, slots into that support)."""
-    labels = {a.value: a.label for p in points for a in p.atoms}
-    values = sorted(labels)
-    rank = {v: i for i, v in enumerate(values)}
-    shape = [(p.sort, tuple(rank[a.value] for a in p.atoms)) for p in points]
-    return tuple(labels[v] for v in values), shape
+def _pattern(encoded: Sequence):
+    """Support pattern of encoded points: the labels of their support in
+    rank order, and each point as (sort, slots into that support)."""
+    labels = dict(a for _, word in encoded for a in word)
+    ranks = sorted(labels)
+    slot = {r: i for i, r in enumerate(ranks)}
+    shape = [(si, tuple(slot[r] for r, _ in word)) for si, word in encoded]
+    return tuple(labels[r] for r in ranks), shape
 
 
 def _type(word, shape, base: AtomBase, as_set: bool) -> str:
@@ -364,7 +375,7 @@ def _type(word, shape, base: AtomBase, as_set: bool) -> str:
 def tuple_type(points: Iterable[Point], base: AtomBase, as_set: bool = False) -> str:
     """Canonical descriptor of a tuple of points under base automorphisms;
     as_set forgets the order of the points."""
-    return _type(*_pattern(list(points)), base, as_set)
+    return _type(*_pattern(_encode(list(points))), base, as_set)
 
 
 def _min_under_slot_perms(s, word, shape, resort=False):
@@ -383,13 +394,13 @@ def _min_under_slot_perms(s, word, shape, resort=False):
 
 
 def _orbits(D: DefStructure, n: int, as_set: bool):
-    """Yields (descriptor, atoms, shape) once per base-automorphism orbit of
+    """Yields (descriptor, word, shape) once per base-automorphism orbit of
     n-tuples of points (of n-element point sets when as_set).
 
     Walks the supports {0..s-1} for s = 0..n*max_dim, every label word on
-    a support, and every choice of n abstract points (sort, slots) that
-    covers it; the first choice met in an orbit represents it, realized on
-    atoms by Point(sort, [atoms[k] for k in slots]).
+    a support, and every choice (shape) of n abstract points (sort, slots)
+    that covers it; the first choice met in an orbit represents it, slot k
+    being the atom of rank k and label word[k].  No atom is built.
 
     Before the walk, each support size counts against WORK_BUDGET its k
     abstract points, the choices the covering filter visits, and n steps
@@ -424,12 +435,11 @@ def _orbits(D: DefStructure, n: int, as_set: bool):
             choices = itertools.product(abstract, repeat=n)
         covering = [c for c in choices if len({k for _, slots in c for k in slots}) == s]
         for word in itertools.product(range(D.base.alphabet), repeat=s):
-            atoms = [Atom(Fraction(i), label) for i, label in enumerate(word)]
             for shape in covering:
                 desc = _type(word, shape, D.base, as_set)
                 if desc not in seen:
                     seen.add(desc)
-                    yield desc, atoms, shape
+                    yield desc, word, shape
 
 
 def point_orbits(D: DefStructure, n: int) -> list[str]:
@@ -466,9 +476,8 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
     if mode == "base":
         return sum(1 for _ in orbits)
     forms = set()
-    for _, atoms, shape in orbits:
-        points = [Point(si, tuple(atoms[k] for k in slots)) for si, slots in shape]
-        induced = induce_on_points(D, points)
+    for _, word, shape in orbits:
+        induced = _structure_on(D, [(si, tuple((k, word[k]) for k in slots)) for si, slots in shape])
         form = canonical_form(induced)
         if mode == "reversal":
             form = min(form, canonical_form(_reverse_binary(induced)))
@@ -505,15 +514,6 @@ def increasing_tuple_structure(d: int) -> DefStructure:
                 RelationClause(f"eq{i}{j}", 2, (GUARD_ANY, GUARD_ANY), fm.Eq(i - 1, d + j - 1))
             )
     return DefStructure(DLO, (Sort("t", d),), tuple(clauses))
-
-
-def pair_orbit_reps(d: int) -> dict[str, tuple[Point, Point]]:
-    """Representative concrete point pairs, one per orbit of ordered pairs."""
-    orbits = _orbits(DefStructure(DLO, (Sort("t", d),), ()), 2, False)
-    return {
-        desc: tuple(Point(si, tuple(atoms[k] for k in slots)) for si, slots in shape)
-        for desc, atoms, shape in orbits
-    }
 
 
 def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
@@ -586,9 +586,8 @@ def _composition_by_first(d: int):
     triples (c_ij, c_jk, c_ik) of point triples with i != j != k, where c_jk
     is the diagonal exactly when k == j.
     """
-    atoms = make_sample(DLO, 3 * d).atoms
-    points = [Point(0, combo) for combo in itertools.combinations(atoms, d)]
-    classes = [[tuple_type((p, q), DLO) for q in points] for p in points]
+    points = [(0, tuple((k, 0) for k in combo)) for combo in itertools.combinations(range(3 * d), d)]
+    classes = [[_type(*_pattern((p, q)), DLO, False) for q in points] for p in points]
     diag = classes[0][0]
     comp = set()
     swaps = set()
@@ -635,18 +634,15 @@ def classify_signed_lex(order: Iterable[str], d: int) -> Optional[SignedLex]:
     """The unique signed lexicographic order agreeing with the given
     pair-orbit union on every orbit, or None when no candidate agrees."""
     chosen = set(order)
-    reps = pair_orbit_reps(d)
+    # slots order exactly as the atoms' values do
+    reps = [
+        (desc, p, q)
+        for desc, _, ((_, p), (_, q)) in _orbits(DefStructure(DLO, (Sort("t", d),), ()), 2, False)
+        if p != q
+    ]
     for sigma in itertools.permutations(range(d)):
         for dirs in itertools.product(("asc", "desc"), repeat=d):
             candidate = SignedLex(sigma, dirs)
-            ok = True
-            for desc, (p, q) in reps.items():
-                if p == q:
-                    continue
-                truth = candidate.less([a.value for a in p.atoms], [a.value for a in q.atoms])
-                if truth != (desc in chosen):
-                    ok = False
-                    break
-            if ok:
+            if all(candidate.less(p, q) == (desc in chosen) for desc, p, q in reps):
                 return candidate
     return None

@@ -196,21 +196,6 @@ def _outside(i: int, width: int) -> str:
     return f"position {i} outside environment of length {width}"
 
 
-def uses_order(phi: Formula) -> bool:
-    """True iff some Less atomic occurs in phi.
-
-    A False answer is a syntactic certificate that evaluation depends only
-    on the equality-and-label pattern of the argument tuple.
-    """
-    if isinstance(phi, Less):
-        return True
-    if isinstance(phi, (And, Or)):
-        return any(uses_order(f) for f in phi.args)
-    if isinstance(phi, Not):
-        return uses_order(phi.arg)
-    return False
-
-
 def max_position(phi: Formula) -> int:
     """Largest position index occurring in phi, or -1 if none."""
     if isinstance(phi, (Less, Eq)):

@@ -11,10 +11,8 @@ the two-order companion of the generic permutation.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from typing import Callable, Iterable, Optional, Sequence
 
 from .atoms import DLO, AtomSample, labeled_dlo, make_sample
@@ -546,8 +544,3 @@ def lookup_finite(name: str) -> Optional[FinStructure]:
         if tail.isdigit():
             return spider(int(tail))
     return None
-
-
-def manifest() -> list[dict]:
-    with resources.files(__package__).joinpath("gallery.json").open("r") as fh:
-        return json.load(fh)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -21,7 +22,6 @@ from relcore.definable import (
     growth_up_to_reversal,
     increasing_tuple_structure,
     induce_on_points,
-    pair_orbit_reps,
     point_orbits,
     reduct,
     sample,
@@ -308,6 +308,17 @@ def test_pure_set_subset_classes_against_atom_permutations(n):
     assert unlabelled_growth(d, n, "base") == len(orbits)
 
 
+def pair_orbit_reps(d):
+    """Representative concrete point pairs over Fraction atoms, one per
+    orbit of ordered pairs of Jord_d points: slot k of an orbit's shape is
+    the atom of value k."""
+    orbits = definable._orbits(DefStructure(DLO, (Sort("t", d),), ()), 2, False)
+    return {
+        desc: tuple(Point(si, tuple(Atom(Fraction(k), word[k]) for k in slots)) for si, slots in shape)
+        for desc, word, shape in orbits
+    }
+
+
 def test_pair_orbit_reps_are_point_orbits():
     for d in (1, 2, 3):
         assert sorted(pair_orbit_reps(d)) == point_orbits(increasing_tuple_structure(d), 2)
@@ -419,8 +430,18 @@ def test_pure_set_point_orbits_are_bell_numbers():
         lambda: sample(increasing_tuple_structure(2), make_sample(DLO, 300)),
         # Jord3 on 160 atoms: 669,920 points, counted before any is built
         lambda: sample(increasing_tuple_structure(3), make_sample(DLO, 160)),
+        # a clause-free dim-3 sort on 160 atoms: no guard combination at
+        # all, but 669,920 points of 4 steps each
+        lambda: sample(DefStructure(DLO, (Sort("t", 3),), ()), make_sample(DLO, 160)),
     ],
-    ids=["labelled-growth-8", "pure-set-orbits-8", "qst-growth-40", "jord2-sample-300", "jord3-sample-160"],
+    ids=[
+        "labelled-growth-8",
+        "pure-set-orbits-8",
+        "qst-growth-40",
+        "jord2-sample-300",
+        "jord3-sample-160",
+        "clause-free-dim3-sample-160",
+    ],
 )
 def test_over_budget_raises_at_once(call):
     start = time.perf_counter()
@@ -430,11 +451,12 @@ def test_over_budget_raises_at_once(call):
 
 
 def test_sample_work_budget(monkeypatch):
-    # Jord1 on three atoms: two binary clauses over 3 * 3 point pairs each
+    # Jord1 on three atoms: two binary clauses over 3 * 3 point pairs each,
+    # plus 1 + 1 steps for each of the 3 points built
     jord1 = increasing_tuple_structure(1)
-    monkeypatch.setattr(definable, "WORK_BUDGET", 18)
+    monkeypatch.setattr(definable, "WORK_BUDGET", 24)
     assert sample(jord1, make_sample(DLO, 3)).structure.size == 3
-    monkeypatch.setattr(definable, "WORK_BUDGET", 17)
+    monkeypatch.setattr(definable, "WORK_BUDGET", 23)
     with pytest.raises(TooLarge, match="sampling"):
         sample(jord1, make_sample(DLO, 3))
 
@@ -640,6 +662,144 @@ def test_invariant_order_search_budget(monkeypatch):
     monkeypatch.setattr(definable, "WORK_BUDGET", 1775)
     with pytest.raises(TooLarge, match="work budget"):
         enumerate_invariant_orders(jord2)
+
+
+def digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+# sha256 of repr(point_orbits(G, n)) for every definable gallery object G
+GALLERY_ORBIT_DIGESTS = {
+    ("betw", 1): "39fe6a3ece43bbae937dee052b78e6a75aac4406029b19ff85d7d2eb998ad3b3",
+    ("betw", 2): "5e5df4badc1a4cf4eab2ada617d3e3499aaabfdec0d888a1e00416a004c2260e",
+    ("dlo", 1): "989ea802282ec5bba7911d486f73174abab99adb55fbf3df55ad1d1cceb0affb",
+    ("dlo", 2): "bee5a9569318c8168a37f97c74816b02e601ffb0009b0bd7c5d0188b423e64c5",
+    ("johnson", 1): "cc5f8af323294a2804ef28af6884c2194545b98c9e46677466ca1b68eea35fb6",
+    ("johnson", 2): "d223e69e7c74ff688a40cf7e9f8503b02238370b39ba341b29ebdb8146a1fac9",
+    ("jord1", 1): "989ea802282ec5bba7911d486f73174abab99adb55fbf3df55ad1d1cceb0affb",
+    ("jord1", 2): "bee5a9569318c8168a37f97c74816b02e601ffb0009b0bd7c5d0188b423e64c5",
+    ("jord2", 1): "cc5f8af323294a2804ef28af6884c2194545b98c9e46677466ca1b68eea35fb6",
+    ("jord2", 2): "d223e69e7c74ff688a40cf7e9f8503b02238370b39ba341b29ebdb8146a1fac9",
+    ("jord3", 1): "104916162b6a6df7faf66b9a5a50d4844a9090e1c5be287face56146d188fdbc",
+    ("jord3", 2): "1fffd0620b62b8e79adab3734ffd91106f23aa7f4ce9a8ec19aec26ea804c58d",
+    ("perm-companion", 1): "e89f6875738f25441bcb20eef3e4cee11dd6070596a9d064cdde154f447d565e",
+    ("perm-companion", 2): "7a682b39e23b632c9b35ed144f540698f48d0b1a4fb2cb5b526bdc758b7aa4b6",
+    ("qst", 1): "39fe6a3ece43bbae937dee052b78e6a75aac4406029b19ff85d7d2eb998ad3b3",
+    ("qst", 2): "5e5df4badc1a4cf4eab2ada617d3e3499aaabfdec0d888a1e00416a004c2260e",
+    ("qst-companion", 1): "6d1a9bb3c3b5a7596561bf11839796504cd717438b7339ee60f116a2489ee0b5",
+    ("qst-companion", 2): "c746fba7a78ed08097fc15aecce0515aa0b701c9521dbdf710f08204c6ea3255",
+    ("s2", 1): "39fe6a3ece43bbae937dee052b78e6a75aac4406029b19ff85d7d2eb998ad3b3",
+    ("s2", 2): "5e5df4badc1a4cf4eab2ada617d3e3499aaabfdec0d888a1e00416a004c2260e",
+    ("x", 1): "4eb8cf7d26cb861c3f445f3cbf7b4acc1fa466132f8cf532557d9cba82aab361",
+    ("x", 2): "1c22701b2d24bd327edda65734bb40524bb51a86189dc9ac56c0e2b91762e545",
+    ("y", 1): "4359c1609a2bb86ae7b0e770b0601cc79a46c10c875f715855c7cd7a52d6a5d2",
+    ("y", 2): "b6282042ff13d33845da30703593f9316eb0767af51891a14bb3c4d165d63c93",
+}
+
+# sha256 of repr(point_orbits(...)) of one sort of dimension dim over the
+# pure set and over (N; =) with two labels
+BARE_SORT_ORBIT_DIGESTS = {
+    ("pure", 1, 1): "989ea802282ec5bba7911d486f73174abab99adb55fbf3df55ad1d1cceb0affb",
+    ("pure", 1, 2): "4b0ba0b89b89cc0695233324fd6502bc0a055efd7fe1483aacbcd309c20cc471",
+    ("pure", 1, 3): "c5bf12cb00ef194e6f345220478692ac0b2ea124ff0fafa7e5943b663c926041",
+    ("pure", 2, 1): "cc5f8af323294a2804ef28af6884c2194545b98c9e46677466ca1b68eea35fb6",
+    ("pure", 2, 2): "d2b2b32c08ce7a7609db02c23db79fa2d2c66d6e4b1b0bd36e461300021d110c",
+    ("pure", 2, 3): "7ae6b777c885b83f2abd42ff0d0760b907ad893934ededb9db399ac4eb5d45ea",
+    ("labelled", 1, 1): "39fe6a3ece43bbae937dee052b78e6a75aac4406029b19ff85d7d2eb998ad3b3",
+    ("labelled", 1, 2): "71df6f333425b105444433e16840c908a00e46397973cb043fc9bb4dcff35c1e",
+    ("labelled", 1, 3): "ebe238694d70e91195b8be0ffd7bb497d175cb18130154b0253ad6f668e78a67",
+    ("labelled", 2, 1): "d206a929057aef3fd05799f467442fa221c09e9d0c6cf21a5a1e46efd85ea71b",
+    ("labelled", 2, 2): "b6a800af0b4d344066abda6a150a44147ed52d1962336ea66aaa8eeb7ec87a54",
+}
+
+# sha256 of repr(enumerate_invariant_orders(Jord_d))
+ORDER_DIGESTS = {
+    1: "443ceae05bd561b72f4595c2d886a240777e4e67b6873a52c09fd1c5f8480045",
+    2: "f25d006925f822326483612a27ccb4ea3cb7027eb443a2ab4e33a24d77c128fc",
+    3: "c181b644c222a74d9d1fb961c50ced015158c48c46ab1a6d9bbd83d6cf767345",
+}
+
+
+def test_orbit_and_order_descriptors_are_pinned():
+    # the descriptor bytes, not only their counts, stay those of the
+    # atom-level enumeration these digests were taken from
+    assert {name for name, _ in GALLERY_ORBIT_DIGESTS} == set(gallery._definable_registry())
+    for (name, n), want in GALLERY_ORBIT_DIGESTS.items():
+        assert digest(point_orbits(gallery.lookup_definable(name), n)) == want, (name, n)
+    bases = {"pure": PURE_SET, "labelled": AtomBase(ordered=False, alphabet=2)}
+    for (base, dim, n), want in BARE_SORT_ORBIT_DIGESTS.items():
+        D = DefStructure(bases[base], (Sort("q", dim),), ())
+        assert digest(point_orbits(D, n)) == want, (base, dim, n)
+    # labelled dim-2 triples: 2^6 label words with 6! relabellings each
+    with pytest.raises(TooLarge, match="work budget"):
+        point_orbits(DefStructure(bases["labelled"], (Sort("q", 2),), ()), 3)
+    for d, want in ORDER_DIGESTS.items():
+        assert digest(enumerate_invariant_orders(increasing_tuple_structure(d))) == want, d
+
+
+def old_composition_by_first(d):
+    """The former composition table, built from tuple_type over Fraction
+    atoms; the oracle for definable._composition_by_first."""
+    points = [Point(0, c) for c in itertools.combinations(make_sample(DLO, 3 * d).atoms, d)]
+    classes = [[tuple_type((p, q), DLO) for q in points] for p in points]
+    diag = classes[0][0]
+    comp = set()
+    swaps = set()
+    for i, row in enumerate(classes):
+        for j, c_ij in enumerate(row):
+            if i != j:
+                comp.update(zip(itertools.repeat(c_ij), classes[j], row))
+                swaps.add(tuple(sorted((c_ij, classes[j][i]))))
+    by_first = {}
+    for triple in comp:
+        if triple[1] != diag:
+            by_first.setdefault(triple[0], []).append(triple)
+    return by_first, diag, sorted(swaps)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_composition_table_matches_fraction_oracle(d):
+    def normal(table):
+        by_first, diag, pairs = table
+        return {first: sorted(triples) for first, triples in by_first.items()}, diag, pairs
+
+    assert normal(definable._composition_by_first(d)) == normal(old_composition_by_first(d))
+
+
+def old_classify_signed_lex(order, reps):
+    """The former classification, comparing the atom values of concrete
+    representative pairs; the oracle for classify_signed_lex."""
+    chosen = set(order)
+    d = len(next(iter(reps.values()))[0].atoms)
+    for sigma in itertools.permutations(range(d)):
+        for dirs in itertools.product(("asc", "desc"), repeat=d):
+            candidate = SignedLex(sigma, dirs)
+            if all(
+                candidate.less([a.value for a in p.atoms], [a.value for a in q.atoms]) == (desc in chosen)
+                for desc, (p, q) in reps.items()
+                if p != q
+            ):
+                return candidate
+    return None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_classify_signed_lex_matches_fraction_oracle(d):
+    # every invariant order, each with one pair class turned round, and
+    # unions of pair classes that are not orders at all
+    rng = random.Random(40 + d)
+    reps = pair_orbit_reps(d)
+    swapped = {desc: tuple_type((q, p), DLO) for desc, (p, q) in reps.items()}
+    off_diagonal = sorted(desc for desc, (p, q) in reps.items() if p != q)
+    orders = [set(o) for o in enumerate_invariant_orders(increasing_tuple_structure(d))]
+    unions = [set(off_diagonal), set()]
+    unions += [set(rng.sample(off_diagonal, rng.randint(1, len(off_diagonal)))) for _ in range(20)]
+    for order in orders:
+        turned = rng.choice(sorted(order))
+        unions.append(order - {turned} | {swapped[turned]})
+    got = [classify_signed_lex(union, d) for union in orders + unions]
+    assert got == [old_classify_signed_lex(union, reps) for union in orders + unions]
+    assert None not in got[: len(orders)] and None in got[len(orders):]
 
 
 def test_classify_signed_lex_known_orders():

@@ -357,13 +357,6 @@ def test_johnson_samples_core_measurements():
         assert is_core(cs.base.structure)
 
 
-def test_manifest_lists_gallery():
-    entries = gallery.manifest()
-    names = {e["name"] for e in entries}
-    assert {"X", "Y", "QST", "S2", "Jord2"} <= names
-    assert all(e["description"] for e in entries)
-
-
 def test_lookup():
     assert gallery.lookup_definable("Jord2") is not None
     assert gallery.lookup_definable("qst") is not None
