@@ -289,6 +289,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (CliError, RelcoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # relcore recurses only into nested JSON and formulas
+        print("error: input nested too deeply for the interpreter", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

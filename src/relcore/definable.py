@@ -10,6 +10,7 @@ support patterns instead of concrete samples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -189,12 +190,11 @@ def _count_sampling_work(D: DefStructure, counts: Sequence[int]) -> None:
     """Raise TooLarge when the points, dim + 1 steps each, and the guard
     combinations of D's clauses come to more than WORK_BUDGET in all,
     counts[i] being the number of points of sort i."""
+    admitted = functools.cache(
+        lambda entry: sum(n for sort, n in zip(D.sorts, counts) if _guard_matches(entry, sort.name))
+    )
     total = sum(n * (sort.dim + 1) for sort, n in zip(D.sorts, counts)) + sum(
-        math.prod(
-            sum(n for sort, n in zip(D.sorts, counts) if _guard_matches(entry, sort.name))
-            for entry in clause.guard
-        )
-        for clause in D.clauses
+        math.prod(map(admitted, clause.guard)) for clause in D.clauses
     )
     if total > WORK_BUDGET:
         raise TooLarge(f"sampling exceeded work budget {WORK_BUDGET}")
@@ -210,30 +210,29 @@ def _encode(points: Sequence[Point]) -> list:
 
 def _structure_on(D: DefStructure, encoded: Sequence) -> FinStructure:
     """The structure D induces on encoded points, in the given order.  Each
-    clause is compiled once per environment width; guard combinations are
-    visited in the order of the per-tuple interpreter, so the same error
-    surfaces first.  Past WORK_BUDGET (see _count_sampling_work) it raises
-    TooLarge before any combination is evaluated."""
-    by_sort: dict[int, list[int]] = {}
-    for pid, (si, _) in enumerate(encoded):
-        by_sort.setdefault(si, []).append(pid)
-    _count_sampling_work(D, [len(by_sort.get(si, ())) for si in range(len(D.sorts))])
+    clause runs one compiled scan over its guard combinations, visited in
+    the order of the per-tuple interpreter, so the same error surfaces
+    first.  Past WORK_BUDGET (see _count_sampling_work) it raises TooLarge
+    before any combination is evaluated."""
+    sorts = [si for si, _ in encoded]
+    _count_sampling_work(D, [sorts.count(si) for si in range(len(D.sorts))])
     words = [word for _, word in encoded]
+
+    @functools.cache
+    def admitted(entry):
+        """Ids of the points a guard entry admits, in order, and the common
+        length of their words (None when the lengths differ)."""
+        matches = [_guard_matches(entry, sort.name) for sort in D.sorts]
+        ids = [pid for pid, si in enumerate(sorts) if matches[si]]
+        lengths = {len(words[pid]) for pid in ids}
+        return ids, min(lengths) if len(lengths) == 1 else None
+
     rels: dict[str, set[tuple[int, ...]]] = {c.name: set() for c in D.clauses}
     for clause in D.clauses:
-        groups = []
-        for entry in clause.guard:
-            matching = [si for si, sort in enumerate(D.sorts) if _guard_matches(entry, sort.name)]
-            groups.append(sorted([pid for si in matching for pid in by_sort.get(si, ())]))
-        out = rels[clause.name]
-        compiled: dict[int, fm.Predicate] = {}
-        for combo in itertools.product(*groups):
-            env = sum(map(words.__getitem__, combo), ())
-            holds = compiled.get(len(env))
-            if holds is None:
-                holds = compiled[len(env)] = fm.compile_formula(clause.formula, D.base, len(env))
-            if holds(env):
-                out.add(combo)
+        groups = [admitted(entry)[0] for entry in clause.guard]
+        if all(groups):
+            widths = tuple(admitted(entry)[1] for entry in clause.guard)
+            fm.compile_scan(clause.formula, D.base, widths)(groups, words, rels[clause.name])
     return FinStructure(D.signature(), len(encoded), {k: frozenset(v) for k, v in rels.items()})
 
 
@@ -370,12 +369,6 @@ def _type(word, shape, base: AtomBase, as_set: bool) -> str:
     if base.ordered:
         return repr((len(word), word, shape))
     return repr(_min_under_slot_perms(len(word), word, shape, resort=as_set))
-
-
-def tuple_type(points: Iterable[Point], base: AtomBase, as_set: bool = False) -> str:
-    """Canonical descriptor of a tuple of points under base automorphisms;
-    as_set forgets the order of the points."""
-    return _type(*_pattern(_encode(list(points))), base, as_set)
 
 
 def _min_under_slot_perms(s, word, shape, resort=False):

@@ -7,14 +7,17 @@ flat: a binary relation between d-dimensional points uses positions
 0..2d-1.
 
 `evaluate` interprets a formula on concrete atoms and is the reference
-semantics.  `compile_formula` turns a formula into a predicate on encoded
-environments, each atom given as its value rank and its label, which is
+semantics.  `compile_formula` and `compile_scan` generate Python source
+for a formula on encoded environments, each atom given as its value rank
+and its label: a predicate, and a loop over guard combinations, which is
 how sampling evaluates clauses.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -120,6 +123,8 @@ def _check(i: int, env: Sequence[Atom]):
 
 Predicate = Callable[[Sequence[tuple[int, int]]], bool]
 
+_NEST = 50  # connectives per generated function; Python's parser allows ~200 nested brackets
+
 
 @functools.lru_cache(maxsize=256)
 def compile_formula(phi: Formula, base: Optional[AtomBase], width: int) -> Predicate:
@@ -133,63 +138,99 @@ def compile_formula(phi: Formula, base: Optional[AtomBase], width: int) -> Predi
     base, a label outside the alphabet, a position outside the environment)
     is raised only when its node is reached.
     """
-    return _compile(phi, base, width)
+    code = ([], [], "env")
+    expr = _source(phi, base, width, "env[{}]".format, code)
+    return _define(code, f"def holds(env):\n    return {expr}\n", "holds")
 
 
-def _compile(phi: Formula, base: Optional[AtomBase], width: int) -> Predicate:
+@functools.lru_cache(maxsize=256)
+def compile_scan(phi: Formula, base: Optional[AtomBase], widths: tuple) -> Callable:
+    """`scan(groups, words, out)` adds to the set out every combo of
+    `itertools.product(*groups)`, visited in that order, on whose
+    environment (the concatenated `words[id]` of its ids) phi holds, with
+    the semantics and lazy errors of `compile_formula`.
+
+    widths[g] is the common length of the words in groups[g], or None when
+    they differ; the formula is then compiled per environment width.
+    """
+    n, ws = len(widths), [f"w{g}" for g in range(len(widths))]
+    code = ([], [], ", ".join(ws))
+    if None in widths:
+        test = f"_compiled(len(env := {' + '.join(ws)}))(env)"
+    else:
+        at = [f"w{g}[{c}]" for g, width in enumerate(widths) for c in range(width)]
+        test = _source(phi, base, len(at), at.__getitem__, code)
+    ids, p = [f"a{g}, " for g in range(n)], max(0, n - 19)  # Python nests at most 20 blocks
+    lines, pad = [f"for ({''.join(ids[:p])}) in _product(*groups[:{p}]):"], "    "
+    for g in range(n):
+        if g >= p:
+            lines.append(f"{pad}for a{g} in groups[{g}]:")
+            pad += "    "
+        lines.append(f"{pad}w{g} = words[a{g}]")
+    lines += [f"{pad}if {test}:", f"{pad}    add(({''.join(ids)}))"]
+    lines = ["def scan(groups, words, out):", "add = out.add"] + lines
+    source = "\n    ".join(lines) + "\n"
+    compiled = functools.cache(lambda width: compile_formula(phi, base, width))
+    return _define(code, source, "scan", _product=itertools.product, _compiled=compiled)
+
+
+def _source(phi: Formula, base: Optional[AtomBase], width: int, at, code, depth: int = 0) -> str:
+    """Python expression, always a bool, for phi on an environment of width
+    (rank, label) pairs, the pair at position k being the expression at(k).
+
+    Positions and labels pass operator.index before they reach the source,
+    and nothing else of phi is written into it.  A node that would raise
+    becomes `_fail(n)`, n indexing the (error, message) pair it appends to
+    code[1]; a subtree _NEST connectives deep becomes a call of a helper
+    function over the parameters code[2], whose source it appends to
+    code[0].
+    """
+    defs, fails, params = code
+
+    def fail(error: type, message: str) -> str:
+        fails.append((error, message))
+        return f"_fail({len(fails) - 1})"
+
+    if isinstance(phi, (And, Or, Not)) and depth == _NEST:
+        expr = _source(phi, base, width, at, code)
+        defs.append(f"def _h{len(defs)}({params}):\n    return {expr}\n")
+        return f"_h{len(defs) - 1}({params})"
     if isinstance(phi, Const):
-        value = phi.value
-        return lambda env: value
+        return repr(bool(phi.value))
     if isinstance(phi, (Less, Eq)):
-        i, j = phi.i, phi.j
+        i, j = operator.index(phi.i), operator.index(phi.j)
         if isinstance(phi, Less) and base is not None and not base.ordered:
-            return _raiser(OrderNotAvailable, "Less atomic under an unordered base")
+            return fail(OrderNotAvailable, "Less atomic under an unordered base")
         for k in (i, j):
             if not 0 <= k < width:
-                return _raiser(ArityMismatch, _outside(k, width))
-        if isinstance(phi, Less):
-            return lambda env: env[i][0] < env[j][0]
-        return lambda env: env[i][0] == env[j][0]
+                return fail(ArityMismatch, _outside(k, width))
+        return f"{at(i)}[0] {'<' if isinstance(phi, Less) else '=='} {at(j)}[0]"
     if isinstance(phi, Label):
-        i, label = phi.i, phi.label
+        i, label = operator.index(phi.i), operator.index(phi.label)
         if not 0 <= i < width:
-            return _raiser(ArityMismatch, _outside(i, width))
+            return fail(ArityMismatch, _outside(i, width))
         if base is not None and label >= base.alphabet:
-            return _raiser(InvalidLabel, f"label {label} outside alphabet {base.alphabet}")
-        return lambda env: env[i][1] == label
+            return fail(InvalidLabel, f"label {label} outside alphabet {base.alphabet}")
+        return f"{at(i)}[1] == {label}"
     if isinstance(phi, (And, Or)):
-        parts = tuple(_compile(f, base, width) for f in phi.args)
-        return _connective(parts, isinstance(phi, And))
+        parts = [_source(f, base, width, at, code, depth + 1) for f in phi.args]
+        joined = (" and " if isinstance(phi, And) else " or ").join(parts)
+        return f"({joined})" if parts else repr(isinstance(phi, And))
     if isinstance(phi, Not):
-        arg = _compile(phi.arg, base, width)
-        return lambda env: not arg(env)
-    return _raiser(TypeError, f"not a formula: {phi!r}")
+        return "not " + _source(phi.arg, base, width, at, code, depth + 1)
+    return fail(TypeError, f"not a formula: {phi!r}")
 
 
-def _connective(parts: tuple[Predicate, ...], conjunctive: bool) -> Predicate:
-    """And (conjunctive) or Or of parts, evaluated left to right up to the
-    first part that decides it; with no parts, And is true and Or false."""
-
-    def every(env):
-        for f in parts:
-            if not f(env):
-                return False
-        return True
-
-    def some(env):
-        for f in parts:
-            if f(env):
-                return True
-        return False
-
-    return every if conjunctive else some
+def _define(code, source: str, name: str, **names):
+    """The function `name` that source defines after the helper functions
+    in code[0], with `_fail(n)` raising the n-th error of code[1]."""
+    namespace = {"_fail": functools.partial(_raise, code[1]), **names}
+    exec("".join(code[0]) + source, namespace)
+    return namespace[name]
 
 
-def _raiser(error: type, message: str) -> Predicate:
-    def fail(env):
-        raise error(message)
-
-    return fail
+def _raise(fails, n: int):
+    raise fails[n][0](fails[n][1])
 
 
 def _outside(i: int, width: int) -> str:

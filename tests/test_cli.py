@@ -352,3 +352,47 @@ def test_one_loader_serves_every_command(tmp_path, capsys, token, definable):
     else:
         assert_input_error(*on_definable)
         assert on_finite[0] in (0, 1)
+
+
+def chain_file(path, depth, kind, base_formula='{"op": "lt", "i": 0, "j": 1}'):
+    """A definable file whose one clause nests depth connectives around
+    base_formula: a chain of `not`, or an alternating chain of
+    or(eq(0, 1), ...) and and(true, ...), equal to eq(0, 1) or the base
+    formula at any depth.  Written as text: json.dumps recurses too."""
+    phi = base_formula
+    for k in range(depth):
+        if kind == "not":
+            phi = f'{{"op": "not", "args": [{phi}]}}'
+        elif k % 2:
+            phi = f'{{"op": "and", "args": [{{"op": "true"}}, {phi}]}}'
+        else:
+            phi = f'{{"op": "or", "args": [{{"op": "eq", "i": 0, "j": 1}}, {phi}]}}'
+    path.write_text(
+        '{"base": {"ordered": true, "alphabet": 1}, "sorts": [{"name": "q", "dim": 1}], '
+        f'"relations": [{{"name": "R", "arity": 2, "guard": ["*", "*"], "formula": {phi}}}]}}'
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("depth,kind", [(700, "not"), (450, "alternating")])
+def test_input_nested_too_deeply_exits_2(tmp_path, depth, kind):
+    proc = run_entry_point("sample", chain_file(tmp_path / "deep.json", depth, kind), "--atoms", "3")
+    err = proc.stderr.decode()
+    assert_input_error(proc.returncode, proc.stdout.decode(), err)
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "depth,kind,shallow",
+    [
+        (450, "not", '{"op": "lt", "i": 0, "j": 1}'),
+        (300, "alternating", '{"op": "or", "args": [{"op": "eq", "i": 0, "j": 1}, {"op": "lt", "i": 0, "j": 1}]}'),
+    ],
+    ids=["not450", "alternating300"],
+)
+def test_deep_formulas_sample_as_shallow_ones(tmp_path, depth, kind, shallow):
+    deep = run_entry_point("sample", chain_file(tmp_path / "deep.json", depth, kind), "--atoms", "3")
+    flat = run_entry_point("sample", chain_file(tmp_path / "flat.json", 0, kind, shallow), "--atoms", "3")
+    assert deep.returncode == flat.returncode == 0
+    assert deep.stdout == flat.stdout
+    assert len(json.loads(deep.stdout)["relations"]["R"]) == (3 if kind == "not" else 6)

@@ -25,13 +25,14 @@ from relcore.definable import (
     point_orbits,
     reduct,
     sample,
-    tuple_type,
     unlabelled_growth,
 )
 from relcore.errors import (
     ArityMismatch,
     BaseMismatch,
     InvalidDimension,
+    InvalidLabel,
+    OrderNotAvailable,
     RelcoreError,
     TooLarge,
     Unsupported,
@@ -230,6 +231,13 @@ def brute_same_orbit(points_a, points_b, base):
         if ok:
             return True
     return False
+
+
+def tuple_type(points, base, as_set=False):
+    """Canonical descriptor of a tuple of concrete points under base
+    automorphisms (as_set forgets their order), through the encoding the
+    orbit walk uses; the oracle that ties `_orbits` to Fraction atoms."""
+    return definable._type(*definable._pattern(definable._encode(list(points))), base, as_set)
 
 
 def test_tuple_type_matches_brute_force_orbits():
@@ -906,6 +914,81 @@ def test_sampling_matches_per_tuple_evaluation():
             assert outcome(lambda: induce_on_points(D, points)) == outcome(
                 lambda: old_relations_on(D, points)
             ), name
+
+
+def random_scan_formula(rng, positions, base):
+    """A formula on the given positions whose evaluation may raise: Less
+    under an unordered base, a label outside the alphabet."""
+
+    def build(depth):
+        r = rng.random()
+        if depth and r < 0.5:
+            parts = tuple(build(depth - 1) for _ in range(rng.randint(0, 3)))
+            return fm.And(parts) if r < 0.25 else fm.Or(parts)
+        if depth and r < 0.6:
+            return fm.Not(build(depth - 1))
+        if not positions or r < 0.65:
+            return fm.TRUE if rng.random() < 0.5 else fm.FALSE
+        i, j = rng.randrange(positions), rng.randrange(positions)
+        kind = rng.randrange(3)
+        if kind == 2:
+            return fm.Label(i, rng.randrange(base.alphabet + 1))
+        return fm.Less(i, j) if kind == 0 else fm.Eq(i, j)
+
+    return build(3)
+
+
+def random_scan_structure(rng):
+    """Sorts of dims 0-3 and clauses of arity 0-3 whose guard entries are
+    sort names, frozensets of them or "*" (which mixes all four dims)."""
+    base = rng.choice([PURE_SET, DLO, labeled_dlo(2)])
+    sorts = tuple(Sort(f"s{dim}", dim) for dim in range(4))
+    names = [s.name for s in sorts]
+    clauses = []
+    for c in range(rng.randint(1, 3)):
+        arity = rng.randint(0, 3)
+        guard = tuple(
+            rng.choice(["*", rng.choice(names), frozenset(rng.sample(names, rng.randint(1, 3)))])
+            for _ in range(arity)
+        )
+        # positions every guarded sort combination has
+        least = sum(min(s.dim for s in sorts if definable._guard_matches(g, s.name)) for g in guard)
+        clauses.append(RelationClause(f"R{c}", arity, guard, random_scan_formula(rng, least, base)))
+    return DefStructure(base, sorts, tuple(clauses))
+
+
+def test_structure_on_matches_per_tuple_oracle():
+    # generated scans against the interpreter loop: the same tuples, or the
+    # same first error, on samples and on shuffled, relabelled and
+    # truncated hand-built points
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(150):
+        D = random_scan_structure(rng)
+        k = rng.randint(0, 4)
+        atoms = make_sample(D.base, k, [rng.randrange(D.base.alphabet) for _ in range(k)])
+        points = [
+            Point(si, c) for si, s in enumerate(D.sorts) for c in itertools.combinations(atoms.atoms, s.dim)
+        ]
+        assert outcome(lambda: sample(D, atoms).structure) == outcome(lambda: old_relations_on(D, points))
+        for chosen in (points, hand_built_points(rng, points, False), hand_built_points(rng, points, True)):
+            got = outcome(lambda: definable._structure_on(D, definable._encode(chosen)))
+            assert got == outcome(lambda: old_relations_on(D, chosen)), (D, chosen)
+            outcomes.add(got[0] if isinstance(got, tuple) else FinStructure)
+    assert {FinStructure, ArityMismatch, InvalidLabel, OrderNotAvailable} <= outcomes
+
+
+def test_scan_of_arity_past_python_block_nesting():
+    # Python nests at most 20 loops in one function; the scan binds the
+    # leading guard positions with one product loop instead
+    D = DefStructure(
+        labeled_dlo(2),
+        (Sort("a", 0), Sort("b", 1)),
+        (RelationClause("R", 22, ("a",) * 20 + ("b", "b"), fm.Or(fm.Less(0, 1), fm.Label(1, 1))),),
+    )
+    got = sample(D, make_sample(D.base, 3, [0, 1, 0]))
+    assert got.structure == old_relations_on(D, got.points)
+    assert got.structure.rel("R") == {(0,) * 20 + (i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i < j or j == 2}
 
 
 def test_sampling_errors_stay_lazy():

@@ -220,3 +220,54 @@ def test_compile_cache_is_keyed_on_width_and_bounded():
     with pytest.raises(ArityMismatch, match="length 1"):
         fm.compile_formula(phi, DLO, 1)(encode(atoms(0)))
     assert fm.compile_formula.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [fm.Less("0] or (1", 1), fm.Eq(0, 1.0), fm.Label("0", 0), fm.Label(0, "0) or (1"), fm.Label(0, None)],
+)
+def test_only_integers_reach_generated_source(monkeypatch, phi):
+    executed = []
+    monkeypatch.setattr(fm, "exec", lambda *args: executed.append(args), raising=False)
+    for base in (DLO, None):
+        with pytest.raises(TypeError):
+            fm.compile_formula(phi, base, 2)
+        with pytest.raises(TypeError):
+            fm.compile_scan(phi, base, (1, 1))
+    assert executed == []
+
+
+def alternating_chain(depth):
+    """Or(Eq(0, 1), And(TRUE, Or(Eq(0, 1), ...))) around Less(0, 1), which
+    is Eq(0, 1) or Less(0, 1) at any depth."""
+    phi = fm.Less(0, 1)
+    for k in range(depth):
+        phi = fm.And(fm.TRUE, phi) if k % 2 else fm.Or(fm.Eq(0, 1), phi)
+    return phi
+
+
+def not_chain(depth):
+    phi = fm.Less(0, 1)
+    for _ in range(depth):
+        phi = fm.Not(phi)
+    return phi
+
+
+@pytest.mark.parametrize(
+    "deep,shallow",
+    [
+        (not_chain(450), fm.Less(0, 1)),
+        (not_chain(451), fm.Not(fm.Less(0, 1))),
+        (alternating_chain(300), fm.Or(fm.Eq(0, 1), fm.Less(0, 1))),
+    ],
+    ids=["not450", "not451", "alternating300"],
+)
+def test_formulas_deeper_than_the_parser_allows_compile(deep, shallow):
+    envs = [encode(atoms(a, b)) for a in range(2) for b in range(2)]
+    holds = fm.compile_formula(deep, DLO, 2)
+    assert [holds(env) for env in envs] == [fm.compile_formula(shallow, DLO, 2)(env) for env in envs]
+    words = [((0, 0),), ((1, 0),)]
+    got, expected = set(), set()
+    fm.compile_scan(deep, DLO, (1, 1))([[0, 1], [0, 1]], words, got)
+    fm.compile_scan(shallow, DLO, (1, 1))([[0, 1], [0, 1]], words, expected)
+    assert got == expected
