@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import BaseMismatch, InvalidLabel, parsing
+from .errors import BaseMismatch, InvalidLabel, TooLarge, json_int, parsing
+from .finstruct import WORK_BUDGET
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,9 @@ class AtomBase:
     @staticmethod
     def from_json(data: dict) -> "AtomBase":
         with parsing("atom base"):
-            return AtomBase(bool(data["ordered"]), int(data.get("alphabet", 1)))
+            if not isinstance(data["ordered"], bool):
+                raise TypeError(f"ordered must be true or false, got {data['ordered']!r}")
+            return AtomBase(data["ordered"], json_int(data.get("alphabet", 1)))
 
 
 PURE_SET = AtomBase(ordered=False, alphabet=1)
@@ -123,9 +126,15 @@ def make_sample(base: AtomBase, n: int, labels: Optional[Sequence[int]] = None) 
 
     Labels default to the cyclic assignment 0,1,...,k-1,0,... so every label
     class is nonempty and spread out once n reaches the alphabet size.
+
+    Each atom counts five steps against WORK_BUDGET (its value, its Atom,
+    its label check, and the sample's order and duplicate checks), before
+    any is built.
     """
     if n < 0:
         raise InvalidLabel(f"sample size must be >= 0, got {n}")
+    if 5 * n > WORK_BUDGET:
+        raise TooLarge(f"a sample of {n} atoms exceeds work budget {WORK_BUDGET}")
     if labels is None:
         labels = [i % base.alphabet for i in range(n)]
     else:

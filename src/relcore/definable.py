@@ -10,10 +10,9 @@ support patterns instead of concrete samples.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .atoms import DLO, Atom, AtomBase, AtomSample
@@ -24,6 +23,7 @@ from .errors import (
     SignatureMismatch,
     TooLarge,
     Unsupported,
+    json_int,
     parsing,
 )
 from .finstruct import WORK_BUDGET, FinStructure, Signature, canonical_form
@@ -80,59 +80,49 @@ class RelationClause:
             )
 
 
-def _guard_matches(entry, sort_name: str) -> bool:
-    if entry == GUARD_ANY:
-        return True
-    if isinstance(entry, frozenset):
-        return sort_name in entry
-    return entry == sort_name
-
-
 @dataclass(frozen=True)
 class DefStructure:
     base: AtomBase
     sorts: tuple[Sort, ...]
     clauses: tuple[RelationClause, ...]
+    # guards[c][g]: the indices, ascending, of the sorts that entry g of
+    # clause c admits.  Built here, the one place that reads guard entries.
+    guards: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sorts", tuple(self.sorts))
         object.__setattr__(self, "clauses", tuple(self.clauses))
-        names = [s.name for s in self.sorts]
-        if len(set(names)) != len(names):
-            raise SignatureMismatch(f"duplicate sort names in {names}")
-        sort_names = set(names)
+        index = {s.name: i for i, s in enumerate(self.sorts)}
+        if len(index) != len(self.sorts):
+            raise SignatureMismatch(f"duplicate sort names in {[s.name for s in self.sorts]}")
         arities: dict[str, int] = {}
+        guards = []
         for clause in self.clauses:
             prev = arities.setdefault(clause.name, clause.arity)
             if prev != clause.arity:
                 raise SignatureMismatch(
                     f"relation {clause.name!r} used with arities {prev} and {clause.arity}"
                 )
+            guard = []
             for entry in clause.guard:
-                mentioned = (
-                    set() if entry == GUARD_ANY
-                    else set(entry) if isinstance(entry, frozenset)
-                    else {entry}
-                )
-                unknown = mentioned - sort_names
+                if entry == GUARD_ANY:
+                    guard.append(tuple(range(len(self.sorts))))
+                    continue
+                named = entry if isinstance(entry, frozenset) else {entry}
+                unknown = named.difference(index)
                 if unknown:
                     raise SignatureMismatch(
                         f"clause {clause.name!r} guards unknown sorts {sorted(unknown)}"
                     )
-            for combo in self._matching_sort_combos(clause):
-                total = sum(s.dim for s in combo)
-                if fm.max_position(clause.formula) >= total:
-                    raise ArityMismatch(
-                        f"clause {clause.name!r} uses position "
-                        f"{fm.max_position(clause.formula)} on sorts totalling {total} coordinates"
-                    )
-
-    def _matching_sort_combos(self, clause: RelationClause):
-        groups = []
-        for entry in clause.guard:
-            matching = [s for s in self.sorts if _guard_matches(entry, s.name)]
-            groups.append(matching)
-        return itertools.product(*groups)
+                guard.append(tuple(sorted(index[n] for n in named)))
+            # every guarded sort combination is at least this long
+            least = sum(min((self.sorts[i].dim for i in ids), default=0) for ids in guard)
+            if all(guard) and (top := fm.max_position(clause.formula)) >= least:
+                raise ArityMismatch(
+                    f"clause {clause.name!r} uses position {top} on sorts totalling {least} coordinates"
+                )
+            guards.append(tuple(guard))
+        object.__setattr__(self, "guards", tuple(guards))
 
     def max_dim(self) -> int:
         return max((s.dim for s in self.sorts), default=0)
@@ -144,11 +134,6 @@ class DefStructure:
         return Signature(tuple(seen.items()))
 
     def to_json(self) -> dict:
-        def guard_json(entry):
-            if isinstance(entry, frozenset):
-                return sorted(entry)
-            return entry
-
         return {
             "base": self.base.to_json(),
             "sorts": [{"name": s.name, "dim": s.dim} for s in self.sorts],
@@ -156,7 +141,7 @@ class DefStructure:
                 {
                     "name": c.name,
                     "arity": c.arity,
-                    "guard": [guard_json(g) for g in c.guard],
+                    "guard": [sorted(g) if isinstance(g, frozenset) else g for g in c.guard],
                     "formula": fm.to_json(c.formula),
                 }
                 for c in self.clauses
@@ -167,12 +152,12 @@ class DefStructure:
     def from_json(data: dict) -> "DefStructure":
         with parsing("definable structure"):
             base = AtomBase.from_json(data["base"])
-            sorts = tuple(Sort(d["name"], int(d["dim"])) for d in data["sorts"])
+            sorts = tuple(Sort(d["name"], json_int(d["dim"])) for d in data["sorts"])
             clauses = tuple(
                 RelationClause(
                     c["name"],
-                    int(c["arity"]),
-                    tuple(frozenset(g) if isinstance(g, list) else g for g in c["guard"]),
+                    json_int(c["arity"]),
+                    c["guard"],
                     fm.from_json(c["formula"]),
                 )
                 for c in data["relations"]
@@ -190,11 +175,8 @@ def _count_sampling_work(D: DefStructure, counts: Sequence[int]) -> None:
     """Raise TooLarge when the points, dim + 1 steps each, and the guard
     combinations of D's clauses come to more than WORK_BUDGET in all,
     counts[i] being the number of points of sort i."""
-    admitted = functools.cache(
-        lambda entry: sum(n for sort, n in zip(D.sorts, counts) if _guard_matches(entry, sort.name))
-    )
     total = sum(n * (sort.dim + 1) for sort, n in zip(D.sorts, counts)) + sum(
-        math.prod(map(admitted, clause.guard)) for clause in D.clauses
+        math.prod(sum(counts[i] for i in ids) for ids in guard) for guard in D.guards
     )
     if total > WORK_BUDGET:
         raise TooLarge(f"sampling exceeded work budget {WORK_BUDGET}")
@@ -218,21 +200,19 @@ def _structure_on(D: DefStructure, encoded: Sequence) -> FinStructure:
     _count_sampling_work(D, [sorts.count(si) for si in range(len(D.sorts))])
     words = [word for _, word in encoded]
 
-    @functools.cache
-    def admitted(entry):
-        """Ids of the points a guard entry admits, in order, and the common
-        length of their words (None when the lengths differ)."""
-        matches = [_guard_matches(entry, sort.name) for sort in D.sorts]
-        ids = [pid for pid, si in enumerate(sorts) if matches[si]]
-        lengths = {len(words[pid]) for pid in ids}
-        return ids, min(lengths) if len(lengths) == 1 else None
-
+    # per guard entry: the ids of the points it admits, in order, and the
+    # common length of their words (None when the lengths differ)
+    groups, widths = {}, {}
+    for ids in {ids for guard in D.guards for ids in guard}:
+        chosen = set(ids)
+        groups[ids] = [pid for pid, si in enumerate(sorts) if si in chosen]
+        lengths = {len(words[pid]) for pid in groups[ids]}
+        widths[ids] = min(lengths) if len(lengths) == 1 else None
     rels: dict[str, set[tuple[int, ...]]] = {c.name: set() for c in D.clauses}
-    for clause in D.clauses:
-        groups = [admitted(entry)[0] for entry in clause.guard]
-        if all(groups):
-            widths = tuple(admitted(entry)[1] for entry in clause.guard)
-            fm.compile_scan(clause.formula, D.base, widths)(groups, words, rels[clause.name])
+    for clause, guard in zip(D.clauses, D.guards):
+        if all(groups[ids] for ids in guard):
+            scan = fm.compile_scan(clause.formula, D.base, tuple(widths[ids] for ids in guard))
+            scan([groups[ids] for ids in guard], words, rels[clause.name])
     return FinStructure(D.signature(), len(encoded), {k: frozenset(v) for k, v in rels.items()})
 
 
@@ -264,35 +244,26 @@ def reduct(D: DefStructure, clauses: Iterable[RelationClause]) -> DefStructure:
 
 
 def disjoint_union_def(left: DefStructure, right: DefStructure) -> DefStructure:
-    """Union of sorts; every clause re-guarded to its originating sorts."""
+    """Union of sorts; every clause re-guarded to its originating sorts,
+    each guard entry as the set of their names in the union."""
     if left.base != right.base:
         raise BaseMismatch("disjoint union requires a common base")
-    taken = {s.name for s in left.sorts}
-    rename: dict[str, str] = {}
-    new_right_sorts = []
+    sorts = list(left.sorts)
+    taken = {s.name for s in sorts}
     for s in right.sorts:
         name = s.name
         while name in taken:
             name = name + "'"
         taken.add(name)
-        rename[s.name] = name
-        new_right_sorts.append(Sort(name, s.dim))
-
-    def scope(clause: RelationClause, own_sorts, mapping) -> RelationClause:
-        own_names = frozenset(s.name for s in own_sorts)
-        guard = []
-        for entry in clause.guard:
-            if entry == GUARD_ANY:
-                guard.append(own_names)
-            elif isinstance(entry, frozenset):
-                guard.append(frozenset(mapping.get(g, g) for g in entry))
-            else:
-                guard.append(mapping.get(entry, entry))
-        return RelationClause(clause.name, clause.arity, tuple(guard), clause.formula)
-
-    clauses = [scope(c, left.sorts, {}) for c in left.clauses]
-    clauses += [scope(c, new_right_sorts, rename) for c in right.clauses]
-    return DefStructure(left.base, left.sorts + tuple(new_right_sorts), tuple(clauses))
+        sorts.append(Sort(name, s.dim))
+    clauses = [
+        RelationClause(
+            c.name, c.arity, tuple(frozenset(sorts[shift + i].name for i in ids) for ids in guard), c.formula
+        )
+        for D, shift in ((left, 0), (right, len(left.sorts)))
+        for c, guard in zip(D.clauses, D.guards)
+    ]
+    return DefStructure(left.base, tuple(sorts), tuple(clauses))
 
 
 def _pattern_name(rows) -> str:

@@ -1,5 +1,6 @@
 """Exception types shared across the library."""
 
+import operator
 from contextlib import contextmanager
 
 
@@ -66,3 +67,11 @@ def parsing(what: str):
         yield
     except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"malformed {what} ({type(exc).__name__}: {exc})") from exc
+
+
+def json_int(value) -> int:
+    """A JSON integer as an int; a float, string or boolean raises TypeError,
+    which parsing reports as InvalidInput."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)

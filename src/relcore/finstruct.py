@@ -24,6 +24,7 @@ from .errors import (
     InvalidInput,
     SignatureMismatch,
     TooLarge,
+    json_int,
     parsing,
 )
 
@@ -57,7 +58,7 @@ class Signature:
     @staticmethod
     def from_json(data: list) -> "Signature":
         with parsing("signature"):
-            return Signature(tuple((d["name"], d["arity"]) for d in data))
+            return Signature(tuple((d["name"], json_int(d["arity"])) for d in data))
 
 
 @dataclass(frozen=True, eq=True)
@@ -69,6 +70,8 @@ class FinStructure:
     relations: dict[str, frozenset[tuple[int, ...]]] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.size < 0:
+            raise InvalidElement(f"domain size must be >= 0, got {self.size}")
         rels = {}
         for name, arity in self.signature.relations:
             tuples = frozenset(tuple(t) for t in self.relations.get(name, ()))
@@ -101,8 +104,9 @@ class FinStructure:
     def from_json(data: dict) -> "FinStructure":
         with parsing("finite structure"):
             sig = Signature.from_json(data["signature"])
-            rels = {name: frozenset(tuple(t) for t in ts) for name, ts in data["relations"].items()}
-            return FinStructure(sig, int(data["size"]), rels)
+            raw = data["relations"]
+            rels = {name: frozenset(tuple(map(json_int, t)) for t in ts) for name, ts in raw.items()}
+            return FinStructure(sig, json_int(data["size"]), rels)
 
 
 def hom_violations(source: FinStructure, target: FinStructure, mapping: Sequence[int]) -> list[str]:

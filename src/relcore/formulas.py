@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .atoms import Atom, AtomBase
-from .errors import ArityMismatch, InvalidLabel, OrderNotAvailable, parsing
+from .errors import ArityMismatch, InvalidLabel, OrderNotAvailable, json_int, parsing
 
 
 class Formula:
@@ -293,11 +293,11 @@ def from_json(data: dict) -> Formula:
         if op == "false":
             return FALSE
         if op == "lt":
-            return Less(int(data["i"]), int(data["j"]))
+            return Less(json_int(data["i"]), json_int(data["j"]))
         if op == "eq":
-            return Eq(int(data["i"]), int(data["j"]))
+            return Eq(json_int(data["i"]), json_int(data["j"]))
         if op == "label":
-            return Label(int(data["i"]), int(data["l"]))
+            return Label(json_int(data["i"]), json_int(data["l"]))
         if op == "and":
             return And(tuple(from_json(d) for d in data["args"]))
         if op == "or":

@@ -4,8 +4,9 @@ from typing import Sequence
 
 import pytest
 
+from relcore import atoms
 from relcore.atoms import DLO, PURE_SET, Atom, AtomBase, AtomSample, labeled_dlo, make_sample
-from relcore.errors import BaseMismatch, InvalidInput, InvalidLabel
+from relcore.errors import BaseMismatch, InvalidInput, InvalidLabel, TooLarge
 
 
 def order_type(atoms: Sequence[Atom], base: AtomBase) -> str:
@@ -53,6 +54,15 @@ def test_make_sample_default_labels_cover_alphabet():
         for n in range(k, k + 4):
             s = make_sample(labeled_dlo(k), n)
             assert {a.label for a in s.atoms} == set(range(k))
+
+
+def test_make_sample_work_budget(monkeypatch):
+    # five steps for each of three atoms
+    monkeypatch.setattr(atoms, "WORK_BUDGET", 15)
+    assert len(make_sample(DLO, 3)) == 3
+    monkeypatch.setattr(atoms, "WORK_BUDGET", 14)
+    with pytest.raises(TooLarge, match="work budget"):
+        make_sample(DLO, 3)
 
 
 def test_make_sample_label_out_of_range():

@@ -208,6 +208,12 @@ MALFORMED_FINITE = {
     "tuple-not-a-list": dict(GOOD_FINITE, relations={"E": [5]}),
     "element-not-a-number": dict(GOOD_FINITE, relations={"E": [["a", 1]]}),
     "not-an-object": [GOOD_FINITE],
+    # integer fields take JSON integers only, and a domain is never negative
+    "element-not-an-integer": dict(GOOD_FINITE, relations={"E": [[0, 1.0]]}),
+    "size-not-an-integer": dict(GOOD_FINITE, size=2.5),
+    "size-a-boolean": dict(GOOD_FINITE, size=True, relations={"E": []}),
+    "arity-a-string": dict(GOOD_FINITE, signature=[{"name": "E", "arity": "2"}]),
+    "negative-size": dict(GOOD_FINITE, size=-1, relations={"E": []}),
 }
 GOOD_DEFINABLE = {
     "base": {"ordered": True, "alphabet": 1},
@@ -224,6 +230,18 @@ MALFORMED_DEFINABLE = {
     "formula-index-not-a-number": dict(
         GOOD_DEFINABLE,
         relations=[{"name": "lt", "arity": 2, "guard": ["*", "*"], "formula": {"op": "lt", "i": "x", "j": 1}}],
+    ),
+    # integer fields take JSON integers only, ordered a JSON boolean only
+    "ordered-not-a-boolean": dict(GOOD_DEFINABLE, base={"ordered": "no", "alphabet": 1}),
+    "alphabet-not-an-integer": dict(GOOD_DEFINABLE, base={"ordered": True, "alphabet": 1.5}),
+    "dim-not-an-integer": dict(GOOD_DEFINABLE, sorts=[{"name": "q", "dim": 1.5}]),
+    "arity-not-an-integer": dict(
+        GOOD_DEFINABLE,
+        relations=[{"name": "lt", "arity": 2.5, "guard": ["*", "*"], "formula": {"op": "lt", "i": 0, "j": 1}}],
+    ),
+    "position-not-an-integer": dict(
+        GOOD_DEFINABLE,
+        relations=[{"name": "lt", "arity": 2, "guard": ["*", "*"], "formula": {"op": "lt", "i": 0, "j": 1.5}}],
     ),
 }
 FINITE_COMMANDS = [
@@ -311,6 +329,9 @@ def test_core_commands_are_deterministic(command, code):
         ["growth", "gallery:QST", "--n", "0"],
         ["growth", "gallery:QST", "--n", "-1"],
         ["endos", "gallery:spider2", "--limit", "-1"],
+        # an atom sample this large raises before any atom is built
+        ["sample", "gallery:Jord1", "--atoms", "100000000"],
+        ["is-core", "gallery:Jord1@100000000"],
     ],
 )
 def test_out_of_range_counts_exit_2(capsys, argv):

@@ -9,7 +9,6 @@ import pytest
 
 from relcore.atoms import DLO, PURE_SET, Atom, AtomBase, labeled_dlo, make_sample
 from relcore.definable import (
-    _guard_matches,
     DefStructure,
     Point,
     RelationClause,
@@ -34,6 +33,7 @@ from relcore.errors import (
     InvalidLabel,
     OrderNotAvailable,
     RelcoreError,
+    SignatureMismatch,
     TooLarge,
     Unsupported,
 )
@@ -88,6 +88,8 @@ def test_disjoint_union_def():
     merged = sample(both, atoms).structure
     single = sample(jord1, atoms).structure
     assert merged == disjoint_union(single, single)
+    # each guard entry becomes the set of its sorts' names in the union
+    assert both.to_json()["relations"][-1]["guard"] == [["t'"], ["t'"]]
 
 
 def test_disjoint_union_def_constant_sort():
@@ -441,6 +443,9 @@ def test_pure_set_point_orbits_are_bell_numbers():
         # a clause-free dim-3 sort on 160 atoms: no guard combination at
         # all, but 669,920 points of 4 steps each
         lambda: sample(DefStructure(DLO, (Sort("t", 3),), ()), make_sample(DLO, 160)),
+        # 10^8 atoms would fill memory; 10^6 took seconds before sample raised
+        lambda: make_sample(DLO, 10**8),
+        lambda: sample(increasing_tuple_structure(1), make_sample(DLO, 10**6)),
     ],
     ids=[
         "labelled-growth-8",
@@ -449,6 +454,8 @@ def test_pure_set_point_orbits_are_bell_numbers():
         "jord2-sample-300",
         "jord3-sample-160",
         "clause-free-dim3-sample-160",
+        "make-sample-1e8",
+        "jord1-sample-1e6",
     ],
 )
 def test_over_budget_raises_at_once(call):
@@ -858,6 +865,16 @@ def test_induce_on_points_matches_sample():
     assert induce_on_points(d, full.points) == full.structure
 
 
+def _guard_matches(entry, sort_name):
+    """Whether a raw guard entry admits a sort: the reading of guard entries
+    that DefStructure.guards resolves once, kept as the oracle for it."""
+    if entry == "*":
+        return True
+    if isinstance(entry, frozenset):
+        return sort_name in entry
+    return entry == sort_name
+
+
 def old_relations_on(D, points):
     """The former per-tuple interpreter loop, kept as the oracle for
     sampling: every guard combination evaluated on its concrete atoms."""
@@ -952,9 +969,88 @@ def random_scan_structure(rng):
             for _ in range(arity)
         )
         # positions every guarded sort combination has
-        least = sum(min(s.dim for s in sorts if definable._guard_matches(g, s.name)) for g in guard)
+        least = sum(min(s.dim for s in sorts if _guard_matches(g, s.name)) for g in guard)
         clauses.append(RelationClause(f"R{c}", arity, guard, random_scan_formula(rng, least, base)))
     return DefStructure(base, sorts, tuple(clauses))
+
+
+def old_validation(sorts, clauses):
+    """The former per-combination walk of DefStructure's validation, kept as
+    the oracle for the guard table: the error class it raised, or None."""
+    names = [s.name for s in sorts]
+    if len(set(names)) != len(names):
+        return SignatureMismatch
+    arities = {}
+    for clause in clauses:
+        if arities.setdefault(clause.name, clause.arity) != clause.arity:
+            return SignatureMismatch
+        for entry in clause.guard:
+            mentioned = set() if entry == "*" else set(entry) if isinstance(entry, frozenset) else {entry}
+            if mentioned - set(names):
+                return SignatureMismatch
+        groups = [[s for s in sorts if _guard_matches(entry, s.name)] for entry in clause.guard]
+        for combo in itertools.product(*groups):
+            if fm.max_position(clause.formula) >= sum(s.dim for s in combo):
+                return ArityMismatch
+    return None
+
+
+def random_guarded_structure(rng):
+    """Sorts of dims 0-3 (now and then a repeated name) and clauses guarded
+    by "*", names, frozensets of names (the empty one included) and unknown
+    names, each formula reaching a position at or around the least total
+    dimension of its guarded sort combinations."""
+    sorts = [Sort(f"s{i}", rng.randint(0, 3)) for i in range(rng.randint(0, 4))]
+    if sorts and rng.random() < 0.05:
+        sorts.append(Sort(sorts[0].name, 1))
+    names = [s.name for s in sorts] + ["unknown"] * (rng.random() < 0.1)
+    clauses = []
+    for c in range(rng.randint(0, 3)):
+        arity = rng.randint(0, 3)
+        guard = tuple(
+            rng.choice(["*", rng.choice(names or ["*"]), frozenset(rng.sample(names, rng.randint(0, len(names))))])
+            for _ in range(arity)
+        )
+        least = sum(min((s.dim for s in sorts if _guard_matches(g, s.name)), default=0) for g in guard)
+        top = least + rng.randint(-2, 1)
+        formula = fm.TRUE if top < 0 else fm.Eq(top, rng.randint(0, top))
+        name = "R0" if rng.random() < 0.1 else f"R{c}"
+        clauses.append(RelationClause(name, arity, guard, formula))
+    return sorts, clauses
+
+
+def test_guard_table_matches_per_combination_walk():
+    # the least-total-dimension rule raises exactly when the walk over every
+    # guarded sort combination did, and the table lists the sorts each
+    # entry admits, ascending
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(3000):
+        sorts, clauses = random_guarded_structure(rng)
+        expected = old_validation(sorts, clauses)
+        got = outcome(lambda: DefStructure(DLO, sorts, clauses))
+        if isinstance(got, DefStructure):
+            assert expected is None, (sorts, clauses)
+            assert got.guards == tuple(
+                tuple(tuple(i for i, s in enumerate(sorts) if _guard_matches(e, s.name)) for e in c.guard)
+                for c in clauses
+            )
+        else:
+            assert got[0] is expected, (sorts, clauses, got)
+        seen.add(expected)
+    assert seen == {None, SignatureMismatch, ArityMismatch}
+
+
+def test_guard_validation_does_not_walk_sort_combinations():
+    # a 6-ary "*" clause over 30 sorts has 729 M sort combinations; the
+    # check reads only the least total dimension, which the error names
+    sorts = tuple(Sort(f"s{i}", 1 + i % 3) for i in range(30))
+    start = time.perf_counter()
+    D = DefStructure(DLO, sorts, (RelationClause("R", 6, ("*",) * 6, fm.Less(0, 5)),))
+    assert time.perf_counter() - start < 1.0
+    assert D.guards == ((tuple(range(30)),) * 6,)
+    with pytest.raises(ArityMismatch, match="position 6 on sorts totalling 6 coordinates"):
+        DefStructure(DLO, sorts, (RelationClause("R", 6, ("*",) * 6, fm.Less(0, 6)),))
 
 
 def test_structure_on_matches_per_tuple_oracle():
