@@ -23,7 +23,7 @@ from .definable import (
     sample,
     unlabelled_growth,
 )
-from .errors import RelcoreError
+from .errors import RelcoreError, parsing
 from .finstruct import (
     FinStructure,
     compute_core,
@@ -59,7 +59,9 @@ def _load_json(path: str) -> dict:
 def _parse_atoms_spec(base, spec: str) -> AtomSample:
     spec = spec.strip()
     if spec.isdigit():
-        return make_sample(base, int(spec))
+        with parsing("atom count"):
+            count = int(spec)
+        return make_sample(base, count)
     atoms = tuple(Atom.parse(part) for part in spec.split(","))
     return AtomSample(base, atoms)
 
@@ -77,7 +79,9 @@ def _load(token: str):
     if at:
         if d is None or not count.isdigit():
             raise CliError(f"cannot sample gallery object {name!r}")
-        return sample(d, make_sample(d.base, int(count))).structure
+        with parsing("atom count"):
+            k = int(count)
+        return sample(d, make_sample(d.base, k)).structure
     found = d or gallery.lookup_finite(name)
     if found is None:
         raise CliError(f"no gallery object named {name!r}")

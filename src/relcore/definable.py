@@ -85,8 +85,9 @@ class DefStructure:
     base: AtomBase
     sorts: tuple[Sort, ...]
     clauses: tuple[RelationClause, ...]
-    # guards[c][g]: the indices, ascending, of the sorts that entry g of
-    # clause c admits.  Built here, the one place that reads guard entries.
+    # guards[c][g]: the sorts that entry g of clause c admits, as one
+    # (dim, indices) pair per dim, both ascending.  Built here, the one
+    # place that reads guard entries.
     guards: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,19 +106,20 @@ class DefStructure:
                 )
             guard = []
             for entry in clause.guard:
-                if entry == GUARD_ANY:
-                    guard.append(tuple(range(len(self.sorts))))
-                    continue
-                named = entry if isinstance(entry, frozenset) else {entry}
+                named = set(index) if entry == GUARD_ANY else entry if isinstance(entry, frozenset) else {entry}
                 unknown = named.difference(index)
                 if unknown:
                     raise SignatureMismatch(
                         f"clause {clause.name!r} guards unknown sorts {sorted(unknown)}"
                     )
-                guard.append(tuple(sorted(index[n] for n in named)))
+                by_dim: dict[int, list[int]] = {}
+                for i in sorted(index[n] for n in named):
+                    by_dim.setdefault(self.sorts[i].dim, []).append(i)
+                guard.append(tuple((dim, tuple(by_dim[dim])) for dim in sorted(by_dim)))
+            top = fm.check(clause.formula, self.base)
             # every guarded sort combination is at least this long
-            least = sum(min((self.sorts[i].dim for i in ids), default=0) for ids in guard)
-            if all(guard) and (top := fm.max_position(clause.formula)) >= least:
+            least = sum(entry[0][0] for entry in guard if entry)
+            if all(guard) and top >= least:
                 raise ArityMismatch(
                     f"clause {clause.name!r} uses position {top} on sorts totalling {least} coordinates"
                 )
@@ -176,7 +178,7 @@ def _count_sampling_work(D: DefStructure, counts: Sequence[int]) -> None:
     combinations of D's clauses come to more than WORK_BUDGET in all,
     counts[i] being the number of points of sort i."""
     total = sum(n * (sort.dim + 1) for sort, n in zip(D.sorts, counts)) + sum(
-        math.prod(sum(counts[i] for i in ids) for ids in guard) for guard in D.guards
+        math.prod(sum(counts[i] for _, ids in entry for i in ids) for entry in guard) for guard in D.guards
     )
     if total > WORK_BUDGET:
         raise TooLarge(f"sampling exceeded work budget {WORK_BUDGET}")
@@ -191,28 +193,27 @@ def _encode(points: Sequence[Point]) -> list:
 
 
 def _structure_on(D: DefStructure, encoded: Sequence) -> FinStructure:
-    """The structure D induces on encoded points, in the given order.  Each
-    clause runs one compiled scan over its guard combinations, visited in
-    the order of the per-tuple interpreter, so the same error surfaces
-    first.  Past WORK_BUDGET (see _count_sampling_work) it raises TooLarge
-    before any combination is evaluated."""
+    """The structure D induces on encoded points, in the given order, each
+    word as long as its sort's dim.  Each clause runs one compiled scan per
+    combination of dims in its guard.  Past WORK_BUDGET (see
+    _count_sampling_work) it raises TooLarge before any combination is
+    evaluated."""
     sorts = [si for si, _ in encoded]
     _count_sampling_work(D, [sorts.count(si) for si in range(len(D.sorts))])
     words = [word for _, word in encoded]
 
-    # per guard entry: the ids of the points it admits, in order, and the
-    # common length of their words (None when the lengths differ)
-    groups, widths = {}, {}
-    for ids in {ids for guard in D.guards for ids in guard}:
+    # per sort indices of one dim in a guard entry: the ids of the points
+    # they admit, in order
+    groups = {}
+    for ids in {ids for guard in D.guards for entry in guard for _, ids in entry}:
         chosen = set(ids)
         groups[ids] = [pid for pid, si in enumerate(sorts) if si in chosen]
-        lengths = {len(words[pid]) for pid in groups[ids]}
-        widths[ids] = min(lengths) if len(lengths) == 1 else None
     rels: dict[str, set[tuple[int, ...]]] = {c.name: set() for c in D.clauses}
     for clause, guard in zip(D.clauses, D.guards):
-        if all(groups[ids] for ids in guard):
-            scan = fm.compile_scan(clause.formula, D.base, tuple(widths[ids] for ids in guard))
-            scan([groups[ids] for ids in guard], words, rels[clause.name])
+        for parts in itertools.product(*guard):
+            if all(groups[ids] for _, ids in parts):
+                scan = fm.compile_scan(clause.formula, tuple(dim for dim, _ in parts))
+                scan([groups[ids] for _, ids in parts], words, rels[clause.name])
     return FinStructure(D.signature(), len(encoded), {k: frozenset(v) for k, v in rels.items()})
 
 
@@ -235,7 +236,11 @@ def sample(D: DefStructure, A: AtomSample) -> SampleResult:
 
 
 def induce_on_points(D: DefStructure, points: Sequence[Point]) -> FinStructure:
-    """Structure induced on an explicit list of points, in the given order."""
+    """Structure induced on an explicit list of points, in the given order;
+    each point must name a sort of D and carry as many atoms as its dim."""
+    for p in points:
+        if not (0 <= p.sort < len(D.sorts) and len(p.atoms) == D.sorts[p.sort].dim):
+            raise InvalidDimension(f"point of sort {p.sort} with {len(p.atoms)} atoms is not a point of D")
     return _structure_on(D, _encode(points))
 
 
@@ -258,7 +263,10 @@ def disjoint_union_def(left: DefStructure, right: DefStructure) -> DefStructure:
         sorts.append(Sort(name, s.dim))
     clauses = [
         RelationClause(
-            c.name, c.arity, tuple(frozenset(sorts[shift + i].name for i in ids) for ids in guard), c.formula
+            c.name,
+            c.arity,
+            tuple(frozenset(sorts[shift + i].name for _, ids in entry for i in ids) for entry in guard),
+            c.formula,
         )
         for D, shift in ((left, 0), (right, len(left.sorts)))
         for c, guard in zip(D.clauses, D.guards)

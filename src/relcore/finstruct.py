@@ -74,13 +74,16 @@ class FinStructure:
             raise InvalidElement(f"domain size must be >= 0, got {self.size}")
         rels = {}
         for name, arity in self.signature.relations:
-            tuples = frozenset(tuple(t) for t in self.relations.get(name, ()))
-            for t in tuples:
-                if len(t) != arity:
-                    raise SignatureMismatch(f"{name!r} expects arity {arity}, got {t}")
-                for x in t:
-                    if not 0 <= x < self.size:
-                        raise InvalidElement(f"element {x} outside domain of size {self.size}")
+            tuples = self.relations.get(name, frozenset())
+            if not isinstance(tuples, frozenset):
+                tuples = frozenset(map(tuple, tuples))
+            if {len(t) for t in tuples} - {arity}:
+                bad = next(t for t in tuples if len(t) != arity)
+                raise SignatureMismatch(f"{name!r} expects arity {arity}, got {bad}")
+            elements = set(itertools.chain.from_iterable(tuples))
+            for x in (min(elements), max(elements)) if elements else ():
+                if not 0 <= x < self.size:
+                    raise InvalidElement(f"element {x} outside domain of size {self.size}")
             rels[name] = tuples
         extra = set(self.relations) - set(rels)
         if extra:

@@ -7,10 +7,11 @@ flat: a binary relation between d-dimensional points uses positions
 0..2d-1.
 
 `evaluate` interprets a formula on concrete atoms and is the reference
-semantics.  `compile_formula` and `compile_scan` generate Python source
-for a formula on encoded environments, each atom given as its value rank
-and its label: a predicate, and a loop over guard combinations, which is
-how sampling evaluates clauses.
+semantics.  `check` rejects a formula that is not one over a given
+base, once, before it is used.  `compile_scan` generates Python source for
+a checked formula on encoded environments, each atom given as its value
+rank and its label: a loop over guard combinations of fixed-width words,
+which is how sampling evaluates clauses.
 """
 
 from __future__ import annotations
@@ -121,45 +122,50 @@ def _check(i: int, env: Sequence[Atom]):
         raise ArityMismatch(_outside(i, len(env)))
 
 
-Predicate = Callable[[Sequence[tuple[int, int]]], bool]
+def check(phi: Formula, base: AtomBase) -> int:
+    """Largest position index in phi, or -1 if none, after checking that
+    every node is a formula over base.  The first bad node, left to right,
+    raises: Less under an unordered base OrderNotAvailable, a label outside
+    the alphabet InvalidLabel, a negative position ArityMismatch, anything
+    else TypeError.  A formula that passes never makes `evaluate` raise on
+    an environment longer than its largest position."""
+    if isinstance(phi, (And, Or)):
+        return max((check(f, base) for f in phi.args), default=-1)
+    if isinstance(phi, Not):
+        return check(phi.arg, base)
+    if isinstance(phi, Const):
+        return -1
+    if isinstance(phi, Less) and not base.ordered:
+        raise OrderNotAvailable("Less atomic under an unordered base")
+    if isinstance(phi, Label) and operator.index(phi.label) >= base.alphabet:
+        raise InvalidLabel(f"label {phi.label} outside alphabet {base.alphabet}")
+    if not isinstance(phi, (Less, Eq, Label)):
+        raise TypeError(f"not a formula: {phi!r}")
+    ks = [operator.index(k) for k in ([phi.i] if isinstance(phi, Label) else [phi.i, phi.j])]
+    if min(ks) < 0:
+        raise ArityMismatch(f"negative position {min(ks)}")
+    return max(ks)
+
 
 _NEST = 50  # connectives per generated function; Python's parser allows ~200 nested brackets
 
 
 @functools.lru_cache(maxsize=256)
-def compile_formula(phi: Formula, base: Optional[AtomBase], width: int) -> Predicate:
-    """Predicate equal to `evaluate(phi, env, base)` on environments of
-    `width` atoms, each encoded as a pair (rank, label).
+def compile_scan(phi: Formula, widths: tuple) -> Callable:
+    """`scan(groups, words, out)` adds to the set out every combo of
+    `itertools.product(*groups)` on whose environment (the concatenated
+    `words[id]` of its ids) phi holds, each word of groups[g] being widths[g]
+    (rank, label) pairs.
 
     Ranks stand in for atom values: any integers ordered and equal exactly
     as the values are.  Less and Eq compare ranks only, so atoms of equal
-    value and different labels are Eq.  Connectives short-circuit as in
-    `evaluate`, and every error `evaluate` raises (order under an unordered
-    base, a label outside the alphabet, a position outside the environment)
-    is raised only when its node is reached.
-    """
-    code = ([], [], "env")
-    expr = _source(phi, base, width, "env[{}]".format, code)
-    return _define(code, f"def holds(env):\n    return {expr}\n", "holds")
-
-
-@functools.lru_cache(maxsize=256)
-def compile_scan(phi: Formula, base: Optional[AtomBase], widths: tuple) -> Callable:
-    """`scan(groups, words, out)` adds to the set out every combo of
-    `itertools.product(*groups)`, visited in that order, on whose
-    environment (the concatenated `words[id]` of its ids) phi holds, with
-    the semantics and lazy errors of `compile_formula`.
-
-    widths[g] is the common length of the words in groups[g], or None when
-    they differ; the formula is then compiled per environment width.
+    value and different labels are Eq.  On a formula `check` passes, with
+    positions below sum(widths), this is `evaluate` on every combo.
     """
     n, ws = len(widths), [f"w{g}" for g in range(len(widths))]
-    code = ([], [], ", ".join(ws))
-    if None in widths:
-        test = f"_compiled(len(env := {' + '.join(ws)}))(env)"
-    else:
-        at = [f"w{g}[{c}]" for g, width in enumerate(widths) for c in range(width)]
-        test = _source(phi, base, len(at), at.__getitem__, code)
+    code = ([], ", ".join(ws))
+    at = [f"w{g}[{c}]" for g, width in enumerate(widths) for c in range(width)]
+    test = _source(phi, at, code)
     ids, p = [f"a{g}, " for g in range(n)], max(0, n - 19)  # Python nests at most 20 blocks
     lines, pad = [f"for ({''.join(ids[:p])}) in _product(*groups[:{p}]):"], "    "
     for g in range(n):
@@ -169,85 +175,51 @@ def compile_scan(phi: Formula, base: Optional[AtomBase], widths: tuple) -> Calla
         lines.append(f"{pad}w{g} = words[a{g}]")
     lines += [f"{pad}if {test}:", f"{pad}    add(({''.join(ids)}))"]
     lines = ["def scan(groups, words, out):", "add = out.add"] + lines
-    source = "\n    ".join(lines) + "\n"
-    compiled = functools.cache(lambda width: compile_formula(phi, base, width))
-    return _define(code, source, "scan", _product=itertools.product, _compiled=compiled)
+    namespace = {"_product": itertools.product}
+    exec("".join(code[0]) + "\n    ".join(lines) + "\n", namespace)
+    return namespace["scan"]
 
 
-def _source(phi: Formula, base: Optional[AtomBase], width: int, at, code, depth: int = 0) -> str:
-    """Python expression, always a bool, for phi on an environment of width
-    (rank, label) pairs, the pair at position k being the expression at(k).
+def _source(phi: Formula, at: list, code, depth: int = 0) -> str:
+    """Python expression, always a bool, for phi on the (rank, label) pairs
+    at[0], at[1], ...
 
     Positions and labels pass operator.index before they reach the source,
-    and nothing else of phi is written into it.  A node that would raise
-    becomes `_fail(n)`, n indexing the (error, message) pair it appends to
-    code[1]; a subtree _NEST connectives deep becomes a call of a helper
-    function over the parameters code[2], whose source it appends to
-    code[0].
+    and nothing else of phi is written into it; a position outside at
+    raises ArityMismatch.  A subtree _NEST connectives deep becomes a call
+    of a helper function over the parameters code[1], whose source it
+    appends to code[0].
     """
-    defs, fails, params = code
-
-    def fail(error: type, message: str) -> str:
-        fails.append((error, message))
-        return f"_fail({len(fails) - 1})"
-
+    defs, params = code
     if isinstance(phi, (And, Or, Not)) and depth == _NEST:
-        expr = _source(phi, base, width, at, code)
+        expr = _source(phi, at, code)
         defs.append(f"def _h{len(defs)}({params}):\n    return {expr}\n")
         return f"_h{len(defs) - 1}({params})"
     if isinstance(phi, Const):
         return repr(bool(phi.value))
     if isinstance(phi, (Less, Eq)):
-        i, j = operator.index(phi.i), operator.index(phi.j)
-        if isinstance(phi, Less) and base is not None and not base.ordered:
-            return fail(OrderNotAvailable, "Less atomic under an unordered base")
-        for k in (i, j):
-            if not 0 <= k < width:
-                return fail(ArityMismatch, _outside(k, width))
-        return f"{at(i)}[0] {'<' if isinstance(phi, Less) else '=='} {at(j)}[0]"
+        i, j = _at(at, phi.i), _at(at, phi.j)
+        return f"{i}[0] {'<' if isinstance(phi, Less) else '=='} {j}[0]"
     if isinstance(phi, Label):
-        i, label = operator.index(phi.i), operator.index(phi.label)
-        if not 0 <= i < width:
-            return fail(ArityMismatch, _outside(i, width))
-        if base is not None and label >= base.alphabet:
-            return fail(InvalidLabel, f"label {label} outside alphabet {base.alphabet}")
-        return f"{at(i)}[1] == {label}"
+        return f"{_at(at, phi.i)}[1] == {operator.index(phi.label)}"
     if isinstance(phi, (And, Or)):
-        parts = [_source(f, base, width, at, code, depth + 1) for f in phi.args]
+        parts = [_source(f, at, code, depth + 1) for f in phi.args]
         joined = (" and " if isinstance(phi, And) else " or ").join(parts)
         return f"({joined})" if parts else repr(isinstance(phi, And))
     if isinstance(phi, Not):
-        return "not " + _source(phi.arg, base, width, at, code, depth + 1)
-    return fail(TypeError, f"not a formula: {phi!r}")
+        return "not " + _source(phi.arg, at, code, depth + 1)
+    raise TypeError(f"not a formula: {phi!r}")
 
 
-def _define(code, source: str, name: str, **names):
-    """The function `name` that source defines after the helper functions
-    in code[0], with `_fail(n)` raising the n-th error of code[1]."""
-    namespace = {"_fail": functools.partial(_raise, code[1]), **names}
-    exec("".join(code[0]) + source, namespace)
-    return namespace[name]
-
-
-def _raise(fails, n: int):
-    raise fails[n][0](fails[n][1])
+def _at(at: list, k) -> str:
+    k = operator.index(k)
+    if not 0 <= k < len(at):
+        raise ArityMismatch(_outside(k, len(at)))
+    return at[k]
 
 
 def _outside(i: int, width: int) -> str:
     return f"position {i} outside environment of length {width}"
-
-
-def max_position(phi: Formula) -> int:
-    """Largest position index occurring in phi, or -1 if none."""
-    if isinstance(phi, (Less, Eq)):
-        return max(phi.i, phi.j)
-    if isinstance(phi, Label):
-        return phi.i
-    if isinstance(phi, (And, Or)):
-        return max((max_position(f) for f in phi.args), default=-1)
-    if isinstance(phi, Not):
-        return max_position(phi.arg)
-    return -1
 
 
 def shift_positions(phi: Formula, mapping: dict[int, int]) -> Formula:

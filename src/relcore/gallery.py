@@ -32,6 +32,7 @@ from .errors import (
     KernelViolation,
     TooLarge,
     TooSmall,
+    parsing,
 )
 from .finstruct import WORK_BUDGET, FinStructure, Hom, Signature, hom_violations
 from . import formulas as fm
@@ -542,5 +543,7 @@ def lookup_finite(name: str) -> Optional[FinStructure]:
     if key.startswith("spider"):
         tail = key[len("spider"):].lstrip(":")
         if tail.isdigit():
-            return spider(int(tail))
+            with parsing("spider size"):
+                legs = int(tail)
+            return spider(legs)
     return None

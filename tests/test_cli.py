@@ -220,7 +220,27 @@ GOOD_DEFINABLE = {
     "sorts": [{"name": "q", "dim": 1}],
     "relations": [{"name": "lt", "arity": 2, "guard": ["*", "*"], "formula": {"op": "lt", "i": 0, "j": 1}}],
 }
+
+
+def one_clause(formula, ordered=True):
+    return dict(
+        GOOD_DEFINABLE,
+        base={"ordered": ordered, "alphabet": 1},
+        relations=[{"name": "R", "arity": 2, "guard": ["*", "*"], "formula": formula}],
+    )
+
+
+# well-formed JSON whose formula is not one over the base; evaluation of
+# the first two never reaches the bad node on one atom
+ILL_TYPED_DEFINABLE = {
+    "lt-over-unordered-base": one_clause(
+        {"op": "or", "args": [{"op": "eq", "i": 0, "j": 1}, {"op": "lt", "i": 0, "j": 1}]}, ordered=False
+    ),
+    "label-outside-alphabet": one_clause({"op": "and", "args": [{"op": "false"}, {"op": "label", "i": 0, "l": 5}]}),
+    "negative-position": one_clause({"op": "eq", "i": -1, "j": 0}),
+}
 MALFORMED_DEFINABLE = {
+    **ILL_TYPED_DEFINABLE,
     "no-base": {k: v for k, v in GOOD_DEFINABLE.items() if k != "base"},
     "sort-without-dim": dict(GOOD_DEFINABLE, sorts=[{"name": "q"}]),
     "formula-without-op": dict(
@@ -287,6 +307,14 @@ def test_malformed_file_exits_2(tmp_path, capsys, good, bad, command):
     assert_input_error(*run(capsys, *argv))
 
 
+@pytest.mark.parametrize("case", ILL_TYPED_DEFINABLE)
+@pytest.mark.parametrize("atoms", ["1", "2"])
+def test_ill_typed_definable_exits_2_at_any_sample_size(tmp_path, capsys, case, atoms):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(ILL_TYPED_DEFINABLE[case]))
+    assert_input_error(*run(capsys, "sample", str(path), "--atoms", atoms))
+
+
 @pytest.mark.parametrize("spec", ["1/0", "abc", "0:x", "1:2:3", "0,,1"])
 def test_malformed_atom_spec_exits_2(capsys, spec):
     assert_input_error(*run(capsys, "sample", "gallery:QST", "--atoms", spec))
@@ -332,6 +360,10 @@ def test_core_commands_are_deterministic(command, code):
         # an atom sample this large raises before any atom is built
         ["sample", "gallery:Jord1", "--atoms", "100000000"],
         ["is-core", "gallery:Jord1@100000000"],
+        # digits that int() refuses: a superscript, and more than Python converts
+        ["sample", "gallery:jord1", "--atoms", "\u00b2"],
+        ["is-core", "gallery:spider\u00b2"],
+        ["is-core", "gallery:jord1@" + "9" * 5000],
     ],
 )
 def test_out_of_range_counts_exit_2(capsys, argv):

@@ -43,6 +43,7 @@ from relcore import formulas as fm
 from relcore import gallery
 from relcore.verify import local_order_count, random_def_structure
 from test_atoms import order_type
+from test_formulas import positions
 
 
 def test_sample_sizes():
@@ -904,16 +905,13 @@ def outcome(run):
         return type(exc), str(exc)
 
 
-def hand_built_points(rng, points, truncate):
+def hand_built_points(rng, points):
     """A shuffled selection of points plus copies with other labels on the
-    same values, and with truncate a point shorter than its sort."""
+    same values."""
     twins = [
         Point(p.sort, tuple(Atom(a.value, rng.randrange(2)) for a in p.atoms)) for p in points
     ]
     chosen = rng.sample(list(points) + twins, min(len(points), 6))
-    if truncate and any(p.atoms for p in points):
-        p = rng.choice([p for p in points if p.atoms])
-        chosen.append(Point(p.sort, p.atoms[:-1]))
     rng.shuffle(chosen)
     return chosen
 
@@ -926,16 +924,28 @@ def test_sampling_matches_per_tuple_evaluation():
         labels = [rng.randrange(D.base.alphabet) for _ in range(k)]
         got = sample(D, make_sample(D.base, k, labels))
         assert got.structure == old_relations_on(D, got.points), name
-        for truncate in (False, True):
-            points = hand_built_points(rng, got.points, truncate)
-            assert outcome(lambda: induce_on_points(D, points)) == outcome(
-                lambda: old_relations_on(D, points)
-            ), name
+        points = hand_built_points(rng, got.points)
+        assert induce_on_points(D, points) == old_relations_on(D, points), name
+        # a point shorter than its sort is not a point of D
+        if any(p.atoms for p in points):
+            p = rng.choice([p for p in points if p.atoms])
+            with pytest.raises(InvalidDimension):
+                induce_on_points(D, points + [Point(p.sort, p.atoms[:-1])])
+
+
+def test_induce_on_points_rejects_points_of_no_sort():
+    D = increasing_tuple_structure(2)
+    pts = list(sample(D, make_sample(DLO, 3)).points)
+    a = pts[0].atoms
+    for bad in (Point(7, a), Point(-1, a), Point(0, a[:1]), Point(0, a + (Atom(Fraction(9)),))):
+        with pytest.raises(InvalidDimension, match="not a point of D"):
+            induce_on_points(D, pts + [bad])
+    assert induce_on_points(D, pts).size == 3
 
 
 def random_scan_formula(rng, positions, base):
-    """A formula on the given positions whose evaluation may raise: Less
-    under an unordered base, a label outside the alphabet."""
+    """A formula on the given positions that is now and then ill-typed:
+    Less under an unordered base, a label outside the alphabet."""
 
     def build(depth):
         r = rng.random()
@@ -947,10 +957,10 @@ def random_scan_formula(rng, positions, base):
         if not positions or r < 0.65:
             return fm.TRUE if rng.random() < 0.5 else fm.FALSE
         i, j = rng.randrange(positions), rng.randrange(positions)
-        kind = rng.randrange(3)
+        kind, ill = rng.randrange(3), rng.random() < 0.1
         if kind == 2:
-            return fm.Label(i, rng.randrange(base.alphabet + 1))
-        return fm.Less(i, j) if kind == 0 else fm.Eq(i, j)
+            return fm.Label(i, rng.randrange(base.alphabet) + ill)
+        return fm.Less(i, j) if kind == 0 and (base.ordered or ill) else fm.Eq(i, j)
 
     return build(3)
 
@@ -990,7 +1000,7 @@ def old_validation(sorts, clauses):
                 return SignatureMismatch
         groups = [[s for s in sorts if _guard_matches(entry, s.name)] for entry in clause.guard]
         for combo in itertools.product(*groups):
-            if fm.max_position(clause.formula) >= sum(s.dim for s in combo):
+            if max(positions(clause.formula), default=-1) >= sum(s.dim for s in combo):
                 return ArityMismatch
     return None
 
@@ -1022,7 +1032,7 @@ def random_guarded_structure(rng):
 def test_guard_table_matches_per_combination_walk():
     # the least-total-dimension rule raises exactly when the walk over every
     # guarded sort combination did, and the table lists the sorts each
-    # entry admits, ascending
+    # entry admits, grouped by dim, both ascending
     rng = random.Random(31)
     seen = set()
     for _ in range(3000):
@@ -1031,8 +1041,12 @@ def test_guard_table_matches_per_combination_walk():
         got = outcome(lambda: DefStructure(DLO, sorts, clauses))
         if isinstance(got, DefStructure):
             assert expected is None, (sorts, clauses)
+            by_dim = lambda ids: tuple(
+                (dim, tuple(i for _, i in group))
+                for dim, group in itertools.groupby(sorted((sorts[i].dim, i) for i in ids), lambda p: p[0])
+            )
             assert got.guards == tuple(
-                tuple(tuple(i for i, s in enumerate(sorts) if _guard_matches(e, s.name)) for e in c.guard)
+                tuple(by_dim(i for i, s in enumerate(sorts) if _guard_matches(e, s.name)) for e in c.guard)
                 for c in clauses
             )
         else:
@@ -1048,30 +1062,35 @@ def test_guard_validation_does_not_walk_sort_combinations():
     start = time.perf_counter()
     D = DefStructure(DLO, sorts, (RelationClause("R", 6, ("*",) * 6, fm.Less(0, 5)),))
     assert time.perf_counter() - start < 1.0
-    assert D.guards == ((tuple(range(30)),) * 6,)
+    assert D.guards == ((tuple((dim, tuple(range(dim - 1, 30, 3))) for dim in (1, 2, 3)),) * 6,)
     with pytest.raises(ArityMismatch, match="position 6 on sorts totalling 6 coordinates"):
         DefStructure(DLO, sorts, (RelationClause("R", 6, ("*",) * 6, fm.Less(0, 6)),))
 
 
 def test_structure_on_matches_per_tuple_oracle():
-    # generated scans against the interpreter loop: the same tuples, or the
-    # same first error, on samples and on shuffled, relabelled and
-    # truncated hand-built points
+    # generated scans, one per dim combination of guard entries that mix
+    # dims, against the interpreter loop: the same tuples on samples and on
+    # shuffled, relabelled hand-built points.  An ill-typed clause fails
+    # when D is built.
     rng = random.Random(29)
     outcomes = set()
     for _ in range(150):
-        D = random_scan_structure(rng)
+        D = outcome(lambda: random_scan_structure(rng))
         k = rng.randint(0, 4)
+        if not isinstance(D, DefStructure):
+            outcomes.add(D[0])
+            continue
         atoms = make_sample(D.base, k, [rng.randrange(D.base.alphabet) for _ in range(k)])
         points = [
             Point(si, c) for si, s in enumerate(D.sorts) for c in itertools.combinations(atoms.atoms, s.dim)
         ]
+        # (an arity-0 clause makes both raise SignatureMismatch)
         assert outcome(lambda: sample(D, atoms).structure) == outcome(lambda: old_relations_on(D, points))
-        for chosen in (points, hand_built_points(rng, points, False), hand_built_points(rng, points, True)):
+        for chosen in (points, hand_built_points(rng, points)):
             got = outcome(lambda: definable._structure_on(D, definable._encode(chosen)))
             assert got == outcome(lambda: old_relations_on(D, chosen)), (D, chosen)
             outcomes.add(got[0] if isinstance(got, tuple) else FinStructure)
-    assert {FinStructure, ArityMismatch, InvalidLabel, OrderNotAvailable} <= outcomes
+    assert {FinStructure, InvalidLabel, OrderNotAvailable} <= outcomes
 
 
 def test_scan_of_arity_past_python_block_nesting():
@@ -1087,12 +1106,23 @@ def test_scan_of_arity_past_python_block_nesting():
     assert got.structure.rel("R") == {(0,) * 20 + (i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i < j or j == 2}
 
 
-def test_sampling_errors_stay_lazy():
-    # Less is never reached under the pure set, so sampling succeeds
-    D = DefStructure(
-        PURE_SET, (Sort("a", 1),), (RelationClause("R", 2, ("*", "*"), fm.Or(fm.TRUE, fm.Less(0, 1))),)
-    )
-    assert len(sample(D, make_sample(PURE_SET, 3)).structure.rel("R")) == 9
+@pytest.mark.parametrize(
+    "base,guard,formula,error",
+    [
+        (PURE_SET, ("*", "*"), fm.Or(fm.Eq(0, 1), fm.Less(0, 1)), OrderNotAvailable),
+        (PURE_SET, ("*", "*"), fm.Or(fm.TRUE, fm.Less(0, 1)), OrderNotAvailable),
+        (DLO, ("*", "*"), fm.And(fm.FALSE, fm.Label(0, 5)), InvalidLabel),
+        (DLO, ("*", "*"), fm.Or(fm.TRUE, fm.Eq(-1, 0)), ArityMismatch),
+        # a guard that admits no sort still carries a formula of the base
+        (PURE_SET, (frozenset(), "*"), fm.Less(0, 1), OrderNotAvailable),
+    ],
+    ids=["eq-or-lt-unordered", "true-or-lt-unordered", "label-under-false", "negative-position", "empty-guard"],
+)
+def test_ill_typed_clauses_fail_at_construction(base, guard, formula, error):
+    # a clause is checked whole when D is built, so no sample size, orbit
+    # count or growth query ever meets the bad node
+    with pytest.raises(error):
+        DefStructure(base, (Sort("a", 1),), (RelationClause("R", 2, guard, formula),))
 
 
 def test_json_roundtrip():

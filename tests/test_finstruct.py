@@ -79,6 +79,21 @@ def test_induced_substructure_bad_element():
         induced_substructure(K3, [0, 5])
 
 
+@pytest.mark.parametrize("kind", [frozenset, list], ids=["frozenset", "list"])
+def test_relation_checks_name_the_offender(kind):
+    sig = Signature((("E", 2),))
+    with pytest.raises(SignatureMismatch, match=r"expects arity 2, got \(0, 1, 2\)"):
+        FinStructure(sig, 3, {"E": kind([(0, 1), (0, 1, 2)])})
+    for bad in (-1, 3):
+        with pytest.raises(InvalidElement, match=f"element {bad} outside domain of size 3"):
+            FinStructure(sig, 3, {"E": kind([(0, 1), (bad, 2)])})
+    given = kind([(0, 1), [2, 2]] if kind is list else [(0, 1), (2, 2)])
+    rel = FinStructure(sig, 3, {"E": given}).rel("E")
+    assert rel == frozenset({(0, 1), (2, 2)})
+    # a frozenset is kept as it is, anything else is copied into one
+    assert (rel is given) == (kind is frozenset)
+
+
 def test_disjoint_union():
     empty = digraph(0, set())
     assert disjoint_union(K3, empty) == K3

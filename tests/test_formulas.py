@@ -170,56 +170,116 @@ def random_tree(rng, k, base):
     return build(3)
 
 
+def first_bad_node(phi, base):
+    """The error class of the first node, in left-to-right preorder, that
+    is not a formula over base, or None: the node walk fm.check must agree
+    with."""
+    if isinstance(phi, (fm.And, fm.Or)):
+        return next(filter(None, (first_bad_node(f, base) for f in phi.args)), None)
+    if isinstance(phi, fm.Not):
+        return first_bad_node(phi.arg, base)
+    if isinstance(phi, fm.Less) and not base.ordered:
+        return OrderNotAvailable
+    if isinstance(phi, fm.Label) and phi.label >= base.alphabet:
+        return InvalidLabel
+    if isinstance(phi, (fm.Less, fm.Eq, fm.Label)):
+        return ArityMismatch if min(positions(phi)) < 0 else None
+    return None if isinstance(phi, fm.Const) else TypeError
+
+
+def positions(phi):
+    """Every position index in phi, left to right."""
+    if isinstance(phi, fm.Label):
+        return [phi.i]
+    if isinstance(phi, (fm.Less, fm.Eq)):
+        return [phi.i, phi.j]
+    if isinstance(phi, (fm.And, fm.Or)):
+        return [k for f in phi.args for k in positions(f)]
+    return positions(phi.arg) if isinstance(phi, fm.Not) else []
+
+
+def holds(phi, env):
+    """phi on one encoded environment, through a one-group scan."""
+    out = set()
+    fm.compile_scan(phi, (len(env),))([[0]], [env], out)
+    return bool(out)
+
+
+def ill_typed_tree(rng, k, base):
+    """random_tree with now and then a negative position or a node that is
+    not a formula in place of a subtree."""
+    phi = random_tree(rng, k, base)
+    for _ in range(rng.randint(0, 2)):
+        bad = rng.choice([fm.Eq(-1, 0), fm.Label(-2, 0), fm.Less(0, -1), "x", None, 3])
+        phi = rng.choice([fm.And, fm.Or])(phi, bad) if rng.random() < 0.5 else fm.Or(bad, phi)
+    return phi
+
+
 @pytest.mark.parametrize("base", [PURE_SET, DLO, labeled_dlo(2)], ids=["pure", "dlo", "labelled"])
 def test_compiled_formula_matches_evaluate(base):
+    # fm.check raises exactly when the node walk finds a bad node, with the
+    # class of the first; when it passes, it returns the largest position,
+    # evaluate never raises, and a one-group scan agrees with evaluate on
+    # environments of every sufficient width
     rng = random.Random(17)
     seen = set()
     for _ in range(400):
         k = rng.randint(0, 4)
-        phi = random_tree(rng, k, base)
-        for _ in range(4):
-            # few values, two labels: repeated atoms and equal values with
-            # different labels both occur
-            env = [Atom(Fraction(rng.randint(0, 3)), rng.randrange(2)) for _ in range(k)]
-            for b in (base, None):
-                expected = outcome(lambda: fm.evaluate(phi, env, b))
-                got = outcome(lambda: fm.compile_formula(phi, b, len(env))(encode(env)))
-                assert got == expected, (phi, env, b)
-                seen.add(expected[0] if isinstance(expected, tuple) else expected)
-    errors = {ArityMismatch, InvalidLabel} | ({OrderNotAvailable} if not base.ordered else set())
+        phi = random_tree(rng, k, base) if rng.random() < 0.5 else ill_typed_tree(rng, k, base)
+        expected = first_bad_node(phi, base)
+        got = outcome(lambda: fm.check(phi, base))
+        if expected is not None:
+            assert isinstance(got, tuple) and got[0] is expected, (phi, got)
+            seen.add(expected)
+            continue
+        assert got == max(positions(phi), default=-1), phi
+        for width in (got + 1, got + 2):
+            for _ in range(4):
+                # few values, two labels: repeated atoms and equal values
+                # with different labels both occur
+                env = [Atom(Fraction(rng.randint(0, 3)), rng.randrange(2)) for _ in range(width)]
+                truth = fm.evaluate(phi, env, base)
+                assert holds(phi, encode(env)) == truth, (phi, env)
+                seen.add(truth)
+    errors = {ArityMismatch, InvalidLabel, TypeError} | ({OrderNotAvailable} if not base.ordered else set())
     assert {True, False} | errors <= seen
 
 
-def test_compiled_errors_are_lazy():
-    pure = fm.compile_formula(fm.Or(fm.TRUE, fm.Less(0, 1)), PURE_SET, 2)
-    assert pure(encode(atoms(0, 1))) is True
-    skipped = fm.compile_formula(fm.And(fm.FALSE, fm.Label(3, 5)), DLO, 1)
-    assert skipped(encode(atoms(0))) is False
-    reached = fm.compile_formula(fm.Less(0, 1), PURE_SET, 2)
+def test_check_rejects_nodes_evaluation_would_skip():
+    # every node is checked, reached by evaluation or not
     with pytest.raises(OrderNotAvailable):
-        reached(encode(atoms(0, 1)))
+        fm.check(fm.Or(fm.TRUE, fm.Less(0, 1)), PURE_SET)
     with pytest.raises(InvalidLabel):
-        fm.compile_formula(fm.Label(0, 2), labeled_dlo(2), 1)(encode(atoms(0)))
+        fm.check(fm.And(fm.FALSE, fm.Label(3, 5)), DLO)
+    with pytest.raises(InvalidLabel):
+        fm.check(fm.Label(0, 2), labeled_dlo(2))
+    with pytest.raises(ArityMismatch, match="negative position -1"):
+        fm.check(fm.Or(fm.TRUE, fm.Eq(0, -1)), DLO)
+    with pytest.raises(TypeError):
+        fm.check(fm.And(fm.TRUE, "x"), DLO)
+    assert fm.check(fm.And(fm.Eq(0, 3), fm.Not(fm.Label(5, 0))), PURE_SET) == 5
+    assert fm.check(fm.Or(), PURE_SET) == -1
 
 
 def test_compiled_eq_and_less_compare_values_only():
     env = encode(atoms(1, 1, 0, labels=[0, 1, 1]))
-    base = labeled_dlo(2)
-    assert fm.compile_formula(fm.Eq(0, 1), base, 3)(env)
-    assert not fm.compile_formula(fm.Less(0, 1), base, 3)(env)
-    assert not fm.compile_formula(fm.Less(1, 0), base, 3)(env)
-    assert fm.compile_formula(fm.Less(2, 1), base, 3)(env)
-    assert fm.compile_formula(fm.Label(0, 0), base, 3)(env)
-    assert not fm.compile_formula(fm.Label(1, 0), base, 3)(env)
+    assert holds(fm.Eq(0, 1), env)
+    assert not holds(fm.Less(0, 1), env)
+    assert not holds(fm.Less(1, 0), env)
+    assert holds(fm.Less(2, 1), env)
+    assert holds(fm.Label(0, 0), env)
+    assert not holds(fm.Label(1, 0), env)
 
 
 def test_compile_cache_is_keyed_on_width_and_bounded():
     phi = fm.Less(0, 1)
-    assert fm.compile_formula(phi, DLO, 2) is fm.compile_formula(fm.Less(0, 1), DLO, 2)
-    assert fm.compile_formula(phi, DLO, 2)(encode(atoms(0, 1)))
+    assert fm.compile_scan(phi, (2,)) is fm.compile_scan(fm.Less(0, 1), (2,))
+    assert fm.compile_scan(phi, (1, 1)) is not fm.compile_scan(phi, (2,))
+    assert holds(phi, encode(atoms(0, 1)))
+    # a position outside the words is refused when the scan is compiled
     with pytest.raises(ArityMismatch, match="length 1"):
-        fm.compile_formula(phi, DLO, 1)(encode(atoms(0)))
-    assert fm.compile_formula.cache_info().maxsize is not None
+        fm.compile_scan(phi, (1,))
+    assert fm.compile_scan.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize(
@@ -229,11 +289,10 @@ def test_compile_cache_is_keyed_on_width_and_bounded():
 def test_only_integers_reach_generated_source(monkeypatch, phi):
     executed = []
     monkeypatch.setattr(fm, "exec", lambda *args: executed.append(args), raising=False)
-    for base in (DLO, None):
-        with pytest.raises(TypeError):
-            fm.compile_formula(phi, base, 2)
-        with pytest.raises(TypeError):
-            fm.compile_scan(phi, base, (1, 1))
+    with pytest.raises(TypeError):
+        fm.check(phi, DLO)
+    with pytest.raises(TypeError):
+        fm.compile_scan(phi, (1, 1))
     assert executed == []
 
 
@@ -264,10 +323,9 @@ def not_chain(depth):
 )
 def test_formulas_deeper_than_the_parser_allows_compile(deep, shallow):
     envs = [encode(atoms(a, b)) for a in range(2) for b in range(2)]
-    holds = fm.compile_formula(deep, DLO, 2)
-    assert [holds(env) for env in envs] == [fm.compile_formula(shallow, DLO, 2)(env) for env in envs]
+    assert [holds(deep, env) for env in envs] == [holds(shallow, env) for env in envs]
     words = [((0, 0),), ((1, 0),)]
     got, expected = set(), set()
-    fm.compile_scan(deep, DLO, (1, 1))([[0, 1], [0, 1]], words, got)
-    fm.compile_scan(shallow, DLO, (1, 1))([[0, 1], [0, 1]], words, expected)
+    fm.compile_scan(deep, (1, 1))([[0, 1], [0, 1]], words, got)
+    fm.compile_scan(shallow, (1, 1))([[0, 1], [0, 1]], words, expected)
     assert got == expected
