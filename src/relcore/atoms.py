@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import BaseMismatch, InvalidLabel, TooLarge, json_int, parsing
-from .finstruct import WORK_BUDGET
+from .errors import BaseMismatch, InvalidLabel, charge, json_int, parsing
 
 
 @dataclass(frozen=True)
@@ -127,14 +126,13 @@ def make_sample(base: AtomBase, n: int, labels: Optional[Sequence[int]] = None) 
     Labels default to the cyclic assignment 0,1,...,k-1,0,... so every label
     class is nonempty and spread out once n reaches the alphabet size.
 
-    Each atom counts five steps against WORK_BUDGET (its value, its Atom,
+    Each atom charges five steps to the work budget (its value, its Atom,
     its label check, and the sample's order and duplicate checks), before
     any is built.
     """
     if n < 0:
         raise InvalidLabel(f"sample size must be >= 0, got {n}")
-    if 5 * n > WORK_BUDGET:
-        raise TooLarge(f"a sample of {n} atoms exceeds work budget {WORK_BUDGET}")
+    charge(5 * n, f"a sample of {n} atoms")
     if labels is None:
         labels = [i % base.alphabet for i in range(n)]
     else:

@@ -23,10 +23,13 @@ from .errors import (
     SignatureMismatch,
     TooLarge,
     Unsupported,
+    charge,
+    headroom,
     json_int,
+    metered,
     parsing,
 )
-from .finstruct import WORK_BUDGET, FinStructure, Signature, canonical_form
+from .finstruct import FinStructure, Signature, canonical_form
 from . import formulas as fm
 
 GUARD_ANY = "*"
@@ -173,15 +176,14 @@ class SampleResult:
     points: tuple[Point, ...]
 
 
-def _count_sampling_work(D: DefStructure, counts: Sequence[int]) -> None:
-    """Raise TooLarge when the points, dim + 1 steps each, and the guard
-    combinations of D's clauses come to more than WORK_BUDGET in all,
-    counts[i] being the number of points of sort i."""
+def _charge_sampling(D: DefStructure, counts: Sequence[int]) -> None:
+    """Charge the points, dim + 1 steps each, and the guard combinations of
+    D's clauses to the work budget, counts[i] being the number of points of
+    sort i."""
     total = sum(n * (sort.dim + 1) for sort, n in zip(D.sorts, counts)) + sum(
         math.prod(sum(counts[i] for _, ids in entry for i in ids) for entry in guard) for guard in D.guards
     )
-    if total > WORK_BUDGET:
-        raise TooLarge(f"sampling exceeded work budget {WORK_BUDGET}")
+    charge(total, "sampling")
 
 
 def _encode(points: Sequence[Point]) -> list:
@@ -195,11 +197,9 @@ def _encode(points: Sequence[Point]) -> list:
 def _structure_on(D: DefStructure, encoded: Sequence) -> FinStructure:
     """The structure D induces on encoded points, in the given order, each
     word as long as its sort's dim.  Each clause runs one compiled scan per
-    combination of dims in its guard.  Past WORK_BUDGET (see
-    _count_sampling_work) it raises TooLarge before any combination is
-    evaluated."""
+    combination of dims in its guard.  Callers charge the sampling work
+    (see _charge_sampling) before calling it."""
     sorts = [si for si, _ in encoded]
-    _count_sampling_work(D, [sorts.count(si) for si in range(len(D.sorts))])
     words = [word for _, word in encoded]
 
     # per sort indices of one dim in a guard entry: the ids of the points
@@ -219,12 +219,12 @@ def _structure_on(D: DefStructure, encoded: Sequence) -> FinStructure:
 
 def sample(D: DefStructure, A: AtomSample) -> SampleResult:
     """Explicit finite structure on all points supported inside A.  The
-    points and their guard combinations are counted against WORK_BUDGET
+    points and their guard combinations are charged to the work budget, once,
     before any point is built.  A's atoms are sorted and distinct, so an
     atom's index is its rank."""
     if A.base != D.base:
         raise BaseMismatch(f"sample base {A.base} differs from structure base {D.base}")
-    _count_sampling_work(D, [math.comb(len(A.atoms), sort.dim) for sort in D.sorts])
+    _charge_sampling(D, [math.comb(len(A.atoms), sort.dim) for sort in D.sorts])
     ranked = [(k, a.label) for k, a in enumerate(A.atoms)]
     encoded, points = [], []
     for si, sort in enumerate(D.sorts):
@@ -241,6 +241,8 @@ def induce_on_points(D: DefStructure, points: Sequence[Point]) -> FinStructure:
     for p in points:
         if not (0 <= p.sort < len(D.sorts) and len(p.atoms) == D.sorts[p.sort].dim):
             raise InvalidDimension(f"point of sort {p.sort} with {len(p.atoms)} atoms is not a point of D")
+    sorts = [p.sort for p in points]
+    _charge_sampling(D, [sorts.count(si) for si in range(len(D.sorts))])
     return _structure_on(D, _encode(points))
 
 
@@ -285,8 +287,8 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
     point is the (increasing) union of the component supports.  Relations
     are the projection-instantiated relations of D plus component equality,
     named exactly as in the finite full power so that samples line up.
-    A relation of arity k takes (d * sorts)^k clauses; more than
-    WORK_BUDGET clauses in all raise TooLarge before any is built.
+    A relation of arity k takes (d * sorts)^k clauses; every clause is
+    charged to the work budget before any is built.
     """
     if d < 1:
         raise InvalidDimension(f"power dimension must be >= 1, got {d}")
@@ -307,8 +309,7 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
     equal = fm.And(tuple(fm.Eq(c, m + c) for c in range(m))) if m else fm.TRUE
     atoms_rels = list(merged.items()) + [("=", (2, equal))]
     count = sum((d * len(sorts)) ** k for _, (k, _) in atoms_rels)
-    if count > WORK_BUDGET:
-        raise TooLarge(f"power would have {count} clauses > budget {WORK_BUDGET}")
+    charge(count, f"a power with {count} clauses")
     clauses = []
     for name, (k, phi) in atoms_rels:
         for js in itertools.product(range(d), repeat=k):
@@ -374,14 +375,15 @@ def _orbits(D: DefStructure, n: int, as_set: bool):
     that covers it; the first choice met in an orbit represents it, slot k
     being the atom of rank k and label word[k].  No atom is built.
 
-    Before the walk, each support size counts against WORK_BUDGET its k
+    Before the walk, each support size charges to the work budget its k
     abstract points, the choices the covering filter visits, and n steps
     (one descriptor) for every label word and covering choice; on an
     unordered base also the s! relabellings of each.  The covering choices
-    are counted by inclusion-exclusion over the atoms a choice misses.
+    are counted by inclusion-exclusion over the atoms a choice misses, and
+    the count stops at the first support size that exceeds the headroom.
     """
     smax = n * D.max_dim()
-    work = 0
+    work, allowed = 0, headroom()
     within = []  # within[t]: the choices inside a fixed set of t atoms
     covers = []
     for s in range(smax + 1):
@@ -390,8 +392,9 @@ def _orbits(D: DefStructure, n: int, as_set: bool):
         covers.append(within[s] and sum((-1) ** j * math.comb(s, j) * within[s - j] for j in range(s + 1)))
         steps = n if D.base.ordered else n + math.factorial(s)
         work += k + within[s] + D.base.alphabet**s * covers[s] * steps
-        if work > WORK_BUDGET:
-            raise TooLarge(f"orbit enumeration exceeded work budget {WORK_BUDGET}")
+        if work > allowed:
+            break
+    charge(work, "orbit enumeration")
     seen = set()
     for s in range(smax + 1):
         if not covers[s]:
@@ -426,6 +429,7 @@ def point_orbits(D: DefStructure, n: int) -> list[str]:
     return sorted(desc for desc, _, _ in _orbits(D, n, False))
 
 
+@metered
 def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
     """Number of classes of n-element subsets of D's points.
 
@@ -435,7 +439,8 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
     automorphism group exactly when D is homogeneous in its listed
     relations; asserting that is the caller's responsibility.
     mode="reversal" also identifies a class with its relation-reversed
-    class and requires a single binary relation.
+    class and requires a single binary relation.  The orbit enumeration and
+    every induced structure and canonical form charge one work meter.
     """
     if mode not in ("base", "homogeneous", "reversal"):
         raise Unsupported(f"unknown growth mode {mode!r}")
@@ -449,6 +454,7 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
         return sum(1 for _ in orbits)
     forms = set()
     for _, word, shape in orbits:
+        _charge_sampling(D, [sum(si == sj for sj, _ in shape) for si in range(len(D.sorts))])
         induced = _structure_on(D, [(si, tuple((k, word[k]) for k in slots)) for si, slots in shape])
         form = canonical_form(induced)
         if mode == "reversal":
@@ -488,6 +494,7 @@ def increasing_tuple_structure(d: int) -> DefStructure:
     return DefStructure(DLO, (Sort("t", d),), tuple(clauses))
 
 
+@metered
 def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
     """All invariant strict total orders on D's points, each given as the
     set of pair-orbit descriptors it contains.
@@ -495,8 +502,8 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
     Every candidate must be irreflexive, total, antisymmetric and
     transitive on a sample with 3*d atoms; since three points involve at
     most 3*d atoms and every 3-point type is realized at that size,
-    invariance makes the check conclusive.  Past WORK_BUDGET composition
-    triples examined (577,128 in all at d = 3) the search raises TooLarge.
+    invariance makes the check conclusive.  Every composition-table triple
+    examined (577,128 in all at d = 3) is charged to the work budget.
     """
     if len(D.sorts) != 1:
         raise Unsupported("invariant order enumeration needs a single sort")
@@ -514,14 +521,10 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
 
     results = []
     status: dict[str, bool] = {}
-    work = 0
 
     def violated(chosen: str) -> bool:
-        nonlocal work
         triples = by_first.get(chosen, ())
-        work += len(triples)
-        if work > WORK_BUDGET:
-            raise TooLarge(f"invariant order search exceeded work budget {WORK_BUDGET}")
+        charge(len(triples), "invariant order search")
         for _, o2, o3 in triples:
             if status.get(o2) and status.get(o3) is False:
                 return True

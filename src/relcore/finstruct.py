@@ -23,14 +23,12 @@ from .errors import (
     InvalidElement,
     InvalidInput,
     SignatureMismatch,
-    TooLarge,
+    charge,
+    headroom,
     json_int,
+    metered,
     parsing,
 )
-
-# The one work budget: the most steps a bounded construction may count before
-# raising TooLarge.  Each construction's docstring says what it counts.
-WORK_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -211,15 +209,14 @@ def full_power(structure: FinStructure, d: int) -> FinStructure:
 
     For each relation R of arity k (and for equality) and each projection
     pattern (j_1,...,j_k) in [d]^k there is a relation named "R@j_1,...,j_k"
-    holding on (t_1,...,t_k) iff R(t_1[j_1],...,t_k[j_k]).  Testing more
-    than WORK_BUDGET tuples in all raises TooLarge before any is built.
+    holding on (t_1,...,t_k) iff R(t_1[j_1],...,t_k[j_k]).  Every tuple it
+    would test is charged to the work budget before any is built.
     """
     if d < 1:
         raise InvalidDimension(f"power dimension must be >= 1, got {d}")
     atoms = list(structure.signature.relations) + [("=", 2)]
     work = sum(d**k * structure.size ** (d * k) for _, k in atoms)
-    if work > WORK_BUDGET:
-        raise TooLarge(f"power would test {work} tuples > budget {WORK_BUDGET}")
+    charge(work, f"a power testing {work} tuples")
     domain = list(itertools.product(range(structure.size), repeat=d))
     index = {t: i for i, t in enumerate(domain)}
     diagonal = frozenset((x, x) for x in range(structure.size))
@@ -262,8 +259,9 @@ def _search(
     of v through a binary relation; strong modes also need non-neighbours
     of v to map to non-neighbours of w, so there every other set is cut.
     Only binary loops and tuples of arity >= 3 are checked at assignment.
-    Every value tried counts one step and every stored map n steps; past
-    WORK_BUDGET steps the search raises TooLarge.
+    Every value tried counts one step and every stored map n steps.  The
+    count is kept inline and charged to the work budget once, when the
+    search ends or when it exceeds the headroom it started with.
     """
     if source.signature != target.signature:
         raise SignatureMismatch("hom search requires equal signatures")
@@ -349,7 +347,7 @@ def _search(
     # read only in strong modes, where no two variables share an image
     inverse: list[Optional[int]] = [None] * m
     solutions: list[tuple[int, ...]] = []
-    work = 0
+    work, allowed = 0, headroom()
 
     def consistent_assign(v: int, w: int) -> bool:
         for rel, t in checks[v]:
@@ -367,8 +365,8 @@ def _search(
         nonlocal work
         if not left:
             work += n
-            if work > WORK_BUDGET:
-                raise TooLarge(f"hom search exceeded work budget {WORK_BUDGET}")
+            if work > allowed:
+                charge(work, "hom search")
             solutions.append(tuple(assignment))  # type: ignore[arg-type]
             return limit is not None and len(solutions) >= limit
         if lexicographic:
@@ -386,8 +384,8 @@ def _search(
             rest ^= low
             w = low.bit_length() - 1
             work += 1
-            if work > WORK_BUDGET:
-                raise TooLarge(f"hom search exceeded work budget {WORK_BUDGET}")
+            if work > allowed:
+                charge(work, "hom search")
             if (checks[v] or back[w]) and not consistent_assign(v, w):
                 continue
             pruned = list(current)
@@ -409,6 +407,7 @@ def _search(
     # backtrack reaches itself through its closure; breaking that cycle frees
     # the search state now instead of at the next cyclic garbage collection.
     backtrack = None
+    charge(work, "hom search")
     return solutions
 
 
@@ -433,13 +432,15 @@ def enumerate_endos(structure: FinStructure, limit: Optional[int] = None) -> lis
     return [Hom(structure, structure, m) for m in found]
 
 
+@metered
 def find_noninjective_endo(structure: FinStructure) -> Optional[Hom]:
     """An endomorphism that is not injective, or None if the structure is a core.
 
     A non-injective endomorphism of a finite structure misses some element,
     so the structure is a core iff no search S -> S without v succeeds, for
     v = 0, 1, ... (Hell and Nesetril, "The core of a graph", 1992).  The
-    first map found is returned, so the result is deterministic.
+    first map found is returned, so the result is deterministic.  All the
+    searches charge one work meter.
     """
     for v in range(structure.size):
         found = _search(structure, structure, "hom", None, lexicographic=False, limit=1, avoid=v)
@@ -461,13 +462,14 @@ class CoreResult:
     was_core: bool
 
 
+@metered
 def compute_core(structure: FinStructure) -> CoreResult:
     """Core by iterated image shrinking.
 
     Repeatedly finds a non-injective endomorphism and restricts to its
     image.  The returned retraction restricts to the identity on the core
     (as a subset of the original domain) and the core admits only injective
-    endomorphisms.
+    endomorphisms.  All the searches charge one work meter.
     """
     n = structure.size
     f = list(range(n))
@@ -539,6 +541,7 @@ def _orbit_meets(w: int, tried: list[int], generators: list[list[int]]) -> bool:
     return not orbit.isdisjoint(tried)
 
 
+@metered
 def canonical_form(structure: FinStructure) -> bytes:
     """Canonical byte encoding: equal exactly for isomorphic structures.
 
@@ -556,8 +559,8 @@ def canonical_form(structure: FinStructure) -> bytes:
     earlier one is then an image of a searched subtree, so the search
     returns to that level; and a node skips every child in the orbit of an
     already searched child under the automorphisms found so far that fix
-    the node's path.  Every node visited counts n plus the number of
-    tuples against WORK_BUDGET, and the search raises TooLarge past it.
+    the node's path.  Every node visited charges n plus the number of
+    tuples to the work budget.
     """
     n = structure.size
     rels = [structure.relations[name] for name in structure.signature.names()]
@@ -571,7 +574,6 @@ def canonical_form(structure: FinStructure) -> bytes:
     first: Optional[tuple] = None
     best: Optional[tuple] = None
     automorphisms: list[list[int]] = []
-    work = 0
 
     def leaf(labels: list[int], path: list[int]) -> Optional[int]:
         nonlocal first, best
@@ -592,10 +594,7 @@ def canonical_form(structure: FinStructure) -> bytes:
 
     def visit(colours: list[int], path: list[int]) -> Optional[int]:
         """Search below a node; returns the depth to resume at, if shallower."""
-        nonlocal work
-        work += n + len(tuples)
-        if work > WORK_BUDGET:
-            raise TooLarge(f"canonical form exceeded work budget {WORK_BUDGET}")
+        charge(n + len(tuples), "canonical form")
         colours = _refine(incidences, tuples, colours)
         if len(set(colours)) == n:
             return leaf(colours, path)

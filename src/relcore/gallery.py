@@ -30,11 +30,13 @@ from .errors import (
     HomValidationError,
     InvalidElement,
     KernelViolation,
-    TooLarge,
     TooSmall,
+    charge,
+    headroom,
+    metered,
     parsing,
 )
-from .finstruct import WORK_BUDGET, FinStructure, Hom, Signature, hom_violations
+from .finstruct import FinStructure, Hom, Signature, hom_violations
 from . import formulas as fm
 
 TAGS = 4
@@ -257,45 +259,37 @@ def is_sample_automorphism(structure: FinStructure, perm: Sequence[int]) -> bool
 
 
 def _count_generators(atom_count: int, sorts: int, rotations: bool) -> None:
-    """Count n steps for each of the atom_count! atom permutations and, with
-    rotations, each of the 2^C(atom_count, 2) fiber rotations against
-    WORK_BUDGET before any generator is built; n = sorts * C(atom_count, 2)
-    is the number of points each generator moves.  Once x reaches the
-    budget's bit length b (at least 4), x! and 2^x both exceed the budget,
-    so they are computed from arguments capped at b."""
-    b = max(WORK_BUDGET.bit_length(), 4)
+    """Charge n steps for each of the atom_count! atom permutations and, with
+    rotations, each of the 2^C(atom_count, 2) fiber rotations to the work
+    budget before any generator is built; n = sorts * C(atom_count, 2) is
+    the number of points each generator moves.  Once x reaches the
+    headroom's bit length b (at least 4), x! and 2^x both exceed the
+    headroom, so they are computed from arguments capped at b."""
+    b = max(headroom().bit_length(), 4)
     k = max(atom_count, 0)
     pairs = math.comb(k, 2)
     count = math.factorial(min(k, b)) + (2 ** min(pairs, b) if rotations else 0)
-    if sorts * pairs * count > WORK_BUDGET:
-        raise TooLarge(f"group generators on {atom_count} atoms exceed work budget {WORK_BUDGET}")
+    charge(sorts * pairs * count, f"group generators on {atom_count} atoms")
 
 
+@metered
 def _involution_scan(gens: list[tuple[int, ...]]):
     """The group generated by the permutations gens, its involutions in
     sorted order, and the first pair of them that does not commute (None
     when all commute).
 
-    Every composition counts one step against WORK_BUDGET and every group
-    element stored counts n more, n being the degree; past the budget the
-    scan raises TooLarge.
+    Every composition charges one step to the work budget and every group
+    element stored n more, n being the degree.
     """
     n = len(gens[0]) if gens else 0
-    work = 0
-
-    def count(steps: int) -> None:
-        nonlocal work
-        work += steps
-        if work > WORK_BUDGET:
-            raise TooLarge(f"involution scan exceeded work budget {WORK_BUDGET}")
 
     def compose(p, q):
         """Apply q first, then p."""
-        count(1)
+        charge(1, "involution scan")
         return tuple(p[x] for x in q)
 
     group = set(gens)
-    count(n * len(group))
+    charge(n * len(group), "involution scan")
     frontier = list(group)
     while frontier:
         new = []
@@ -303,7 +297,7 @@ def _involution_scan(gens: list[tuple[int, ...]]):
             for h in frontier:
                 c = compose(g, h)
                 if c not in group:
-                    count(n)
+                    charge(n, "involution scan")
                     group.add(c)
                     new.append(c)
         frontier = new
@@ -314,15 +308,16 @@ def _involution_scan(gens: list[tuple[int, ...]]):
     return group, involutions, witness
 
 
+@metered
 def involution_report(atom_count: int) -> dict:
     """Generate the lift-and-rotation group on a tagged cover sample and
     inspect its involutions.
 
     Reports whether all involutions pairwise commute and whether they are
     exactly the exponent-2 fiber rotations.  The atom_count! lifts and the
-    2^C(atom_count, 2) rotations that generate the group are counted
-    against the work budget before any is built, each as the number of
-    points it moves.
+    2^C(atom_count, 2) rotations that generate the group are charged to
+    the work budget before any is built, each as the number of points it
+    moves; the samples and the scan charge the same meter.
     """
     _count_generators(atom_count, TAGS, rotations=True)
     cs = pair_cover().sample(make_sample(DLO, atom_count))
@@ -344,8 +339,10 @@ def involution_report(atom_count: int) -> dict:
     }
 
 
+@metered
 def orientation_control_report(atom_count: int = 3) -> dict:
-    """Same involution scan over the oriented-pair structure.
+    """Same involution scan over the oriented-pair structure, charging one
+    work meter.
 
     Here atom transpositions act with the tag untouched, so they are
     involutions, and overlapping transpositions fail to commute.
@@ -366,9 +363,12 @@ def orientation_control_report(atom_count: int = 3) -> dict:
 def spider(n: int) -> FinStructure:
     """Three parts of size n; one bijection spine from part 0 to each other
     part, plus a hub in part 0 linked to everything; inequality inside parts
-    1 and 2.  Element (k, i) has id 3*k + i."""
+    1 and 2.  Element (k, i) has id 3*k + i.  Its 3n unary tuples, 4n - 2
+    spine pairs and 2n(n - 1) inequality pairs are charged to the work
+    budget before any is built."""
     if n < 2:
         raise TooSmall(f"spider needs at least 2 rows, got {n}")
+    charge(3 * n + 4 * n - 2 + 2 * n * (n - 1), f"a spider with {n} rows")
     sig = Signature((("U0", 1), ("U1", 1), ("U2", 1), ("N", 2), ("R", 2)))
 
     def elem(k: int, i: int) -> int:

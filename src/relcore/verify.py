@@ -417,13 +417,13 @@ def _mutated_copy(structure: FinStructure, rng: random.Random) -> FinStructure:
     return FinStructure(structure.signature, structure.size, {k: frozenset(v) for k, v in rels.items()})
 
 
-def suite_core_engine(seed: int = 0, rounds: int = 200) -> Report:
+def suite_core_engine(seed: int = 0) -> Report:
     report = Report("core-engine")
 
     def check():
         rng = random.Random(seed)
         iso_agreements = 0
-        for i in range(rounds):
+        for i in range(200):
             s = random_structure(rng)
             res = compute_core(s)
             assert is_core(res.core), f"round {i}: core still collapses"
@@ -439,7 +439,7 @@ def suite_core_engine(seed: int = 0, rounds: int = 200) -> Report:
             has_iso = find_hom(s, twin, "iso") is not None
             assert same_form == has_iso, f"round {i}: canonical form and search disagree"
             iso_agreements += 1
-        return f"{rounds} structures: cores verified, {iso_agreements} iso cross-checks"
+        return f"200 structures: cores verified, {iso_agreements} iso cross-checks"
 
     _run(report, f"random-cores-seed{seed}", check)
     return report
@@ -495,12 +495,12 @@ def random_def_structure(rng: random.Random) -> DefStructure:
     return DefStructure(base, sorts, tuple(clauses))
 
 
-def suite_functoriality(seed: int = 0, rounds: int = 50) -> Report:
+def suite_functoriality(seed: int = 0) -> Report:
     report = Report("functoriality")
 
     def check():
         rng = random.Random(seed)
-        for i in range(rounds):
+        for i in range(50):
             d = random_def_structure(rng)
             big_n = rng.randint(3, 5)
             labels = [rng.randrange(d.base.alphabet) for _ in range(big_n)]
@@ -518,7 +518,7 @@ def suite_functoriality(seed: int = 0, rounds: int = 50) -> Report:
             expected, old_ids = induced_substructure(big.structure, ids)
             assert len(old_ids) == small.structure.size, f"round {i}: point counts differ"
             assert expected == small.structure, f"round {i}: induced substructure differs"
-        return f"{rounds} random structure/sample pairs agree"
+        return "50 random structure/sample pairs agree"
 
     _run(report, f"sampling-functorial-seed{seed}", check)
     return report

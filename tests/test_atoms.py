@@ -4,7 +4,7 @@ from typing import Sequence
 
 import pytest
 
-from relcore import atoms
+from relcore import errors
 from relcore.atoms import DLO, PURE_SET, Atom, AtomBase, AtomSample, labeled_dlo, make_sample
 from relcore.errors import BaseMismatch, InvalidInput, InvalidLabel, TooLarge
 
@@ -58,9 +58,9 @@ def test_make_sample_default_labels_cover_alphabet():
 
 def test_make_sample_work_budget(monkeypatch):
     # five steps for each of three atoms
-    monkeypatch.setattr(atoms, "WORK_BUDGET", 15)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 15)
     assert len(make_sample(DLO, 3)) == 3
-    monkeypatch.setattr(atoms, "WORK_BUDGET", 14)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 14)
     with pytest.raises(TooLarge, match="work budget"):
         make_sample(DLO, 3)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import relcore
-from relcore import finstruct
+from relcore import errors
 from relcore.cli import main
 from relcore.definable import increasing_tuple_structure, sample
 from relcore.atoms import DLO, make_sample
@@ -133,8 +133,12 @@ def test_power_and_union(tmp_path, capsys):
 
 
 def test_endos_over_budget_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(finstruct, "WORK_BUDGET", 10)
-    assert_input_error(*run(capsys, "endos", "gallery:spider2"))
+    # 16 steps build spider2 exactly, so its load passes and the
+    # endomorphism search on its 6 elements is what exceeds the budget
+    monkeypatch.setattr(errors, "WORK_BUDGET", 16)
+    code, out, err = run(capsys, "endos", "gallery:spider2")
+    assert_input_error(code, out, err)
+    assert "hom search" in err
 
 
 def test_power_over_budget_exits_2(capsys):
@@ -360,6 +364,8 @@ def test_core_commands_are_deterministic(command, code):
         # an atom sample this large raises before any atom is built
         ["sample", "gallery:Jord1", "--atoms", "100000000"],
         ["is-core", "gallery:Jord1@100000000"],
+        # a spider this large raises before any tuple is built
+        ["is-core", "gallery:spider3000"],
         # digits that int() refuses: a superscript, and more than Python converts
         ["sample", "gallery:jord1", "--atoms", "\u00b2"],
         ["is-core", "gallery:spider\u00b2"],

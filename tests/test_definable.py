@@ -38,7 +38,7 @@ from relcore.errors import (
     Unsupported,
 )
 from relcore.finstruct import FinStructure, Signature, canonical_form, disjoint_union, full_power
-from relcore import definable
+from relcore import definable, errors
 from relcore import formulas as fm
 from relcore import gallery
 from relcore.verify import local_order_count, random_def_structure
@@ -398,9 +398,9 @@ def test_work_budget_counts_every_choice(monkeypatch):
         (lambda: len(point_orbits(pure, 2)), 2, 19),
     ]
     for count, answer, needed in cases:
-        monkeypatch.setattr(definable, "WORK_BUDGET", needed)
+        monkeypatch.setattr(errors, "WORK_BUDGET", needed)
         assert count() == answer
-        monkeypatch.setattr(definable, "WORK_BUDGET", needed - 1)
+        monkeypatch.setattr(errors, "WORK_BUDGET", needed - 1)
         with pytest.raises(TooLarge, match="work budget"):
             count()
 
@@ -415,9 +415,9 @@ def test_orbit_work_counts_covering_choices_exactly(monkeypatch):
         n, as_set = rng.randint(1, 3 if max(dims) < 2 else 2), rng.random() < 0.5
         needed = orbit_work(D, n, as_set)
         count = lambda: unlabelled_growth(D, n) if as_set else len(point_orbits(D, n))
-        monkeypatch.setattr(definable, "WORK_BUDGET", needed)
+        monkeypatch.setattr(errors, "WORK_BUDGET", needed)
         count()
-        monkeypatch.setattr(definable, "WORK_BUDGET", needed - 1)
+        monkeypatch.setattr(errors, "WORK_BUDGET", needed - 1)
         with pytest.raises(TooLarge, match="work budget"):
             count()
 
@@ -447,6 +447,8 @@ def test_pure_set_point_orbits_are_bell_numbers():
         # 10^8 atoms would fill memory; 10^6 took seconds before sample raised
         lambda: make_sample(DLO, 10**8),
         lambda: sample(increasing_tuple_structure(1), make_sample(DLO, 10**6)),
+        # 18,014,998 tuples, 18 million of them inequality pairs
+        lambda: gallery.spider(3000),
     ],
     ids=[
         "labelled-growth-8",
@@ -457,6 +459,7 @@ def test_pure_set_point_orbits_are_bell_numbers():
         "clause-free-dim3-sample-160",
         "make-sample-1e8",
         "jord1-sample-1e6",
+        "spider-3000",
     ],
 )
 def test_over_budget_raises_at_once(call):
@@ -470,11 +473,23 @@ def test_sample_work_budget(monkeypatch):
     # Jord1 on three atoms: two binary clauses over 3 * 3 point pairs each,
     # plus 1 + 1 steps for each of the 3 points built
     jord1 = increasing_tuple_structure(1)
-    monkeypatch.setattr(definable, "WORK_BUDGET", 24)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 24)
     assert sample(jord1, make_sample(DLO, 3)).structure.size == 3
-    monkeypatch.setattr(definable, "WORK_BUDGET", 23)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 23)
     with pytest.raises(TooLarge, match="sampling"):
         sample(jord1, make_sample(DLO, 3))
+
+
+def test_sample_charges_once_under_a_meter(monkeypatch):
+    # the 24 steps of Jord1 on three atoms are charged once, not once
+    # before the points are built and again before the clauses are scanned
+    jord1 = increasing_tuple_structure(1)
+    atoms = make_sample(DLO, 3)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 24)
+    assert errors.metered(sample)(jord1, atoms).structure.size == 3
+    monkeypatch.setattr(errors, "WORK_BUDGET", 23)
+    with pytest.raises(TooLarge, match="sampling"):
+        errors.metered(sample)(jord1, atoms)
 
 
 def test_work_budget_bounds_pair_orbits_and_power_sorts():
@@ -488,9 +503,9 @@ def test_full_power_def_clause_budget(monkeypatch):
     # Jord1^3: 13 sorts and three binary relations, 3 * (3 * 13)^2 clauses;
     # checked first, so a wrong count fails here before the large cases
     jord1 = increasing_tuple_structure(1)
-    monkeypatch.setattr(definable, "WORK_BUDGET", 4563)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 4563)
     assert len(full_power_def(jord1, 3).clauses) == 4563
-    monkeypatch.setattr(definable, "WORK_BUDGET", 4562)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 4562)
     with pytest.raises(TooLarge, match="4563 clauses"):
         full_power_def(jord1, 3)
     monkeypatch.undo()
@@ -520,6 +535,30 @@ def test_growth_modes_agree_on_homogeneous_cases():
     for n in range(1, 6):
         assert unlabelled_growth(qst, n, "base") == unlabelled_growth(qst, n, "homogeneous")
         assert unlabelled_growth(dlo, n, "base") == unlabelled_growth(dlo, n, "homogeneous")
+
+
+def test_growth_charges_one_meter(monkeypatch):
+    # S2 at n = 5: the orbit enumeration, then each orbit's induced
+    # structure and canonical form, 1,836 steps in all
+    s2 = gallery.dense_local_order()
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1836)
+    assert unlabelled_growth(s2, 5, "homogeneous") == 4
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1835)
+    with pytest.raises(TooLarge, match="work budget"):
+        unlabelled_growth(s2, 5, "homogeneous")
+    # every part fits the smaller budget alone
+    for _, word, shape in definable._orbits(s2, 5, True):
+        induced = definable._structure_on(s2, [(si, tuple((k, word[k]) for k in slots)) for si, slots in shape])
+        canonical_form(induced)
+
+
+def test_growth_past_the_budget_raises_soon():
+    # S2 answers through n = 12 (1,059,343 steps); at n = 16 the whole call
+    # passes the budget after about two seconds instead of running for minutes
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="work budget"):
+        unlabelled_growth(gallery.dense_local_order(), 16, "homogeneous")
+    assert time.perf_counter() - start < 15.0
 
 
 def test_growth_bound():
@@ -673,9 +712,9 @@ def test_invariant_orders_match_brute_force(d):
 def test_invariant_order_search_budget(monkeypatch):
     # the search examines 1,776 composition-table triples at d = 2
     jord2 = increasing_tuple_structure(2)
-    monkeypatch.setattr(definable, "WORK_BUDGET", 1776)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1776)
     assert len(enumerate_invariant_orders(jord2)) == 8
-    monkeypatch.setattr(definable, "WORK_BUDGET", 1775)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1775)
     with pytest.raises(TooLarge, match="work budget"):
         enumerate_invariant_orders(jord2)
 

@@ -6,7 +6,7 @@ from typing import Optional
 
 import pytest
 
-from relcore import finstruct, gallery
+from relcore import errors, gallery
 from relcore.atoms import DLO, make_sample
 from relcore.definable import sample
 from relcore.errors import (
@@ -147,9 +147,9 @@ def test_full_power_rejects_zero():
 
 def test_full_power_work_budget(monkeypatch):
     # K2 at d = 2: E and = are binary, so 2 * 2^2 * (2^2)^2 = 128 tuples tested
-    monkeypatch.setattr(finstruct, "WORK_BUDGET", 128)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 128)
     assert full_power(K2, 2).size == 4
-    monkeypatch.setattr(finstruct, "WORK_BUDGET", 127)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 127)
     with pytest.raises(TooLarge, match="128 tuples"):
         full_power(K2, 2)
 
@@ -226,17 +226,31 @@ def test_enumerate_endos_examples():
 def test_search_work_budget(monkeypatch):
     # the edgeless 2-element digraph: 6 values tried and 4 maps of 2 elements
     free = digraph(2, set())
-    monkeypatch.setattr(finstruct, "WORK_BUDGET", 14)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 14)
     assert len(enumerate_endos(free)) == 4
-    monkeypatch.setattr(finstruct, "WORK_BUDGET", 13)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 13)
     with pytest.raises(TooLarge, match="work budget"):
         enumerate_endos(free)
     # find_hom and the core test run the same search
-    monkeypatch.setattr(finstruct, "WORK_BUDGET", 0)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 0)
     with pytest.raises(TooLarge):
         find_hom(K2, K3)
     with pytest.raises(TooLarge):
         is_core(K2)
+
+
+def test_compute_core_charges_one_meter(monkeypatch):
+    # the undirected 6-cycle folds onto an edge: 12 steps find the folding
+    # and 2 more refute a fold of the edge, 14 in all
+    hexagon = digraph(6, {(i, (i + 1) % 6) for i in range(6)} | {((i + 1) % 6, i) for i in range(6)})
+    monkeypatch.setattr(errors, "WORK_BUDGET", 14)
+    assert compute_core(hexagon).core == K2
+    monkeypatch.setattr(errors, "WORK_BUDGET", 13)
+    with pytest.raises(TooLarge, match="work budget"):
+        compute_core(hexagon)
+    # each search fits the smaller budget alone
+    assert find_noninjective_endo(hexagon) is not None
+    assert is_core(K2)
 
 
 def test_hom_validation_and_composition():
@@ -376,17 +390,17 @@ def test_canonical_form_bound(monkeypatch):
     # the edgeless 11-vertex digraph: automorphism pruning leaves
     # 11 + 10 + ... + 1 = 66 nodes, each counting 11 elements and no tuples
     big = digraph(11, set())
-    monkeypatch.setattr(finstruct, "WORK_BUDGET", 726)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 726)
     assert canonical_form(big) == repr(((("E", 2),), 11, ((),))).encode()
-    monkeypatch.setattr(finstruct, "WORK_BUDGET", 725)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 725)
     with pytest.raises(TooLarge, match="work budget"):
         canonical_form(big)
     # the directed 5-cycle: the root and two leaves, the second of which
     # finds the rotation that prunes the rest; 5 elements + 5 tuples each
     cycle = digraph(5, {(i, (i + 1) % 5) for i in range(5)})
-    monkeypatch.setattr(finstruct, "WORK_BUDGET", 30)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 30)
     canonical_form(cycle)
-    monkeypatch.setattr(finstruct, "WORK_BUDGET", 29)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 29)
     with pytest.raises(TooLarge, match="work budget"):
         canonical_form(cycle)
 

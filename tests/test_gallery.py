@@ -16,8 +16,8 @@ from relcore.finstruct import (
     hom_violations,
     is_core,
 )
+from relcore import errors, gallery
 from relcore import formulas as fm
-from relcore import gallery
 
 
 def x_pid(xs, a, b, m):
@@ -192,6 +192,16 @@ def test_spider_shape():
         assert set(collapse.mapping) == {0} | {x for x in range(3 * n) if x % 3 != 0}
     with pytest.raises(TooSmall):
         gallery.spider(1)
+
+
+def test_spider_work_budget(monkeypatch):
+    # spider(3): 9 unary tuples, 4 * 3 - 2 spine pairs and 2 * 3 * 2
+    # inequality pairs, charged before any is built
+    monkeypatch.setattr(errors, "WORK_BUDGET", 31)
+    assert sum(len(ts) for ts in gallery.spider(3).relations.values()) == 31
+    monkeypatch.setattr(errors, "WORK_BUDGET", 30)
+    with pytest.raises(TooLarge, match="spider"):
+        gallery.spider(3)
 
 
 def test_spider_core_size():
@@ -484,27 +494,27 @@ def test_involution_scan_work_budget(monkeypatch):
     # and two compositions for the first pair of involutions, which already
     # fails to commute (2)
     gens = [(1, 0, 2), (0, 2, 1)]
-    monkeypatch.setattr(gallery, "WORK_BUDGET", 37)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 37)
     group, involutions, witness = gallery._involution_scan(gens)
     assert len(group) == 6
     assert involutions == [(0, 2, 1), (1, 0, 2), (2, 1, 0)]
     assert witness == ((0, 2, 1), (1, 0, 2))
-    monkeypatch.setattr(gallery, "WORK_BUDGET", 36)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 36)
     with pytest.raises(TooLarge, match="work budget"):
         gallery._involution_scan(gens)
 
 
 def test_generator_count_work_budget(monkeypatch):
     # three atoms: 3! lifts and 2^3 rotations, each moving 4 * 3 points
-    monkeypatch.setattr(gallery, "WORK_BUDGET", 168)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 168)
     gallery._count_generators(3, gallery.TAGS, rotations=True)
-    monkeypatch.setattr(gallery, "WORK_BUDGET", 167)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 167)
     with pytest.raises(TooLarge, match="work budget"):
         gallery._count_generators(3, gallery.TAGS, rotations=True)
     # 3! oriented actions, each moving 8 * 3 points
-    monkeypatch.setattr(gallery, "WORK_BUDGET", 144)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 144)
     gallery._count_generators(3, 2 * gallery.TAGS, rotations=False)
-    monkeypatch.setattr(gallery, "WORK_BUDGET", 143)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 143)
     with pytest.raises(TooLarge, match="work budget"):
         gallery._count_generators(3, 2 * gallery.TAGS, rotations=False)
 
