@@ -180,8 +180,15 @@ def cmd_orbits(args) -> int:
 def cmd_growth(args) -> int:
     d = _load_definable(args.structure)
     # n < 1 still goes through unlabelled_growth, which rejects it
-    ns = range(1, args.n + 1) if args.n >= 1 else [args.n]
-    values = [unlabelled_growth(d, n, args.mode) for n in ns]
+    values = []
+    for n in range(1, args.n + 1) if args.n >= 1 else [args.n]:
+        try:
+            values.append(unlabelled_growth(d, n, args.mode))
+        except RelcoreError as exc:
+            # the levels below n stand: print them, and name n on stderr
+            if values:
+                print(",".join(map(str, values)))
+            raise CliError(f"growth at n = {n}: {exc}") from exc
     print(",".join(map(str, values)))
     return 0
 

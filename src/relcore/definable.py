@@ -10,8 +10,10 @@ support patterns instead of concrete samples.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -280,6 +282,7 @@ def _pattern_name(rows) -> str:
     return "p[" + "|".join(",".join(map(str, r)) for r in rows) + "]"
 
 
+@metered
 def full_power_def(D: DefStructure, d: int) -> DefStructure:
     """Power structure on d-tuples of points, in support-pattern normal form.
 
@@ -372,17 +375,21 @@ def _orbits(D: DefStructure, n: int, as_set: bool):
 
     Walks the supports {0..s-1} for s = 0..n*max_dim, every label word on
     a support, and every choice (shape) of n abstract points (sort, slots)
-    that covers it; the first choice met in an orbit represents it, slot k
-    being the atom of rank k and label word[k].  No atom is built.
+    that covers it (see _covering_choices); the first choice met in an
+    orbit represents it, slot k being the atom of rank k and label word[k].
+    No atom is built.  On an ordered base every covering choice with its
+    word is its own orbit, so no descriptor is looked up in a seen set.
 
     Before the walk, each support size charges to the work budget its k
-    abstract points, the choices the covering filter visits, and n steps
-    (one descriptor) for every label word and covering choice; on an
-    unordered base also the s! relabellings of each.  The covering choices
-    are counted by inclusion-exclusion over the atoms a choice misses, and
-    the count stops at the first support size that exceeds the headroom.
+    abstract points and, for every label word and covering choice, the
+    n + s steps of the descriptor it writes; on an unordered base also the
+    s! relabellings of each.  The covering choices are counted by
+    inclusion-exclusion over the atoms a choice misses, and the count
+    stops at the first support size that exceeds the headroom.  The
+    depth-first walk that generates them charges its nodes as it goes.
     """
     smax = n * D.max_dim()
+    ordered = D.base.ordered
     work, allowed = 0, headroom()
     within = []  # within[t]: the choices inside a fixed set of t atoms
     covers = []
@@ -390,8 +397,8 @@ def _orbits(D: DefStructure, n: int, as_set: bool):
         k = sum(math.comb(s, sort.dim) for sort in D.sorts)
         within.append(math.comb(k, n) if as_set else k**n)
         covers.append(within[s] and sum((-1) ** j * math.comb(s, j) * within[s - j] for j in range(s + 1)))
-        steps = n if D.base.ordered else n + math.factorial(s)
-        work += k + within[s] + D.base.alphabet**s * covers[s] * steps
+        steps = n + s if ordered else n + s + math.factorial(s)
+        work += k + D.base.alphabet**s * covers[s] * steps
         if work > allowed:
             break
     charge(work, "orbit enumeration")
@@ -399,24 +406,89 @@ def _orbits(D: DefStructure, n: int, as_set: bool):
     for s in range(smax + 1):
         if not covers[s]:
             continue
-        abstract = [
-            (si, slots)
-            for si, sort in enumerate(D.sorts)
-            for slots in itertools.combinations(range(s), sort.dim)
-        ]
-        if as_set:
-            choices = itertools.combinations(abstract, n)
-        else:
-            choices = itertools.product(abstract, repeat=n)
-        covering = [c for c in choices if len({k for _, slots in c for k in slots}) == s]
+        covering = _covering_choices(D, n, s, as_set)
         for word in itertools.product(range(D.base.alphabet), repeat=s):
             for shape in covering:
                 desc = _type(word, shape, D.base, as_set)
-                if desc not in seen:
+                if ordered:
+                    yield desc, word, shape
+                elif desc not in seen:
                     seen.add(desc)
                     yield desc, word, shape
 
 
+def _covering_choices(D: DefStructure, n: int, s: int, as_set: bool) -> list:
+    """The choices of n abstract points (sort, slots) on the support
+    {0..s-1} whose slots cover it, in the order in which
+    itertools.combinations (as_set) or itertools.product yields them from
+    the points listed by sort, then slots.
+
+    A depth-first walk over slot bitmasks: a prefix is cut once its
+    uncovered slots outnumber what the points still to choose can cover,
+    and the last point is taken only from those containing every uncovered
+    slot.  Each point tried before the last position counts one step,
+    charged when the walk ends or as soon as the count passes the headroom
+    it started with.  Iterative, so that n is not bounded by the recursion
+    limit.
+    """
+    points = [
+        (si, slots) for si, sort in enumerate(D.sorts) for slots in itertools.combinations(range(s), sort.dim)
+    ]
+    masks = [sum(1 << k for k in slots) for _, slots in points]
+    index = {(si, mask): j for j, ((si, _), mask) in enumerate(zip(points, masks))}
+    reach = max(len(slots) for _, slots in points)  # the most slots one point covers
+    full = (1 << s) - 1
+    containing: dict[int, list[int]] = {}
+
+    def finishing(need: int) -> list[int]:
+        """The points whose slots contain need, ascending."""
+        got = containing.get(need)
+        if got is None:
+            u = need.bit_count()
+            free = [k for k in range(s) if not need >> k & 1]
+            got = containing[need] = sorted(
+                index[si, need | sum(1 << k for k in extra)]
+                for si, sort in enumerate(D.sorts)
+                if sort.dim >= u
+                for extra in itertools.combinations(free, sort.dim - u)
+            )
+        return got
+
+    shapes: list = []
+    chosen: list[int] = []  # the points picked at positions 0..len - 1
+    covered = [0]  # covered[i]: the slots of chosen[:i]
+    start = 0  # the first point to try at position len(chosen)
+    work, allowed = 0, headroom()
+    while True:
+        left = n - 1 - len(chosen)  # the points to choose after this one
+        deeper = False
+        if left:
+            for j in range(start, len(points) - left if as_set else len(points)):
+                work += 1
+                if work > allowed:
+                    charge(work, "orbit enumeration")
+                mask = covered[-1] | masks[j]
+                if s - mask.bit_count() <= left * reach:
+                    chosen.append(j)
+                    covered.append(mask)
+                    start = j + 1 if as_set else 0
+                    deeper = True
+                    break
+        else:
+            tail = finishing(full & ~covered[-1])
+            prefix = tuple(points[j] for j in chosen)
+            shapes.extend(prefix + (points[j],) for j in tail[bisect.bisect_left(tail, start):])
+        if deeper:
+            continue
+        if not chosen:
+            break
+        start = chosen.pop() + 1
+        covered.pop()
+    charge(work, "orbit enumeration")
+    return shapes
+
+
+@metered
 def point_orbits(D: DefStructure, n: int) -> list[str]:
     """Descriptors of all orbits of n-tuples of points.
 
@@ -560,22 +632,46 @@ def _composition_by_first(d: int):
     each with the lesser class first.  The table holds the descriptor
     triples (c_ij, c_jk, c_ik) of point triples with i != j != k, where c_jk
     is the diagonal exactly when k == j.
+
+    A pair (p, q) is keyed by its interleaving: for each atom of p or q in
+    value order, 1, 2 or 3 as p, q or both hold it.  The keys number the
+    classes 0, 1, ... in order of first meeting; the triples are built on
+    those ids and named by their descriptors only in the returned table.
     """
-    points = [(0, tuple((k, 0) for k in combo)) for combo in itertools.combinations(range(3 * d), d)]
-    classes = [[_type(*_pattern((p, q)), DLO, False) for q in points] for p in points]
-    diag = classes[0][0]
-    comp = set()
+    points = list(itertools.combinations(range(3 * d), d))
+    ones = [[int(k in p) for k in range(3 * d)] for p in points]
+    twos = [[2 * bit for bit in row] for row in ones]
+    ids: dict[tuple, int] = {}
+    names = []
+    classes = []
+    for p, held in zip(points, ones):
+        row = []
+        for q, twice in zip(points, twos):
+            key = tuple(filter(None, map(operator.add, held, twice)))
+            c = ids.get(key)
+            if c is None:
+                c = ids[key] = len(names)
+                names.append(_type(*_pattern([(0, tuple((k, 0) for k in x)) for x in (p, q)]), DLO, False))
+            row.append(c)
+        classes.append(row)
+    # (c_jk, c_ik) as the one int c_jk * size + c_ik, collected per c_ij
+    size = len(names)
+    scaled = [[c * size for c in row] for row in classes]
+    rests: list[set[int]] = [set() for _ in names]
     swaps = set()
     for i, row in enumerate(classes):
         for j, c_ij in enumerate(row):
             if i != j:
-                comp.update(zip(itertools.repeat(c_ij), classes[j], row))
-                swaps.add(tuple(sorted((c_ij, classes[j][i]))))
+                rests[c_ij].update(map(operator.add, scaled[j], row))
+                swaps.add((c_ij, classes[j][i]))
+    diag = classes[0][0]
     by_first: dict[str, list[tuple[str, str, str]]] = {}
-    for triple in comp:
-        if triple[1] != diag:
-            by_first.setdefault(triple[0], []).append(triple)
-    return by_first, diag, sorted(swaps)
+    for first, rest in enumerate(rests):
+        pairs = (divmod(code, size) for code in rest)
+        triples = [(names[first], names[c_jk], names[c_ik]) for c_jk, c_ik in pairs if c_jk != diag]
+        if triples:
+            by_first[names[first]] = triples
+    return by_first, names[diag], sorted({tuple(sorted((names[a], names[b]))) for a, b in swaps})
 
 
 @dataclass(frozen=True)
@@ -605,6 +701,7 @@ class SignedLex:
         return {"sigma": list(self.sigma), "directions": list(self.directions)}
 
 
+@metered
 def classify_signed_lex(order: Iterable[str], d: int) -> Optional[SignedLex]:
     """The unique signed lexicographic order agreeing with the given
     pair-orbit union on every orbit, or None when no candidate agrees."""

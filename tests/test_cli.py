@@ -164,6 +164,16 @@ def test_growth_sequences(capsys):
     assert out.strip() == "1,1,2,2,4,6"
 
 
+def test_growth_keeps_the_levels_below_one_that_raises(capsys, monkeypatch):
+    # QST base growth charges 5, 20, 56 and 141 steps at n = 1..4
+    monkeypatch.setattr(errors, "WORK_BUDGET", 140)
+    code, out, err = run(capsys, "growth", "gallery:QST", "--n", "5")
+    assert (code, out) == (2, "2,4,8\n")
+    assert err.startswith("error: growth at n = 4: work budget 140 exceeded")
+    monkeypatch.setattr(errors, "WORK_BUDGET", 4)
+    assert_input_error(*run(capsys, "growth", "gallery:QST", "--n", "5"))
+
+
 def test_growth_reversal_sequence(capsys):
     code, out, _ = run(capsys, "growth", "gallery:S2", "--n", "7", "--mode", "reversal")
     assert code == 0

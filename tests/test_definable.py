@@ -366,8 +366,34 @@ def test_point_orbits_budget():
         point_orbits(increasing_tuple_structure(3), 8)
 
 
+def filter_orbits(D, n, as_set):
+    """The former orbit walk, uncharged: every choice of n abstract points,
+    kept when it covers the support, and every descriptor looked up in a
+    seen set; the oracle for definable._orbits."""
+    seen = set()
+    for s in range(n * D.max_dim() + 1):
+        abstract = [
+            (si, slots)
+            for si, sort in enumerate(D.sorts)
+            for slots in itertools.combinations(range(s), sort.dim)
+        ]
+        choices = itertools.combinations(abstract, n) if as_set else itertools.product(abstract, repeat=n)
+        covering = [c for c in choices if len({k for _, slots in c for k in slots}) == s]
+        for word in itertools.product(range(D.base.alphabet), repeat=s):
+            for shape in covering:
+                desc = definable._type(word, shape, D.base, as_set)
+                if desc not in seen:
+                    seen.add(desc)
+                    yield desc, word, shape
+
+
 def orbit_work(D, n, as_set):
-    """The work orbit enumeration counts, from the filtered covering choices."""
+    """The work orbit enumeration charges, counted on every choice of n
+    abstract points: for each support size s its abstract points; n + s
+    steps for each label word and covering choice, plus s! relabellings on
+    an unordered base; and one step for each depth-first node, that is for
+    each prefix of 1..n-1 points of a choice whose shorter prefixes all
+    leave no more slots uncovered than the points after them can cover."""
     work = 0
     for s in range(n * D.max_dim() + 1):
         abstract = [
@@ -375,27 +401,36 @@ def orbit_work(D, n, as_set):
             for si, sort in enumerate(D.sorts)
             for slots in itertools.combinations(range(s), sort.dim)
         ]
+        work += len(abstract)
         choices = list(
             itertools.combinations(abstract, n) if as_set else itertools.product(abstract, repeat=n)
         )
-        cover = sum(1 for c in choices if len({k for _, slots in c for k in slots}) == s)
-        steps = n if D.base.ordered else n + math.factorial(s)
-        work += len(abstract) + len(choices) + D.base.alphabet**s * cover * steps
+        uncovered = lambda prefix: s - len({k for _, slots in prefix for k in slots})
+        cover = sum(1 for c in choices if not uncovered(c))
+        if not cover:
+            continue
+        reach = max(len(slots) for _, slots in abstract)
+        cut = lambda prefix: uncovered(prefix) > (n - len(prefix)) * reach
+        prefixes = {c[:i] for c in choices for i in range(1, n)}
+        work += sum(1 for p in prefixes if not any(cut(p[:i]) for i in range(1, len(p))))
+        steps = n + s if D.base.ordered else n + s + math.factorial(s)
+        work += D.base.alphabet**s * cover * steps
     return work
 
 
 def test_work_budget_counts_every_choice(monkeypatch):
-    # supports of size 0, 1, 2 list 0 + 1 + 2 abstract points, and the
-    # filter visits 0 + 1 + 4 ordered pairs (0 + 0 + 1 sets) of points;
-    # n = 2 steps for each of the 0 + 1 + 2 covering pairs (0 + 0 + 1 sets)
+    # supports of size 0, 1, 2 list 0 + 1 + 2 abstract points; the
+    # 0 + 1 + 2 covering ordered pairs (0 + 0 + 1 sets) write descriptors
+    # of n + s = 3 and 4 steps; the walk tries 1 + 2 first points (1 for
+    # the one set)
     jord1 = increasing_tuple_structure(1)
     pure = DefStructure(PURE_SET, (Sort("q", 1),), ())
     # the unordered base adds s! relabellings per covering choice:
     # 1 * 1! on the 1-atom support and 2 * 2! on the 2-atom one
     cases = [
-        (lambda: len(point_orbits(jord1, 2)), 3, 14),
-        (lambda: unlabelled_growth(jord1, 2), 1, 6),
-        (lambda: len(point_orbits(pure, 2)), 2, 19),
+        (lambda: len(point_orbits(jord1, 2)), 3, 17),
+        (lambda: unlabelled_growth(jord1, 2), 1, 8),
+        (lambda: len(point_orbits(pure, 2)), 2, 22),
     ]
     for count, answer, needed in cases:
         monkeypatch.setattr(errors, "WORK_BUDGET", needed)
@@ -405,14 +440,24 @@ def test_work_budget_counts_every_choice(monkeypatch):
             count()
 
 
-def test_orbit_work_counts_covering_choices_exactly(monkeypatch):
-    # the closed-form covering count against the filter, at the threshold
-    rng = random.Random(23)
+def random_orbit_cases(seed, count):
+    """(D, n, as_set) over DLO, a labelled DLO, the pure set and a labelled
+    unordered base, with one or two sorts of dim 0..2 and n <= 3 (n <= 2
+    for dim 2 on the labelled unordered base, whose triples pass the
+    budget)."""
+    rng = random.Random(seed)
     bases = [DLO, labeled_dlo(2), PURE_SET, AtomBase(ordered=False, alphabet=2)]
-    for _ in range(40):
+    for _ in range(count):
+        base = rng.choice(bases)
         dims = [rng.randint(0, 2) for _ in range(rng.randint(1, 2))]
-        D = DefStructure(rng.choice(bases), tuple(Sort(f"s{i}", d) for i, d in enumerate(dims)), ())
-        n, as_set = rng.randint(1, 3 if max(dims) < 2 else 2), rng.random() < 0.5
+        top = 2 if max(dims) == 2 and base == bases[3] else 3
+        D = DefStructure(base, tuple(Sort(f"s{i}", d) for i, d in enumerate(dims)), ())
+        yield D, rng.randint(1, top), rng.random() < 0.5
+
+
+def test_orbit_work_counts_covering_choices_exactly(monkeypatch):
+    # the charge against the count made on every choice, at the threshold
+    for D, n, as_set in random_orbit_cases(23, 40):
         needed = orbit_work(D, n, as_set)
         count = lambda: unlabelled_growth(D, n) if as_set else len(point_orbits(D, n))
         monkeypatch.setattr(errors, "WORK_BUDGET", needed)
@@ -420,6 +465,26 @@ def test_orbit_work_counts_covering_choices_exactly(monkeypatch):
         monkeypatch.setattr(errors, "WORK_BUDGET", needed - 1)
         with pytest.raises(TooLarge, match="work budget"):
             count()
+
+
+def test_orbit_walk_matches_filter_walk(monkeypatch):
+    # the same (descriptor, word, shape) sequence, in the same order
+    for D, n, as_set in random_orbit_cases(16, 60):
+        assert list(definable._orbits(D, n, as_set)) == list(filter_orbits(D, n, as_set)), (D, n, as_set)
+    for name in sorted(gallery._definable_registry()):
+        D = gallery.lookup_definable(name)
+        for n in (1, 2, 3) if D.max_dim() == 1 else (1, 2):
+            for as_set in (False, True):
+                assert list(definable._orbits(D, n, as_set)) == list(filter_orbits(D, n, as_set)), (name, n)
+    # the sorts of a power come from the walk; Jord1^4 is left out (270,000
+    # clauses, seconds to build), its walk is the dim-1 DLO one at n = 4
+    for m, d in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (4, 1)):
+        power = full_power_def(increasing_tuple_structure(m), d).to_json()
+        with monkeypatch.context() as patch:
+            patch.setattr(definable, "_orbits", filter_orbits)
+            assert full_power_def(increasing_tuple_structure(m), d).to_json() == power, (m, d)
+    D = DefStructure(DLO, (Sort("t", 1),), ())
+    assert list(definable._orbits(D, 4, False)) == list(filter_orbits(D, 4, False))
 
 
 def test_pure_set_point_orbits_are_bell_numbers():
@@ -493,19 +558,29 @@ def test_sample_charges_once_under_a_meter(monkeypatch):
 
 
 def test_work_budget_bounds_pair_orbits_and_power_sorts():
+    # d = 7: the ordered pairs (A, B) of 7-subsets of a support [s] with
+    # A | B = [s], C(s, 7) * C(7, 14 - s) for each s; the filter walk, run
+    # with a raised budget, yields the same 48,639 (in about 15 s)
+    pairs = lambda d: definable._orbits(DefStructure(DLO, (Sort("t", d),), ()), 2, False)
+    assert sum(1 for _ in pairs(7)) == 48_639
+    assert sum(math.comb(s, 7) * math.comb(7, 14 - s) for s in range(7, 15)) == 48_639
+    start = time.perf_counter()
     with pytest.raises(TooLarge):
-        pair_orbit_reps(7)
+        next(pairs(8))
+    assert time.perf_counter() - start < 1.0
     with pytest.raises(TooLarge):
         full_power_def(increasing_tuple_structure(3), 4)
 
 
 def test_full_power_def_clause_budget(monkeypatch):
-    # Jord1^3: 13 sorts and three binary relations, 3 * (3 * 13)^2 clauses;
-    # checked first, so a wrong count fails here before the large cases
+    # Jord1^3: 13 sorts and three binary relations, 3 * (3 * 13)^2 clauses,
+    # charged to one meter after the 96 steps of the walk that finds the
+    # sorts; checked first, so a wrong count fails here before the large cases
     jord1 = increasing_tuple_structure(1)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 4563)
+    assert orbit_work(DefStructure(DLO, (Sort("t", 1),), ()), 3, False) == 96
+    monkeypatch.setattr(errors, "WORK_BUDGET", 96 + 4563)
     assert len(full_power_def(jord1, 3).clauses) == 4563
-    monkeypatch.setattr(errors, "WORK_BUDGET", 4562)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 96 + 4562)
     with pytest.raises(TooLarge, match="4563 clauses"):
         full_power_def(jord1, 3)
     monkeypatch.undo()
@@ -539,11 +614,11 @@ def test_growth_modes_agree_on_homogeneous_cases():
 
 def test_growth_charges_one_meter(monkeypatch):
     # S2 at n = 5: the orbit enumeration, then each orbit's induced
-    # structure and canonical form, 1,836 steps in all
+    # structure and canonical form, 1,999 steps in all
     s2 = gallery.dense_local_order()
-    monkeypatch.setattr(errors, "WORK_BUDGET", 1836)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1999)
     assert unlabelled_growth(s2, 5, "homogeneous") == 4
-    monkeypatch.setattr(errors, "WORK_BUDGET", 1835)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1998)
     with pytest.raises(TooLarge, match="work budget"):
         unlabelled_growth(s2, 5, "homogeneous")
     # every part fits the smaller budget alone
@@ -553,7 +628,7 @@ def test_growth_charges_one_meter(monkeypatch):
 
 
 def test_growth_past_the_budget_raises_soon():
-    # S2 answers through n = 12 (1,059,343 steps); at n = 16 the whole call
+    # S2 answers through n = 12 (1,108,505 steps); at n = 16 the whole call
     # passes the budget after about two seconds instead of running for minutes
     start = time.perf_counter()
     with pytest.raises(TooLarge, match="work budget"):
@@ -792,11 +867,10 @@ def test_orbit_and_order_descriptors_are_pinned():
         assert digest(enumerate_invariant_orders(increasing_tuple_structure(d))) == want, d
 
 
-def old_composition_by_first(d):
-    """The former composition table, built from tuple_type over Fraction
-    atoms; the oracle for definable._composition_by_first."""
-    points = [Point(0, c) for c in itertools.combinations(make_sample(DLO, 3 * d).atoms, d)]
-    classes = [[tuple_type((p, q), DLO) for q in points] for p in points]
+def old_composition_by_first(classes):
+    """The former string-keyed composition table, from the descriptors of
+    all ordered pairs of the 3d-atom sample's points, given as rows; the
+    oracle for definable._composition_by_first."""
     diag = classes[0][0]
     comp = set()
     swaps = set()
@@ -812,13 +886,29 @@ def old_composition_by_first(d):
     return by_first, diag, sorted(swaps)
 
 
+def composition_as_sets(table):
+    by_first, diag, pairs = table
+    assert all(len(set(triples)) == len(triples) for triples in by_first.values())
+    return {first: set(triples) for first, triples in by_first.items()}, diag, pairs
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_composition_table_matches_fraction_oracle(d):
-    def normal(table):
-        by_first, diag, pairs = table
-        return {first: sorted(triples) for first, triples in by_first.items()}, diag, pairs
+    # the descriptors of concrete point pairs over Fraction atoms
+    points = [Point(0, c) for c in itertools.combinations(make_sample(DLO, 3 * d).atoms, d)]
+    classes = [[tuple_type((p, q), DLO) for q in points] for p in points]
+    table = definable._composition_by_first(d)
+    assert composition_as_sets(table) == composition_as_sets(old_composition_by_first(classes))
 
-    assert normal(definable._composition_by_first(d)) == normal(old_composition_by_first(d))
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_composition_table_matches_string_keyed_table(d):
+    # the table keyed by the descriptors of encoded pairs, as the
+    # composition table was built before its classes became integer ids
+    points = [(0, tuple((k, 0) for k in c)) for c in itertools.combinations(range(3 * d), d)]
+    classes = [[definable._type(*definable._pattern((p, q)), DLO, False) for q in points] for p in points]
+    table = definable._composition_by_first(d)
+    assert composition_as_sets(table) == composition_as_sets(old_composition_by_first(classes))
 
 
 def old_classify_signed_lex(order, reps):
