@@ -31,7 +31,7 @@ from .errors import (
     metered,
     parsing,
 )
-from .finstruct import FinStructure, Signature, canonical_form
+from .finstruct import FinStructure, Signature, _canonical_encoding
 from . import formulas as fm
 
 GUARD_ANY = "*"
@@ -178,14 +178,12 @@ class SampleResult:
     points: tuple[Point, ...]
 
 
-def _charge_sampling(D: DefStructure, counts: Sequence[int]) -> None:
-    """Charge the points, dim + 1 steps each, and the guard combinations of
-    D's clauses to the work budget, counts[i] being the number of points of
-    sort i."""
-    total = sum(n * (sort.dim + 1) for sort, n in zip(D.sorts, counts)) + sum(
+def _sampling_cost(D: DefStructure, counts: Sequence[int]) -> int:
+    """The work of sampling points of D, counts[i] of sort i: dim + 1 steps
+    for each point plus the guard combinations of D's clauses."""
+    return sum(n * (sort.dim + 1) for sort, n in zip(D.sorts, counts)) + sum(
         math.prod(sum(counts[i] for _, ids in entry for i in ids) for entry in guard) for guard in D.guards
     )
-    charge(total, "sampling")
 
 
 def _encode(points: Sequence[Point]) -> list:
@@ -196,27 +194,44 @@ def _encode(points: Sequence[Point]) -> list:
     return [(p.sort, tuple((rank[a.value], a.label) for a in p.atoms)) for p in points]
 
 
-def _structure_on(D: DefStructure, encoded: Sequence) -> FinStructure:
-    """The structure D induces on encoded points, in the given order, each
-    word as long as its sort's dim.  Each clause runs one compiled scan per
-    combination of dims in its guard.  Callers charge the sampling work
-    (see _charge_sampling) before calling it."""
-    sorts = [si for si, _ in encoded]
-    words = [word for _, word in encoded]
-
+def _plan(D: DefStructure, sorts: Sequence[int]) -> list:
+    """How D induces its relations on points of the given sorts, in this
+    order: one (relation index, compiled scan, groups) per clause and
+    combination of dims in its guard that admits some point, the groups
+    holding the ids of the points each guard entry admits.  Relations are
+    indexed in signature order."""
     # per sort indices of one dim in a guard entry: the ids of the points
     # they admit, in order
     groups = {}
     for ids in {ids for guard in D.guards for entry in guard for _, ids in entry}:
         chosen = set(ids)
         groups[ids] = [pid for pid, si in enumerate(sorts) if si in chosen]
-    rels: dict[str, set[tuple[int, ...]]] = {c.name: set() for c in D.clauses}
+    index = {name: r for r, name in enumerate(D.signature().names())}
+    plan = []
     for clause, guard in zip(D.clauses, D.guards):
         for parts in itertools.product(*guard):
             if all(groups[ids] for _, ids in parts):
                 scan = fm.compile_scan(clause.formula, tuple(dim for dim, _ in parts))
-                scan([groups[ids] for _, ids in parts], words, rels[clause.name])
-    return FinStructure(D.signature(), len(encoded), {k: frozenset(v) for k, v in rels.items()})
+                plan.append((index[clause.name], scan, [groups[ids] for _, ids in parts]))
+    return plan
+
+
+def _run(plan: list, words: Sequence, count: int) -> list[set]:
+    """The tuple sets of count relations that a plan (see _plan) induces
+    on points with these words, each as long as its sort's dim."""
+    rels: list[set] = [set() for _ in range(count)]
+    for r, scan, groups in plan:
+        scan(groups, words, rels[r])
+    return rels
+
+
+def _structure_on(D: DefStructure, encoded: Sequence) -> FinStructure:
+    """The structure D induces on encoded points, in the given order.
+    Callers charge the sampling work (see _sampling_cost) before calling
+    it."""
+    sig = D.signature()
+    rels = _run(_plan(D, [si for si, _ in encoded]), [word for _, word in encoded], len(sig.relations))
+    return FinStructure(sig, len(encoded), dict(zip(sig.names(), map(frozenset, rels))))
 
 
 def sample(D: DefStructure, A: AtomSample) -> SampleResult:
@@ -226,7 +241,7 @@ def sample(D: DefStructure, A: AtomSample) -> SampleResult:
     atom's index is its rank."""
     if A.base != D.base:
         raise BaseMismatch(f"sample base {A.base} differs from structure base {D.base}")
-    _charge_sampling(D, [math.comb(len(A.atoms), sort.dim) for sort in D.sorts])
+    charge(_sampling_cost(D, [math.comb(len(A.atoms), sort.dim) for sort in D.sorts]), "sampling")
     ranked = [(k, a.label) for k, a in enumerate(A.atoms)]
     encoded, points = [], []
     for si, sort in enumerate(D.sorts):
@@ -244,7 +259,7 @@ def induce_on_points(D: DefStructure, points: Sequence[Point]) -> FinStructure:
         if not (0 <= p.sort < len(D.sorts) and len(p.atoms) == D.sorts[p.sort].dim):
             raise InvalidDimension(f"point of sort {p.sort} with {len(p.atoms)} atoms is not a point of D")
     sorts = [p.sort for p in points]
-    _charge_sampling(D, [sorts.count(si) for si in range(len(D.sorts))])
+    charge(_sampling_cost(D, [sorts.count(si) for si in range(len(D.sorts))]), "sampling")
     return _structure_on(D, _encode(points))
 
 
@@ -512,7 +527,12 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
     relations; asserting that is the caller's responsibility.
     mode="reversal" also identifies a class with its relation-reversed
     class and requires a single binary relation.  The orbit enumeration and
-    every induced structure and canonical form charge one work meter.
+    every orbit's induced relations and canonical encoding (see
+    finstruct._canonical_encoding) charge one work meter, as does, in
+    reversal mode, the reversed encoding of every class found.  The
+    encodings are compared directly: within one call the size and the
+    relation order are fixed, so they are equal exactly when the induced
+    structures are isomorphic.
     """
     if mode not in ("base", "homogeneous", "reversal"):
         raise Unsupported(f"unknown growth mode {mode!r}")
@@ -524,23 +544,22 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
     orbits = _orbits(D, n, True)
     if mode == "base":
         return sum(1 for _ in orbits)
+    # the sampling charge and the plan of each sequence of point sorts
+    plans: dict[tuple, tuple] = {}
     forms = set()
     for _, word, shape in orbits:
-        _charge_sampling(D, [sum(si == sj for sj, _ in shape) for si in range(len(D.sorts))])
-        induced = _structure_on(D, [(si, tuple((k, word[k]) for k in slots)) for si, slots in shape])
-        form = canonical_form(induced)
-        if mode == "reversal":
-            form = min(form, canonical_form(_reverse_binary(induced)))
-        forms.add(form)
+        sorts = tuple(si for si, _ in shape)
+        plan = plans.get(sorts)
+        if plan is None:
+            cost = _sampling_cost(D, [sorts.count(si) for si in range(len(D.sorts))])
+            plan = plans[sorts] = (cost, _plan(D, sorts))
+        charge(plan[0], "sampling")
+        words = [tuple([(k, word[k]) for k in slots]) for _, slots in shape]
+        forms.add(_canonical_encoding(n, _run(plan[1], words, len(sig.relations))))
+    if mode == "reversal":
+        # the reversed encoding depends only on the class
+        forms = {min(form, _canonical_encoding(n, [{t[::-1] for t in ts} for ts in form])) for form in forms}
     return len(forms)
-
-
-def _reverse_binary(structure: FinStructure) -> FinStructure:
-    rels = {
-        name: frozenset(t[::-1] for t in structure.relations[name])
-        for name, _ in structure.signature.relations
-    }
-    return FinStructure(structure.signature, structure.size, rels)
 
 
 def growth_up_to_reversal(D: DefStructure, n: int) -> int:
@@ -589,22 +608,22 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
     # makes the rotations (b, swap c, swap a) from j, k, i and
     # (swap c, a, swap b) from k, i, j broken too, so a decision breaks a
     # triple exactly when it breaks one whose first descriptor it set true.
-    by_first, diag, pairs = _composition_by_first(d)
+    by_first, diag, pairs, names = _composition_by_first(d)
 
     results = []
-    status: dict[str, bool] = {}
+    status: list[Optional[bool]] = [None] * len(names)
 
-    def violated(chosen: str) -> bool:
-        triples = by_first.get(chosen, ())
-        charge(len(triples), "invariant order search")
-        for _, o2, o3 in triples:
-            if status.get(o2) and status.get(o3) is False:
+    def violated(chosen: int) -> bool:
+        rests = by_first[chosen]
+        charge(len(rests), "invariant order search")
+        for c_jk, c_ik in rests:
+            if status[c_jk] and status[c_ik] is False:
                 return True
         return False
 
     def descend(idx: int):
         if idx == len(pairs):
-            results.append(tuple(sorted(o for o, v in status.items() if v)))
+            results.append(tuple(sorted(names[c] for c, v in enumerate(status) if v)))
             return
         a, b = pairs[idx]
         for chosen, dropped in ((a, b), (b, a)):
@@ -612,8 +631,7 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
             status[dropped] = False
             if not violated(chosen):
                 descend(idx + 1)
-            del status[chosen]
-            del status[dropped]
+            status[chosen] = status[dropped] = None
 
     status[diag] = False
     descend(0)
@@ -627,16 +645,16 @@ def _composition_by_first(d: int):
     """Pair classes of the 3d-atom sample, which realizes every orbit of
     point pairs and triples.
 
-    Returns the composition table indexed by first descriptor, the diagonal
-    class, and the sorted (class, swapped class) pairs of the other classes,
-    each with the lesser class first.  The table holds the descriptor
-    triples (c_ij, c_jk, c_ik) of point triples with i != j != k, where c_jk
-    is the diagonal exactly when k == j.
+    The classes are numbered 0, 1, ... in order of first meeting.  Returns
+    the composition table indexed by first class, the diagonal class, the
+    (class, swapped class) pairs of the other classes, and the descriptor
+    of every class.  by_first[c_ij] lists the pairs (c_jk, c_ik) of point
+    triples i != j != k with c_jk not the diagonal, which it is exactly
+    when k == j.  Each pair of pairs puts the class with the lesser
+    descriptor first, and the pairs are sorted by descriptors.
 
     A pair (p, q) is keyed by its interleaving: for each atom of p or q in
-    value order, 1, 2 or 3 as p, q or both hold it.  The keys number the
-    classes 0, 1, ... in order of first meeting; the triples are built on
-    those ids and named by their descriptors only in the returned table.
+    value order, 1, 2 or 3 as p, q or both hold it.
     """
     points = list(itertools.combinations(range(3 * d), d))
     ones = [[int(k in p) for k in range(3 * d)] for p in points]
@@ -665,13 +683,13 @@ def _composition_by_first(d: int):
                 rests[c_ij].update(map(operator.add, scaled[j], row))
                 swaps.add((c_ij, classes[j][i]))
     diag = classes[0][0]
-    by_first: dict[str, list[tuple[str, str, str]]] = {}
-    for first, rest in enumerate(rests):
-        pairs = (divmod(code, size) for code in rest)
-        triples = [(names[first], names[c_jk], names[c_ik]) for c_jk, c_ik in pairs if c_jk != diag]
-        if triples:
-            by_first[names[first]] = triples
-    return by_first, names[diag], sorted({tuple(sorted((names[a], names[b]))) for a, b in swaps})
+    by_first = [[pair for pair in (divmod(code, size) for code in rest) if pair[0] != diag] for rest in rests]
+
+    def named(pair):
+        return names[pair[0]], names[pair[1]]
+
+    pairs = sorted({min(pair, pair[::-1], key=named) for pair in swaps}, key=named)
+    return by_first, diag, pairs, names
 
 
 @dataclass(frozen=True)

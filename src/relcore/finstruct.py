@@ -14,8 +14,9 @@ out of every list.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     HomValidationError,
@@ -495,30 +496,52 @@ def compute_core(structure: FinStructure) -> CoreResult:
     return CoreResult(core, retraction, old_ids, was_core)
 
 
-def _refine(incidences: list[list[tuple[int, int]]], tuples: list[tuple], colours: list[int]) -> list[int]:
-    """Coarsest equitable colouring that refines `colours`.
+def _refiner(n: int, rels: Sequence) -> Callable[[list[int]], list[int]]:
+    """Colour refinement on the structure on 0..n-1 with the relations rels:
+    a function from a colouring to the coarsest equitable colouring that
+    refines it.
 
-    tuples lists (relation index, tuple) and incidences[v] lists (position,
-    tuple index) for every position at which v occurs.  Each round gives v
-    the key (old colour, sorted multiset of (position, relation, colours of
-    the tuple)) and renumbers the keys 0..k-1 in sorted order, so cells keep
-    their relative order and the result does not depend on how the domain
-    is labelled.
+    Each round numbers the distinct coloured tuples (relation index,
+    colours of the tuple) below K, the number of tuples, in sorted order;
+    gives v the key (old colour, sorted codes p * K + number, one for every
+    tuple and position p at which v occurs); and renumbers the keys 0..k-1
+    in sorted order.  The codes sort as the (position, coloured tuple)
+    pairs they stand for, so cells keep their relative order and the
+    result does not depend on how the domain is labelled.
     """
-    cells = len(set(colours))
-    while cells < len(colours):
-        coloured = [(r, tuple([colours[x] for x in t])) for r, t in tuples]
-        keys = [
-            (colours[v], tuple(sorted([(p, coloured[i]) for p, i in occ])))
-            for v, occ in enumerate(incidences)
-        ]
-        ranked = sorted(set(keys))
-        if len(ranked) == cells:
-            break
-        rank = {k: i for i, k in enumerate(ranked)}
-        colours = [rank[k] for k in keys]
-        cells = len(ranked)
-    return colours
+    # the tuples numbered relation by relation; getters[r] reads the colours
+    # of relation r's tuples, and vertex v occurs in tuple incident[k] at
+    # position p, with shift[k] = p * K, for k in range(starts[v], ends[v])
+    getters = [[operator.itemgetter(*t) for t in ts] for ts in rels]
+    tuples = [t for ts in rels for t in ts]
+    occurs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, t in enumerate(tuples):
+        for p, x in enumerate(t):
+            occurs[x].append((p * len(tuples), i))
+    shift = [s for occ in occurs for s, _ in occ]
+    incident = [i for occ in occurs for _, i in occ]
+    ends = list(itertools.accumulate(map(len, occurs)))
+    starts = [0] + ends[:-1]
+
+    def refine(colours: list[int]) -> list[int]:
+        cells = len(set(colours))
+        while cells < n:
+            codes: list[int] = []
+            for gs in getters:
+                coloured = [g(colours) for g in gs]
+                ids = {c: k for k, c in enumerate(sorted(set(coloured)), len(codes))}
+                codes += map(ids.__getitem__, coloured)
+            flat = list(map(operator.add, shift, map(codes.__getitem__, incident)))
+            keys = [(c, tuple(sorted(flat[a:b]))) for c, a, b in zip(colours, starts, ends)]
+            ranked = sorted(set(keys))
+            if len(ranked) == cells:
+                break
+            rank = {key: k for k, key in enumerate(ranked)}
+            colours = [rank[key] for key in keys]
+            cells = len(ranked)
+        return colours
+
+    return refine
 
 
 def _individualize(colours: list[int], w: int) -> list[int]:
@@ -545,13 +568,30 @@ def _orbit_meets(w: int, tried: list[int], generators: list[list[int]]) -> bool:
 def canonical_form(structure: FinStructure) -> bytes:
     """Canonical byte encoding: equal exactly for isomorphic structures.
 
+    The signature, the size and the least leaf encoding that
+    _canonical_encoding finds for the relations in signature order.
+    Every node of its search tree charges n plus the number of tuples to
+    the work budget.
+    """
+    n = structure.size
+    rels = [structure.relations[name] for name in structure.signature.names()]
+    payload = (tuple(structure.signature.relations), n, _canonical_encoding(n, rels))
+    return repr(payload).encode("utf-8")
+
+
+def _canonical_encoding(n: int, rels: Sequence) -> tuple:
+    """The least leaf encoding of the structure on 0..n-1 whose relations,
+    in a fixed order, hold the tuples of rels: for each relation, its
+    tuples relabelled by one leaf's order of the domain, sorted.  Two
+    structures with relations in the same order and of the same arities
+    get equal encodings exactly when they are isomorphic.
+
     Individualization-refinement in the style of McKay and Piperno,
     "Practical graph isomorphism II" (2014), for relations of any arity.
     The search tree starts at the coarsest equitable colouring; each node
     individualizes, in turn, every vertex of its first smallest non-singleton
-    cell and refines again.  Every discrete leaf orders the domain, and the
-    form is the least encoding of the relabelled relations over all leaves.
-    The tree is built from labelling-invariant choices only, so isomorphic
+    cell and refines again.  Every discrete leaf orders the domain.  The
+    tree is built from labelling-invariant choices only, so isomorphic
     structures get the same set of leaf encodings.
 
     Two leaves with equal encodings give an automorphism mapping one leaf's
@@ -562,13 +602,8 @@ def canonical_form(structure: FinStructure) -> bytes:
     the node's path.  Every node visited charges n plus the number of
     tuples to the work budget.
     """
-    n = structure.size
-    rels = [structure.relations[name] for name in structure.signature.names()]
-    tuples = [(r, t) for r, ts in enumerate(rels) for t in ts]
-    incidences: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (_, t) in enumerate(tuples):
-        for p, x in enumerate(t):
-            incidences[x].append((p, i))
+    steps = n + sum(map(len, rels))
+    refine = _refiner(n, rels)
 
     # Leaves are (encoding, labels, path); best holds the least encoding.
     first: Optional[tuple] = None
@@ -594,8 +629,8 @@ def canonical_form(structure: FinStructure) -> bytes:
 
     def visit(colours: list[int], path: list[int]) -> Optional[int]:
         """Search below a node; returns the depth to resume at, if shallower."""
-        charge(n + len(tuples), "canonical form")
-        colours = _refine(incidences, tuples, colours)
+        charge(steps, "canonical form")
+        colours = refine(colours)
         if len(set(colours)) == n:
             return leaf(colours, path)
         cells: dict[int, list[int]] = {}
@@ -619,5 +654,4 @@ def canonical_form(structure: FinStructure) -> bytes:
     # visit reaches itself through its closure; breaking that cycle frees the
     # search state now instead of at the next cyclic garbage collection.
     visit = None
-    payload = (tuple(structure.signature.relations), n, best[0])
-    return repr(payload).encode("utf-8")
+    return best[0]

@@ -1,12 +1,13 @@
 """Canonical form by individualization-refinement against a brute-force oracle."""
 
+import functools
 import itertools
 import random
 import time
 
 import pytest
 
-from relcore import gallery
+from relcore import finstruct, gallery
 from relcore.atoms import make_sample
 from relcore.definable import sample, unlabelled_growth
 from relcore.finstruct import FinStructure, Signature, canonical_form
@@ -168,3 +169,90 @@ def test_symmetric_structures_relabel_and_separate():
 def test_local_order_growth_beyond_default_cap(n):
     s2 = gallery.dense_local_order()
     assert unlabelled_growth(s2, n, "homogeneous") == local_order_count(n)
+
+
+def old_refine(incidences, tuples, colours):
+    """The former colour refinement, the oracle for finstruct._refiner:
+    tuples lists (relation index, tuple) and incidences[v] lists (position,
+    tuple index) for every position at which v occurs.  Each round gives v
+    the key (old colour, sorted multiset of (position, relation, colours of
+    the tuple)) and renumbers the keys 0..k-1 in sorted order."""
+    cells = len(set(colours))
+    while cells < len(colours):
+        coloured = [(r, tuple([colours[x] for x in t])) for r, t in tuples]
+        keys = [
+            (colours[v], tuple(sorted([(p, coloured[i]) for p, i in occ])))
+            for v, occ in enumerate(incidences)
+        ]
+        ranked = sorted(set(keys))
+        if len(ranked) == cells:
+            break
+        rank = {k: i for i, k in enumerate(ranked)}
+        colours = [rank[k] for k in keys]
+        cells = len(ranked)
+    return colours
+
+
+def old_refiner(n, rels):
+    """finstruct._refiner's interface on old_refine."""
+    tuples = [(r, t) for r, ts in enumerate(rels) for t in ts]
+    incidences = [[] for _ in range(n)]
+    for i, (_, t) in enumerate(tuples):
+        for p, x in enumerate(t):
+            incidences[x].append((p, i))
+    return functools.partial(old_refine, incidences, tuples)
+
+
+def wide_structure(rng):
+    """A structure on at most 8 elements with up to three relations, about
+    half of them with one relation of arity 9 or 10, so that a refinement
+    code packing (position, tuple) into an int that leaves room for fewer
+    positions collides."""
+    size = rng.randint(1, 8)
+    names = []
+    rels = {}
+    for i in range(rng.randint(1, 3)):
+        arity = rng.choice((9, 10)) if i == 0 and rng.random() < 0.5 else rng.randint(1, 3)
+        if arity > 3:
+            tuples = {tuple(rng.randrange(size) for _ in range(arity)) for _ in range(rng.randint(0, 4))}
+        else:
+            density = rng.choice((0.1, 0.3, 0.5))
+            tuples = {t for t in itertools.product(range(size), repeat=arity) if rng.random() < density}
+        names.append((f"R{i}", arity))
+        rels[f"R{i}"] = frozenset(tuples)
+    return FinStructure(Signature(tuple(names)), size, rels)
+
+
+def test_refinement_matches_old_refine():
+    # the codes sort as the old keys, so every round splits and orders the
+    # cells as before: equal colourings, from the unit colouring, random
+    # colourings and one vertex individualized
+    rng = random.Random(17)
+    wide = 0
+    for _ in range(300):
+        s = wide_structure(rng)
+        n = s.size
+        rels = [s.relations[name] for name in s.signature.names()]
+        wide += max(a for _, a in s.signature.relations) >= 9
+        starts = [[0] * n, [rng.randrange(3) for _ in range(n)]]
+        starts.append(finstruct._individualize(old_refiner(n, rels)([0] * n), rng.randrange(n)))
+        new = finstruct._refiner(n, rels)
+        for colours in starts:
+            assert new(colours) == old_refiner(n, rels)(colours), (s, colours)
+    assert wide > 100
+
+
+def test_forms_match_old_refinement_forms(monkeypatch):
+    # on seeded random structures and random relabellings, forms from the
+    # new refinement and from the old one tell the same structures apart,
+    # and each is the same on a structure and on its relabelled copies
+    rng = random.Random(23)
+    for _ in range(120):
+        s = wide_structure(rng)
+        group = [s, _permuted_copy(s, rng)] + [_permuted_copy(_mutated_copy(s, rng), rng) for _ in range(3)]
+        new = [canonical_form(g) for g in group]
+        with monkeypatch.context() as m:
+            m.setattr(finstruct, "_refiner", old_refiner)
+            old = [canonical_form(g) for g in group]
+        assert partition(new) == partition(old)
+        assert new[0] == new[1]

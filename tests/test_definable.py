@@ -627,6 +627,70 @@ def test_growth_charges_one_meter(monkeypatch):
         canonical_form(induced)
 
 
+def test_reversal_growth_charges_one_reversed_form_per_class(monkeypatch):
+    # S2 at n = 7: the homogeneous charges, then one reversed canonical
+    # encoding for each of the 9 classes, 13,922 steps in all (the per-orbit
+    # reversed forms took 17,282)
+    s2 = gallery.dense_local_order()
+    monkeypatch.setattr(errors, "WORK_BUDGET", 13922)
+    assert unlabelled_growth(s2, 7, "reversal") == 9
+    monkeypatch.setattr(errors, "WORK_BUDGET", 13921)
+    with pytest.raises(TooLarge, match="work budget"):
+        unlabelled_growth(s2, 7, "reversal")
+
+
+@errors.metered
+def per_orbit_growth(D, n, mode):
+    """The former growth path, the oracle for unlabelled_growth: for every
+    orbit, its sampling charge, its induced FinStructure and that
+    structure's canonical form, in reversal mode the lesser of it and the
+    reversed structure's form.  Returns the count and the steps charged."""
+    forms = set()
+    for _, word, shape in definable._orbits(D, n, True):
+        counts = [sum(si == sj for sj, _ in shape) for si in range(len(D.sorts))]
+        errors.charge(definable._sampling_cost(D, counts), "sampling")
+        encoded = [(si, tuple((k, word[k]) for k in slots)) for si, slots in shape]
+        induced = definable._structure_on(D, encoded)
+        form = canonical_form(induced)
+        if mode == "reversal":
+            reversed_rels = {name: frozenset(t[::-1] for t in ts) for name, ts in induced.relations.items()}
+            form = min(form, canonical_form(FinStructure(induced.signature, induced.size, reversed_rels)))
+        forms.add(form)
+    return len(forms), errors._spent.get()
+
+
+@errors.metered
+def growth_and_steps(D, n, mode):
+    return unlabelled_growth(D, n, mode), errors._spent.get()
+
+
+@pytest.mark.parametrize("name", sorted(gallery._definable_registry()))
+def test_growth_matches_per_orbit_oracle(name, monkeypatch):
+    # the same count on every definable gallery object for n <= 5;
+    # homogeneous mode charges the same steps, reversal mode (one binary
+    # relation only) no more.  Where the call passes the budget (X at
+    # n = 3 after ~2 s, the oracle after ~12 s) both run again under a
+    # budget of 100,000 steps and must raise at the same charge.
+    D = gallery.lookup_definable(name)
+    rels = D.signature().relations
+    modes = ["homogeneous"] + ["reversal"] * (len(rels) == 1 and rels[0][1] == 2)
+    for mode in modes:
+        for n in range(1, 6):
+            got = outcome(lambda: growth_and_steps(D, n, mode))
+            if got[0] is TooLarge:
+                with monkeypatch.context() as m:
+                    m.setattr(errors, "WORK_BUDGET", 100_000)
+                    got = outcome(lambda: growth_and_steps(D, n, mode))
+                    want = outcome(lambda: per_orbit_growth(D, n, mode))
+                assert got[0] is TooLarge, (name, mode, n)
+            else:
+                want = outcome(lambda: per_orbit_growth(D, n, mode))
+            if mode == "homogeneous":
+                assert got == want, (name, mode, n)
+            else:
+                assert got[0] == want[0] and got[1] <= want[1], (name, mode, n)
+
+
 def test_growth_past_the_budget_raises_soon():
     # S2 answers through n = 12 (1,108,505 steps); at n = 16 the whole call
     # passes the budget after about two seconds instead of running for minutes
@@ -886,6 +950,15 @@ def old_composition_by_first(classes):
     return by_first, diag, sorted(swaps)
 
 
+def named_table(table):
+    """The table of definable._composition_by_first, on class ids, in the
+    former string-keyed form: the descriptor triples per first descriptor,
+    the diagonal's descriptor and the pairs as descriptor pairs."""
+    by_first, diag, pairs, names = table
+    triples = {names[c]: [(names[c], names[a], names[b]) for a, b in rest] for c, rest in enumerate(by_first) if rest}
+    return triples, names[diag], [(names[a], names[b]) for a, b in pairs]
+
+
 def composition_as_sets(table):
     by_first, diag, pairs = table
     assert all(len(set(triples)) == len(triples) for triples in by_first.values())
@@ -897,7 +970,7 @@ def test_composition_table_matches_fraction_oracle(d):
     # the descriptors of concrete point pairs over Fraction atoms
     points = [Point(0, c) for c in itertools.combinations(make_sample(DLO, 3 * d).atoms, d)]
     classes = [[tuple_type((p, q), DLO) for q in points] for p in points]
-    table = definable._composition_by_first(d)
+    table = named_table(definable._composition_by_first(d))
     assert composition_as_sets(table) == composition_as_sets(old_composition_by_first(classes))
 
 
@@ -907,7 +980,7 @@ def test_composition_table_matches_string_keyed_table(d):
     # composition table was built before its classes became integer ids
     points = [(0, tuple((k, 0) for k in c)) for c in itertools.combinations(range(3 * d), d)]
     classes = [[definable._type(*definable._pattern((p, q)), DLO, False) for q in points] for p in points]
-    table = definable._composition_by_first(d)
+    table = named_table(definable._composition_by_first(d))
     assert composition_as_sets(table) == composition_as_sets(old_composition_by_first(classes))
 
 
