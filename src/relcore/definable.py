@@ -305,8 +305,10 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
     point is the (increasing) union of the component supports.  Relations
     are the projection-instantiated relations of D plus component equality,
     named exactly as in the finite full power so that samples line up.
-    A relation of arity k takes (d * sorts)^k clauses; every clause is
-    charged to the work budget before any is built.
+    A relation of arity k takes (d * sorts)^k clauses.  Before any is
+    built, each is charged what building it costs: two steps per node of
+    its formula (copied, then checked), one per position mapped (k * m),
+    two per guard entry, and one.
     """
     if d < 1:
         raise InvalidDimension(f"power dimension must be >= 1, got {d}")
@@ -314,7 +316,7 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
         raise Unsupported("full power is only defined for single-sort structures")
     m = D.sorts[0].dim
     orbits = _orbits(DefStructure(DLO, (Sort("t", m),), ()), d, False)
-    patterns = [tuple(slots for _, slots in shape) for _, _, shape in orbits]
+    patterns = [tuple(slots for _, slots in shape) for _, shape in orbits]
     sorts = tuple(Sort(_pattern_name(rows), len(set().union(*rows))) for rows in patterns)
     named = {s.name: rows for s, rows in zip(sorts, patterns)}
 
@@ -327,7 +329,8 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
     equal = fm.And(tuple(fm.Eq(c, m + c) for c in range(m))) if m else fm.TRUE
     atoms_rels = list(merged.items()) + [("=", (2, equal))]
     count = sum((d * len(sorts)) ** k for _, (k, _) in atoms_rels)
-    charge(count, f"a power with {count} clauses")
+    work = sum((d * len(sorts)) ** k * (2 * fm.size(phi) + k * m + 2 * k + 1) for _, (k, phi) in atoms_rels)
+    charge(work, f"a power with {count} clauses")
     clauses = []
     for name, (k, phi) in atoms_rels:
         for js in itertools.product(range(d), repeat=k):
@@ -360,51 +363,50 @@ def _pattern(encoded: Sequence):
     return tuple(labels[r] for r in ranks), shape
 
 
-def _type(word, shape, base: AtomBase, as_set: bool) -> str:
-    """Canonical descriptor of a support pattern under base automorphisms;
-    as_set forgets the order of the points."""
+def _type(word, shape, base: AtomBase, as_set: bool):
+    """Canonical key of a support pattern under base automorphisms; as_set
+    forgets the order of the points.  A tuple's key is its descriptor: the
+    pattern on an ordered base; on an unordered one its least relabelling
+    under the permutations of the support, which orders the slots by label,
+    then by the points holding them, earliest point first.  A set's key on
+    an unordered base is its sorts and the canonical encoding (charged as
+    it runs, never printed) of its incidence structure: a unary relation
+    per label on the atoms and per sort on the points, and membership."""
     shape = tuple(sorted(shape) if as_set else shape)
+    s = len(word)
     if base.ordered:
-        return repr((len(word), word, shape))
-    return repr(_min_under_slot_perms(len(word), word, shape, resort=as_set))
-
-
-def _min_under_slot_perms(s, word, shape, resort=False):
-    """Least relabelling of a support pattern over every permutation of the
-    support, each atom carrying its label to its new slot."""
-    best = None
-    for perm in itertools.permutations(range(s)):
-        moved = tuple(label for _, label in sorted(zip(perm, word)))
-        relabeled = [(sort, tuple(sorted(perm[k] for k in slots))) for sort, slots in shape]
-        if resort:
-            relabeled.sort()
-        cand = (s, moved, tuple(relabeled))
-        if best is None or cand < best:
-            best = cand
-    return best
+        return repr((s, word, shape))
+    if as_set:
+        sorts = tuple(si for si, _ in shape)
+        rels = [{(k,) for k in range(s) if word[k] == label} for label in range(base.alphabet)]
+        rels += [{(s + i,) for i, sj in enumerate(sorts) if sj == si} for si in sorted(set(sorts))]
+        rels.append({(k, s + i) for i, (_, slots) in enumerate(shape) for k in slots})
+        return sorts, _canonical_encoding(s + len(shape), rels)
+    order = sorted(range(s), key=lambda k: (word[k], [k not in slots for _, slots in shape]))
+    relabelled = tuple((si, tuple(sorted(map(order.index, slots)))) for si, slots in shape)
+    return repr((s, tuple(word[k] for k in order), relabelled))
 
 
 def _orbits(D: DefStructure, n: int, as_set: bool):
-    """Yields (descriptor, word, shape) once per base-automorphism orbit of
-    n-tuples of points (of n-element point sets when as_set).
+    """Yields (word, shape) once per base-automorphism orbit of n-tuples of
+    points (of n-element point sets when as_set).
 
     Walks the supports {0..s-1} for s = 0..n*max_dim, every label word on
     a support, and every choice (shape) of n abstract points (sort, slots)
     that covers it (see _covering_choices); the first choice met in an
     orbit represents it, slot k being the atom of rank k and label word[k].
     No atom is built.  On an ordered base every covering choice with its
-    word is its own orbit, so no descriptor is looked up in a seen set.
+    word is its own orbit; on an unordered one each choice's key (see
+    _type) is looked up in a seen set.
 
     Before the walk, each support size charges to the work budget its k
-    abstract points and, for every label word and covering choice, the
-    n + s steps of the descriptor it writes; on an unordered base also the
-    s! relabellings of each.  The covering choices are counted by
+    abstract points and n + s steps for every label word and covering
+    choice, the size of the pattern.  The covering choices are counted by
     inclusion-exclusion over the atoms a choice misses, and the count
     stops at the first support size that exceeds the headroom.  The
     depth-first walk that generates them charges its nodes as it goes.
     """
     smax = n * D.max_dim()
-    ordered = D.base.ordered
     work, allowed = 0, headroom()
     within = []  # within[t]: the choices inside a fixed set of t atoms
     covers = []
@@ -412,8 +414,7 @@ def _orbits(D: DefStructure, n: int, as_set: bool):
         k = sum(math.comb(s, sort.dim) for sort in D.sorts)
         within.append(math.comb(k, n) if as_set else k**n)
         covers.append(within[s] and sum((-1) ** j * math.comb(s, j) * within[s - j] for j in range(s + 1)))
-        steps = n + s if ordered else n + s + math.factorial(s)
-        work += k + D.base.alphabet**s * covers[s] * steps
+        work += k + D.base.alphabet**s * covers[s] * (n + s)
         if work > allowed:
             break
     charge(work, "orbit enumeration")
@@ -424,12 +425,12 @@ def _orbits(D: DefStructure, n: int, as_set: bool):
         covering = _covering_choices(D, n, s, as_set)
         for word in itertools.product(range(D.base.alphabet), repeat=s):
             for shape in covering:
-                desc = _type(word, shape, D.base, as_set)
-                if ordered:
-                    yield desc, word, shape
-                elif desc not in seen:
-                    seen.add(desc)
-                    yield desc, word, shape
+                if not D.base.ordered:
+                    key = _type(word, shape, D.base, as_set)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                yield word, shape
 
 
 def _covering_choices(D: DefStructure, n: int, s: int, as_set: bool) -> list:
@@ -505,15 +506,11 @@ def _covering_choices(D: DefStructure, n: int, s: int, as_set: bool) -> list:
 
 @metered
 def point_orbits(D: DefStructure, n: int) -> list[str]:
-    """Descriptors of all orbits of n-tuples of points.
-
-    Enumerates abstract supports (size and label word) together with all
-    assignments of n points using every support atom; the count of returned
-    descriptors equals the number of base-automorphism orbits of n-tuples.
-    """
+    """The descriptors (see _type) of the base-automorphism orbits of
+    n-tuples of points, one per orbit (see _orbits), sorted."""
     if n < 1:
         raise InvalidDimension(f"need n >= 1, got {n}")
-    return sorted(desc for desc, _, _ in _orbits(D, n, False))
+    return sorted(_type(word, shape, D.base, False) for word, shape in _orbits(D, n, False))
 
 
 @metered
@@ -547,7 +544,7 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
     # the sampling charge and the plan of each sequence of point sorts
     plans: dict[tuple, tuple] = {}
     forms = set()
-    for _, word, shape in orbits:
+    for word, shape in orbits:
         sorts = tuple(si for si, _ in shape)
         plan = plans.get(sorts)
         if plan is None:
@@ -573,15 +570,12 @@ def increasing_tuple_structure(d: int) -> DefStructure:
     d-tuples with all coordinatewise order and equality relations."""
     if d < 1:
         raise InvalidDimension(f"need dimension >= 1, got {d}")
-    clauses = []
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            clauses.append(
-                RelationClause(f"lt{i}{j}", 2, (GUARD_ANY, GUARD_ANY), fm.Less(i - 1, d + j - 1))
-            )
-            clauses.append(
-                RelationClause(f"eq{i}{j}", 2, (GUARD_ANY, GUARD_ANY), fm.Eq(i - 1, d + j - 1))
-            )
+    clauses = [
+        RelationClause(f"{name}{i + 1}{j + 1}", 2, (GUARD_ANY, GUARD_ANY), atomic(i, d + j))
+        for i in range(d)
+        for j in range(d)
+        for name, atomic in (("lt", fm.Less), ("eq", fm.Eq))
+    ]
     return DefStructure(DLO, (Sort("t", d),), tuple(clauses))
 
 
@@ -725,14 +719,11 @@ def classify_signed_lex(order: Iterable[str], d: int) -> Optional[SignedLex]:
     pair-orbit union on every orbit, or None when no candidate agrees."""
     chosen = set(order)
     # slots order exactly as the atoms' values do
-    reps = [
-        (desc, p, q)
-        for desc, _, ((_, p), (_, q)) in _orbits(DefStructure(DLO, (Sort("t", d),), ()), 2, False)
-        if p != q
-    ]
+    pairs = _orbits(DefStructure(DLO, (Sort("t", d),), ()), 2, False)
+    reps = [(_type(word, shape, DLO, False), shape) for word, shape in pairs if shape[0] != shape[1]]
     for sigma in itertools.permutations(range(d)):
         for dirs in itertools.product(("asc", "desc"), repeat=d):
             candidate = SignedLex(sigma, dirs)
-            if all(candidate.less(p, q) == (desc in chosen) for desc, p, q in reps):
+            if all(candidate.less(p, q) == (desc in chosen) for desc, ((_, p), (_, q)) in reps):
                 return candidate
     return None

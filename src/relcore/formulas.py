@@ -239,6 +239,12 @@ def shift_positions(phi: Formula, mapping: dict[int, int]) -> Formula:
     return phi
 
 
+def size(phi: Formula) -> int:
+    """The number of nodes of phi."""
+    kids = phi.args if isinstance(phi, (And, Or)) else (phi.arg,) if isinstance(phi, Not) else ()
+    return 1 + sum(map(size, kids))
+
+
 def to_json(phi: Formula) -> dict:
     if isinstance(phi, Const):
         return {"op": "true" if phi.value else "false"}

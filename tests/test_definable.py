@@ -236,6 +236,90 @@ def brute_same_orbit(points_a, points_b, base):
     return False
 
 
+def min_under_slot_perms(s, word, shape, resort=False):
+    """Least relabelling of a support pattern over every permutation of the
+    support, each atom carrying its label to its new slot; the former
+    unordered-base canonicaliser, the oracle for definable._type."""
+    best = None
+    for perm in itertools.permutations(range(s)):
+        moved = tuple(label for _, label in sorted(zip(perm, word)))
+        relabeled = [(sort, tuple(sorted(perm[k] for k in slots))) for sort, slots in shape]
+        if resort:
+            relabeled.sort()
+        cand = (s, moved, tuple(relabeled))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def old_type(word, shape, base, as_set):
+    """The former definable._type: the pattern on an ordered base, the least
+    of its s! relabellings on an unordered one."""
+    shape = tuple(sorted(shape) if as_set else shape)
+    if base.ordered:
+        return repr((len(word), word, shape))
+    return repr(min_under_slot_perms(len(word), word, shape, resort=as_set))
+
+
+def random_pattern(rng, as_set):
+    """A label word of s <= 6 atoms over up to three labels, and n <= 4
+    points (sort, slots) of up to two sorts that cover its slots; tuples may
+    repeat a point, sets may not."""
+    s = rng.randint(0, 6)
+    word = tuple(rng.randrange(rng.randint(1, 3)) for _ in range(s))
+    while True:
+        shape = [
+            (rng.randrange(2), tuple(sorted(rng.sample(range(s), rng.randint(0, min(s, 3))))))
+            for _ in range(rng.randint(1, 4))
+        ]
+        if rng.random() < 0.3:
+            shape.append(rng.choice(shape))
+        if {k for _, slots in shape for k in slots} == set(range(s)) and not (as_set and len(set(shape)) < len(shape)):
+            return word, tuple(shape)
+
+
+def relabelled(rng, word, shape):
+    """The same pattern with its support permuted at random and its points
+    listed in a random order."""
+    perm = list(range(len(word)))
+    rng.shuffle(perm)
+    moved = [0] * len(word)
+    for k, label in enumerate(word):
+        moved[perm[k]] = label
+    points = [(si, tuple(sorted(perm[k] for k in slots))) for si, slots in shape]
+    rng.shuffle(points)
+    return tuple(moved), tuple(points)
+
+
+def test_tuple_descriptors_match_slot_permutation_oracle():
+    # byte-identical descriptors on unordered bases, repeated points included
+    rng = random.Random(18)
+    base = AtomBase(ordered=False, alphabet=3)
+    for _ in range(3000):
+        word, shape = random_pattern(rng, as_set=False)
+        assert definable._type(word, shape, base, False) == old_type(word, shape, base, False), (word, shape)
+
+
+def test_set_keys_match_slot_permutation_oracle():
+    # the same equality relation as the least relabelling of the sorted
+    # points, on random set patterns, relabelled copies and near misses
+    rng = random.Random(19)
+    base = AtomBase(ordered=False, alphabet=3)
+    key = lambda pattern: definable._type(*pattern, base, True)
+    patterns = []
+    for _ in range(300):
+        word, shape = random_pattern(rng, as_set=True)
+        copy = relabelled(rng, word, shape)
+        assert key((word, shape)) == key(copy)
+        patterns += [(word, shape), copy]
+        if word:
+            k = rng.randrange(len(word))
+            patterns.append(relabelled(rng, word[:k] + ((word[k] + 1) % 3,) + word[k + 1 :], shape))
+    keys = [key(pattern) for pattern in patterns]
+    olds = [old_type(word, shape, base, True) for word, shape in patterns]
+    assert len(set(keys)) == len(set(olds)) == len(set(zip(keys, olds)))
+
+
 def tuple_type(points, base, as_set=False):
     """Canonical descriptor of a tuple of concrete points under base
     automorphisms (as_set forgets their order), through the encoding the
@@ -325,8 +409,10 @@ def pair_orbit_reps(d):
     the atom of value k."""
     orbits = definable._orbits(DefStructure(DLO, (Sort("t", d),), ()), 2, False)
     return {
-        desc: tuple(Point(si, tuple(Atom(Fraction(k), word[k]) for k in slots)) for si, slots in shape)
-        for desc, word, shape in orbits
+        definable._type(word, shape, DLO, False): tuple(
+            Point(si, tuple(Atom(Fraction(k), word[k]) for k in slots)) for si, slots in shape
+        )
+        for word, shape in orbits
     }
 
 
@@ -368,8 +454,8 @@ def test_point_orbits_budget():
 
 def filter_orbits(D, n, as_set):
     """The former orbit walk, uncharged: every choice of n abstract points,
-    kept when it covers the support, and every descriptor looked up in a
-    seen set; the oracle for definable._orbits."""
+    kept when it covers the support, and every descriptor (the former one,
+    old_type) looked up in a seen set; the oracle for definable._orbits."""
     seen = set()
     for s in range(n * D.max_dim() + 1):
         abstract = [
@@ -381,19 +467,35 @@ def filter_orbits(D, n, as_set):
         covering = [c for c in choices if len({k for _, slots in c for k in slots}) == s]
         for word in itertools.product(range(D.base.alphabet), repeat=s):
             for shape in covering:
-                desc = definable._type(word, shape, D.base, as_set)
+                desc = old_type(word, shape, D.base, as_set)
                 if desc not in seen:
                     seen.add(desc)
-                    yield desc, word, shape
+                    yield word, shape
+
+
+@errors.metered
+def incidence_form_steps(word, shape, alphabet):
+    """The steps canonical_form charges for the atom/point incidence
+    structure of a set pattern, its relations in the order the set keys
+    use: one unary per label, one per sort present, then membership."""
+    s, sorts = len(word), sorted({si for si, _ in shape})
+    shape = sorted(shape)
+    rels = {f"label{c}": {(k,) for k in range(s) if word[k] == c} for c in range(alphabet)}
+    rels.update({f"sort{si}": {(s + i,) for i, (sj, _) in enumerate(shape) if sj == si} for si in sorts})
+    rels["in"] = {(k, s + i) for i, (_, slots) in enumerate(shape) for k in slots}
+    sig = Signature(tuple((name, 2 if name == "in" else 1) for name in rels))
+    canonical_form(FinStructure(sig, s + len(shape), {name: frozenset(ts) for name, ts in rels.items()}))
+    return errors._spent.get()
 
 
 def orbit_work(D, n, as_set):
     """The work orbit enumeration charges, counted on every choice of n
     abstract points: for each support size s its abstract points; n + s
-    steps for each label word and covering choice, plus s! relabellings on
-    an unordered base; and one step for each depth-first node, that is for
-    each prefix of 1..n-1 points of a choice whose shorter prefixes all
-    leave no more slots uncovered than the points after them can cover."""
+    steps for each label word and covering choice; one step for each
+    depth-first node, that is for each prefix of 1..n-1 points of a choice
+    whose shorter prefixes all leave no more slots uncovered than the
+    points after them can cover; and, for sets on an unordered base, the
+    canonical form of every covering choice's incidence structure."""
     work = 0
     for s in range(n * D.max_dim() + 1):
         abstract = [
@@ -413,8 +515,11 @@ def orbit_work(D, n, as_set):
         cut = lambda prefix: uncovered(prefix) > (n - len(prefix)) * reach
         prefixes = {c[:i] for c in choices for i in range(1, n)}
         work += sum(1 for p in prefixes if not any(cut(p[:i]) for i in range(1, len(p))))
-        steps = n + s if D.base.ordered else n + s + math.factorial(s)
-        work += D.base.alphabet**s * cover * steps
+        work += D.base.alphabet**s * cover * (n + s)
+        if as_set and not D.base.ordered:
+            covering = [c for c in choices if not uncovered(c)]
+            for word in itertools.product(range(D.base.alphabet), repeat=s):
+                work += sum(incidence_form_steps(word, c, D.base.alphabet) for c in covering)
     return work
 
 
@@ -425,12 +530,12 @@ def test_work_budget_counts_every_choice(monkeypatch):
     # the one set)
     jord1 = increasing_tuple_structure(1)
     pure = DefStructure(PURE_SET, (Sort("q", 1),), ())
-    # the unordered base adds s! relabellings per covering choice:
-    # 1 * 1! on the 1-atom support and 2 * 2! on the 2-atom one
+    # the unordered base charges the same: its tuple descriptors are
+    # written in closed form, with no relabelling search
     cases = [
         (lambda: len(point_orbits(jord1, 2)), 3, 17),
         (lambda: unlabelled_growth(jord1, 2), 1, 8),
-        (lambda: len(point_orbits(pure, 2)), 2, 22),
+        (lambda: len(point_orbits(pure, 2)), 2, 17),
     ]
     for count, answer, needed in cases:
         monkeypatch.setattr(errors, "WORK_BUDGET", needed)
@@ -457,8 +562,8 @@ def random_orbit_cases(seed, count):
 
 def test_orbit_work_counts_covering_choices_exactly(monkeypatch):
     # the charge against the count made on every choice, at the threshold
-    for D, n, as_set in random_orbit_cases(23, 40):
-        needed = orbit_work(D, n, as_set)
+    cases = [(D, n, as_set, orbit_work(D, n, as_set)) for D, n, as_set in random_orbit_cases(23, 40)]
+    for D, n, as_set, needed in cases:
         count = lambda: unlabelled_growth(D, n) if as_set else len(point_orbits(D, n))
         monkeypatch.setattr(errors, "WORK_BUDGET", needed)
         count()
@@ -468,7 +573,7 @@ def test_orbit_work_counts_covering_choices_exactly(monkeypatch):
 
 
 def test_orbit_walk_matches_filter_walk(monkeypatch):
-    # the same (descriptor, word, shape) sequence, in the same order
+    # the same (word, shape) sequence, in the same order
     for D, n, as_set in random_orbit_cases(16, 60):
         assert list(definable._orbits(D, n, as_set)) == list(filter_orbits(D, n, as_set)), (D, n, as_set)
     for name in sorted(gallery._definable_registry()):
@@ -476,8 +581,8 @@ def test_orbit_walk_matches_filter_walk(monkeypatch):
         for n in (1, 2, 3) if D.max_dim() == 1 else (1, 2):
             for as_set in (False, True):
                 assert list(definable._orbits(D, n, as_set)) == list(filter_orbits(D, n, as_set)), (name, n)
-    # the sorts of a power come from the walk; Jord1^4 is left out (270,000
-    # clauses, seconds to build), its walk is the dim-1 DLO one at n = 4
+    # the sorts of a power come from the walk; Jord1^4 is left out (it
+    # passes the budget), its walk is the dim-1 DLO one at n = 4
     for m, d in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (4, 1)):
         power = full_power_def(increasing_tuple_structure(m), d).to_json()
         with monkeypatch.context() as patch:
@@ -489,17 +594,26 @@ def test_orbit_walk_matches_filter_walk(monkeypatch):
 
 def test_pure_set_point_orbits_are_bell_numbers():
     pure = DefStructure(PURE_SET, (Sort("q", 1),), ())
-    assert [len(point_orbits(pure, n)) for n in range(1, 6)] == [1, 2, 5, 15, 52]
+    assert [len(point_orbits(pure, n)) for n in range(1, 8)] == [1, 2, 5, 15, 52, 203, 877]
+
+
+def test_pure_set_pair_growth_counts_graphs_without_isolated_vertices():
+    # n-sets of atom pairs over (N; =) are the graphs with n edges and no
+    # isolated vertex, up to isomorphism (OEIS A000664)
+    pairs = DefStructure(PURE_SET, (Sort("e", 2),), ())
+    assert [unlabelled_growth(pairs, n) for n in range(1, 5)] == [1, 2, 5, 11]
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        # labelled dim-1 growth at n = 8: 2^8 words * 8! relabellings
-        lambda: unlabelled_growth(DefStructure(AtomBase(False, 2), (Sort("q", 1),), ()), 8),
-        # pure-set dim-1 point orbits at n = 8: 126,000 covering 8-tuples
-        # on five atoms, 5! relabellings each
+        # labelled dim-1 growth at n = 40: 2^40 label words on 40 atoms
+        lambda: unlabelled_growth(DefStructure(AtomBase(False, 2), (Sort("q", 1),), ()), 40),
+        # pure-set dim-1 point orbits at n = 8: 545,835 covering 8-tuples,
+        # 8 + s steps each
         lambda: point_orbits(DefStructure(PURE_SET, (Sort("q", 1),), ()), 8),
+        # S2 growth at n = 16: the orbit pre-count alone passes the budget
+        lambda: unlabelled_growth(gallery.dense_local_order(), 16, "homogeneous"),
         # QST base growth at n = 40: 40 * 2^40 label words
         lambda: unlabelled_growth(gallery.partitioned_dlo(), 40),
         # Jord2 on 300 atoms: 44,850 points, so 44,850^2 pairs per clause
@@ -516,8 +630,9 @@ def test_pure_set_point_orbits_are_bell_numbers():
         lambda: gallery.spider(3000),
     ],
     ids=[
-        "labelled-growth-8",
+        "labelled-growth-40",
         "pure-set-orbits-8",
+        "s2-growth-16",
         "qst-growth-40",
         "jord2-sample-300",
         "jord3-sample-160",
@@ -573,17 +688,27 @@ def test_work_budget_bounds_pair_orbits_and_power_sorts():
 
 
 def test_full_power_def_clause_budget(monkeypatch):
-    # Jord1^3: 13 sorts and three binary relations, 3 * (3 * 13)^2 clauses,
+    # Jord1^3: 13 sorts and three binary relations, (3 * 13)^2 clauses each,
     # charged to one meter after the 96 steps of the walk that finds the
-    # sorts; checked first, so a wrong count fails here before the large cases
+    # sorts; checked first, so a wrong count fails here before the large
+    # cases.  A clause costs two steps per formula node, one per position
+    # mapped (2 * 1), two per guard entry (2 * 2) and one: 9 for lt11 and
+    # eq11 (one node each), 11 for "=" (And of one Eq)
     jord1 = increasing_tuple_structure(1)
     assert orbit_work(DefStructure(DLO, (Sort("t", 1),), ()), 3, False) == 96
-    monkeypatch.setattr(errors, "WORK_BUDGET", 96 + 4563)
+    needed = 96 + 39**2 * (9 + 9 + 11)
+    monkeypatch.setattr(errors, "WORK_BUDGET", needed)
     assert len(full_power_def(jord1, 3).clauses) == 4563
-    monkeypatch.setattr(errors, "WORK_BUDGET", 96 + 4562)
+    monkeypatch.setattr(errors, "WORK_BUDGET", needed - 1)
     with pytest.raises(TooLarge, match="4563 clauses"):
         full_power_def(jord1, 3)
     monkeypatch.undo()
+    # Jord1^4: 75 sorts, (4 * 75)^2 clauses per relation, 2,610,000 steps
+    # in all, so it raises before building any of its 270,000 clauses
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="270000 clauses"):
+        full_power_def(jord1, 4)
+    assert time.perf_counter() - start < 1.0
     # 21,951,075 and 13,549,761 clauses
     with pytest.raises(TooLarge, match="clauses"):
         full_power_def(increasing_tuple_structure(1), 5)
@@ -601,7 +726,7 @@ def test_unlabelled_growth_examples():
     assert unlabelled_growth(s2, 5, "homogeneous") == local_order_count(5)
     # (N; =) with a unary predicate: an n-set is fixed by how many atoms it labels 1
     labelled_set = DefStructure(AtomBase(ordered=False, alphabet=2), (Sort("q", 1),), ())
-    assert [unlabelled_growth(labelled_set, n) for n in range(1, 5)] == [2, 3, 4, 5]
+    assert [unlabelled_growth(labelled_set, n) for n in range(1, 9)] == [2, 3, 4, 5, 6, 7, 8, 9]
 
 
 def test_growth_modes_agree_on_homogeneous_cases():
@@ -622,7 +747,7 @@ def test_growth_charges_one_meter(monkeypatch):
     with pytest.raises(TooLarge, match="work budget"):
         unlabelled_growth(s2, 5, "homogeneous")
     # every part fits the smaller budget alone
-    for _, word, shape in definable._orbits(s2, 5, True):
+    for word, shape in definable._orbits(s2, 5, True):
         induced = definable._structure_on(s2, [(si, tuple((k, word[k]) for k in slots)) for si, slots in shape])
         canonical_form(induced)
 
@@ -646,7 +771,7 @@ def per_orbit_growth(D, n, mode):
     structure's canonical form, in reversal mode the lesser of it and the
     reversed structure's form.  Returns the count and the steps charged."""
     forms = set()
-    for _, word, shape in definable._orbits(D, n, True):
+    for word, shape in definable._orbits(D, n, True):
         counts = [sum(si == sj for sj, _ in shape) for si in range(len(D.sorts))]
         errors.charge(definable._sampling_cost(D, counts), "sampling")
         encoded = [(si, tuple((k, word[k]) for k in slots)) for si, slots in shape]
@@ -692,11 +817,12 @@ def test_growth_matches_per_orbit_oracle(name, monkeypatch):
 
 
 def test_growth_past_the_budget_raises_soon():
-    # S2 answers through n = 12 (1,108,505 steps); at n = 16 the whole call
-    # passes the budget after about two seconds instead of running for minutes
+    # S2 answers through n = 12 (1,108,505 steps); n = 13 is the slowest
+    # level to raise, in sampling after a few seconds instead of running for
+    # minutes (n = 16 raises in the orbit pre-count, at once)
     start = time.perf_counter()
     with pytest.raises(TooLarge, match="work budget"):
-        unlabelled_growth(gallery.dense_local_order(), 16, "homogeneous")
+        unlabelled_growth(gallery.dense_local_order(), 13, "homogeneous")
     assert time.perf_counter() - start < 15.0
 
 
@@ -924,9 +1050,8 @@ def test_orbit_and_order_descriptors_are_pinned():
     for (base, dim, n), want in BARE_SORT_ORBIT_DIGESTS.items():
         D = DefStructure(bases[base], (Sort("q", dim),), ())
         assert digest(point_orbits(D, n)) == want, (base, dim, n)
-    # labelled dim-2 triples: 2^6 label words with 6! relabellings each
-    with pytest.raises(TooLarge, match="work budget"):
-        point_orbits(DefStructure(bases["labelled"], (Sort("q", 2),), ()), 3)
+    # labelled dim-2 triples answer without the s! relabelling search
+    assert len(point_orbits(DefStructure(bases["labelled"], (Sort("q", 2),), ()), 3)) == 225
     for d, want in ORDER_DIGESTS.items():
         assert digest(enumerate_invariant_orders(increasing_tuple_structure(d))) == want, d
 
