@@ -11,9 +11,9 @@ support patterns instead of concrete samples.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -595,7 +595,9 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
     if D.base != DLO:
         raise Unsupported("invariant order enumeration is defined over the dense order")
     d = D.sorts[0].dim
-    if d < 1 or d > 3:
+    if d < 1:
+        raise InvalidDimension(f"need dimension >= 1, got {d}")
+    if d > 3:
         raise TooLarge(f"dimension {d} outside supported range 1..3")
 
     # A triple (a, b, c) broken by points i, j, k (a, b true, c false)
@@ -635,55 +637,59 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
     return sorted(results)
 
 
+@functools.lru_cache(maxsize=3)
 def _composition_by_first(d: int):
-    """Pair classes of the 3d-atom sample, which realizes every orbit of
-    point pairs and triples.
+    """Pair classes of Jord_d and their composition table, built once per d
+    from one point triple per orbit.
 
-    The classes are numbered 0, 1, ... in order of first meeting.  Returns
-    the composition table indexed by first class, the diagonal class, the
-    (class, swapped class) pairs of the other classes, and the descriptor
-    of every class.  by_first[c_ij] lists the pairs (c_jk, c_ik) of point
-    triples i != j != k with c_jk not the diagonal, which it is exactly
-    when k == j.  Each pair of pairs puts the class with the lesser
-    descriptor first, and the pairs are sorted by descriptors.
+    The points are the d-subsets of a 3d-atom sample, which realizes every
+    orbit of point pairs and triples; of the triples only the one per orbit
+    whose atoms are an initial segment {0..u-1} is read (15,956 of 592,704
+    at d = 3).  The classes are numbered 0, 1, ... in order of first
+    meeting.  Returns, as tuples, the composition table indexed by first
+    class, the diagonal class, the (class, swapped class) pairs of the other
+    classes, and the descriptor of every class.  by_first[c_ij] lists the
+    pairs (c_jk, c_ik) of point triples i != j != k with c_jk not the
+    diagonal, which it is exactly when k == j.  Each pair of pairs puts the
+    class with the lesser descriptor first, and the pairs are sorted by
+    descriptors.
 
     A pair (p, q) is keyed by its interleaving: for each atom of p or q in
     value order, 1, 2 or 3 as p, q or both hold it.
     """
     points = list(itertools.combinations(range(3 * d), d))
-    ones = [[int(k in p) for k in range(3 * d)] for p in points]
-    twos = [[2 * bit for bit in row] for row in ones]
-    ids: dict[tuple, int] = {}
+    masks = [sum(1 << k for k in p) for p in points]
+    # a byte per atom, 1 where p holds it: p + 2q, zero bytes dropped, keys (p, q)
+    codes = [sum(1 << 8 * k for k in p) for p in points]
+    ids: dict[bytes, int] = {}
     names = []
     classes = []
-    for p, held in zip(points, ones):
+    for p, code in zip(points, codes):
         row = []
-        for q, twice in zip(points, twos):
-            key = tuple(filter(None, map(operator.add, held, twice)))
+        for q, other in zip(points, codes):
+            key = (code + 2 * other).to_bytes(3 * d, "little").replace(b"\0", b"")
             c = ids.get(key)
             if c is None:
                 c = ids[key] = len(names)
                 names.append(_type(*_pattern([(0, tuple((k, 0) for k in x)) for x in (p, q)]), DLO, False))
             row.append(c)
         classes.append(row)
-    # (c_jk, c_ik) as the one int c_jk * size + c_ik, collected per c_ij
-    size = len(names)
-    scaled = [[c * size for c in row] for row in classes]
-    rests: list[set[int]] = [set() for _ in names]
-    swaps = set()
-    for i, row in enumerate(classes):
-        for j, c_ij in enumerate(row):
+    # per union m of two points, the points k that fill m up to an initial segment
+    unions = {a | b for a in masks for b in masks}
+    completing = {m: [k for k, m_k in enumerate(masks) if (x := m | m_k) & (x + 1) == 0] for m in unions}
+    by_first: list[list] = [[] for _ in names]
+    swapped = {}
+    for i, (row, m_i) in enumerate(zip(classes, masks)):
+        for j, (c_ij, m_j) in enumerate(zip(row, masks)):
             if i != j:
-                rests[c_ij].update(map(operator.add, scaled[j], row))
-                swaps.add((c_ij, classes[j][i]))
-    diag = classes[0][0]
-    by_first = [[pair for pair in (divmod(code, size) for code in rest) if pair[0] != diag] for rest in rests]
+                by_first[c_ij] += [(classes[j][k], row[k]) for k in completing[m_i | m_j] if k != j]
+                swapped[c_ij] = classes[j][i]
 
     def named(pair):
         return names[pair[0]], names[pair[1]]
 
-    pairs = sorted({min(pair, pair[::-1], key=named) for pair in swaps}, key=named)
-    return by_first, diag, pairs, names
+    pairs = sorted({min(pair, pair[::-1], key=named) for pair in swapped.items()}, key=named)
+    return tuple(map(tuple, by_first)), classes[0][0], tuple(pairs), tuple(names)
 
 
 @dataclass(frozen=True)
@@ -713,14 +719,23 @@ class SignedLex:
         return {"sigma": list(self.sigma), "directions": list(self.directions)}
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_reps(d: int) -> tuple:
+    """(descriptor, shape) of one pair per orbit of distinct Jord_d points,
+    from the orbit walk (see _orbits); slots order as the atoms' values do."""
+    pairs = _orbits(DefStructure(DLO, (Sort("t", d),), ()), 2, False)
+    return tuple((_type(word, shape, DLO, False), shape) for word, shape in pairs if shape[0] != shape[1])
+
+
 @metered
 def classify_signed_lex(order: Iterable[str], d: int) -> Optional[SignedLex]:
     """The unique signed lexicographic order agreeing with the given
-    pair-orbit union on every orbit, or None when no candidate agrees."""
+    pair-orbit union on every orbit, or None when no candidate agrees.  The
+    pair orbits are walked once per d (see _pair_reps), charged to that call."""
+    if d < 1:
+        raise InvalidDimension(f"need dimension >= 1, got {d}")
     chosen = set(order)
-    # slots order exactly as the atoms' values do
-    pairs = _orbits(DefStructure(DLO, (Sort("t", d),), ()), 2, False)
-    reps = [(_type(word, shape, DLO, False), shape) for word, shape in pairs if shape[0] != shape[1]]
+    reps = _pair_reps(d)
     for sigma in itertools.permutations(range(d)):
         for dirs in itertools.product(("asc", "desc"), repeat=d):
             candidate = SignedLex(sigma, dirs)

@@ -297,7 +297,7 @@ def suite_growth() -> Report:
 
 def suite_order_classification() -> Report:
     report = Report("order-classification")
-    for d, expected in ((1, 2), (2, 8)):
+    for d, expected in ((1, 2), (2, 8), (3, 48)):
         def check(d=d, expected=expected):
             orders = enumerate_invariant_orders(increasing_tuple_structure(d))
             assert len(orders) == expected, f"found {len(orders)} orders"

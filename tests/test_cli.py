@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -190,6 +191,19 @@ def test_classify_orders(capsys):
     assert data["count"] == 8
     assert all(entry["signed_lex"] is not None for entry in data["orders"])
     assert all("orbits" in entry for entry in data["orders"])
+
+
+# sha256 of the stdout of `relcore classify-orders --d 3 --emit-orbits`
+CLASSIFY_ORDERS_D3_DIGEST = "1b4f690f5d586bcd39bb325c265999b103c09666faa3d64bda5038e741145487"
+
+
+def test_classify_orders_d3_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "classify-orders", "--d", "3", "--emit-orbits")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_ORDERS_D3_DIGEST
+    data = json.loads(out)
+    assert data["count"] == len(data["orders"]) == 48
+    assert all(entry["signed_lex"] is not None for entry in data["orders"])
 
 
 def test_verify_unknown_suite(capsys):

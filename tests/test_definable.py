@@ -1170,6 +1170,91 @@ def test_classify_rejects_non_lex():
     assert classify_signed_lex(tuple(non_diag), 2) is None
 
 
+def walk_classify_signed_lex(order, d):
+    """The former classify_signed_lex, which walked the pair orbits of
+    Jord_d on every call; the oracle for the cached pair representatives."""
+    chosen = set(order)
+    pairs = definable._orbits(DefStructure(DLO, (Sort("t", d),), ()), 2, False)
+    reps = [(definable._type(word, shape, DLO, False), shape) for word, shape in pairs if shape[0] != shape[1]]
+    for sigma in itertools.permutations(range(d)):
+        for dirs in itertools.product(("asc", "desc"), repeat=d):
+            candidate = SignedLex(sigma, dirs)
+            if all(candidate.less(p, q) == (desc in chosen) for desc, ((_, p), (_, q)) in reps):
+                return candidate
+    return None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_classify_signed_lex_matches_per_call_walk(d):
+    # the class set of every signed lexicographic candidate (at d <= 3 these
+    # are the invariant orders), 48 of them with one class turned round, and
+    # random unions of pair classes
+    rng = random.Random(70 + d)
+    reps = pair_orbit_reps(d)
+    swapped = {desc: tuple_type((q, p), DLO) for desc, (p, q) in reps.items()}
+    off_diagonal = sorted(desc for desc, (p, q) in reps.items() if p != q)
+    values = {desc: ([a.value for a in p.atoms], [a.value for a in q.atoms]) for desc, (p, q) in reps.items()}
+    own = [
+        {desc for desc in off_diagonal if SignedLex(sigma, dirs).less(*values[desc])}
+        for sigma in itertools.permutations(range(d))
+        for dirs in itertools.product(("asc", "desc"), repeat=d)
+    ]
+    unions = [set(off_diagonal), set()]
+    unions += [set(rng.sample(off_diagonal, rng.randint(1, len(off_diagonal)))) for _ in range(20)]
+    for order in rng.sample(own, min(len(own), 48)):
+        turned = rng.choice(sorted(order))
+        unions.append(order - {turned} | {swapped[turned]})
+    got = [classify_signed_lex(union, d) for union in own + unions]
+    assert got == [walk_classify_signed_lex(union, d) for union in own + unions]
+    assert len(set(got[: len(own)])) == len(own) == math.factorial(d) * 2**d
+    assert None not in got[: len(own)] and None in got[len(own):]
+
+
+def test_order_tables_are_immutable_and_repeat():
+    for d in (1, 2, 3):
+        table = definable._composition_by_first(d)
+        by_first, _, pairs, names = table
+        assert all(isinstance(part, tuple) for part in (table, by_first, pairs, names))
+        assert all(isinstance(rest, tuple) for rest in by_first)
+        assert all(isinstance(pair, tuple) for rest in by_first for pair in rest)
+        assert definable._composition_by_first(d) == table
+        reps = definable._pair_reps(d)
+        assert isinstance(reps, tuple) and all(isinstance(rep, tuple) for rep in reps)
+        assert definable._pair_reps(d) == reps
+        orders = enumerate_invariant_orders(increasing_tuple_structure(d))
+        assert enumerate_invariant_orders(increasing_tuple_structure(d)) == orders
+        assert [classify_signed_lex(o, d) for o in orders] == [classify_signed_lex(o, d) for o in orders]
+
+
+def test_over_budget_first_calls_leave_the_caches_sound(monkeypatch):
+    # the first call of a process raises under a tiny budget; the next, under
+    # the normal one, answers in full
+    jord3 = increasing_tuple_structure(3)
+    definable._composition_by_first.cache_clear()
+    definable._pair_reps.cache_clear()
+    monkeypatch.setattr(errors, "WORK_BUDGET", 10)
+    with pytest.raises(TooLarge, match="work budget"):
+        enumerate_invariant_orders(jord3)
+    with pytest.raises(TooLarge, match="work budget"):
+        classify_signed_lex((), 3)
+    monkeypatch.undo()
+    orders = enumerate_invariant_orders(jord3)
+    assert digest(orders) == ORDER_DIGESTS[3]
+    assert [classify_signed_lex(o, 3) for o in orders] == [walk_classify_signed_lex(o, 3) for o in orders]
+    assert None not in [classify_signed_lex(o, 3) for o in orders]
+
+
+def test_order_calls_reject_dimension_below_one():
+    before = definable._pair_reps.cache_info(), definable._composition_by_first.cache_info()
+    for d in (0, -1):
+        with pytest.raises(InvalidDimension):
+            classify_signed_lex((), d)
+    with pytest.raises(InvalidDimension):
+        enumerate_invariant_orders(DefStructure(DLO, (Sort("t", 0),), ()))
+    # rejected before any cache lookup
+    assert (definable._pair_reps.cache_info(), definable._composition_by_first.cache_info()) == before
+
+
 def test_sampling_functorial_small():
     rng = random.Random(15)
     for _ in range(20):
