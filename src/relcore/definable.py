@@ -529,7 +529,9 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
     reversal mode, the reversed encoding of every class found.  The
     encodings are compared directly: within one call the size and the
     relation order are fixed, so they are equal exactly when the induced
-    structures are isomorphic.
+    structures are isomorphic.  Orbits that induce identical relations
+    share one canonical search, and a repeat is charged the steps that the
+    first search charged, so the meter reads as if every orbit ran its own.
     """
     if mode not in ("base", "homogeneous", "reversal"):
         raise Unsupported(f"unknown growth mode {mode!r}")
@@ -543,6 +545,11 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
         return sum(1 for _ in orbits)
     # the sampling charge and the plan of each sequence of point sorts
     plans: dict[tuple, tuple] = {}
+    # the steps charged by the canonical search of each distinct induced
+    # structure, keyed by its relations' sorted tuples flattened (to bytes
+    # while every point id fits in one)
+    searched: dict[tuple, int] = {}
+    flat = bytes if n <= 256 else tuple
     forms = set()
     for word, shape in orbits:
         sorts = tuple(si for si, _ in shape)
@@ -552,7 +559,15 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
             plan = plans[sorts] = (cost, _plan(D, sorts))
         charge(plan[0], "sampling")
         words = [tuple([(k, word[k]) for k in slots]) for _, slots in shape]
-        forms.add(_canonical_encoding(n, _run(plan[1], words, len(sig.relations))))
+        rels = _run(plan[1], words, len(sig.relations))
+        key = tuple([flat(itertools.chain.from_iterable(sorted(ts))) for ts in rels])
+        steps = searched.get(key)
+        if steps is None:
+            before = headroom()
+            forms.add(_canonical_encoding(n, rels))
+            searched[key] = before - headroom()
+        else:
+            charge(steps, "canonical form")
     if mode == "reversal":
         # the reversed encoding depends only on the class
         forms = {min(form, _canonical_encoding(n, [{t[::-1] for t in ts} for ts in form])) for form in forms}
@@ -731,14 +746,26 @@ def _pair_reps(d: int) -> tuple:
 def classify_signed_lex(order: Iterable[str], d: int) -> Optional[SignedLex]:
     """The unique signed lexicographic order agreeing with the given
     pair-orbit union on every orbit, or None when no candidate agrees.  The
-    pair orbits are walked once per d (see _pair_reps), charged to that call."""
+    pair orbits are walked once per d (see _pair_reps), charged to that call.
+    Each candidate built and each pair orbit compared with it counts one
+    step, charged when the search ends or as soon as the count passes the
+    headroom it started with."""
     if d < 1:
         raise InvalidDimension(f"need dimension >= 1, got {d}")
     chosen = set(order)
     reps = _pair_reps(d)
+    work, allowed = 0, headroom()
     for sigma in itertools.permutations(range(d)):
         for dirs in itertools.product(("asc", "desc"), repeat=d):
             candidate = SignedLex(sigma, dirs)
-            if all(candidate.less(p, q) == (desc in chosen) for desc, ((_, p), (_, q)) in reps):
+            agree = (candidate.less(p, q) == (desc in chosen) for desc, ((_, p), (_, q)) in reps)
+            # the pair orbits compared, up to and including the first disagreement
+            compared = next((k for k, same in enumerate(agree, 1) if not same), None)
+            if compared is None:
+                charge(work + 1 + len(reps), "signed lexicographic classification")
                 return candidate
+            work += 1 + compared
+            if work > allowed:
+                charge(work, "signed lexicographic classification")
+    charge(work, "signed lexicographic classification")
     return None

@@ -764,6 +764,41 @@ def test_reversal_growth_charges_one_reversed_form_per_class(monkeypatch):
         unlabelled_growth(s2, 7, "reversal")
 
 
+def test_growth_searches_each_induced_structure_once(monkeypatch):
+    # orbits of one call that induce the same relations share one canonical
+    # search: S2 at n = 8 walks 256 orbits, and a label word and its
+    # complement induce the same tournament; betweenness at n = 6 walks 64
+    searches = []
+    search = definable._canonical_encoding
+
+    def counted(n, rels):
+        searches.append(n)
+        return search(n, rels)
+
+    monkeypatch.setattr(definable, "_canonical_encoding", counted)
+    for name, n, answer, count in (("s2", 8, 16, 128), ("betw", 6, 5, 32)):
+        searches.clear()
+        assert unlabelled_growth(gallery.lookup_definable(name), n, "homogeneous") == answer
+        assert len(searches) == count, name
+
+
+def test_growth_charges_a_repeat_what_its_first_search_cost(monkeypatch):
+    # S2 at n = 8 runs 128 searches for 256 orbits and charges 33,835
+    # steps, as when every orbit ran its own search
+    s2 = gallery.dense_local_order()
+    monkeypatch.setattr(errors, "WORK_BUDGET", 33835)
+    assert unlabelled_growth(s2, 8, "homogeneous") == 16
+    monkeypatch.setattr(errors, "WORK_BUDGET", 33834)
+    with pytest.raises(TooLarge, match="work budget"):
+        unlabelled_growth(s2, 8, "homogeneous")
+
+
+def test_growth_keys_structures_past_256_points():
+    # point ids from 256 on no longer fit in a byte of the structure's key
+    dlo = gallery.lookup_definable("dlo")
+    assert [unlabelled_growth(dlo, n, "homogeneous") for n in (256, 257)] == [1, 1]
+
+
 @errors.metered
 def per_orbit_growth(D, n, mode):
     """The former growth path, the oracle for unlabelled_growth: for every
@@ -1242,6 +1277,28 @@ def test_over_budget_first_calls_leave_the_caches_sound(monkeypatch):
     assert digest(orders) == ORDER_DIGESTS[3]
     assert [classify_signed_lex(o, 3) for o in orders] == [walk_classify_signed_lex(o, 3) for o in orders]
     assert None not in [classify_signed_lex(o, 3) for o in orders]
+
+
+def test_classify_signed_lex_charges_candidates_and_comparisons(monkeypatch):
+    # d = 3, no order: 48 candidates, 105 pair orbits compared with them in
+    # all; with the 62 pair representatives still to walk, 670 steps
+    def classify(budget, cold):
+        if cold:
+            definable._pair_reps.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(errors, "WORK_BUDGET", budget)
+            return classify_signed_lex((), 3)
+
+    for total, cold in ((153, False), (670, True)):
+        assert classify(total, cold) is None
+        with pytest.raises(TooLarge, match="signed lexicographic"):
+            classify(total - 1, cold)
+
+
+def test_classify_signed_lex_past_the_budget_raises():
+    # d = 7: 645,120 candidates compared on 2,027,025 pair orbits in all
+    with pytest.raises(TooLarge, match="work budget"):
+        classify_signed_lex((), 7)
 
 
 def test_order_calls_reject_dimension_below_one():
