@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 success (or witness found), 1 definite negative answer,
-2 usage or input error.  All JSON output is printed with sorted keys so
-identical inputs produce byte-identical results.
+2 usage or input error, or standard output closed by its reader.  All JSON
+output is printed with sorted keys so identical inputs produce
+byte-identical results.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -296,7 +298,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; the interpreter flushes stdout again at exit, so
+        # point it at devnull first (the recipe in the docs of Python's signal
+        # module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (CliError, RelcoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,14 +1,15 @@
 """Explicit finite relational structures.
 
 Provides homomorphism / embedding / isomorphism search by backtracking with
-forward pruning, endomorphism enumeration, core computation by iterated
-image shrinking, and a canonical form by individualization-refinement for
-isomorphism testing.
+forward checking on tuples of every arity, endomorphism enumeration, core
+computation by iterated image shrinking, and a canonical form by
+individualization-refinement for isomorphism testing.
 
-One backtracker, `_search`, assigns every value.  Its callers steer it only
-by restricting the initial candidate lists: `find_hom(partial=...)` fixes
-the images of some elements, and the core test leaves one target element
-out of every list.
+One backtracker, `_HomSearch`, assigns every value.  It is set up once per
+(source, target, mode) and run as often as needed.  Its callers steer a run
+only by restricting the initial candidate sets: `find_hom(partial=...)`
+fixes the images of some elements, and the core test runs one set-up once
+per element, with that element left out of every set.
 """
 
 from __future__ import annotations
@@ -236,6 +237,251 @@ def full_power(structure: FinStructure, d: int) -> FinStructure:
     return FinStructure(Signature(tuple(names)), len(domain), rels)
 
 
+class _HomSearch:
+    """Backtracking search for the maps of one mode from source to target.
+
+    The set-up is built once per (source, target, mode) and `run` may be
+    called any number of times; each run only narrows a copy of the
+    initial candidate sets.  mode is one of "hom", "embedding", "iso".
+
+    Each candidate set is an int bitmask over target elements.  Tuples
+    with one distinct element, those of unary relations and loops among
+    them, cut the initial sets: a source element x with (x, ..., x) in a
+    relation may only go to target elements w with (w, ..., w) in it, and
+    in strong modes (embedding, iso) an element without such a tuple only
+    to elements without one.  Assigning v -> w then ANDs a precomputed mask into the set of every
+    source neighbour of v through a binary relation; strong modes also
+    need non-neighbours of v to map to non-neighbours of w, so there every
+    other set is cut.  Next, every source tuple of arity >= 3 through v
+    that has one unassigned variable u left keeps in u's set only the
+    values that complete an image tuple in the target relation: forward
+    checking for non-binary constraints (nFC in Bessiere, Meseguer, Freuder
+    and Larrosa, "On forward checking for non-binary constraint
+    satisfaction", AI 141, 2002).  In strong modes a value w is tried only
+    if every target tuple of arity >= 3 through w whose other elements are
+    all images has its preimage in the source.
+    """
+
+    def __init__(self, source: FinStructure, target: FinStructure, mode: str):
+        if source.signature != target.signature:
+            raise SignatureMismatch("hom search requires equal signatures")
+        if mode not in ("hom", "embedding", "iso"):
+            raise InvalidInput(f"unknown search mode {mode!r}; expected hom, embedding or iso")
+        strong = mode in ("embedding", "iso")
+        n, m = source.size, target.size
+        self.n, self.m = n, m
+        everything = (1 << m) - 1
+        domains = [everything] * n
+        # checks[v] holds (target relation, source tuple) for the tuples of
+        # arity >= 3 through v with two or more distinct elements; in strong
+        # modes back[w] holds the converse (source relation, target tuple).
+        checks: list[list] = [[] for _ in range(n)]
+        back: list[list] = [[] for _ in range(m)]
+        # adjacent[2r][w] and adjacent[2r + 1][w] mask the target out- and
+        # in-neighbours of w in the r-th binary relation; kind[v, u] has bit 2r
+        # set when (v, u) is in that relation and bit 2r + 1 when (u, v) is.
+        kind: dict[tuple[int, int], int] = {}
+        adjacent: list[list[int]] = []
+        for name, arity in source.signature.relations:
+            s_rel, t_rel = source.relations[name], target.relations[name]
+            # on: the source elements x with (x, ..., x) in the relation;
+            # held: the mask of such target elements
+            if arity == 1:
+                on, held = {v for (v,) in s_rel}, sum(1 << w for (w,) in t_rel)
+            elif arity == 2:
+                on, held = set(), 0
+                i = len(adjacent)
+                out, inn = [0] * m, [0] * m
+                for a, b in t_rel:
+                    out[a] |= 1 << b
+                    inn[b] |= 1 << a
+                    if a == b:
+                        held |= 1 << a
+                adjacent += [out, inn]
+                for a, b in s_rel:
+                    if a != b:
+                        kind[a, b] = kind.get((a, b), 0) | 1 << i
+                        kind[b, a] = kind.get((b, a), 0) | 2 << i
+                    else:
+                        on.add(a)
+            else:
+                on, held = set(), 0
+                for t in s_rel:
+                    elements = set(t)
+                    if len(elements) == 1:
+                        on.add(t[0])
+                    else:
+                        for v in elements:
+                            checks[v].append((t_rel, t))
+                for t in t_rel:
+                    elements = set(t)
+                    if len(elements) == 1:
+                        held |= 1 << t[0]
+                    elif strong:
+                        for w in elements:
+                            back[w].append((s_rel, t))
+            if on or (strong and held):
+                for v in range(n):
+                    if v in on:
+                        domains[v] &= held
+                    elif strong:
+                        domains[v] &= ~held
+
+        def masks(k: int) -> list[int]:
+            """The mask cut into u's set when v -> w, for each w, where k = kind[v, u]."""
+            rows = []
+            for w in range(m):
+                mask = everything & ~(1 << w) if strong else everything
+                for i, table in enumerate(adjacent):
+                    if k >> i & 1:
+                        mask &= table[w]
+                    elif strong:
+                        mask &= ~table[w]
+                rows.append(mask)
+            return rows
+
+        tables: dict[int, list[int]] = {}
+        links: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+        pairs = [(v, u) for v in range(n) for u in range(n) if u != v] if strong else kind
+        for v, u in pairs:
+            k = kind.get((v, u), 0)
+            if k not in tables:
+                tables[k] = masks(k)
+            links[v].append((u, tables[k]))
+
+        feasible = all(domains) and not ((mode == "iso" and n != m) or (strong and n > m))
+        self.domains = domains if feasible else None
+        self.links, self.checks, self.back = links, checks, back
+
+    def run(
+        self,
+        partial: Optional[dict[int, int]],
+        lexicographic: bool,
+        limit: Optional[int],
+        avoid: Optional[int] = None,
+    ) -> list[tuple[int, ...]]:
+        """The maps found, in the order found, up to limit.
+
+        With lexicographic=True the variable order is 0,1,2,... and
+        solutions come out sorted as tuples; otherwise the variable with the
+        smallest candidate set is assigned first (ties by lowest id).
+        Candidate values are always tried in ascending order.  partial fixes
+        the images of some variables and avoid is a target element no
+        variable may take; both only narrow the initial candidate sets.
+
+        Every value tried counts one step, every value the forward check on
+        tuples of arity >= 3 tests one more, and every stored map n steps.
+        The count is kept inline and charged to the work budget once, when
+        the run ends or when it exceeds the headroom it started with.
+        """
+        n, m = self.n, self.m
+        if limit == 0 or self.domains is None:
+            return []
+        domains = list(self.domains)
+        if avoid is not None:
+            domains = [d & ~(1 << avoid) for d in domains]
+        for v, w in (partial or {}).items():
+            if not 0 <= v < n or not 0 <= w < m:
+                return []
+            domains[v] &= 1 << w
+        if not all(domains):
+            return []
+        links, checks, back = self.links, self.checks, self.back
+
+        assignment: list[Optional[int]] = [None] * n
+        # read only in strong modes, where no two variables share an image
+        inverse: list[Optional[int]] = [None] * m
+        solutions: list[tuple[int, ...]] = []
+        work, allowed = 0, headroom()
+
+        def converse(v: int, w: int) -> bool:
+            for rel, t in back[w]:
+                pre = tuple([v if y == w else inverse[y] for y in t])
+                if None not in pre and pre not in rel:
+                    return False
+            return True
+
+        def forward(v: int, current: list[int]) -> bool:
+            """Cut the set of the one unassigned variable of each tuple through v."""
+            nonlocal work
+            for rel, t in checks[v]:
+                image = [assignment[x] for x in t]
+                free = image.count(None)
+                if not free:
+                    continue
+                where = [image.index(None)]
+                u = t[where[0]]
+                if free > 1:
+                    where = [i for i, x in enumerate(t) if x == u]
+                    if len(where) != free:
+                        continue  # another variable is unassigned too
+                rest = current[u]
+                work += rest.bit_count()
+                keep = 0
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    x = low.bit_length() - 1
+                    for i in where:
+                        image[i] = x
+                    if tuple(image) in rel:
+                        keep |= low
+                if not keep:
+                    return False
+                current[u] = keep
+            return True
+
+        def backtrack(current: list[int], left: int) -> bool:
+            """Returns True when the solution limit has been reached."""
+            nonlocal work
+            if not left:
+                work += n
+                if work > allowed:
+                    charge(work, "hom search")
+                solutions.append(tuple(assignment))  # type: ignore[arg-type]
+                return limit is not None and len(solutions) >= limit
+            if lexicographic:
+                v = assignment.index(None)
+            else:
+                v, fewest = -1, m + 1
+                for u in range(n):
+                    if assignment[u] is None:
+                        count = current[u].bit_count()
+                        if count < fewest:
+                            v, fewest = u, count
+            rest = current[v]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                work += 1
+                if work > allowed:
+                    charge(work, "hom search")
+                if back[w] and not converse(v, w):
+                    continue
+                pruned = list(current)
+                for u, rows in links[v]:
+                    if assignment[u] is None:
+                        cut = pruned[u] & rows[w]
+                        if not cut:
+                            break
+                        pruned[u] = cut
+                else:
+                    assignment[v], inverse[w] = w, v
+                    done = (not checks[v] or forward(v, pruned)) and backtrack(pruned, left - 1)
+                    assignment[v] = inverse[w] = None
+                    if done:
+                        return True
+            return False
+
+        backtrack(domains, n)
+        # backtrack reaches itself through its closure; breaking that cycle frees
+        # the run's state now instead of at the next cyclic garbage collection.
+        backtrack = None
+        charge(work, "hom search")
+        return solutions
+
+
 def _search(
     source: FinStructure,
     target: FinStructure,
@@ -245,171 +491,8 @@ def _search(
     limit: Optional[int],
     avoid: Optional[int] = None,
 ) -> list[tuple[int, ...]]:
-    """Backtracking search for structure maps.
-
-    mode is one of "hom", "embedding", "iso".  With lexicographic=True the
-    variable order is 0,1,2,... and solutions come out sorted as tuples;
-    otherwise the smallest-candidate-set variable is assigned first (ties by
-    lowest id).  Candidate values are always tried in ascending order.
-    partial fixes the images of some variables and avoid is a target
-    element no variable may take; both only narrow the initial candidate
-    lists.
-
-    Each candidate set is an int bitmask over target elements.  Assigning
-    v -> w ANDs a precomputed mask into the set of every source neighbour
-    of v through a binary relation; strong modes also need non-neighbours
-    of v to map to non-neighbours of w, so there every other set is cut.
-    Only binary loops and tuples of arity >= 3 are checked at assignment.
-    Every value tried counts one step and every stored map n steps.  The
-    count is kept inline and charged to the work budget once, when the
-    search ends or when it exceeds the headroom it started with.
-    """
-    if source.signature != target.signature:
-        raise SignatureMismatch("hom search requires equal signatures")
-    if mode not in ("hom", "embedding", "iso"):
-        raise ValueError(f"unknown mode {mode!r}")
-    strong = mode in ("embedding", "iso")
-    n, m = source.size, target.size
-    if limit == 0 or (mode == "iso" and n != m) or (strong and n > m):
-        return []
-
-    everything = (1 << m) - 1
-    domains = [everything & ~(1 << avoid) if avoid is not None else everything] * n
-    # checks[v] holds (target relation, source tuple) for the tuples through
-    # v that no mask expresses; in strong modes back[w] holds the converse
-    # (source relation, target tuple) for the tuples through w.
-    checks: list[list] = [[] for _ in range(n)]
-    back: list[list] = [[] for _ in range(m)]
-    # adjacent[2r][w] and adjacent[2r + 1][w] mask the target out- and
-    # in-neighbours of w in the r-th binary relation; kind[v, u] has bit 2r
-    # set when (v, u) is in that relation and bit 2r + 1 when (u, v) is.
-    kind: dict[tuple[int, int], int] = {}
-    adjacent: list[list[int]] = []
-    for name, arity in source.signature.relations:
-        s_rel, t_rel = source.relations[name], target.relations[name]
-        if arity == 1:
-            held = sum(1 << w for (w,) in t_rel)
-            for v in range(n):
-                if (v,) in s_rel:
-                    domains[v] &= held
-                elif strong:
-                    domains[v] &= ~held
-            continue
-        if arity == 2:
-            i = len(adjacent)
-            out, inn = [0] * m, [0] * m
-            for a, b in t_rel:
-                out[a] |= 1 << b
-                inn[b] |= 1 << a
-            adjacent += [out, inn]
-            for a, b in s_rel:
-                if a != b:
-                    kind[a, b] = kind.get((a, b), 0) | 1 << i
-                    kind[b, a] = kind.get((b, a), 0) | 2 << i
-        for t in s_rel:
-            if arity > 2 or t[0] == t[1]:
-                for v in set(t):
-                    checks[v].append((t_rel, t))
-        if strong:
-            for t in t_rel:
-                if arity > 2 or t[0] == t[1]:
-                    for w in set(t):
-                        back[w].append((s_rel, t))
-    for v, w in (partial or {}).items():
-        if not 0 <= v < n or not 0 <= w < m:
-            return []
-        domains[v] &= 1 << w
-    if not all(domains):
-        return []
-
-    def masks(k: int) -> list[int]:
-        """The mask cut into u's set when v -> w, for each w, where k = kind[v, u]."""
-        rows = []
-        for w in range(m):
-            mask = everything & ~(1 << w) if strong else everything
-            for i, table in enumerate(adjacent):
-                if k >> i & 1:
-                    mask &= table[w]
-                elif strong:
-                    mask &= ~table[w]
-            rows.append(mask)
-        return rows
-
-    tables: dict[int, list[int]] = {}
-    links: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
-    pairs = [(v, u) for v in range(n) for u in range(n) if u != v] if strong else kind
-    for v, u in pairs:
-        k = kind.get((v, u), 0)
-        if k not in tables:
-            tables[k] = masks(k)
-        links[v].append((u, tables[k]))
-
-    assignment: list[Optional[int]] = [None] * n
-    # read only in strong modes, where no two variables share an image
-    inverse: list[Optional[int]] = [None] * m
-    solutions: list[tuple[int, ...]] = []
-    work, allowed = 0, headroom()
-
-    def consistent_assign(v: int, w: int) -> bool:
-        for rel, t in checks[v]:
-            image = tuple([w if x == v else assignment[x] for x in t])
-            if None not in image and image not in rel:
-                return False
-        for rel, t in back[w]:
-            pre = tuple([v if y == w else inverse[y] for y in t])
-            if None not in pre and pre not in rel:
-                return False
-        return True
-
-    def backtrack(current: list[int], left: int) -> bool:
-        """Returns True when the solution limit has been reached."""
-        nonlocal work
-        if not left:
-            work += n
-            if work > allowed:
-                charge(work, "hom search")
-            solutions.append(tuple(assignment))  # type: ignore[arg-type]
-            return limit is not None and len(solutions) >= limit
-        if lexicographic:
-            v = assignment.index(None)
-        else:
-            v, fewest = -1, m + 1
-            for u in range(n):
-                if assignment[u] is None:
-                    count = current[u].bit_count()
-                    if count < fewest:
-                        v, fewest = u, count
-        rest = current[v]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            w = low.bit_length() - 1
-            work += 1
-            if work > allowed:
-                charge(work, "hom search")
-            if (checks[v] or back[w]) and not consistent_assign(v, w):
-                continue
-            pruned = list(current)
-            for u, rows in links[v]:
-                if assignment[u] is None:
-                    cut = pruned[u] & rows[w]
-                    if not cut:
-                        break
-                    pruned[u] = cut
-            else:
-                assignment[v], inverse[w] = w, v
-                done = backtrack(pruned, left - 1)
-                assignment[v] = inverse[w] = None
-                if done:
-                    return True
-        return False
-
-    backtrack(domains, n)
-    # backtrack reaches itself through its closure; breaking that cycle frees
-    # the search state now instead of at the next cyclic garbage collection.
-    backtrack = None
-    charge(work, "hom search")
-    return solutions
+    """One run of a fresh `_HomSearch`: for callers that search a pair once."""
+    return _HomSearch(source, target, mode).run(partial, lexicographic, limit, avoid)
 
 
 def find_hom(
@@ -440,11 +523,12 @@ def find_noninjective_endo(structure: FinStructure) -> Optional[Hom]:
     A non-injective endomorphism of a finite structure misses some element,
     so the structure is a core iff no search S -> S without v succeeds, for
     v = 0, 1, ... (Hell and Nesetril, "The core of a graph", 1992).  The
-    first map found is returned, so the result is deterministic.  All the
-    searches charge one work meter.
+    first map found is returned, so the result is deterministic.  The
+    searches share one set-up and charge one work meter.
     """
+    search = _HomSearch(structure, structure, "hom")
     for v in range(structure.size):
-        found = _search(structure, structure, "hom", None, lexicographic=False, limit=1, avoid=v)
+        found = search.run(None, lexicographic=False, limit=1, avoid=v)
         if found:
             return Hom(structure, structure, found[0])
     return None

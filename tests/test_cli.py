@@ -348,7 +348,7 @@ def test_malformed_atom_spec_exits_2(capsys, spec):
     assert_input_error(*run(capsys, "sample", "gallery:QST", "--atoms", spec))
 
 
-def run_entry_point(*argv, hash_seed="0"):
+def run_entry_point(*argv, hash_seed="0", stdout=subprocess.PIPE):
     """Run `python -m relcore.cli` in a child that imports the same relcore as
     this process, installed or not."""
     src = str(Path(relcore.__file__).resolve().parents[1])
@@ -358,13 +358,30 @@ def run_entry_point(*argv, hash_seed="0"):
         "PYTHONHASHSEED": hash_seed,
     }
     return subprocess.run(
-        [sys.executable, "-m", "relcore.cli", *argv], capture_output=True, timeout=60, env=env
+        [sys.executable, "-m", "relcore.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        timeout=60,
+        env=env,
     )
 
 
 def test_malformed_atom_spec_from_entry_point():
     proc = run_entry_point("sample", "gallery:DLO", "--atoms", "1/0")
     assert_input_error(proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+
+
+def test_closed_stdout_exits_without_traceback():
+    # as in `relcore core ... | head -c 300`, the reader has closed its end of
+    # the pipe, here before the command writes, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_entry_point("core", "gallery:betw@6", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command,code", [("core", 0), ("is-core", 1)])

@@ -6,7 +6,7 @@ from typing import Optional
 
 import pytest
 
-from relcore import errors, gallery
+from relcore import errors, finstruct, gallery
 from relcore.atoms import DLO, make_sample
 from relcore.definable import sample
 from relcore.errors import (
@@ -33,7 +33,7 @@ from relcore.finstruct import (
     induced_substructure,
     is_core,
 )
-from relcore.finstruct import _search
+from relcore.finstruct import _HomSearch, _search
 from relcore.verify import random_structure
 
 
@@ -239,6 +239,33 @@ def test_search_work_budget(monkeypatch):
         is_core(K2)
 
 
+def test_search_work_budget_counts_forward_checks(monkeypatch):
+    # T = {(0, 1, 2)} on 3 elements, endomorphisms in lexicographic order:
+    # 3 values for 0, then 3 for 1 under each; each of those 9 leaves 2 the
+    # one unassigned variable of the tuple, so the forward check tests its 3
+    # candidates.  Only 0 -> 0, 1 -> 1 keeps one (2), which is tried and
+    # stored: 3 + 9 + 27 + 1 + 3 = 43 steps
+    chain = FinStructure(Signature((("T", 3),)), 3, {"T": frozenset({(0, 1, 2)})})
+    monkeypatch.setattr(errors, "WORK_BUDGET", 43)
+    assert [h.mapping for h in enumerate_endos(chain)] == [(0, 1, 2)]
+    monkeypatch.setattr(errors, "WORK_BUDGET", 42)
+    with pytest.raises(TooLarge, match="work budget"):
+        enumerate_endos(chain)
+    # the core test: with v left out, 2 values for 0 and 2 for 1 under each,
+    # and 2 candidates tested for 2 under each of those; 14 steps for each v
+    monkeypatch.setattr(errors, "WORK_BUDGET", 42)
+    assert is_core(chain)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 41)
+    with pytest.raises(TooLarge, match="work budget"):
+        is_core(chain)
+
+
+def test_unknown_search_mode_is_invalid_input():
+    for mode in ("bogus", "Hom", ""):
+        with pytest.raises(InvalidInput, match="unknown search mode"):
+            find_hom(K2, K2, mode)
+
+
 def test_compute_core_charges_one_meter(monkeypatch):
     # the undirected 6-cycle folds onto an edge: 12 steps find the folding
     # and 2 more refute a fold of the edge, 14 in all
@@ -357,6 +384,33 @@ def test_search_state_freed_on_return(call):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_noninjective_endo_sets_up_one_search(monkeypatch):
+    built = []
+
+    class Counted(_HomSearch):
+        def __init__(self, *args):
+            built.append(args[2])
+            super().__init__(*args)
+
+    monkeypatch.setattr(finstruct, "_HomSearch", Counted)
+    # a core: all 15 runs refute, on one set-up
+    assert find_noninjective_endo(johnson(6)) is None
+    assert built == ["hom"]
+    # compute_core sets up once per structure it tests: 2K2, then K2
+    built.clear()
+    assert compute_core(disjoint_union(K2, K2)).core.size == 2
+    assert len(built) == 2
+    rng = random.Random(31)
+    for i in range(100):
+        s = random_structure(rng, max_size=6)
+        built.clear()
+        e = find_noninjective_endo(s)
+        assert len(built) == 1, f"structure {i}"
+        # the same map as separate searches, one per left-out element
+        separate = next((f for v in range(s.size) for f in _search(s, s, "hom", None, False, 1, v)), None)
+        assert (e and e.mapping) == separate, f"structure {i}"
 
 
 def test_noninjective_endo_is_deterministic():
@@ -696,6 +750,32 @@ def search_args(rng, s, t, limits=(None, 1, 3)):
                 yield mode, partial, lexicographic, limit, avoid
 
 
+def assert_matches_list_search(s, t, args, where):
+    """`_search` against the list-based oracle under one set of arguments.
+
+    Forward checking on tuples of arity >= 3 shrinks candidate sets earlier
+    than the oracle does, so the smallest-set variable order, and with it
+    the first maps found, may differ.  Lexicographic runs still list the
+    same maps in the same order; complete runs find the same set of maps;
+    a run cut by a limit finds as many distinct maps as the oracle, each
+    one a map the oracle accepts under the same mode, partial map and
+    avoided element.
+    """
+    mode, partial, lexicographic, limit, avoid = args
+    found = _search(s, t, *args)
+    expected = old_search(s, t, *args)
+    if lexicographic:
+        assert found == expected, where
+    elif limit is None:
+        assert sorted(found) == sorted(expected), where
+    else:
+        assert len(set(found)) == len(found) == len(expected), where
+        for f in found:
+            assert all(f[v] == w for v, w in (partial or {}).items()), where
+            pinned = dict(enumerate(f))
+            assert old_search(s, t, mode, pinned, False, 1, avoid) == [f], where
+
+
 def test_search_matches_list_search():
     rng = random.Random(23)
     pairs = []
@@ -706,7 +786,7 @@ def test_search_matches_list_search():
     pairs += [(empty, empty), (empty, K3), (K3, empty)]
     for i, (s, t) in enumerate(pairs):
         for args in search_args(rng, s, t):
-            assert _search(s, t, *args) == old_search(s, t, *args), f"pair {i}, {args}"
+            assert_matches_list_search(s, t, args, f"pair {i}, {args}")
 
 
 def test_search_matches_list_search_beyond_64_elements():
@@ -731,7 +811,71 @@ def test_search_matches_list_search_beyond_64_elements():
         for args in search_args(rng, s, t, limits=(1, 3)):
             if t is twin and args[0] == "hom":
                 continue  # lexicographic homs of big into twin take the oracle minutes
-            assert _search(s, t, *args) == old_search(s, t, *args), f"case {i}, {args}"
+            assert_matches_list_search(s, t, args, f"case {i}, {args}")
+
+
+def assert_agrees_with_brute_force(s, t):
+    """Every mode, both orders, complete runs and first maps."""
+    valid = brute_force_maps(s, t)
+    for mode, maps in valid.items():
+        assert _search(s, t, mode, None, True, None) == maps, mode
+        assert sorted(_search(s, t, mode, None, False, None)) == maps, mode
+        h = find_hom(s, t, mode)
+        assert (h and h.mapping in maps) or (h is None and not maps), mode
+
+
+def ternary(n, tuples):
+    return FinStructure(Signature((("T", 3),)), n, {"T": frozenset(tuples)})
+
+
+@pytest.mark.parametrize(
+    "tuples",
+    [
+        {(0, 0, 1)},
+        {(0, 1, 0)},
+        {(1, 0, 0), (0, 1, 2)},
+        {(0, 0, 1), (1, 2, 1), (2, 0, 2)},
+        {(0, 1, 1), (1, 1, 2), (2, 2, 0), (0, 1, 2)},
+    ],
+)
+def test_ternary_tuples_with_repeated_variables(tuples):
+    # once one variable of (a, a, b) or (a, b, a) is assigned, the other is
+    # the tuple's one unassigned variable, found at one or two positions
+    source = ternary(3, tuples)
+    rng = random.Random(repr(sorted(tuples)))
+    assert_agrees_with_brute_force(source, source)
+    for _ in range(25):
+        size = rng.randint(2, 4)
+        triples = itertools.product(range(size), repeat=3)
+        target = ternary(size, {t for t in triples if rng.random() < 0.4})
+        assert_agrees_with_brute_force(source, target)
+
+
+def test_tuple_with_one_distinct_variable_cuts_the_initial_sets():
+    # (0, 0, 0) sends 0 to the elements w with (w, w, w); strong modes also
+    # keep 1, which has no such tuple, off them
+    source = ternary(2, {(0, 0, 0), (0, 0, 1)})
+    target = ternary(3, {(1, 1, 1), (2, 2, 2), (1, 1, 0), (2, 2, 0)})
+    assert _HomSearch(source, target, "hom").domains == [0b110, 0b111]
+    assert _HomSearch(source, target, "embedding").domains == [0b110, 0b001]
+    assert _HomSearch(source, target, "iso").domains is None  # sizes differ
+    assert_agrees_with_brute_force(source, target)
+    assert_agrees_with_brute_force(target, target)
+    assert_agrees_with_brute_force(source, ternary(2, {(0, 0, 0), (0, 0, 1), (1, 1, 0)}))
+
+
+def test_loops_cut_the_initial_sets():
+    # a loop at 0 sends it to the elements with a loop, and in strong modes
+    # every element without a loop to the elements without one
+    source = digraph(3, {(0, 0), (0, 1), (1, 2)})
+    target = digraph(4, {(1, 1), (3, 3), (1, 2), (2, 3), (3, 0)})
+    assert _HomSearch(source, target, "hom").domains == [0b1010, 0b1111, 0b1111]
+    assert _HomSearch(source, target, "embedding").domains == [0b1010, 0b0101, 0b0101]
+    twin = digraph(3, {(2, 2), (2, 0), (0, 1)})
+    assert _HomSearch(source, twin, "iso").domains == [0b100, 0b011, 0b011]
+    for s, t in [(source, target), (source, twin), (twin, source), (target, target)]:
+        assert_agrees_with_brute_force(s, t)
+    assert find_hom(source, twin, "iso").mapping == (2, 0, 1)
 
 
 def test_json_roundtrip():
