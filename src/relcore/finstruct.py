@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -92,6 +93,13 @@ class FinStructure:
 
     def rel(self, name: str) -> frozenset[tuple[int, ...]]:
         return self.relations[name]
+
+    @cached_property
+    def _search_tables(self) -> "_TargetTables":
+        """The hom search's tables for this structure as the target of a
+        smaller source; built on first use and kept in the instance dict,
+        outside the fields that equality, repr and JSON read."""
+        return _TargetTables(self)
 
     def to_json(self) -> dict:
         return {
@@ -237,12 +245,88 @@ def full_power(structure: FinStructure, d: int) -> FinStructure:
     return FinStructure(Signature(tuple(names)), len(domain), rels)
 
 
+class _TargetTables:
+    """The target side of `_HomSearch`.
+
+    For a source smaller than the target, `FinStructure._search_tables`
+    keeps one on the target from the first such search for as long as the
+    structure lives, and every later one, in any mode, reuses it.  held[r]
+    masks the elements w with (w, ..., w) in the r-th relation;
+    adjacent[2r][w] and adjacent[2r + 1][w] mask the out- and in-neighbours
+    of w in the r-th binary relation.  The link rows of each (kind, strong)
+    and the converse tuples, which only strong modes read, are built when a
+    search first asks for them.
+    """
+
+    __slots__ = ("m", "signature", "relations", "held", "adjacent", "tables", "_back")
+
+    def __init__(self, target: FinStructure):
+        m = target.size
+        self.m = m
+        self.signature, self.relations = target.signature, target.relations
+        self.held: list[int] = []
+        self.adjacent: list[list[int]] = []
+        for name, arity in target.signature.relations:
+            rel, held = target.relations[name], 0
+            if arity == 1:
+                for (w,) in rel:
+                    held |= 1 << w
+            elif arity == 2:
+                out, inn = [0] * m, [0] * m
+                for a, b in rel:
+                    out[a] |= 1 << b
+                    inn[b] |= 1 << a
+                    if a == b:
+                        held |= 1 << a
+                self.adjacent += [out, inn]
+            else:
+                for w in range(m):
+                    if (w,) * arity in rel:
+                        held |= 1 << w
+            self.held.append(held)
+        # keyed by kind << 1 | strong
+        self.tables: dict[int, tuple[int, ...]] = {}
+        self._back: Optional[list[list[tuple[str, tuple[int, ...]]]]] = None
+
+    def rows(self, strong: bool, k: int) -> tuple[int, ...]:
+        """The mask cut into u's set when v -> w, for each w, where k = kind[v, u]."""
+        rows = self.tables.get(k << 1 | strong)
+        if rows is None:
+            everything = (1 << self.m) - 1
+            masks = []
+            for w in range(self.m):
+                mask = everything & ~(1 << w) if strong else everything
+                for i, table in enumerate(self.adjacent):
+                    if k >> i & 1:
+                        mask &= table[w]
+                    elif strong:
+                        mask &= ~table[w]
+                masks.append(mask)
+            rows = self.tables[k << 1 | strong] = tuple(masks)
+        return rows
+
+    def back(self) -> list[list[tuple[str, tuple[int, ...]]]]:
+        """back[w]: (relation name, tuple) for the tuples of arity >= 3 through
+        w with two or more distinct elements."""
+        if self._back is None:
+            self._back = [[] for _ in range(self.m)]
+            for name, arity in self.signature.relations:
+                for t in self.relations[name] if arity >= 3 else ():
+                    elements = set(t)
+                    if len(elements) > 1:
+                        for w in elements:
+                            self._back[w].append((name, t))
+        return self._back
+
+
 class _HomSearch:
     """Backtracking search for the maps of one mode from source to target.
 
     The set-up is built once per (source, target, mode) and `run` may be
     called any number of times; each run only narrows a copy of the
     initial candidate sets.  mode is one of "hom", "embedding", "iso".
+    The set-up reads the target only through `_TargetTables`; the source
+    side (candidate sets, links and tuple lists) is built per search.
 
     Each candidate set is an int bitmask over target elements.  Tuples
     with one distinct element, those of unary relations and loops among
@@ -259,7 +343,9 @@ class _HomSearch:
     and Larrosa, "On forward checking for non-binary constraint
     satisfaction", AI 141, 2002).  In strong modes a value w is tried only
     if every target tuple of arity >= 3 through w whose other elements are
-    all images has its preimage in the source.
+    all images has its preimage in the source.  An isomorphism maps each
+    relation onto the target's, so iso mode runs only when every relation
+    has as many tuples in the source as in the target.
     """
 
     def __init__(self, source: FinStructure, target: FinStructure, mode: str):
@@ -270,88 +356,65 @@ class _HomSearch:
         strong = mode in ("embedding", "iso")
         n, m = source.size, target.size
         self.n, self.m = n, m
-        everything = (1 << m) - 1
-        domains = [everything] * n
         # checks[v] holds (target relation, source tuple) for the tuples of
-        # arity >= 3 through v with two or more distinct elements; in strong
-        # modes back[w] holds the converse (source relation, target tuple).
-        checks: list[list] = [[] for _ in range(n)]
-        back: list[list] = [[] for _ in range(m)]
-        # adjacent[2r][w] and adjacent[2r + 1][w] mask the target out- and
-        # in-neighbours of w in the r-th binary relation; kind[v, u] has bit 2r
-        # set when (v, u) is in that relation and bit 2r + 1 when (u, v) is.
+        # arity >= 3 through v with two or more distinct elements
+        self.links: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
+        self.checks: list[list] = [[] for _ in range(n)]
+        self.back = None
+        self.source_relations = source.relations
+        self.domains: Optional[list[int]] = None
+        if (mode == "iso" and n != m) or (strong and n > m):
+            return
+        # kept on the target only for a smaller source, where they are most
+        # of the set-up; for n >= m (isomorphisms, endomorphisms) they cost
+        # about what the source side does, so they are built for this
+        # search alone rather than held on every structure compared
+        tables = target._search_tables if n < m else _TargetTables(target)
+        domains = [(1 << m) - 1] * n
+        # kind[v, u] has bit 2r set when (v, u) is in the r-th binary
+        # relation and bit 2r + 1 when (u, v) is.
         kind: dict[tuple[int, int], int] = {}
-        adjacent: list[list[int]] = []
-        for name, arity in source.signature.relations:
+        i = 0
+        for (name, arity), held in zip(source.signature.relations, tables.held):
             s_rel, t_rel = source.relations[name], target.relations[name]
-            # on: the source elements x with (x, ..., x) in the relation;
-            # held: the mask of such target elements
+            if mode == "iso" and len(s_rel) != len(t_rel):
+                return
+            # on: the source elements x with (x, ..., x) in the relation
             if arity == 1:
-                on, held = {v for (v,) in s_rel}, sum(1 << w for (w,) in t_rel)
+                on = {v for (v,) in s_rel}
             elif arity == 2:
-                on, held = set(), 0
-                i = len(adjacent)
-                out, inn = [0] * m, [0] * m
-                for a, b in t_rel:
-                    out[a] |= 1 << b
-                    inn[b] |= 1 << a
-                    if a == b:
-                        held |= 1 << a
-                adjacent += [out, inn]
+                on = set()
                 for a, b in s_rel:
                     if a != b:
                         kind[a, b] = kind.get((a, b), 0) | 1 << i
                         kind[b, a] = kind.get((b, a), 0) | 2 << i
                     else:
                         on.add(a)
+                i += 2
             else:
-                on, held = set(), 0
+                on = set()
                 for t in s_rel:
                     elements = set(t)
                     if len(elements) == 1:
                         on.add(t[0])
                     else:
                         for v in elements:
-                            checks[v].append((t_rel, t))
-                for t in t_rel:
-                    elements = set(t)
-                    if len(elements) == 1:
-                        held |= 1 << t[0]
-                    elif strong:
-                        for w in elements:
-                            back[w].append((s_rel, t))
+                            self.checks[v].append((t_rel, t))
             if on or (strong and held):
                 for v in range(n):
                     if v in on:
                         domains[v] &= held
                     elif strong:
                         domains[v] &= ~held
+        if not all(domains):
+            return
 
-        def masks(k: int) -> list[int]:
-            """The mask cut into u's set when v -> w, for each w, where k = kind[v, u]."""
-            rows = []
-            for w in range(m):
-                mask = everything & ~(1 << w) if strong else everything
-                for i, table in enumerate(adjacent):
-                    if k >> i & 1:
-                        mask &= table[w]
-                    elif strong:
-                        mask &= ~table[w]
-                rows.append(mask)
-            return rows
-
-        tables: dict[int, list[int]] = {}
-        links: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
         pairs = [(v, u) for v in range(n) for u in range(n) if u != v] if strong else kind
         for v, u in pairs:
-            k = kind.get((v, u), 0)
-            if k not in tables:
-                tables[k] = masks(k)
-            links[v].append((u, tables[k]))
-
-        feasible = all(domains) and not ((mode == "iso" and n != m) or (strong and n > m))
-        self.domains = domains if feasible else None
-        self.links, self.checks, self.back = links, checks, back
+            self.links[v].append((u, tables.rows(strong, kind.get((v, u), 0))))
+        if strong:
+            self.back = tables.back()
+        self.domains = domains
 
     def run(
         self,
@@ -386,7 +449,7 @@ class _HomSearch:
             domains[v] &= 1 << w
         if not all(domains):
             return []
-        links, checks, back = self.links, self.checks, self.back
+        links, checks, back, source_relations = self.links, self.checks, self.back, self.source_relations
 
         assignment: list[Optional[int]] = [None] * n
         # read only in strong modes, where no two variables share an image
@@ -395,9 +458,9 @@ class _HomSearch:
         work, allowed = 0, headroom()
 
         def converse(v: int, w: int) -> bool:
-            for rel, t in back[w]:
+            for name, t in back[w]:
                 pre = tuple([v if y == w else inverse[y] for y in t])
-                if None not in pre and pre not in rel:
+                if None not in pre and pre not in source_relations[name]:
                     return False
             return True
 
@@ -457,7 +520,7 @@ class _HomSearch:
                 work += 1
                 if work > allowed:
                     charge(work, "hom search")
-                if back[w] and not converse(v, w):
+                if back and back[w] and not converse(v, w):
                     continue
                 pruned = list(current)
                 for u, rows in links[v]:
@@ -557,26 +620,25 @@ def compute_core(structure: FinStructure) -> CoreResult:
     endomorphisms.  All the searches charge one work meter.
     """
     n = structure.size
+    # f[x] is the element of the current part that x maps to; old_ids[i] is
+    # the original element that is the part's element i
+    core, old_ids = structure, tuple(range(n))
     f = list(range(n))
-    current_old = tuple(range(n))
     was_core = True
     while True:
-        part, old_ids = induced_substructure(structure, current_old)
-        e = find_noninjective_endo(part)
+        e = find_noninjective_endo(core)
         if e is None:
             break
         was_core = False
-        e_orig = {old_ids[i]: old_ids[e.mapping[i]] for i in range(len(old_ids))}
-        f = [e_orig[f[x]] for x in range(n)]
-        current_old = tuple(sorted(set(e_orig.values())))
-    core, old_ids = induced_substructure(structure, current_old)
-    new_of = {old: new for new, old in enumerate(old_ids)}
+        core, image = induced_substructure(core, e.mapping)
+        new_of = {old: new for new, old in enumerate(image)}
+        f = [new_of[e.mapping[x]] for x in f]
+        old_ids = tuple(old_ids[i] for i in image)
     # f restricted to the core is an injective endo of a core, so a
     # permutation whose inverse is again an endomorphism; composing with the
     # inverse makes the retraction fix the core pointwise.
-    g = {c: f[c] for c in old_ids}
-    g_inv = {w: c for c, w in g.items()}
-    retraction = Hom(structure, core, tuple(new_of[g_inv[f[x]]] for x in range(n)))
+    inverse = {f[c]: i for i, c in enumerate(old_ids)}
+    retraction = Hom(structure, core, tuple(inverse[w] for w in f))
     return CoreResult(core, retraction, old_ids, was_core)
 
 

@@ -34,7 +34,7 @@ from relcore.finstruct import (
     is_core,
 )
 from relcore.finstruct import _HomSearch, _search
-from relcore.verify import random_structure
+from relcore.verify import _permuted_copy, random_structure
 
 
 def digraph(n, edges):
@@ -812,6 +812,88 @@ def test_search_matches_list_search_beyond_64_elements():
             if t is twin and args[0] == "hom":
                 continue  # lexicographic homs of big into twin take the oracle minutes
             assert_matches_list_search(s, t, args, f"case {i}, {args}")
+
+
+ET = Signature((("E", 2), ("T", 3)))
+
+
+def equal_count_pairs(rng, count):
+    """Pairs on 4 to 8 elements with as many E (binary) and T (ternary)
+    tuples in the source as in the target, few of them isomorphic.  Half
+    take a relabelled copy of the source and move one tuple of one
+    relation (drop it, add one the relation lacks); half draw the target's
+    tuples at random."""
+    for i in range(count):
+        n = rng.randint(4, 8)
+        every = {name: list(itertools.product(range(n), repeat=a)) for name, a in ET.relations}
+        counts = {"E": rng.randint(n // 2, n), "T": rng.randint(1, n)}
+        s = FinStructure(ET, n, {r: frozenset(rng.sample(every[r], counts[r])) for r in counts})
+        if i % 2:
+            t = FinStructure(ET, n, {r: frozenset(rng.sample(every[r], counts[r])) for r in counts})
+        else:
+            rels = {name: set(ts) for name, ts in _permuted_copy(s, rng).relations.items()}
+            name = rng.choice(("E", "T"))
+            rels[name].remove(rng.choice(sorted(rels[name])))
+            rels[name].add(rng.choice([x for x in every[name] if x not in rels[name]]))
+            t = FinStructure(ET, n, rels)
+        yield s, t
+
+
+def test_iso_search_on_equal_tuple_counts_matches_list_search():
+    # equal tuple counts pass the set-up's count check, so the search alone
+    # tells the isomorphic pairs from the others
+    rng = random.Random(37)
+    for i, (s, t) in enumerate(equal_count_pairs(rng, 400)):
+        for args in search_args(rng, s, t):
+            if args[0] == "iso":
+                assert_matches_list_search(s, t, args, f"pair {i}, {args}")
+
+
+def test_iso_search_needs_equal_tuple_counts():
+    rng = random.Random(41)
+    for i, (s, _) in enumerate(equal_count_pairs(rng, 50)):
+        assert _HomSearch(s, s, "iso").domains is not None, f"pair {i}"
+        for name in ("E", "T"):
+            one_fewer = dict(s.relations)
+            one_fewer[name] = one_fewer[name] - {min(one_fewer[name])}
+            t = FinStructure(ET, s.size, one_fewer)
+            assert _HomSearch(s, t, "iso").domains is None, f"pair {i}, {name}"
+
+
+def test_target_tables_reused_across_sources_and_modes():
+    # one target serves hom, embedding, iso and hom again, from a relabelled
+    # copy, an induced part on two fewer elements and that part without the
+    # F tuples that run beside an E tuple (into which the inclusion is an
+    # injective hom but no embedding); every run returns what a run into a
+    # fresh equal copy of the target returns, and only the smaller sources
+    # keep tables on the target, one set shared by both
+    rng = random.Random(43)
+    sig = Signature((("P", 1), ("E", 2), ("F", 2), ("T", 3)))
+    density = {1: 0.5, 2: 0.35, 3: 0.1}
+    for i in range(20):
+        n = rng.randint(4, 7)
+        rels = {
+            name: frozenset(x for x in itertools.product(range(n), repeat=a) if rng.random() < density[a])
+            for name, a in sig.relations
+        }
+        target = FinStructure(sig, n, rels)
+        shown = (repr(target), target.to_json())
+        part = induced_substructure(target, rng.sample(range(n), n - 2))[0]
+        thin = dict(part.relations)
+        thin["F"] = frozenset(x for x in thin["F"] if x[0] == x[1] or x not in thin["E"])
+        sources = [_permuted_copy(target, rng), part, FinStructure(sig, n - 2, thin)]
+        kept = []
+        for j, source in enumerate(sources):
+            for mode in ("hom", "embedding", "iso", "hom"):
+                for partial, avoid in ((None, None), ({0: rng.randrange(n)}, None), (None, rng.randrange(n))):
+                    for lexicographic, limit in ((True, None), (False, 1)):
+                        args = (mode, partial, lexicographic, limit, avoid)
+                        fresh = FinStructure(sig, n, dict(rels))
+                        assert _search(source, target, *args) == _search(source, fresh, *args), f"{i}, {j}, {args}"
+            kept.append(vars(target).get("_search_tables"))
+        assert kept[0] is None and kept[1] is not None and kept[2] is kept[1], i
+        assert (repr(target), target.to_json()) == shown
+        assert target == FinStructure(sig, n, dict(rels)) == target
 
 
 def assert_agrees_with_brute_force(s, t):
