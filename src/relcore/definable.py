@@ -194,12 +194,31 @@ def _encode(points: Sequence[Point]) -> list:
     return [(p.sort, tuple((rank[a.value], a.label) for a in p.atoms)) for p in points]
 
 
+@functools.lru_cache(maxsize=256)
+def _compiled(phi: fm.Formula, widths: tuple) -> tuple:
+    """The scan of phi on groups of these widths (see formulas.compile_scan)
+    and, per group, the coordinates phi reads (see formulas.positions), or
+    None in their place when it reads every coordinate of every group."""
+    read, coords, start = fm.positions(phi), [], 0
+    for width in widths:
+        coords.append(tuple(c for c in range(width) if start + c in read))
+        start += width
+    every = all(len(cs) == width for cs, width in zip(coords, widths))
+    return fm.compile_scan(phi, widths), None if every else tuple(coords)
+
+
 def _plan(D: DefStructure, sorts: Sequence[int]) -> list:
     """How D induces its relations on points of the given sorts, in this
-    order: one (relation index, compiled scan, groups) per clause and
-    combination of dims in its guard that admits some point, the groups
+    order: one (relation index, compiled scan, groups, reads) per clause
+    and combination of dims in its guard that admits some point, the groups
     holding the ids of the points each guard entry admits.  Relations are
-    indexed in signature order."""
+    indexed in signature order.
+
+    reads is None when the formula reads every coordinate of every entry
+    (see _compiled).  Otherwise it holds, per entry, the key (sort indices,
+    coordinates read) of the partition of its group that _run evaluates the
+    formula on: the formula's truth on a combination depends only on the
+    (rank, label) pairs of its points at the coordinates read."""
     # per sort indices of one dim in a guard entry: the ids of the points
     # they admit, in order
     groups = {}
@@ -211,17 +230,44 @@ def _plan(D: DefStructure, sorts: Sequence[int]) -> list:
     for clause, guard in zip(D.clauses, D.guards):
         for parts in itertools.product(*guard):
             if all(groups[ids] for _, ids in parts):
-                scan = fm.compile_scan(clause.formula, tuple(dim for dim, _ in parts))
-                plan.append((index[clause.name], scan, [groups[ids] for _, ids in parts]))
+                scan, coords = _compiled(clause.formula, tuple(dim for dim, _ in parts))
+                reads = None if coords is None else [(ids, cs) for (_, ids), cs in zip(parts, coords)]
+                plan.append((index[clause.name], scan, [groups[ids] for _, ids in parts], reads))
     return plan
 
 
 def _run(plan: list, words: Sequence, count: int) -> list[set]:
     """The tuple sets of count relations that a plan (see _plan) induces
-    on points with these words, each as long as its sort's dim."""
+    on points with these words, each as long as its sort's dim.
+
+    An entry that reads every coordinate scans its groups tuple by tuple.
+    Any other runs its scan once per point type: each group is split, once
+    per run and key, into classes of points that agree at the coordinates
+    read; the scan runs on the first point of every class, and each
+    combination it accepts stands for the product of its classes."""
     rels: list[set] = [set() for _ in range(count)]
-    for r, scan, groups in plan:
-        scan(groups, words, rels[r])
+    # per (sort indices, coordinates read): the first point of each class
+    # mapped to the class
+    partitions: dict[tuple, dict] = {}
+    for r, scan, groups, reads in plan:
+        if reads is None:
+            scan(groups, words, rels[r])
+            continue
+        members = []
+        for group, key in zip(groups, reads):
+            classes = partitions.get(key)
+            if classes is None:
+                by_type: dict[tuple, list] = {}
+                for pid in group:
+                    word = words[pid]
+                    by_type.setdefault(tuple([word[c] for c in key[1]]), []).append(pid)
+                classes = partitions[key] = {ids[0]: ids for ids in by_type.values()}
+            members.append(classes)
+        hits: set = set()
+        scan([list(classes) for classes in members], words, hits)
+        update = rels[r].update
+        for hit in hits:
+            update(itertools.product(*[classes[pid] for classes, pid in zip(members, hit)]))
     return rels
 
 
@@ -387,6 +433,31 @@ def _type(word, shape, base: AtomBase, as_set: bool):
     return repr((s, tuple(word[k] for k in order), relabelled))
 
 
+def _covers(D: DefStructure, n: int, as_set: bool) -> list:
+    """covers[s], for s = 0..n*max_dim: the choices of n abstract points
+    (sort, slots) whose slots cover the support {0..s-1}, n-element sets of
+    them when as_set, counted by inclusion-exclusion over the atoms a
+    choice misses.
+
+    Charges the orbit pre-count to the work budget: for each support size,
+    its k abstract points and n + s steps for every label word and covering
+    choice, the size of the pattern.  The count stops at the first support
+    size that exceeds the headroom, so a huge n raises at once.
+    """
+    work, allowed = 0, headroom()
+    within = []  # within[t]: the choices inside a fixed set of t atoms
+    covers = []
+    for s in range(n * D.max_dim() + 1):
+        k = sum(math.comb(s, sort.dim) for sort in D.sorts)
+        within.append(math.comb(k, n) if as_set else k**n)
+        covers.append(within[s] and sum((-1) ** j * math.comb(s, j) * within[s - j] for j in range(s + 1)))
+        work += k + D.base.alphabet**s * covers[s] * (n + s)
+        if work > allowed:
+            break
+    charge(work, "orbit enumeration")
+    return covers
+
+
 def _orbits(D: DefStructure, n: int, as_set: bool):
     """Yields (word, shape) once per base-automorphism orbit of n-tuples of
     points (of n-element point sets when as_set).
@@ -399,28 +470,14 @@ def _orbits(D: DefStructure, n: int, as_set: bool):
     word is its own orbit; on an unordered one each choice's key (see
     _type) is looked up in a seen set.
 
-    Before the walk, each support size charges to the work budget its k
-    abstract points and n + s steps for every label word and covering
-    choice, the size of the pattern.  The covering choices are counted by
-    inclusion-exclusion over the atoms a choice misses, and the count
-    stops at the first support size that exceeds the headroom.  The
-    depth-first walk that generates them charges its nodes as it goes.
+    Before the walk, the covering choices are counted and the pre-count
+    charged (see _covers).  The depth-first walk that generates them
+    charges its nodes as it goes.
     """
-    smax = n * D.max_dim()
-    work, allowed = 0, headroom()
-    within = []  # within[t]: the choices inside a fixed set of t atoms
-    covers = []
-    for s in range(smax + 1):
-        k = sum(math.comb(s, sort.dim) for sort in D.sorts)
-        within.append(math.comb(k, n) if as_set else k**n)
-        covers.append(within[s] and sum((-1) ** j * math.comb(s, j) * within[s - j] for j in range(s + 1)))
-        work += k + D.base.alphabet**s * covers[s] * (n + s)
-        if work > allowed:
-            break
-    charge(work, "orbit enumeration")
+    covers = _covers(D, n, as_set)
     seen = set()
-    for s in range(smax + 1):
-        if not covers[s]:
+    for s, count in enumerate(covers):
+        if not count:
             continue
         covering = _covering_choices(D, n, s, as_set)
         for word in itertools.product(range(D.base.alphabet), repeat=s):
@@ -518,7 +575,11 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
     """Number of classes of n-element subsets of D's points.
 
     mode="base" counts orbits under base automorphisms (support-pattern
-    classes).  mode="homogeneous" counts isomorphism classes of the induced
+    classes).  On an ordered base every covering choice with its word is
+    its own orbit (see _orbits), so the count is the sum over support sizes
+    s of alphabet^s times the covering choices (see _covers), charged the
+    orbit pre-count and nothing else; an unordered base walks its orbits.
+    mode="homogeneous" counts isomorphism classes of the induced
     n-point structures, which equals the orbit count of the full
     automorphism group exactly when D is homogeneous in its listed
     relations; asserting that is the caller's responsibility.
@@ -540,6 +601,8 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
         raise Unsupported("reversal counting needs exactly one binary relation")
     if n < 1:
         raise InvalidDimension(f"need n >= 1, got {n}")
+    if mode == "base" and D.base.ordered:
+        return sum(D.base.alphabet**s * count for s, count in enumerate(_covers(D, n, True)))
     orbits = _orbits(D, n, True)
     if mode == "base":
         return sum(1 for _ in orbits)
@@ -620,36 +683,41 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
     # (swap c, a, swap b) from k, i, j broken too, so a decision breaks a
     # triple exactly when it breaks one whose first descriptor it set true.
     by_first, diag, pairs, names = _composition_by_first(d)
-
+    masks = _composition_masks(d)
     results = []
-    status: list[Optional[bool]] = [None] * len(names)
 
-    def violated(chosen: int) -> bool:
-        rests = by_first[chosen]
-        charge(len(rests), "invariant order search")
-        for c_jk, c_ik in rests:
-            if status[c_jk] and status[c_ik] is False:
-                return True
-        return False
-
-    def descend(idx: int):
+    def descend(idx: int, true: int, false: int):
+        """Decide pairs[idx:], the classes in the bitmasks true and false
+        being decided already."""
         if idx == len(pairs):
-            results.append(tuple(sorted(names[c] for c, v in enumerate(status) if v)))
+            results.append(tuple(sorted(names[c] for c in range(len(names)) if true >> c & 1)))
             return
         a, b = pairs[idx]
         for chosen, dropped in ((a, b), (b, a)):
-            status[chosen] = True
-            status[dropped] = False
-            if not violated(chosen):
-                descend(idx + 1)
-            status[chosen] = status[dropped] = None
+            now_true, now_false = true | 1 << chosen, false | 1 << dropped
+            charge(len(by_first[chosen]), "invariant order search")
+            if not any(now_true >> c_jk & 1 and ik & now_false for c_jk, ik in masks[chosen]):
+                descend(idx + 1, now_true, now_false)
 
-    status[diag] = False
-    descend(0)
+    descend(0, 0, 1 << diag)
     # descend reaches itself through its closure; breaking that cycle frees
     # the table now instead of at the next cyclic garbage collection.
     descend = None
     return sorted(results)
+
+
+@functools.lru_cache(maxsize=3)
+def _composition_masks(d: int) -> tuple:
+    """_composition_by_first(d)'s table by c_jk: per first class, one
+    (c_jk, bitmask of the classes c_ik paired with it) per c_jk, in order
+    of first meeting."""
+    out = []
+    for rests in _composition_by_first(d)[0]:
+        ik: dict[int, int] = {}
+        for c_jk, c_ik in rests:
+            ik[c_jk] = ik.get(c_jk, 0) | 1 << c_ik
+        out.append(tuple(ik.items()))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=3)

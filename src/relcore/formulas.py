@@ -11,7 +11,8 @@ semantics.  `check` rejects a formula that is not one over a given
 base, once, before it is used.  `compile_scan` generates Python source for
 a checked formula on encoded environments, each atom given as its value
 rank and its label: a loop over guard combinations of fixed-width words,
-which is how sampling evaluates clauses.
+which is how sampling evaluates clauses.  `positions` names the positions
+a formula reads, so that sampling can run that loop once per point type.
 """
 
 from __future__ import annotations
@@ -145,6 +146,21 @@ def check(phi: Formula, base: AtomBase) -> int:
     if min(ks) < 0:
         raise ArityMismatch(f"negative position {min(ks)}")
     return max(ks)
+
+
+def positions(phi: Formula) -> frozenset:
+    """The positions phi reads: those of its Less, Eq and Label nodes.  On
+    a formula `check` passes, its truth on an environment depends only on
+    the value and label of the atoms at these positions."""
+    if isinstance(phi, (And, Or)):
+        return frozenset().union(*map(positions, phi.args))
+    if isinstance(phi, Not):
+        return positions(phi.arg)
+    if isinstance(phi, Label):
+        return frozenset((operator.index(phi.i),))
+    if isinstance(phi, (Less, Eq)):
+        return frozenset((operator.index(phi.i), operator.index(phi.j)))
+    return frozenset()
 
 
 _NEST = 50  # connectives per generated function; Python's parser allows ~200 nested brackets

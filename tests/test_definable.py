@@ -491,11 +491,13 @@ def incidence_form_steps(word, shape, alphabet):
 def orbit_work(D, n, as_set):
     """The work orbit enumeration charges, counted on every choice of n
     abstract points: for each support size s its abstract points; n + s
-    steps for each label word and covering choice; one step for each
-    depth-first node, that is for each prefix of 1..n-1 points of a choice
-    whose shorter prefixes all leave no more slots uncovered than the
-    points after them can cover; and, for sets on an unordered base, the
-    canonical form of every covering choice's incidence structure."""
+    steps for each label word and covering choice; except for sets on an
+    ordered base, which are counted in closed form without a walk, one
+    step for each depth-first node, that is for each prefix of 1..n-1
+    points of a choice whose shorter prefixes all leave no more slots
+    uncovered than the points after them can cover; and, for sets on an
+    unordered base, the canonical form of every covering choice's
+    incidence structure."""
     work = 0
     for s in range(n * D.max_dim() + 1):
         abstract = [
@@ -511,10 +513,11 @@ def orbit_work(D, n, as_set):
         cover = sum(1 for c in choices if not uncovered(c))
         if not cover:
             continue
-        reach = max(len(slots) for _, slots in abstract)
-        cut = lambda prefix: uncovered(prefix) > (n - len(prefix)) * reach
-        prefixes = {c[:i] for c in choices for i in range(1, n)}
-        work += sum(1 for p in prefixes if not any(cut(p[:i]) for i in range(1, len(p))))
+        if not (as_set and D.base.ordered):
+            reach = max(len(slots) for _, slots in abstract)
+            cut = lambda prefix: uncovered(prefix) > (n - len(prefix)) * reach
+            prefixes = {c[:i] for c in choices for i in range(1, n)}
+            work += sum(1 for p in prefixes if not any(cut(p[:i]) for i in range(1, len(p))))
         work += D.base.alphabet**s * cover * (n + s)
         if as_set and not D.base.ordered:
             covering = [c for c in choices if not uncovered(c)]
@@ -526,15 +529,15 @@ def orbit_work(D, n, as_set):
 def test_work_budget_counts_every_choice(monkeypatch):
     # supports of size 0, 1, 2 list 0 + 1 + 2 abstract points; the
     # 0 + 1 + 2 covering ordered pairs (0 + 0 + 1 sets) write descriptors
-    # of n + s = 3 and 4 steps; the walk tries 1 + 2 first points (1 for
-    # the one set)
+    # of n + s = 3 and 4 steps; the walk tries 1 + 2 first points, and
+    # none for the one set, which on an ordered base is counted, not walked
     jord1 = increasing_tuple_structure(1)
     pure = DefStructure(PURE_SET, (Sort("q", 1),), ())
     # the unordered base charges the same: its tuple descriptors are
     # written in closed form, with no relabelling search
     cases = [
         (lambda: len(point_orbits(jord1, 2)), 3, 17),
-        (lambda: unlabelled_growth(jord1, 2), 1, 8),
+        (lambda: unlabelled_growth(jord1, 2), 1, 7),
         (lambda: len(point_orbits(pure, 2)), 2, 17),
     ]
     for count, answer, needed in cases:
@@ -570,6 +573,21 @@ def test_orbit_work_counts_covering_choices_exactly(monkeypatch):
         monkeypatch.setattr(errors, "WORK_BUDGET", needed - 1)
         with pytest.raises(TooLarge, match="work budget"):
             count()
+
+
+def test_ordered_base_growth_counts_the_walk_in_closed_form():
+    # on an ordered base every covering choice with its word is its own
+    # orbit, so the closed-form sum equals the walk's count; both charge
+    # the same pre-count first, so both raise where it passes the budget
+    walk = errors.metered(lambda D, n: sum(1 for _ in definable._orbits(D, n, True)))
+    cases = [(D, n) for D, n, _ in random_orbit_cases(16, 80) if D.base.ordered]
+    for name in sorted(gallery._definable_registry()):
+        D = gallery.lookup_definable(name)
+        if D.base.ordered:
+            cases += [(D, n) for n in range(1, 5)]
+    assert len(cases) > 80
+    for D, n in cases:
+        assert outcome(lambda: unlabelled_growth(D, n, "base")) == outcome(lambda: walk(D, n)), (D, n)
 
 
 def test_orbit_walk_matches_filter_walk(monkeypatch):
@@ -1009,6 +1027,48 @@ def test_invariant_orders_match_brute_force(d):
     assert enumerate_invariant_orders(increasing_tuple_structure(d)) == sorted(expected)
 
 
+@errors.metered
+def status_list_orders(d):
+    """The former invariant-order search on one status list (None, True or
+    False per class), the oracle for the bitmask one: the orders found and
+    the steps charged."""
+    by_first, diag, pairs, names = definable._composition_by_first(d)
+    results = []
+    status = [None] * len(names)
+
+    def violated(chosen):
+        rests = by_first[chosen]
+        errors.charge(len(rests), "invariant order search")
+        return any(status[c_jk] and status[c_ik] is False for c_jk, c_ik in rests)
+
+    def descend(idx):
+        if idx == len(pairs):
+            results.append(tuple(sorted(names[c] for c, v in enumerate(status) if v)))
+            return
+        a, b = pairs[idx]
+        for chosen, dropped in ((a, b), (b, a)):
+            status[chosen] = True
+            status[dropped] = False
+            if not violated(chosen):
+                descend(idx + 1)
+            status[chosen] = status[dropped] = None
+
+    status[diag] = False
+    descend(0)
+    return sorted(results), errors._spent.get()
+
+
+@errors.metered
+def orders_and_steps(d):
+    return enumerate_invariant_orders(increasing_tuple_structure(d)), errors._spent.get()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bitmask_order_search_matches_status_list_search(d):
+    # the same orders in the same order, and the same steps charged
+    assert orders_and_steps(d) == status_list_orders(d)
+
+
 def test_invariant_order_search_budget(monkeypatch):
     # the search examines 1,776 composition-table triples at d = 2
     jord2 = increasing_tuple_structure(2)
@@ -1400,6 +1460,95 @@ def test_sampling_matches_per_tuple_evaluation():
             p = rng.choice([p for p in points if p.atoms])
             with pytest.raises(InvalidDimension):
                 induce_on_points(D, points + [Point(p.sort, p.atoms[:-1])])
+
+
+def per_tuple_run(plan, words, count):
+    """The former definable._run, the oracle for the per-type one: every
+    plan entry's scan run on its whole groups, tuple by tuple."""
+    rels = [set() for _ in range(count)]
+    for r, scan, groups, _ in plan:
+        scan(groups, words, rels[r])
+    return rels
+
+
+def subset_formula(rng, k, base):
+    """A formula on positions 0..k-1 that reads few of them: a constant,
+    one Less, Eq or Label atomic, or a small And, Or or Not of those."""
+
+    def atomic():
+        kind = rng.randrange(4 if k else 1)
+        if kind == 0:
+            return fm.Const(rng.random() < 0.6)
+        if kind == 1 and base.ordered:
+            return fm.Less(rng.randrange(k), rng.randrange(k))
+        if kind == 3:
+            return fm.Label(rng.randrange(k), rng.randrange(base.alphabet))
+        return fm.Eq(rng.randrange(k), rng.randrange(k))
+
+    r = rng.random()
+    if r < 0.5:
+        return atomic()
+    if r < 0.6:
+        return fm.Not(atomic())
+    return (fm.And if r < 0.8 else fm.Or)(tuple(atomic() for _ in range(rng.randint(1, 3))))
+
+
+def subset_reading_structure(rng):
+    """One to three sorts of dims 0..3 on one of four bases, and one to four
+    clauses of arity 1..3 whose formulas read few coordinates (see
+    subset_formula); a guard entry names one sort, a set of sorts (of mixed
+    dims, now and then) or every sort."""
+    base = rng.choice([DLO, labeled_dlo(2), PURE_SET, AtomBase(ordered=False, alphabet=2)])
+    sorts = tuple(Sort(f"s{i}", rng.randint(0, 3)) for i in range(rng.randint(1, 3)))
+    clauses = []
+    for _ in range(rng.randint(1, 4)):
+        arity = rng.randint(1, 3)
+        entries = [rng.sample(sorts, rng.randint(1, len(sorts))) for _ in range(arity)]
+        guard = tuple(
+            "*" if len(entry) == len(sorts) else entry[0].name if len(entry) == 1 else {s.name for s in entry}
+            for entry in entries
+        )
+        least = sum(min(s.dim for s in entry) for entry in entries)
+        # two clauses of one arity share a name half the time
+        name = f"R{arity}{rng.randrange(2)}"
+        clauses.append(RelationClause(name, arity, guard, subset_formula(rng, least, base)))
+    return DefStructure(base, sorts, tuple(clauses))
+
+
+def test_per_type_run_matches_per_tuple_run():
+    # every definable gallery object at 0..6 atoms and random structures
+    # whose formulas read a strict subset of the coordinates, on sampled
+    # points and on shuffled hand-built points with label twins
+    rng = random.Random(31)
+    registry = sorted(gallery._definable_registry().items())
+    cases = [(name, build(), k) for name, build in registry for k in range(7)]
+    cases += [(f"random {i}", subset_reading_structure(rng), rng.randint(0, 5)) for i in range(200)]
+    per_type = 0
+    for name, D, k in cases:
+        labels = [rng.randrange(D.base.alphabet) for _ in range(k)]
+        points = sample(D, make_sample(D.base, k, labels)).points
+        count = len(D.signature().relations)
+        for pts in (points, hand_built_points(rng, points)):
+            encoded = definable._encode(pts)
+            plan = definable._plan(D, [si for si, _ in encoded])
+            words = [word for _, word in encoded]
+            assert definable._run(plan, words, count) == per_tuple_run(plan, words, count), (name, k)
+            per_type += sum(reads is not None for *_, reads in plan)
+    # the per-type path ran, and not only on empty or one-point groups
+    assert per_type > 1000
+
+
+def test_plan_reads_only_the_coordinates_a_formula_names():
+    # Jord3's lt13 reads coordinate 0 of its left point and 2 of its right;
+    # S2 and betweenness read every coordinate, so they scan tuple by tuple
+    jord3 = increasing_tuple_structure(3)
+    plan = definable._plan(jord3, [0] * 4)
+    lt13 = [c.name for c in jord3.clauses].index("lt13")
+    assert plan[lt13][3] == [((0,), (0,)), ((0,), (2,))]
+    for D in (gallery.dense_local_order(), gallery.betweenness_reduct()):
+        assert all(reads is None for *_, reads in definable._plan(D, [0] * 3))
+    assert fm.positions(fm.Or(fm.Less(0, 4), fm.Not(fm.Label(2, 1)), fm.TRUE)) == {0, 2, 4}
+    assert fm.positions(fm.FALSE) == frozenset()
 
 
 def test_induce_on_points_rejects_points_of_no_sort():
