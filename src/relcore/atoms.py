@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import BaseMismatch, InvalidLabel, charge, json_int, parsing
+from .errors import BaseMismatch, InvalidElement, InvalidLabel, charge, json_int, parsing
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,13 @@ class AtomSample:
         return iter(self.atoms)
 
     def restrict(self, indices: Iterable[int]) -> "AtomSample":
-        return AtomSample(self.base, tuple(self.atoms[i] for i in sorted(set(indices))))
+        """The sample of the atoms at these indices; an index outside
+        0..len-1 raises InvalidElement before any atom is read."""
+        kept = sorted(set(indices))
+        bad = [i for i in kept if not 0 <= i < len(self.atoms)]
+        if bad:
+            raise InvalidElement(f"atom index {bad[0]} outside 0..{len(self.atoms) - 1}")
+        return AtomSample(self.base, tuple(self.atoms[i] for i in kept))
 
 
 def make_sample(base: AtomBase, n: int, labels: Optional[Sequence[int]] = None) -> AtomSample:

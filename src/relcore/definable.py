@@ -94,6 +94,9 @@ class DefStructure:
     # (dim, indices) pair per dim, both ascending.  Built here, the one
     # place that reads guard entries.
     guards: tuple = field(init=False, repr=False, compare=False)
+    # reads[c]: the positions clause c's formula reads (see
+    # formulas.positions), taken once every formula has passed fm.check.
+    reads: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sorts", tuple(self.sorts))
@@ -130,6 +133,7 @@ class DefStructure:
                 )
             guards.append(tuple(guard))
         object.__setattr__(self, "guards", tuple(guards))
+        object.__setattr__(self, "reads", tuple(fm.positions(c.formula) for c in self.clauses))
 
     def max_dim(self) -> int:
         return max((s.dim for s in self.sorts), default=0)
@@ -194,31 +198,19 @@ def _encode(points: Sequence[Point]) -> list:
     return [(p.sort, tuple((rank[a.value], a.label) for a in p.atoms)) for p in points]
 
 
-@functools.lru_cache(maxsize=256)
-def _compiled(phi: fm.Formula, widths: tuple) -> tuple:
-    """The scan of phi on groups of these widths (see formulas.compile_scan)
-    and, per group, the coordinates phi reads (see formulas.positions), or
-    None in their place when it reads every coordinate of every group."""
-    read, coords, start = fm.positions(phi), [], 0
-    for width in widths:
-        coords.append(tuple(c for c in range(width) if start + c in read))
-        start += width
-    every = all(len(cs) == width for cs, width in zip(coords, widths))
-    return fm.compile_scan(phi, widths), None if every else tuple(coords)
-
-
 def _plan(D: DefStructure, sorts: Sequence[int]) -> list:
     """How D induces its relations on points of the given sorts, in this
     order: one (relation index, compiled scan, groups, reads) per clause
     and combination of dims in its guard that admits some point, the groups
     holding the ids of the points each guard entry admits.  Relations are
-    indexed in signature order.
+    indexed in signature order.  The scan is formulas.compile_scan's, which
+    caches it.
 
     reads is None when the formula reads every coordinate of every entry
-    (see _compiled).  Otherwise it holds, per entry, the key (sort indices,
-    coordinates read) of the partition of its group that _run evaluates the
-    formula on: the formula's truth on a combination depends only on the
-    (rank, label) pairs of its points at the coordinates read."""
+    (see DefStructure.reads).  Otherwise it holds, per entry, the key (sort
+    indices, coordinates read) of the partition of its group that _run
+    evaluates the formula on: the formula's truth on a combination depends
+    only on the (rank, label) pairs of its points at the coordinates read."""
     # per sort indices of one dim in a guard entry: the ids of the points
     # they admit, in order
     groups = {}
@@ -227,11 +219,16 @@ def _plan(D: DefStructure, sorts: Sequence[int]) -> list:
         groups[ids] = [pid for pid, si in enumerate(sorts) if si in chosen]
     index = {name: r for r, name in enumerate(D.signature().names())}
     plan = []
-    for clause, guard in zip(D.clauses, D.guards):
+    for clause, guard, read in zip(D.clauses, D.guards, D.reads):
         for parts in itertools.product(*guard):
             if all(groups[ids] for _, ids in parts):
-                scan, coords = _compiled(clause.formula, tuple(dim for dim, _ in parts))
-                reads = None if coords is None else [(ids, cs) for (_, ids), cs in zip(parts, coords)]
+                reads, start = [], 0
+                for dim, ids in parts:
+                    reads.append((ids, tuple(c for c in range(dim) if start + c in read)))
+                    start += dim
+                if all(len(cs) == dim for (dim, _), (_, cs) in zip(parts, reads)):
+                    reads = None
+                scan = fm.compile_scan(clause.formula, tuple(dim for dim, _ in parts))
                 plan.append((index[clause.name], scan, [groups[ids] for _, ids in parts], reads))
     return plan
 
@@ -609,10 +606,9 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
     # the sampling charge and the plan of each sequence of point sorts
     plans: dict[tuple, tuple] = {}
     # the steps charged by the canonical search of each distinct induced
-    # structure, keyed by its relations' sorted tuples flattened (to bytes
-    # while every point id fits in one)
+    # structure, keyed by its relations' sorted tuples, each flattened into
+    # one tuple
     searched: dict[tuple, int] = {}
-    flat = bytes if n <= 256 else tuple
     forms = set()
     for word, shape in orbits:
         sorts = tuple(si for si, _ in shape)
@@ -623,7 +619,7 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
         charge(plan[0], "sampling")
         words = [tuple([(k, word[k]) for k in slots]) for _, slots in shape]
         rels = _run(plan[1], words, len(sig.relations))
-        key = tuple([flat(itertools.chain.from_iterable(sorted(ts))) for ts in rels])
+        key = tuple([tuple(itertools.chain.from_iterable(sorted(ts))) for ts in rels])
         steps = searched.get(key)
         if steps is None:
             before = headroom()
@@ -682,8 +678,7 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
     # makes the rotations (b, swap c, swap a) from j, k, i and
     # (swap c, a, swap b) from k, i, j broken too, so a decision breaks a
     # triple exactly when it breaks one whose first descriptor it set true.
-    by_first, diag, pairs, names = _composition_by_first(d)
-    masks = _composition_masks(d)
+    masks, triples, diag, pairs, names = _composition_table(d)
     results = []
 
     def descend(idx: int, true: int, false: int):
@@ -695,7 +690,7 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
         a, b = pairs[idx]
         for chosen, dropped in ((a, b), (b, a)):
             now_true, now_false = true | 1 << chosen, false | 1 << dropped
-            charge(len(by_first[chosen]), "invariant order search")
+            charge(triples[chosen], "invariant order search")
             if not any(now_true >> c_jk & 1 and ik & now_false for c_jk, ik in masks[chosen]):
                 descend(idx + 1, now_true, now_false)
 
@@ -707,21 +702,7 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
 
 
 @functools.lru_cache(maxsize=3)
-def _composition_masks(d: int) -> tuple:
-    """_composition_by_first(d)'s table by c_jk: per first class, one
-    (c_jk, bitmask of the classes c_ik paired with it) per c_jk, in order
-    of first meeting."""
-    out = []
-    for rests in _composition_by_first(d)[0]:
-        ik: dict[int, int] = {}
-        for c_jk, c_ik in rests:
-            ik[c_jk] = ik.get(c_jk, 0) | 1 << c_ik
-        out.append(tuple(ik.items()))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=3)
-def _composition_by_first(d: int):
+def _composition_table(d: int):
     """Pair classes of Jord_d and their composition table, built once per d
     from one point triple per orbit.
 
@@ -729,13 +710,15 @@ def _composition_by_first(d: int):
     orbit of point pairs and triples; of the triples only the one per orbit
     whose atoms are an initial segment {0..u-1} is read (15,956 of 592,704
     at d = 3).  The classes are numbered 0, 1, ... in order of first
-    meeting.  Returns, as tuples, the composition table indexed by first
-    class, the diagonal class, the (class, swapped class) pairs of the other
-    classes, and the descriptor of every class.  by_first[c_ij] lists the
-    pairs (c_jk, c_ik) of point triples i != j != k with c_jk not the
-    diagonal, which it is exactly when k == j.  Each pair of pairs puts the
-    class with the lesser descriptor first, and the pairs are sorted by
-    descriptors.
+    meeting.  Returns, as tuples, the table indexed by first class, the
+    number of triples per first class, the diagonal class, the (class,
+    swapped class) pairs of the other classes, and the descriptor of every
+    class.  The table's entry for c_ij holds, per class c_jk in order of
+    first meeting, (c_jk, bitmask of the classes c_ik), over the point
+    triples i != j != k with c_jk not the diagonal, which it is exactly
+    when k == j; triples[c_ij] counts those triples, one per (c_jk, c_ik)
+    pair.  Each pair of pairs puts the class with the lesser descriptor
+    first, and the pairs are sorted by descriptors.
 
     A pair (p, q) is keyed by its interleaving: for each atom of p or q in
     value order, 1, 2 or 3 as p, q or both hold it.
@@ -760,19 +743,26 @@ def _composition_by_first(d: int):
     # per union m of two points, the points k that fill m up to an initial segment
     unions = {a | b for a in masks for b in masks}
     completing = {m: [k for k, m_k in enumerate(masks) if (x := m | m_k) & (x + 1) == 0] for m in unions}
-    by_first: list[list] = [[] for _ in names]
+    by_first: list[dict] = [{} for _ in names]
+    triples = [0] * len(names)
     swapped = {}
     for i, (row, m_i) in enumerate(zip(classes, masks)):
         for j, (c_ij, m_j) in enumerate(zip(row, masks)):
             if i != j:
-                by_first[c_ij] += [(classes[j][k], row[k]) for k in completing[m_i | m_j] if k != j]
+                ik = by_first[c_ij]
+                for k in completing[m_i | m_j]:
+                    if k != j:
+                        c_jk = classes[j][k]
+                        ik[c_jk] = ik.get(c_jk, 0) | 1 << row[k]
+                        triples[c_ij] += 1
                 swapped[c_ij] = classes[j][i]
 
     def named(pair):
         return names[pair[0]], names[pair[1]]
 
     pairs = sorted({min(pair, pair[::-1], key=named) for pair in swapped.items()}, key=named)
-    return tuple(map(tuple, by_first)), classes[0][0], tuple(pairs), tuple(names)
+    table = tuple(tuple(ik.items()) for ik in by_first)
+    return table, tuple(triples), classes[0][0], tuple(pairs), tuple(names)
 
 
 @dataclass(frozen=True)

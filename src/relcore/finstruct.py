@@ -41,13 +41,14 @@ class Signature:
     relations: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        rels = tuple(sorted((str(n), int(a)) for n, a in self.relations))
+        rels = [(str(n), a) for n, a in self.relations]
+        for name, arity in rels:
+            if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
+                raise SignatureMismatch(f"relation {name!r} has arity {arity!r}")
+        rels = tuple(sorted(rels))
         names = [n for n, _ in rels]
         if len(set(names)) != len(names):
             raise SignatureMismatch(f"duplicate relation names in {names}")
-        for name, arity in rels:
-            if arity < 1:
-                raise SignatureMismatch(f"relation {name!r} has arity {arity}")
         object.__setattr__(self, "relations", rels)
 
     def names(self) -> tuple[str, ...]:

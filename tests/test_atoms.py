@@ -6,7 +6,7 @@ import pytest
 
 from relcore import errors
 from relcore.atoms import DLO, PURE_SET, Atom, AtomBase, AtomSample, labeled_dlo, make_sample
-from relcore.errors import BaseMismatch, InvalidInput, InvalidLabel, TooLarge
+from relcore.errors import BaseMismatch, InvalidElement, InvalidInput, InvalidLabel, TooLarge
 
 
 def order_type(atoms: Sequence[Atom], base: AtomBase) -> str:
@@ -73,6 +73,19 @@ def test_make_sample_label_out_of_range():
 def test_sample_rejects_duplicate_values():
     with pytest.raises(BaseMismatch):
         AtomSample(DLO, (Atom(Fraction(1)), Atom(Fraction(1))))
+
+
+@pytest.mark.parametrize("indices, bad", [([-1], -1), ([7], 7), ([-1, 3], -1), ([0, 4], 4)])
+def test_restrict_rejects_indices_outside_the_sample(indices, bad):
+    A = make_sample(labeled_dlo(2), 4)
+    with pytest.raises(InvalidElement, match=f"atom index {bad} outside 0..3"):
+        A.restrict(indices)
+
+
+def test_restrict_keeps_the_atoms_at_valid_indices():
+    A = make_sample(labeled_dlo(2), 4)
+    assert A.restrict([2, 0, 2]) == A.restrict([0, 2]) == AtomSample(A.base, (A.atoms[0], A.atoms[2]))
+    assert A.restrict([]) == AtomSample(A.base, ())
 
 
 def test_order_type_examples():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -1027,12 +1028,73 @@ def test_invariant_orders_match_brute_force(d):
     assert enumerate_invariant_orders(increasing_tuple_structure(d)) == sorted(expected)
 
 
+@functools.lru_cache(maxsize=3)
+def list_composition_table(d):
+    """The former definable._composition_by_first, the oracle for
+    definable._composition_table: the composition table as lists of
+    (c_jk, c_ik) pairs per first class, the diagonal class, the (class,
+    swapped class) pairs and the descriptor of every class."""
+    points = list(itertools.combinations(range(3 * d), d))
+    masks = [sum(1 << k for k in p) for p in points]
+    codes = [sum(1 << 8 * k for k in p) for p in points]
+    ids = {}
+    names = []
+    classes = []
+    for p, code in zip(points, codes):
+        row = []
+        for q, other in zip(points, codes):
+            key = (code + 2 * other).to_bytes(3 * d, "little").replace(b"\0", b"")
+            c = ids.get(key)
+            if c is None:
+                c = ids[key] = len(names)
+                pattern = definable._pattern([(0, tuple((k, 0) for k in x)) for x in (p, q)])
+                names.append(definable._type(*pattern, DLO, False))
+            row.append(c)
+        classes.append(row)
+    unions = {a | b for a in masks for b in masks}
+    completing = {m: [k for k, m_k in enumerate(masks) if (x := m | m_k) & (x + 1) == 0] for m in unions}
+    by_first = [[] for _ in names]
+    swapped = {}
+    for i, (row, m_i) in enumerate(zip(classes, masks)):
+        for j, (c_ij, m_j) in enumerate(zip(row, masks)):
+            if i != j:
+                by_first[c_ij] += [(classes[j][k], row[k]) for k in completing[m_i | m_j] if k != j]
+                swapped[c_ij] = classes[j][i]
+
+    def named(pair):
+        return names[pair[0]], names[pair[1]]
+
+    pairs = sorted({min(pair, pair[::-1], key=named) for pair in swapped.items()}, key=named)
+    return tuple(map(tuple, by_first)), classes[0][0], tuple(pairs), tuple(names)
+
+
+def expand(groups):
+    """A table entry's (c_jk, bitmask of the c_ik) groups as (c_jk, c_ik)
+    pairs."""
+    return [(c_jk, c_ik) for c_jk, ik in groups for c_ik in range(ik.bit_length()) if ik >> c_ik & 1]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_composition_table_matches_list_table(d):
+    # the same pairs per first class, grouped by c_jk in order of first
+    # meeting, one triple counted per pair; the same classes and pairs
+    masks, triples, diag, pairs, names = definable._composition_table(d)
+    by_first, *rest = list_composition_table(d)
+    assert (diag, pairs, names) == tuple(rest)
+    assert len(masks) == len(triples) == len(by_first) == len(names)
+    for groups, count, want in zip(masks, triples, by_first):
+        assert sorted(expand(groups)) == sorted(want)
+        assert count == len(want)
+        assert [c_jk for c_jk, _ in groups] == list(dict.fromkeys(c_jk for c_jk, _ in want))
+    assert sum(triples) == {1: 8, 2: 384, 3: 15956}[d]
+
+
 @errors.metered
 def status_list_orders(d):
     """The former invariant-order search on one status list (None, True or
     False per class), the oracle for the bitmask one: the orders found and
     the steps charged."""
-    by_first, diag, pairs, names = definable._composition_by_first(d)
+    by_first, diag, pairs, names = list_composition_table(d)
     results = []
     status = [None] * len(names)
 
@@ -1154,7 +1216,7 @@ def test_orbit_and_order_descriptors_are_pinned():
 def old_composition_by_first(classes):
     """The former string-keyed composition table, from the descriptors of
     all ordered pairs of the 3d-atom sample's points, given as rows; the
-    oracle for definable._composition_by_first."""
+    oracle for definable._composition_table."""
     diag = classes[0][0]
     comp = set()
     swaps = set()
@@ -1171,10 +1233,11 @@ def old_composition_by_first(classes):
 
 
 def named_table(table):
-    """The table of definable._composition_by_first, on class ids, in the
+    """The table of definable._composition_table, on class ids, in the
     former string-keyed form: the descriptor triples per first descriptor,
     the diagonal's descriptor and the pairs as descriptor pairs."""
-    by_first, diag, pairs, names = table
+    masks, _, diag, pairs, names = table
+    by_first = [expand(groups) for groups in masks]
     triples = {names[c]: [(names[c], names[a], names[b]) for a, b in rest] for c, rest in enumerate(by_first) if rest}
     return triples, names[diag], [(names[a], names[b]) for a, b in pairs]
 
@@ -1190,7 +1253,7 @@ def test_composition_table_matches_fraction_oracle(d):
     # the descriptors of concrete point pairs over Fraction atoms
     points = [Point(0, c) for c in itertools.combinations(make_sample(DLO, 3 * d).atoms, d)]
     classes = [[tuple_type((p, q), DLO) for q in points] for p in points]
-    table = named_table(definable._composition_by_first(d))
+    table = named_table(definable._composition_table(d))
     assert composition_as_sets(table) == composition_as_sets(old_composition_by_first(classes))
 
 
@@ -1200,7 +1263,7 @@ def test_composition_table_matches_string_keyed_table(d):
     # composition table was built before its classes became integer ids
     points = [(0, tuple((k, 0) for k in c)) for c in itertools.combinations(range(3 * d), d)]
     classes = [[definable._type(*definable._pattern((p, q)), DLO, False) for q in points] for p in points]
-    table = named_table(definable._composition_by_first(d))
+    table = named_table(definable._composition_table(d))
     assert composition_as_sets(table) == composition_as_sets(old_composition_by_first(classes))
 
 
@@ -1307,12 +1370,12 @@ def test_classify_signed_lex_matches_per_call_walk(d):
 
 def test_order_tables_are_immutable_and_repeat():
     for d in (1, 2, 3):
-        table = definable._composition_by_first(d)
-        by_first, _, pairs, names = table
-        assert all(isinstance(part, tuple) for part in (table, by_first, pairs, names))
-        assert all(isinstance(rest, tuple) for rest in by_first)
-        assert all(isinstance(pair, tuple) for rest in by_first for pair in rest)
-        assert definable._composition_by_first(d) == table
+        table = definable._composition_table(d)
+        masks, triples, _, pairs, names = table
+        assert all(isinstance(part, tuple) for part in (table, masks, triples, pairs, names))
+        assert all(isinstance(rest, tuple) for rest in masks)
+        assert all(isinstance(pair, tuple) for rest in masks for pair in rest)
+        assert definable._composition_table(d) == table
         reps = definable._pair_reps(d)
         assert isinstance(reps, tuple) and all(isinstance(rep, tuple) for rep in reps)
         assert definable._pair_reps(d) == reps
@@ -1325,7 +1388,7 @@ def test_over_budget_first_calls_leave_the_caches_sound(monkeypatch):
     # the first call of a process raises under a tiny budget; the next, under
     # the normal one, answers in full
     jord3 = increasing_tuple_structure(3)
-    definable._composition_by_first.cache_clear()
+    definable._composition_table.cache_clear()
     definable._pair_reps.cache_clear()
     monkeypatch.setattr(errors, "WORK_BUDGET", 10)
     with pytest.raises(TooLarge, match="work budget"):
@@ -1362,14 +1425,14 @@ def test_classify_signed_lex_past_the_budget_raises():
 
 
 def test_order_calls_reject_dimension_below_one():
-    before = definable._pair_reps.cache_info(), definable._composition_by_first.cache_info()
+    before = definable._pair_reps.cache_info(), definable._composition_table.cache_info()
     for d in (0, -1):
         with pytest.raises(InvalidDimension):
             classify_signed_lex((), d)
     with pytest.raises(InvalidDimension):
         enumerate_invariant_orders(DefStructure(DLO, (Sort("t", 0),), ()))
     # rejected before any cache lookup
-    assert (definable._pair_reps.cache_info(), definable._composition_by_first.cache_info()) == before
+    assert (definable._pair_reps.cache_info(), definable._composition_table.cache_info()) == before
 
 
 def test_sampling_functorial_small():
@@ -1549,6 +1612,62 @@ def test_plan_reads_only_the_coordinates_a_formula_names():
         assert all(reads is None for *_, reads in definable._plan(D, [0] * 3))
     assert fm.positions(fm.Or(fm.Less(0, 4), fm.Not(fm.Label(2, 1)), fm.TRUE)) == {0, 2, 4}
     assert fm.positions(fm.FALSE) == frozenset()
+
+
+def reads_cases():
+    """Every definable gallery object, Jord1 squared, 50 seeded random
+    structures and 50 whose formulas read few coordinates."""
+    rng = random.Random(47)
+    cases = [(name, build()) for name, build in sorted(gallery._definable_registry().items())]
+    cases.append(("jord1^2", full_power_def(increasing_tuple_structure(1), 2)))
+    cases += [(f"random {i}", random_def_structure(rng)) for i in range(50)]
+    return cases + [(f"subset {i}", subset_reading_structure(rng)) for i in range(50)]
+
+
+def test_reads_are_the_positions_of_each_clause():
+    for name, D in reads_cases():
+        assert D.reads == tuple(fm.positions(clause.formula) for clause in D.clauses), name
+
+
+def old_compiled(phi, widths):
+    """The former definable._compiled, without its cache: the scan of phi
+    on groups of these widths and, per group, the coordinates phi reads, or
+    None in their place when it reads every coordinate of every group."""
+    read, coords, start = fm.positions(phi), [], 0
+    for width in widths:
+        coords.append(tuple(c for c in range(width) if start + c in read))
+        start += width
+    every = all(len(cs) == width for cs, width in zip(coords, widths))
+    return fm.compile_scan(phi, widths), None if every else tuple(coords)
+
+
+def compiled_plan(D, sorts):
+    """The former definable._plan, which read each clause's coordinates
+    through _compiled; the oracle for the plan built from D.reads."""
+    groups = {}
+    for ids in {ids for guard in D.guards for entry in guard for _, ids in entry}:
+        chosen = set(ids)
+        groups[ids] = [pid for pid, si in enumerate(sorts) if si in chosen]
+    index = {name: r for r, name in enumerate(D.signature().names())}
+    plan = []
+    for clause, guard in zip(D.clauses, D.guards):
+        for parts in itertools.product(*guard):
+            if all(groups[ids] for _, ids in parts):
+                scan, coords = old_compiled(clause.formula, tuple(dim for dim, _ in parts))
+                reads = None if coords is None else [(ids, cs) for (_, ids), cs in zip(parts, coords)]
+                plan.append((index[clause.name], scan, [groups[ids] for _, ids in parts], reads))
+    return plan
+
+
+def test_plan_matches_compiled_plan():
+    # the same entries, scans included (compile_scan caches them), on the
+    # sorts of points sampled at 0..3 atoms and shuffled
+    rng = random.Random(53)
+    for name, D in reads_cases():
+        for k in range(4):
+            sorts = [p.sort for p in sample(D, make_sample(D.base, k)).points]
+            for order in (sorts, rng.sample(sorts, len(sorts))):
+                assert definable._plan(D, order) == compiled_plan(D, order), (name, k)
 
 
 def test_induce_on_points_rejects_points_of_no_sort():

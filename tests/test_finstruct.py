@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import time
 from typing import Optional
 
@@ -92,6 +93,16 @@ def test_relation_checks_name_the_offender(kind):
     assert rel == frozenset({(0, 1), (2, 2)})
     # a frozenset is kept as it is, anything else is copied into one
     assert (rel is given) == (kind is frozenset)
+
+
+@pytest.mark.parametrize("arity", [1.9, "2", True, 0], ids=["float", "str", "bool", "zero"])
+def test_signature_accepts_only_positive_int_arities(arity):
+    with pytest.raises(SignatureMismatch, match=f"relation 'E' has arity {re.escape(repr(arity))}$"):
+        Signature((("E", arity),))
+    # checked before sorting, which would compare the two arities of "E"
+    with pytest.raises(SignatureMismatch, match=re.escape(repr(arity))):
+        Signature((("E", 2), ("E", arity)))
+    assert Signature((("E", 2), ("D", 1))).relations == (("D", 1), ("E", 2))
 
 
 def test_disjoint_union():
