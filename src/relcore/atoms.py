@@ -117,8 +117,13 @@ class AtomSample:
         return iter(self.atoms)
 
     def restrict(self, indices: Iterable[int]) -> "AtomSample":
-        """The sample of the atoms at these indices; an index outside
-        0..len-1 raises InvalidElement before any atom is read."""
+        """The sample of the atoms at these indices; an index that is not an
+        int (a bool included) or lies outside 0..len-1 raises InvalidElement
+        before any atom is read."""
+        indices = list(indices)
+        for i in indices:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise InvalidElement(f"atom index {i!r} is not an int")
         kept = sorted(set(indices))
         bad = [i for i in kept if not 0 <= i < len(self.atoms)]
         if bad:

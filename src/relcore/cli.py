@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="relcore",
         description="Exact computation with finite and orbit-finite relational structures.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample a definable structure on a finite atom set")
@@ -289,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, help="suite name or 'all'")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -588,8 +588,7 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
     encodings are compared directly: within one call the size and the
     relation order are fixed, so they are equal exactly when the induced
     structures are isomorphic.  Orbits that induce identical relations
-    share one canonical search, and a repeat is charged the steps that the
-    first search charged, so the meter reads as if every orbit ran its own.
+    share one canonical search, and a repeat charges nothing for it.
     """
     if mode not in ("base", "homogeneous", "reversal"):
         raise Unsupported(f"unknown growth mode {mode!r}")
@@ -605,10 +604,9 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
         return sum(1 for _ in orbits)
     # the sampling charge and the plan of each sequence of point sorts
     plans: dict[tuple, tuple] = {}
-    # the steps charged by the canonical search of each distinct induced
-    # structure, keyed by its relations' sorted tuples, each flattened into
-    # one tuple
-    searched: dict[tuple, int] = {}
+    # the distinct induced structures searched, each keyed by its
+    # relations' sorted tuples, each flattened into one tuple
+    searched: set[tuple] = set()
     forms = set()
     for word, shape in orbits:
         sorts = tuple(si for si, _ in shape)
@@ -620,13 +618,9 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
         words = [tuple([(k, word[k]) for k in slots]) for _, slots in shape]
         rels = _run(plan[1], words, len(sig.relations))
         key = tuple([tuple(itertools.chain.from_iterable(sorted(ts))) for ts in rels])
-        steps = searched.get(key)
-        if steps is None:
-            before = headroom()
+        if key not in searched:
+            searched.add(key)
             forms.add(_canonical_encoding(n, rels))
-            searched[key] = before - headroom()
-        else:
-            charge(steps, "canonical form")
     if mode == "reversal":
         # the reversed encoding depends only on the class
         forms = {min(form, _canonical_encoding(n, [{t[::-1] for t in ts} for ts in form])) for form in forms}

@@ -11,7 +11,6 @@ the two-order companion of the generic permutation.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -32,7 +31,6 @@ from .errors import (
     KernelViolation,
     TooSmall,
     charge,
-    headroom,
     metered,
     parsing,
 )
@@ -247,29 +245,19 @@ def oriented_atom_action(xs: SampleResult, atoms: AtomSample, alpha: Sequence[in
 
 
 def is_sample_automorphism(structure: FinStructure, perm: Sequence[int]) -> bool:
-    """Bijection preserving every relation in both directions."""
-    if sorted(perm) != list(range(structure.size)):
-        return False
-    if hom_violations(structure, structure, perm):
-        return False
-    inverse = [0] * structure.size
-    for x, y in enumerate(perm):
-        inverse[y] = x
-    return not hom_violations(structure, structure, inverse)
+    """Bijection preserving every relation.  A bijection that maps a finite
+    relation into itself maps it onto itself, so its inverse preserves the
+    relations too."""
+    return sorted(perm) == list(range(structure.size)) and not hom_violations(structure, structure, perm)
 
 
-def _count_generators(atom_count: int, sorts: int, rotations: bool) -> None:
-    """Charge n steps for each of the atom_count! atom permutations and, with
-    rotations, each of the 2^C(atom_count, 2) fiber rotations to the work
-    budget before any generator is built; n = sorts * C(atom_count, 2) is
-    the number of points each generator moves.  Once x reaches the
-    headroom's bit length b (at least 4), x! and 2^x both exceed the
-    headroom, so they are computed from arguments capped at b."""
-    b = max(headroom().bit_length(), 4)
-    k = max(atom_count, 0)
-    pairs = math.comb(k, 2)
-    count = math.factorial(min(k, b)) + (2 ** min(pairs, b) if rotations else 0)
-    charge(sorts * pairs * count, f"group generators on {atom_count} atoms")
+def _two_generators(atom_count: int) -> list[tuple[int, ...]]:
+    """A transposition and a k-cycle of the atoms, which generate all
+    atom_count! permutations; both are the identity below two atoms."""
+    identity = tuple(range(atom_count))
+    if atom_count < 2:
+        return [identity, identity]
+    return [(1, 0) + identity[2:], identity[1:] + (0,)]
 
 
 @metered
@@ -278,14 +266,14 @@ def _involution_scan(gens: list[tuple[int, ...]]):
     sorted order, and the first pair of them that does not commute (None
     when all commute).
 
-    Every composition charges one step to the work budget and every group
-    element stored n more, n being the degree.
+    Every composition and every group element stored charges n steps to
+    the work budget, n being the degree.
     """
     n = len(gens[0]) if gens else 0
 
     def compose(p, q):
         """Apply q first, then p."""
-        charge(1, "involution scan")
+        charge(n, "involution scan")
         return tuple(p[x] for x in q)
 
     group = set(gens)
@@ -313,45 +301,46 @@ def involution_report(atom_count: int) -> dict:
     """Generate the lift-and-rotation group on a tagged cover sample and
     inspect its involutions.
 
-    Reports whether all involutions pairwise commute and whether they are
-    exactly the exponent-2 fiber rotations.  The atom_count! lifts and the
-    2^C(atom_count, 2) rotations that generate the group are charged to
-    the work budget before any is built, each as the number of points it
-    moves; the samples and the scan charge the same meter.
+    The group is generated by the lifts of a transposition and a k-cycle
+    of the atoms and one exponent-2 rotation per fiber: a product of
+    lifts differs from the lift of the product only by exponent-2
+    rotations, so these give every lift and every rotation.  Reports
+    whether all involutions pairwise commute and whether each is the
+    exponent-2 rotation of the fibers it moves (every such rotation is a
+    product of the generators, so the involutions are then exactly the
+    rotations).  The samples and the scan charge one meter.
     """
-    _count_generators(atom_count, TAGS, rotations=True)
     cs = pair_cover().sample(make_sample(DLO, atom_count))
-    pairs = cs.base.structure.size
-    lifts = [lift_atom_permutation(cs, alpha) for alpha in itertools.permutations(range(atom_count))]
-    rotations = [
-        fiber_rotation(cs, subset, 2)
-        for r in range(pairs + 1)
-        for subset in itertools.combinations(range(pairs), r)
-    ]
+    lifts = [lift_atom_permutation(cs, alpha) for alpha in _two_generators(atom_count)]
+    rotations = [fiber_rotation(cs, [b], 2) for b in range(cs.base.structure.size)]
     group, involutions, witness = _involution_scan(lifts + rotations)
-    identity = tuple(range(cs.total.structure.size))
+
+    def is_rotation(g: tuple[int, ...]) -> bool:
+        moved = {cs.projection[x] for x, y in enumerate(g) if x != y}
+        return g == fiber_rotation(cs, moved, 2)
+
     return {
         "atoms": atom_count,
         "group_order": len(group),
         "involution_count": len(involutions),
         "all_commute": witness is None,
-        "involutions_are_fiber_rotations": set(involutions) == set(rotations) - {identity},
+        "involutions_are_fiber_rotations": all(map(is_rotation, involutions)),
     }
 
 
 @metered
 def orientation_control_report(atom_count: int = 3) -> dict:
-    """Same involution scan over the oriented-pair structure, charging one
-    work meter.
+    """Same involution scan over the oriented-pair structure, with the
+    oriented actions of a transposition and a k-cycle as generators,
+    charging one work meter.
 
     Here atom transpositions act with the tag untouched, so they are
     involutions, and overlapping transpositions fail to commute.
     """
-    _count_generators(atom_count, 2 * TAGS, rotations=False)
     atoms = make_sample(DLO, atom_count)
     xs = sample(tagged_pair_structure(), atoms)
-    perms = itertools.permutations(range(atom_count))
-    group, involutions, witness = _involution_scan([oriented_atom_action(xs, atoms, a) for a in perms])
+    gens = [oriented_atom_action(xs, atoms, alpha) for alpha in _two_generators(atom_count)]
+    group, involutions, witness = _involution_scan(gens)
     return {
         "atoms": atom_count,
         "group_order": len(group),

@@ -276,14 +276,17 @@ def suite_growth() -> Report:
 
     def check_betw():
         s2 = gallery.dense_local_order()
-        up = [unlabelled_growth(s2, n, "homogeneous") for n in range(1, max_n + 1)]
+        up = [local_order_count(n) for n in range(1, max_n + 1)]
         down = [growth_up_to_reversal(s2, n) for n in range(1, max_n + 1)]
         for a, b in zip(up, down):
             assert b <= a, f"quotient exceeded the unquotiented count: {down} vs {up}"
             assert 2 * b >= a, "quotient merged more than pairs"
         assert down[max_n - 1] < up[max_n - 1], "reversal quotient must be strictly coarser"
         assert 4 * down[max_n - 1] <= 3 * up[max_n - 1], "ratio should approach one half"
-        return f"sequence {down} (pair-graph counts {up})"
+        betw = gallery.betweenness_reduct()
+        reduct = [unlabelled_growth(betw, n, "homogeneous") for n in range(1, 7)]
+        assert reduct == down[:6], f"betweenness reduct {reduct} vs S2 up to reversal {down[:6]}"
+        return f"sequence {down} (local-order counts {up}, betweenness reduct {reduct})"
 
     _run(report, "growth-dense-order", check_dlo)
     _run(report, "growth-partitioned-order", check_qst)

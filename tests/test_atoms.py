@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -80,6 +81,16 @@ def test_restrict_rejects_indices_outside_the_sample(indices, bad):
     A = make_sample(labeled_dlo(2), 4)
     with pytest.raises(InvalidElement, match=f"atom index {bad} outside 0..3"):
         A.restrict(indices)
+
+
+@pytest.mark.parametrize("index", [1.5, "1", True], ids=["float", "str", "bool"])
+def test_restrict_rejects_indices_that_are_not_ints(index):
+    A = make_sample(labeled_dlo(2), 4)
+    with pytest.raises(InvalidElement, match=f"atom index {re.escape(repr(index))} is not an int"):
+        A.restrict([index])
+    # checked before the range, whatever the other indices
+    with pytest.raises(InvalidElement, match="is not an int"):
+        A.restrict([7, index])
 
 
 def test_restrict_keeps_the_atoms_at_valid_indices():

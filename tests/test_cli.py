@@ -241,6 +241,22 @@ def test_verify_single_suite(capsys):
     assert payload["report_version"] == 1
 
 
+def test_verify_takes_the_seed(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "core-engine", "--seed", "1")
+    assert code == 0
+    payload = json.loads(out[out.index("{"):])
+    assert [c["id"] for c in payload["suites"][0]["checks"]] == ["random-cores-seed1"]
+    # no other command reads a seed, so none accepts one
+    for argv in (
+        ["--seed", "1", "verify", "--suite", "spider"],
+        ["sample", "gallery:Jord1", "--atoms", "2", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "sample", "gallery:Y", "--atoms", "4")
     _, out2, _ = run(capsys, "sample", "gallery:Y", "--atoms", "4")

@@ -758,11 +758,12 @@ def test_growth_modes_agree_on_homogeneous_cases():
 
 def test_growth_charges_one_meter(monkeypatch):
     # S2 at n = 5: the orbit enumeration, then each orbit's induced
-    # structure and canonical form, 1,999 steps in all
+    # structure and each distinct induced structure's canonical form, 1,729
+    # steps in all
     s2 = gallery.dense_local_order()
-    monkeypatch.setattr(errors, "WORK_BUDGET", 1999)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1729)
     assert unlabelled_growth(s2, 5, "homogeneous") == 4
-    monkeypatch.setattr(errors, "WORK_BUDGET", 1998)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1728)
     with pytest.raises(TooLarge, match="work budget"):
         unlabelled_growth(s2, 5, "homogeneous")
     # every part fits the smaller budget alone
@@ -773,12 +774,11 @@ def test_growth_charges_one_meter(monkeypatch):
 
 def test_reversal_growth_charges_one_reversed_form_per_class(monkeypatch):
     # S2 at n = 7: the homogeneous charges, then one reversed canonical
-    # encoding for each of the 9 classes, 13,922 steps in all (the per-orbit
-    # reversed forms took 17,282)
+    # encoding for each of the 9 classes, 12,074 steps in all
     s2 = gallery.dense_local_order()
-    monkeypatch.setattr(errors, "WORK_BUDGET", 13922)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 12074)
     assert unlabelled_growth(s2, 7, "reversal") == 9
-    monkeypatch.setattr(errors, "WORK_BUDGET", 13921)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 12073)
     with pytest.raises(TooLarge, match="work budget"):
         unlabelled_growth(s2, 7, "reversal")
 
@@ -801,13 +801,14 @@ def test_growth_searches_each_induced_structure_once(monkeypatch):
         assert len(searches) == count, name
 
 
-def test_growth_charges_a_repeat_what_its_first_search_cost(monkeypatch):
-    # S2 at n = 8 runs 128 searches for 256 orbits and charges 33,835
-    # steps, as when every orbit ran its own search
+def test_growth_charges_only_the_searches_it_runs(monkeypatch):
+    # S2 at n = 8 runs 128 searches for 256 orbits and charges 29,227
+    # steps; a repeated induced structure charges no search (33,835 if
+    # every orbit were charged a search)
     s2 = gallery.dense_local_order()
-    monkeypatch.setattr(errors, "WORK_BUDGET", 33835)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 29227)
     assert unlabelled_growth(s2, 8, "homogeneous") == 16
-    monkeypatch.setattr(errors, "WORK_BUDGET", 33834)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 29226)
     with pytest.raises(TooLarge, match="work budget"):
         unlabelled_growth(s2, 8, "homogeneous")
 
@@ -843,13 +844,23 @@ def growth_and_steps(D, n, mode):
     return unlabelled_growth(D, n, mode), errors._spent.get()
 
 
+# The oracle's count and steps where it passes the budget but the call
+# does not, taken under a budget of 10^7 steps: X at n = 3 (about 13 s) and
+# Johnson at n = 5 (about 6 s).  The 24 are the line graphs of the 26
+# graphs with five edges and no isolated vertex, of which K3 and K1,3 with
+# the same P3 or two disjoint edges beside them have isomorphic line graphs
+# (Whitney's theorem).
+ORACLE_PAST_THE_BUDGET = {("x", 3): (14, 2_161_807), ("johnson", 5): (24, 4_475_343)}
+
+
 @pytest.mark.parametrize("name", sorted(gallery._definable_registry()))
 def test_growth_matches_per_orbit_oracle(name, monkeypatch):
-    # the same count on every definable gallery object for n <= 5;
-    # homogeneous mode charges the same steps, reversal mode (one binary
-    # relation only) no more.  Where the call passes the budget (X at
-    # n = 3 after ~2 s, the oracle after ~12 s) both run again under a
-    # budget of 100,000 steps and must raise at the same charge.
+    # the same count on every definable gallery object for n <= 5, for no
+    # more steps: a repeated induced structure charges no search, and
+    # reversal mode (one binary relation only) one reversed form per
+    # class.  Where the call passes the budget (Jord2 at n = 5, in
+    # sampling after ~1.6 s; X, Y and Jord3 at n = 4 at once) both run
+    # again under a budget of 100,000 steps and must both raise.
     D = gallery.lookup_definable(name)
     rels = D.signature().relations
     modes = ["homogeneous"] + ["reversal"] * (len(rels) == 1 and rels[0][1] == 2)
@@ -861,17 +872,17 @@ def test_growth_matches_per_orbit_oracle(name, monkeypatch):
                     m.setattr(errors, "WORK_BUDGET", 100_000)
                     got = outcome(lambda: growth_and_steps(D, n, mode))
                     want = outcome(lambda: per_orbit_growth(D, n, mode))
-                assert got[0] is TooLarge, (name, mode, n)
+                assert got[0] is TooLarge and want[0] is TooLarge, (name, mode, n)
+                continue
+            if (name, n) in ORACLE_PAST_THE_BUDGET:
+                want = ORACLE_PAST_THE_BUDGET[name, n]
             else:
                 want = outcome(lambda: per_orbit_growth(D, n, mode))
-            if mode == "homogeneous":
-                assert got == want, (name, mode, n)
-            else:
-                assert got[0] == want[0] and got[1] <= want[1], (name, mode, n)
+            assert got[0] == want[0] and got[1] <= want[1], (name, mode, n)
 
 
 def test_growth_past_the_budget_raises_soon():
-    # S2 answers through n = 12 (1,108,505 steps); n = 13 is the slowest
+    # S2 answers through n = 12 (947,513 steps); n = 13 is the slowest
     # level to raise, in sampling after a few seconds instead of running for
     # minutes (n = 16 raises in the orbit pre-count, at once)
     start = time.perf_counter()

@@ -1,5 +1,8 @@
 import itertools
+import math
+import random
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,12 +15,14 @@ from relcore.finstruct import (
     FinStructure,
     Hom,
     compute_core,
+    enumerate_endos,
     find_hom,
     hom_violations,
     is_core,
 )
 from relcore import errors, gallery
 from relcore import formulas as fm
+from relcore.verify import random_structure
 
 
 def x_pid(xs, a, b, m):
@@ -488,35 +493,113 @@ def test_atom_actions_validate_alpha():
 
 
 def test_involution_scan_work_budget(monkeypatch):
-    # two transpositions generating S3 on three points, n = 3: the two
-    # generators stored (6), 2 * 6 compositions in the closure (12), the 4
-    # further elements stored (12), one square per non-identity element (5),
-    # and two compositions for the first pair of involutions, which already
-    # fails to commute (2)
+    # two transpositions generating S3 on three points, n = 3 steps per
+    # composition and per element stored: the two generators stored (6),
+    # 2 * 6 compositions in the closure (36), the 4 further elements stored
+    # (12), one square per non-identity element (15), and two compositions
+    # for the first pair of involutions, which already fails to commute (6)
     gens = [(1, 0, 2), (0, 2, 1)]
-    monkeypatch.setattr(errors, "WORK_BUDGET", 37)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 75)
     group, involutions, witness = gallery._involution_scan(gens)
     assert len(group) == 6
     assert involutions == [(0, 2, 1), (1, 0, 2), (2, 1, 0)]
     assert witness == ((0, 2, 1), (1, 0, 2))
-    monkeypatch.setattr(errors, "WORK_BUDGET", 36)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 74)
     with pytest.raises(TooLarge, match="work budget"):
         gallery._involution_scan(gens)
 
 
-def test_generator_count_work_budget(monkeypatch):
-    # three atoms: 3! lifts and 2^3 rotations, each moving 4 * 3 points
-    monkeypatch.setattr(errors, "WORK_BUDGET", 168)
-    gallery._count_generators(3, gallery.TAGS, rotations=True)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 167)
-    with pytest.raises(TooLarge, match="work budget"):
-        gallery._count_generators(3, gallery.TAGS, rotations=True)
-    # 3! oriented actions, each moving 8 * 3 points
-    monkeypatch.setattr(errors, "WORK_BUDGET", 144)
-    gallery._count_generators(3, 2 * gallery.TAGS, rotations=False)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 143)
-    with pytest.raises(TooLarge, match="work budget"):
-        gallery._count_generators(3, 2 * gallery.TAGS, rotations=False)
+# The former generator lists, kept as oracles for the generating sets: every
+# lift and every subset rotation on the cover, every oriented action on the
+# tagged ordered pairs.
+
+
+def old_cover_generators(cs, k):
+    pairs = cs.base.structure.size
+    lifts = [gallery.lift_atom_permutation(cs, alpha) for alpha in itertools.permutations(range(k))]
+    rotations = [
+        gallery.fiber_rotation(cs, subset, 2)
+        for r in range(pairs + 1)
+        for subset in itertools.combinations(range(pairs), r)
+    ]
+    return lifts + rotations
+
+
+def old_control_generators(xs, atoms, k):
+    return [gallery.oriented_atom_action(xs, atoms, alpha) for alpha in itertools.permutations(range(k))]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_reports_scan_the_groups_of_every_lift_and_rotation(k, monkeypatch):
+    # the reports' generating sets give the same group, involutions and
+    # non-commuting witness as the former lists; at k = 4 the former 24
+    # lifts and 64 rotations of 24 points pass the work budget
+    scans = []
+    scan = gallery._involution_scan
+
+    def recorded(gens):
+        result = scan(gens)
+        scans.append((gens, result))
+        return result
+
+    monkeypatch.setattr(gallery, "_involution_scan", recorded)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 10**7)
+    gallery.involution_report(k)
+    gallery.orientation_control_report(k)
+    (cover_gens, cover), (control_gens, control) = scans
+    assert len(cover_gens) <= 2 + math.comb(k, 2)
+    assert len(control_gens) <= 2
+    atoms = make_sample(DLO, k)
+    cs = gallery.pair_cover().sample(atoms)
+    xs = sample(gallery.tagged_pair_structure(), atoms)
+    assert cover == scan(old_cover_generators(cs, k))
+    assert control == scan(old_control_generators(xs, atoms, k))
+
+
+def two_sided_automorphism(structure, perm):
+    """The former check, the oracle for is_sample_automorphism: a bijection
+    that preserves every relation and whose inverse does too."""
+    if sorted(perm) != list(range(structure.size)):
+        return False
+    if hom_violations(structure, structure, perm):
+        return False
+    inverse = [0] * structure.size
+    for x, y in enumerate(perm):
+        inverse[y] = x
+    return not hom_violations(structure, structure, inverse)
+
+
+def closed_under(structure, perm):
+    """The least structure with structure's tuples that perm preserves."""
+    rels = {}
+    for name, ts in structure.relations.items():
+        closed = set()
+        for t in ts:
+            while t not in closed:
+                closed.add(t)
+                t = tuple(perm[x] for x in t)
+        rels[name] = frozenset(closed)
+    return FinStructure(structure.signature, structure.size, rels)
+
+
+def test_sample_automorphism_matches_two_sided_check():
+    # random permutations, of random structures and of the structures they
+    # were closed under, and the first endomorphisms of both; over a hundred
+    # of the bijections other than the identity are automorphisms, and over
+    # a hundred are not
+    rng = random.Random(25)
+    verdicts = Counter()
+    for _ in range(200):
+        s = random_structure(rng, max_size=6)
+        perm = list(range(s.size))
+        rng.shuffle(perm)
+        for t in (s, closed_under(s, perm)):
+            for m in [tuple(perm)] + [h.mapping for h in enumerate_endos(t, limit=20)]:
+                got = gallery.is_sample_automorphism(t, m)
+                assert got == two_sided_automorphism(t, m), (t, m)
+                if sorted(m) == list(range(t.size)) != list(m):
+                    verdicts[got] += 1
+    assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts
 
 
 @pytest.mark.parametrize(
