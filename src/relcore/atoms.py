@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import BaseMismatch, InvalidElement, InvalidLabel, charge, json_int, parsing
+from .errors import BaseMismatch, InvalidElement, InvalidLabel, charge, json_int, parsing, require_ints
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,7 @@ class AtomSample:
         int (a bool included) or lies outside 0..len-1 raises InvalidElement
         before any atom is read."""
         indices = list(indices)
-        for i in indices:
-            if isinstance(i, bool) or not isinstance(i, int):
-                raise InvalidElement(f"atom index {i!r} is not an int")
+        require_ints(indices, "atom index")
         kept = sorted(set(indices))
         bad = [i for i in kept if not 0 <= i < len(self.atoms)]
         if bad:

@@ -94,8 +94,8 @@ class DefStructure:
     # (dim, indices) pair per dim, both ascending.  Built here, the one
     # place that reads guard entries.
     guards: tuple = field(init=False, repr=False, compare=False)
-    # reads[c]: the positions clause c's formula reads (see
-    # formulas.positions), taken once every formula has passed fm.check.
+    # reads[c]: the positions clause c's formula reads, from the same
+    # fm.check walk that rejects a formula not over the base.
     reads: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,7 +105,7 @@ class DefStructure:
         if len(index) != len(self.sorts):
             raise SignatureMismatch(f"duplicate sort names in {[s.name for s in self.sorts]}")
         arities: dict[str, int] = {}
-        guards = []
+        guards, reads = [], []
         for clause in self.clauses:
             prev = arities.setdefault(clause.name, clause.arity)
             if prev != clause.arity:
@@ -124,7 +124,8 @@ class DefStructure:
                 for i in sorted(index[n] for n in named):
                     by_dim.setdefault(self.sorts[i].dim, []).append(i)
                 guard.append(tuple((dim, tuple(by_dim[dim])) for dim in sorted(by_dim)))
-            top = fm.check(clause.formula, self.base)
+            read = fm.check(clause.formula, self.base)
+            top = max(read, default=-1)
             # every guarded sort combination is at least this long
             least = sum(entry[0][0] for entry in guard if entry)
             if all(guard) and top >= least:
@@ -132,8 +133,9 @@ class DefStructure:
                     f"clause {clause.name!r} uses position {top} on sorts totalling {least} coordinates"
                 )
             guards.append(tuple(guard))
+            reads.append(read)
         object.__setattr__(self, "guards", tuple(guards))
-        object.__setattr__(self, "reads", tuple(fm.positions(c.formula) for c in self.clauses))
+        object.__setattr__(self, "reads", tuple(reads))
 
     def max_dim(self) -> int:
         return max((s.dim for s in self.sorts), default=0)
@@ -336,10 +338,6 @@ def disjoint_union_def(left: DefStructure, right: DefStructure) -> DefStructure:
     return DefStructure(left.base, tuple(sorts), tuple(clauses))
 
 
-def _pattern_name(rows) -> str:
-    return "p[" + "|".join(",".join(map(str, r)) for r in rows) + "]"
-
-
 @metered
 def full_power_def(D: DefStructure, d: int) -> DefStructure:
     """Power structure on d-tuples of points, in support-pattern normal form.
@@ -360,7 +358,8 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
     m = D.sorts[0].dim
     orbits = _orbits(DefStructure(DLO, (Sort("t", m),), ()), d, False)
     patterns = [tuple(slots for _, slots in shape) for _, shape in orbits]
-    sorts = tuple(Sort(_pattern_name(rows), len(set().union(*rows))) for rows in patterns)
+    names = ("p[" + "|".join(",".join(map(str, r)) for r in rows) + "]" for rows in patterns)
+    sorts = tuple(Sort(name, len(set().union(*rows))) for name, rows in zip(names, patterns))
     named = {s.name: rows for s, rows in zip(sorts, patterns)}
 
     merged: dict[str, tuple[int, fm.Formula]] = {}
@@ -394,16 +393,6 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
                     RelationClause(rel_name, k, tuple(s.name for s in combo), body)
                 )
     return DefStructure(D.base, sorts, tuple(clauses))
-
-
-def _pattern(encoded: Sequence):
-    """Support pattern of encoded points: the labels of their support in
-    rank order, and each point as (sort, slots into that support)."""
-    labels = dict(a for _, word in encoded for a in word)
-    ranks = sorted(labels)
-    slot = {r: i for i, r in enumerate(ranks)}
-    shape = [(si, tuple(slot[r] for r, _ in word)) for si, word in encoded]
-    return tuple(labels[r] for r in ranks), shape
 
 
 def _type(word, shape, base: AtomBase, as_set: bool):
@@ -605,7 +594,7 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
     # the sampling charge and the plan of each sequence of point sorts
     plans: dict[tuple, tuple] = {}
     # the distinct induced structures searched, each keyed by its
-    # relations' sorted tuples, each flattened into one tuple
+    # relations' tuple sets
     searched: set[tuple] = set()
     forms = set()
     for word, shape in orbits:
@@ -617,7 +606,7 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
         charge(plan[0], "sampling")
         words = [tuple([(k, word[k]) for k in slots]) for _, slots in shape]
         rels = _run(plan[1], words, len(sig.relations))
-        key = tuple([tuple(itertools.chain.from_iterable(sorted(ts))) for ts in rels])
+        key = tuple(map(frozenset, rels))
         if key not in searched:
             searched.add(key)
             forms.add(_canonical_encoding(n, rels))
@@ -715,7 +704,8 @@ def _composition_table(d: int):
     first, and the pairs are sorted by descriptors.
 
     A pair (p, q) is keyed by its interleaving: for each atom of p or q in
-    value order, 1, 2 or 3 as p, q or both hold it.
+    value order, 1, 2 or 3 as p, q or both hold it; a new class is named
+    from its key, p holding the atoms with bit 1 and q those with bit 2.
     """
     points = list(itertools.combinations(range(3 * d), d))
     masks = [sum(1 << k for k in p) for p in points]
@@ -731,7 +721,8 @@ def _composition_table(d: int):
             c = ids.get(key)
             if c is None:
                 c = ids[key] = len(names)
-                names.append(_type(*_pattern([(0, tuple((k, 0) for k in x)) for x in (p, q)]), DLO, False))
+                shape = [(0, tuple(k for k, b in enumerate(key) if b & bit)) for bit in (1, 2)]
+                names.append(_type((0,) * len(key), shape, DLO, False))
             row.append(c)
         classes.append(row)
     # per union m of two points, the points k that fill m up to an initial segment

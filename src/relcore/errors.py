@@ -71,6 +71,13 @@ def parsing(what: str):
         raise InvalidInput(f"malformed {what} ({type(exc).__name__}: {exc})") from exc
 
 
+def require_ints(values, what: str, error: type = InvalidElement) -> None:
+    """Raise error on the first value that is not an int, a bool included."""
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise error(f"{what} {x!r} is not an int")
+
+
 def json_int(value) -> int:
     """A JSON integer as an int; a float, string or boolean raises TypeError,
     which parsing reports as InvalidInput."""

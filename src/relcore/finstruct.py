@@ -31,6 +31,7 @@ from .errors import (
     json_int,
     metered,
     parsing,
+    require_ints,
 )
 
 
@@ -72,6 +73,7 @@ class FinStructure:
     relations: dict[str, frozenset[tuple[int, ...]]] = field(default_factory=dict)
 
     def __post_init__(self):
+        require_ints([self.size], "domain size")
         if self.size < 0:
             raise InvalidElement(f"domain size must be >= 0, got {self.size}")
         rels = {}
@@ -150,6 +152,7 @@ class Hom:
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", tuple(self.mapping))
+        require_ints(self.mapping, "image")
         if self.source.signature != self.target.signature:
             raise SignatureMismatch("source and target signatures differ")
         problems = hom_violations(self.source, self.target, self.mapping)
@@ -187,6 +190,8 @@ def induced_substructure(
     Returns the new structure together with the translation table old_ids,
     where old_ids[new_id] is the original element.
     """
+    subset = list(subset)
+    require_ints(subset, "element")
     old_ids = tuple(sorted(set(subset)))
     for x in old_ids:
         if not 0 <= x < structure.size:
@@ -269,10 +274,7 @@ class _TargetTables:
         self.adjacent: list[list[int]] = []
         for name, arity in target.signature.relations:
             rel, held = target.relations[name], 0
-            if arity == 1:
-                for (w,) in rel:
-                    held |= 1 << w
-            elif arity == 2:
+            if arity == 2:
                 out, inn = [0] * m, [0] * m
                 for a, b in rel:
                     out[a] |= 1 << b
@@ -381,10 +383,8 @@ class _HomSearch:
             if mode == "iso" and len(s_rel) != len(t_rel):
                 return
             # on: the source elements x with (x, ..., x) in the relation
-            if arity == 1:
-                on = {v for (v,) in s_rel}
-            elif arity == 2:
-                on = set()
+            on = set()
+            if arity == 2:
                 for a, b in s_rel:
                     if a != b:
                         kind[a, b] = kind.get((a, b), 0) | 1 << i
@@ -393,7 +393,6 @@ class _HomSearch:
                         on.add(a)
                 i += 2
             else:
-                on = set()
                 for t in s_rel:
                     elements = set(t)
                     if len(elements) == 1:
@@ -546,19 +545,6 @@ class _HomSearch:
         return solutions
 
 
-def _search(
-    source: FinStructure,
-    target: FinStructure,
-    mode: str,
-    partial: Optional[dict[int, int]],
-    lexicographic: bool,
-    limit: Optional[int],
-    avoid: Optional[int] = None,
-) -> list[tuple[int, ...]]:
-    """One run of a fresh `_HomSearch`: for callers that search a pair once."""
-    return _HomSearch(source, target, mode).run(partial, lexicographic, limit, avoid)
-
-
 def find_hom(
     source: FinStructure,
     target: FinStructure,
@@ -566,7 +552,9 @@ def find_hom(
     partial: Optional[dict[int, int]] = None,
 ) -> Optional[Hom]:
     """First map found by the deterministic search, or None if exhausted."""
-    found = _search(source, target, mode, partial, lexicographic=False, limit=1)
+    if partial:
+        require_ints(itertools.chain.from_iterable(partial.items()), "partial entry")
+    found = _HomSearch(source, target, mode).run(partial, lexicographic=False, limit=1)
     if not found:
         return None
     return Hom(source, target, found[0])
@@ -574,9 +562,11 @@ def find_hom(
 
 def enumerate_endos(structure: FinStructure, limit: Optional[int] = None) -> list[Hom]:
     """All endomorphisms in lexicographic order of the map, up to limit."""
-    if limit is not None and limit < 0:
-        raise InvalidInput(f"endomorphism limit must be >= 0, got {limit}")
-    found = _search(structure, structure, "hom", None, lexicographic=True, limit=limit)
+    if limit is not None:
+        require_ints([limit], "endomorphism limit", InvalidInput)
+        if limit < 0:
+            raise InvalidInput(f"endomorphism limit must be >= 0, got {limit}")
+    found = _HomSearch(structure, structure, "hom").run(None, lexicographic=True, limit=limit)
     return [Hom(structure, structure, m) for m in found]
 
 

@@ -8,11 +8,11 @@ flat: a binary relation between d-dimensional points uses positions
 
 `evaluate` interprets a formula on concrete atoms and is the reference
 semantics.  `check` rejects a formula that is not one over a given
-base, once, before it is used.  `compile_scan` generates Python source for
-a checked formula on encoded environments, each atom given as its value
-rank and its label: a loop over guard combinations of fixed-width words,
-which is how sampling evaluates clauses.  `positions` names the positions
-a formula reads, so that sampling can run that loop once per point type.
+base, once, before it is used, and names the positions it reads.
+`compile_scan` generates Python source for a checked formula on encoded
+environments, each atom given as its value rank and its label: a loop over
+guard combinations of fixed-width words, which is how sampling evaluates
+clauses, once per type of the points at the positions read.
 """
 
 from __future__ import annotations
@@ -109,10 +109,8 @@ def evaluate(phi: Formula, env: Sequence[Atom], base: Optional[AtomBase] = None)
         if base is not None and phi.label >= base.alphabet:
             raise InvalidLabel(f"label {phi.label} outside alphabet {base.alphabet}")
         return env[phi.i].label == phi.label
-    if isinstance(phi, And):
-        return all(evaluate(f, env, base) for f in phi.args)
-    if isinstance(phi, Or):
-        return any(evaluate(f, env, base) for f in phi.args)
+    if isinstance(phi, (And, Or)):
+        return (all if isinstance(phi, And) else any)(evaluate(f, env, base) for f in phi.args)
     if isinstance(phi, Not):
         return not evaluate(phi.arg, env, base)
     raise TypeError(f"not a formula: {phi!r}")
@@ -123,44 +121,31 @@ def _check(i: int, env: Sequence[Atom]):
         raise ArityMismatch(_outside(i, len(env)))
 
 
-def check(phi: Formula, base: AtomBase) -> int:
-    """Largest position index in phi, or -1 if none, after checking that
-    every node is a formula over base.  The first bad node, left to right,
-    raises: Less under an unordered base OrderNotAvailable, a label outside
-    the alphabet InvalidLabel, a negative position ArityMismatch, anything
-    else TypeError.  A formula that passes never makes `evaluate` raise on
-    an environment longer than its largest position."""
+def check(phi: Formula, base: AtomBase) -> frozenset:
+    """The positions phi reads, those of its Less, Eq and Label nodes,
+    after checking that every node is a formula over base.  The first bad
+    node, left to right, raises: Less under an unordered base
+    OrderNotAvailable, a label outside the alphabet InvalidLabel, a
+    negative position ArityMismatch, anything else TypeError.  On a formula
+    that passes, `evaluate` never raises on an environment longer than its
+    largest position, and its truth depends only on the value and label of
+    the atoms at the positions read."""
     if isinstance(phi, (And, Or)):
-        return max((check(f, base) for f in phi.args), default=-1)
+        return frozenset().union(*[check(f, base) for f in phi.args])
     if isinstance(phi, Not):
         return check(phi.arg, base)
     if isinstance(phi, Const):
-        return -1
+        return frozenset()
     if isinstance(phi, Less) and not base.ordered:
         raise OrderNotAvailable("Less atomic under an unordered base")
     if isinstance(phi, Label) and operator.index(phi.label) >= base.alphabet:
         raise InvalidLabel(f"label {phi.label} outside alphabet {base.alphabet}")
     if not isinstance(phi, (Less, Eq, Label)):
         raise TypeError(f"not a formula: {phi!r}")
-    ks = [operator.index(k) for k in ([phi.i] if isinstance(phi, Label) else [phi.i, phi.j])]
+    ks = frozenset(operator.index(k) for k in ([phi.i] if isinstance(phi, Label) else [phi.i, phi.j]))
     if min(ks) < 0:
         raise ArityMismatch(f"negative position {min(ks)}")
-    return max(ks)
-
-
-def positions(phi: Formula) -> frozenset:
-    """The positions phi reads: those of its Less, Eq and Label nodes.  On
-    a formula `check` passes, its truth on an environment depends only on
-    the value and label of the atoms at these positions."""
-    if isinstance(phi, (And, Or)):
-        return frozenset().union(*map(positions, phi.args))
-    if isinstance(phi, Not):
-        return positions(phi.arg)
-    if isinstance(phi, Label):
-        return frozenset((operator.index(phi.i),))
-    if isinstance(phi, (Less, Eq)):
-        return frozenset((operator.index(phi.i), operator.index(phi.j)))
-    return frozenset()
+    return ks
 
 
 _NEST = 50  # connectives per generated function; Python's parser allows ~200 nested brackets
@@ -246,10 +231,8 @@ def shift_positions(phi: Formula, mapping: dict[int, int]) -> Formula:
         return Eq(mapping[phi.i], mapping[phi.j])
     if isinstance(phi, Label):
         return Label(mapping[phi.i], phi.label)
-    if isinstance(phi, And):
-        return And(tuple(shift_positions(f, mapping) for f in phi.args))
-    if isinstance(phi, Or):
-        return Or(tuple(shift_positions(f, mapping) for f in phi.args))
+    if isinstance(phi, (And, Or)):
+        return type(phi)(tuple(shift_positions(f, mapping) for f in phi.args))
     if isinstance(phi, Not):
         return Not(shift_positions(phi.arg, mapping))
     return phi
@@ -270,10 +253,8 @@ def to_json(phi: Formula) -> dict:
         return {"op": "eq", "i": phi.i, "j": phi.j}
     if isinstance(phi, Label):
         return {"op": "label", "i": phi.i, "l": phi.label}
-    if isinstance(phi, And):
-        return {"op": "and", "args": [to_json(f) for f in phi.args]}
-    if isinstance(phi, Or):
-        return {"op": "or", "args": [to_json(f) for f in phi.args]}
+    if isinstance(phi, (And, Or)):
+        return {"op": "and" if isinstance(phi, And) else "or", "args": [to_json(f) for f in phi.args]}
     if isinstance(phi, Not):
         return {"op": "not", "args": [to_json(phi.arg)]}
     raise TypeError(f"not a formula: {phi!r}")
@@ -292,10 +273,8 @@ def from_json(data: dict) -> Formula:
             return Eq(json_int(data["i"]), json_int(data["j"]))
         if op == "label":
             return Label(json_int(data["i"]), json_int(data["l"]))
-        if op == "and":
-            return And(tuple(from_json(d) for d in data["args"]))
-        if op == "or":
-            return Or(tuple(from_json(d) for d in data["args"]))
+        if op in ("and", "or"):
+            return (And if op == "and" else Or)(tuple(from_json(d) for d in data["args"]))
         if op == "not":
             return Not(from_json(data["args"][0]))
         raise ArityMismatch(f"unknown formula op {op!r}")

@@ -510,7 +510,7 @@ def chain_file(path, depth, kind, base_formula='{"op": "lt", "i": 0, "j": 1}'):
     return str(path)
 
 
-@pytest.mark.parametrize("depth,kind", [(700, "not"), (450, "alternating")])
+@pytest.mark.parametrize("depth,kind", [(1000, "not"), (1000, "alternating")])
 def test_input_nested_too_deeply_exits_2(tmp_path, depth, kind):
     proc = run_entry_point("sample", chain_file(tmp_path / "deep.json", depth, kind), "--atoms", "3")
     err = proc.stderr.decode()
@@ -523,8 +523,9 @@ def test_input_nested_too_deeply_exits_2(tmp_path, depth, kind):
     [
         (450, "not", '{"op": "lt", "i": 0, "j": 1}'),
         (300, "alternating", '{"op": "or", "args": [{"op": "eq", "i": 0, "j": 1}, {"op": "lt", "i": 0, "j": 1}]}'),
+        (450, "alternating", '{"op": "or", "args": [{"op": "eq", "i": 0, "j": 1}, {"op": "lt", "i": 0, "j": 1}]}'),
     ],
-    ids=["not450", "alternating300"],
+    ids=["not450", "alternating300", "alternating450"],
 )
 def test_deep_formulas_sample_as_shallow_ones(tmp_path, depth, kind, shallow):
     deep = run_entry_point("sample", chain_file(tmp_path / "deep.json", depth, kind), "--atoms", "3")

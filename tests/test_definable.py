@@ -321,11 +321,21 @@ def test_set_keys_match_slot_permutation_oracle():
     assert len(set(keys)) == len(set(olds)) == len(set(zip(keys, olds)))
 
 
+def _pattern(encoded):
+    """Support pattern of encoded points: the labels of their support in
+    rank order, and each point as (sort, slots into that support)."""
+    labels = dict(a for _, word in encoded for a in word)
+    ranks = sorted(labels)
+    slot = {r: i for i, r in enumerate(ranks)}
+    shape = [(si, tuple(slot[r] for r, _ in word)) for si, word in encoded]
+    return tuple(labels[r] for r in ranks), shape
+
+
 def tuple_type(points, base, as_set=False):
     """Canonical descriptor of a tuple of concrete points under base
     automorphisms (as_set forgets their order), through the encoding the
     orbit walk uses; the oracle that ties `_orbits` to Fraction atoms."""
-    return definable._type(*definable._pattern(definable._encode(list(points))), base, as_set)
+    return definable._type(*_pattern(definable._encode(list(points))), base, as_set)
 
 
 def test_tuple_type_matches_brute_force_orbits():
@@ -1058,7 +1068,7 @@ def list_composition_table(d):
             c = ids.get(key)
             if c is None:
                 c = ids[key] = len(names)
-                pattern = definable._pattern([(0, tuple((k, 0) for k in x)) for x in (p, q)])
+                pattern = _pattern([(0, tuple((k, 0) for k in x)) for x in (p, q)])
                 names.append(definable._type(*pattern, DLO, False))
             row.append(c)
         classes.append(row)
@@ -1273,7 +1283,7 @@ def test_composition_table_matches_string_keyed_table(d):
     # the table keyed by the descriptors of encoded pairs, as the
     # composition table was built before its classes became integer ids
     points = [(0, tuple((k, 0) for k in c)) for c in itertools.combinations(range(3 * d), d)]
-    classes = [[definable._type(*definable._pattern((p, q)), DLO, False) for q in points] for p in points]
+    classes = [[definable._type(*_pattern((p, q)), DLO, False) for q in points] for p in points]
     table = named_table(definable._composition_table(d))
     assert composition_as_sets(table) == composition_as_sets(old_composition_by_first(classes))
 
@@ -1621,8 +1631,8 @@ def test_plan_reads_only_the_coordinates_a_formula_names():
     assert plan[lt13][3] == [((0,), (0,)), ((0,), (2,))]
     for D in (gallery.dense_local_order(), gallery.betweenness_reduct()):
         assert all(reads is None for *_, reads in definable._plan(D, [0] * 3))
-    assert fm.positions(fm.Or(fm.Less(0, 4), fm.Not(fm.Label(2, 1)), fm.TRUE)) == {0, 2, 4}
-    assert fm.positions(fm.FALSE) == frozenset()
+    assert fm.check(fm.Or(fm.Less(0, 4), fm.Not(fm.Label(2, 1)), fm.TRUE), labeled_dlo(2)) == {0, 2, 4}
+    assert fm.check(fm.FALSE, DLO) == frozenset()
 
 
 def reads_cases():
@@ -1637,14 +1647,14 @@ def reads_cases():
 
 def test_reads_are_the_positions_of_each_clause():
     for name, D in reads_cases():
-        assert D.reads == tuple(fm.positions(clause.formula) for clause in D.clauses), name
+        assert D.reads == tuple(frozenset(positions(clause.formula)) for clause in D.clauses), name
 
 
 def old_compiled(phi, widths):
     """The former definable._compiled, without its cache: the scan of phi
     on groups of these widths and, per group, the coordinates phi reads, or
     None in their place when it reads every coordinate of every group."""
-    read, coords, start = fm.positions(phi), [], 0
+    read, coords, start = set(positions(phi)), [], 0
     for width in widths:
         coords.append(tuple(c for c in range(width) if start + c in read))
         start += width

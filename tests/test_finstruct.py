@@ -34,8 +34,13 @@ from relcore.finstruct import (
     induced_substructure,
     is_core,
 )
-from relcore.finstruct import _HomSearch, _search
+from relcore.finstruct import _HomSearch
 from relcore.verify import _permuted_copy, random_structure
+
+
+def _search(source, target, mode, partial, lexicographic, limit, avoid=None):
+    """One run of a fresh `_HomSearch` set-up."""
+    return _HomSearch(source, target, mode).run(partial, lexicographic, limit, avoid)
 
 
 def digraph(n, edges):
@@ -103,6 +108,47 @@ def test_signature_accepts_only_positive_int_arities(arity):
     with pytest.raises(SignatureMismatch, match=re.escape(repr(arity))):
         Signature((("E", 2), ("E", arity)))
     assert Signature((("E", 2), ("D", 1))).relations == (("D", 1), ("E", 2))
+
+
+NOT_INTS = pytest.mark.parametrize("bad", [2.5, 1.0, "1", True], ids=["float", "integral-float", "str", "bool"])
+
+
+@NOT_INTS
+def test_structure_size_must_be_an_int(bad):
+    with pytest.raises(InvalidElement, match=f"domain size {re.escape(repr(bad))} is not an int"):
+        FinStructure(Signature((("E", 2),)), bad, {})
+
+
+@NOT_INTS
+def test_hom_images_must_be_ints(bad):
+    s = digraph(2, {(0, 1)})
+    with pytest.raises(InvalidElement, match=f"image {re.escape(repr(bad))} is not an int"):
+        Hom(s, s, (0, bad))
+    assert Hom(s, s, (0, 1)).mapping == (0, 1)
+
+
+@NOT_INTS
+def test_find_hom_partial_entries_must_be_ints(bad):
+    s = digraph(2, {(0, 1)})
+    for partial in ({0: bad}, {bad: 1}):
+        with pytest.raises(InvalidElement, match=f"partial entry {re.escape(repr(bad))} is not an int"):
+            find_hom(s, s, partial=partial)
+    # ints outside either domain still leave nothing to find
+    assert find_hom(s, s, partial={0: 2}) is None and find_hom(s, s, partial={2: 0}) is None
+
+
+@NOT_INTS
+def test_induced_substructure_elements_must_be_ints(bad):
+    with pytest.raises(InvalidElement, match=f"element {re.escape(repr(bad))} is not an int"):
+        induced_substructure(digraph(2, {(0, 1)}), [1, bad])
+
+
+@NOT_INTS
+def test_endo_limit_must_be_an_int(bad):
+    s = digraph(2, {(0, 1)})
+    with pytest.raises(InvalidInput, match=f"endomorphism limit {re.escape(repr(bad))} is not an int"):
+        enumerate_endos(s, limit=bad)
+    assert len(enumerate_endos(s, limit=None)) == len(enumerate_endos(s)) == 1
 
 
 def test_disjoint_union():

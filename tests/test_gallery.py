@@ -605,7 +605,9 @@ def test_sample_automorphism_matches_two_sided_check():
 @pytest.mark.parametrize(
     "call",
     [
-        # 6! + 2^15 generators of 60 points each; 7! + 2^21 of 84
+        # 2 + C(6, 2) = 17 generators of 60 points each and 2 + C(7, 2) = 23
+        # of 84: the scan raises while closing groups of 6! * 2^15 and
+        # 7! * 2^21 elements
         lambda: gallery.involution_report(6),
         lambda: gallery.involution_report(7),
         lambda: gallery.involution_report(10**6),
