@@ -24,6 +24,7 @@ class AtomBase:
     alphabet: int = 1
 
     def __post_init__(self):
+        require_ints([self.alphabet], "alphabet size", InvalidLabel)
         if self.alphabet < 1:
             raise InvalidLabel(f"alphabet size must be >= 1, got {self.alphabet}")
 
@@ -139,6 +140,7 @@ def make_sample(base: AtomBase, n: int, labels: Optional[Sequence[int]] = None) 
     its label check, and the sample's order and duplicate checks), before
     any is built.
     """
+    require_ints([n], "sample size", InvalidLabel)
     if n < 0:
         raise InvalidLabel(f"sample size must be >= 0, got {n}")
     charge(5 * n, f"a sample of {n} atoms")

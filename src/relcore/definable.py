@@ -30,6 +30,7 @@ from .errors import (
     json_int,
     metered,
     parsing,
+    require_ints,
 )
 from .finstruct import FinStructure, Signature, _canonical_encoding
 from . import formulas as fm
@@ -43,6 +44,7 @@ class Sort:
     dim: int
 
     def __post_init__(self):
+        require_ints([self.dim], f"sort {self.name!r} dimension", InvalidDimension)
         if self.dim < 0:
             raise InvalidDimension(f"sort {self.name!r} has dimension {self.dim}")
 
@@ -351,6 +353,7 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
     its formula (copied, then checked), one per position mapped (k * m),
     two per guard entry, and one.
     """
+    require_ints([d], "power dimension", InvalidDimension)
     if d < 1:
         raise InvalidDimension(f"power dimension must be >= 1, got {d}")
     if len(D.sorts) != 1:
@@ -551,6 +554,7 @@ def _covering_choices(D: DefStructure, n: int, s: int, as_set: bool) -> list:
 def point_orbits(D: DefStructure, n: int) -> list[str]:
     """The descriptors (see _type) of the base-automorphism orbits of
     n-tuples of points, one per orbit (see _orbits), sorted."""
+    require_ints([n], "tuple length", InvalidDimension)
     if n < 1:
         raise InvalidDimension(f"need n >= 1, got {n}")
     return sorted(_type(word, shape, D.base, False) for word, shape in _orbits(D, n, False))
@@ -584,6 +588,7 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
     sig = D.signature()
     if mode == "reversal" and (len(sig.relations) != 1 or sig.relations[0][1] != 2):
         raise Unsupported("reversal counting needs exactly one binary relation")
+    require_ints([n], "subset size", InvalidDimension)
     if n < 1:
         raise InvalidDimension(f"need n >= 1, got {n}")
     if mode == "base" and D.base.ordered:
@@ -625,6 +630,7 @@ def growth_up_to_reversal(D: DefStructure, n: int) -> int:
 def increasing_tuple_structure(d: int) -> DefStructure:
     """The canonical ordered base in dimension d: strictly increasing
     d-tuples with all coordinatewise order and equality relations."""
+    require_ints([d], "dimension", InvalidDimension)
     if d < 1:
         raise InvalidDimension(f"need dimension >= 1, got {d}")
     clauses = [
@@ -759,6 +765,7 @@ class SignedLex:
     directions: tuple[str, ...]
 
     def __post_init__(self):
+        require_ints(self.sigma, "coordinate", InvalidDimension)
         if sorted(self.sigma) != list(range(len(self.sigma))):
             raise InvalidDimension(f"sigma {self.sigma} is not a permutation")
         if len(self.directions) != len(self.sigma):
@@ -787,28 +794,29 @@ def _pair_reps(d: int) -> tuple:
 
 @metered
 def classify_signed_lex(order: Iterable[str], d: int) -> Optional[SignedLex]:
-    """The unique signed lexicographic order agreeing with the given
-    pair-orbit union on every orbit, or None when no candidate agrees.  The
-    pair orbits are walked once per d (see _pair_reps), charged to that call.
-    Each candidate built and each pair orbit compared with it counts one
-    step, charged when the search ends or as soon as the count passes the
-    headroom it started with."""
+    """The signed lexicographic order agreeing with the pair-orbit union on
+    every orbit, else None.  Of the orbits (see _pair_reps) tied on the chosen
+    coordinates, take the first coordinate that, up or down, agrees with the
+    union wherever it differs, and drop the orbits it splits.  Exact: an orbit
+    is decided at its first differing chosen coordinate, and along an agreeing
+    order every other free coordinate meets both directions on kept orbits the
+    order holds alike.  Each step charges tied orbits x free coordinates first."""
+    require_ints([d], "dimension", InvalidDimension)
     if d < 1:
         raise InvalidDimension(f"need dimension >= 1, got {d}")
     chosen = set(order)
-    reps = _pair_reps(d)
-    work, allowed = 0, headroom()
-    for sigma in itertools.permutations(range(d)):
-        for dirs in itertools.product(("asc", "desc"), repeat=d):
-            candidate = SignedLex(sigma, dirs)
-            agree = (candidate.less(p, q) == (desc in chosen) for desc, ((_, p), (_, q)) in reps)
-            # the pair orbits compared, up to and including the first disagreement
-            compared = next((k for k, same in enumerate(agree, 1) if not same), None)
-            if compared is None:
-                charge(work + 1 + len(reps), "signed lexicographic classification")
-                return candidate
-            work += 1 + compared
-            if work > allowed:
-                charge(work, "signed lexicographic classification")
-    charge(work, "signed lexicographic classification")
-    return None
+    tied = [(desc in chosen, p, q) for desc, ((_, p), (_, q)) in _pair_reps(d)]
+    sigma, directions = [], []
+    while tied:
+        free = [c for c in range(d) if c not in sigma]
+        charge(len(tied) * len(free), "signed lexicographic classification")
+        for c in free:
+            agrees = {(p[c] < q[c]) == less for less, p, q in tied if p[c] != q[c]}
+            if len(agrees) == 1:
+                break
+        else:
+            return None
+        sigma.append(c)
+        directions.append("asc" if True in agrees else "desc")
+        tied = [(less, p, q) for less, p, q in tied if p[c] == q[c]]
+    return SignedLex(tuple(sigma), tuple(directions))

@@ -124,7 +124,9 @@ class FinStructure:
 
 
 def hom_violations(source: FinStructure, target: FinStructure, mapping: Sequence[int]) -> list[str]:
-    """All ways a map fails to be a homomorphism (empty list means valid)."""
+    """All ways a map fails to be a homomorphism (empty list means valid);
+    an image that is not an int (a bool included) raises InvalidElement."""
+    require_ints(mapping, "image")
     out = []
     if len(mapping) != source.size:
         return [f"map has length {len(mapping)}, domain has size {source.size}"]
@@ -152,7 +154,6 @@ class Hom:
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", tuple(self.mapping))
-        require_ints(self.mapping, "image")
         if self.source.signature != self.target.signature:
             raise SignatureMismatch("source and target signatures differ")
         problems = hom_violations(self.source, self.target, self.mapping)
@@ -228,6 +229,7 @@ def full_power(structure: FinStructure, d: int) -> FinStructure:
     holding on (t_1,...,t_k) iff R(t_1[j_1],...,t_k[j_k]).  Every tuple it
     would test is charged to the work budget before any is built.
     """
+    require_ints([d], "power dimension", InvalidDimension)
     if d < 1:
         raise InvalidDimension(f"power dimension must be >= 1, got {d}")
     atoms = list(structure.signature.relations) + [("=", 2)]

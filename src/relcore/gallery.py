@@ -33,6 +33,7 @@ from .errors import (
     charge,
     metered,
     parsing,
+    require_ints,
 )
 from .finstruct import FinStructure, Hom, Signature, hom_violations
 from . import formulas as fm
@@ -184,6 +185,8 @@ def induced_base_map(cs: CoverSample, endo: Sequence[int]) -> tuple[int, ...]:
 
 def fiber_rotation(cs: CoverSample, vertices: Iterable[int], k: int) -> tuple[int, ...]:
     """Rotate the tag on every fiber over the chosen pair-graph vertices."""
+    vertices = list(vertices)
+    require_ints(vertices, "vertex")
     chosen = set(vertices)
     for b in chosen:
         if not 0 <= b < cs.base.structure.size:
@@ -247,8 +250,8 @@ def oriented_atom_action(xs: SampleResult, atoms: AtomSample, alpha: Sequence[in
 def is_sample_automorphism(structure: FinStructure, perm: Sequence[int]) -> bool:
     """Bijection preserving every relation.  A bijection that maps a finite
     relation into itself maps it onto itself, so its inverse preserves the
-    relations too."""
-    return sorted(perm) == list(range(structure.size)) and not hom_violations(structure, structure, perm)
+    relations too.  An image that is not an int raises InvalidElement."""
+    return not hom_violations(structure, structure, perm) and sorted(perm) == list(range(structure.size))
 
 
 def _two_generators(atom_count: int) -> list[tuple[int, ...]]:
@@ -355,6 +358,7 @@ def spider(n: int) -> FinStructure:
     1 and 2.  Element (k, i) has id 3*k + i.  Its 3n unary tuples, 4n - 2
     spine pairs and 2n(n - 1) inequality pairs are charged to the work
     budget before any is built."""
+    require_ints([n], "spider row count", TooSmall)
     if n < 2:
         raise TooSmall(f"spider needs at least 2 rows, got {n}")
     charge(3 * n + 4 * n - 2 + 2 * n * (n - 1), f"a spider with {n} rows")

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -31,11 +32,13 @@ from relcore.errors import (
     ArityMismatch,
     BaseMismatch,
     InvalidDimension,
+    InvalidElement,
     InvalidLabel,
     OrderNotAvailable,
     RelcoreError,
     SignatureMismatch,
     TooLarge,
+    TooSmall,
     Unsupported,
 )
 from relcore.finstruct import FinStructure, Signature, canonical_form, disjoint_union, full_power
@@ -425,6 +428,10 @@ def pair_orbit_reps(d):
         )
         for word, shape in orbits
     }
+
+
+def atom_values(point):
+    return [a.value for a in point.atoms]
 
 
 def test_pair_orbit_reps_are_point_orbits():
@@ -1389,6 +1396,24 @@ def test_classify_signed_lex_matches_per_call_walk(d):
     assert None not in got[: len(own)] and None in got[len(own):]
 
 
+@pytest.mark.parametrize("d", [5, 6])
+def test_classify_signed_lex_round_trip(d):
+    # past the oracles' reach: a seeded sample of signed lexicographic
+    # orders, each read back from its union, and refused with one of its
+    # pair orbits turned round
+    rng = random.Random(90 + d)
+    reps = pair_orbit_reps(d)
+    values = {desc: (atom_values(p), atom_values(q)) for desc, (p, q) in reps.items() if p != q}
+    for _ in range(6):
+        directions = tuple(rng.choice(("asc", "desc")) for _ in range(d))
+        order = SignedLex(tuple(rng.sample(range(d), d)), directions)
+        union = {desc for desc, pq in values.items() if order.less(*pq)}
+        assert classify_signed_lex(union, d) == order
+        turned = rng.choice(sorted(union))
+        p, q = reps[turned]
+        assert classify_signed_lex(union - {turned} | {tuple_type((q, p), DLO)}, d) is None
+
+
 def test_order_tables_are_immutable_and_repeat():
     for d in (1, 2, 3):
         table = definable._composition_table(d)
@@ -1423,26 +1448,35 @@ def test_over_budget_first_calls_leave_the_caches_sound(monkeypatch):
     assert None not in [classify_signed_lex(o, 3) for o in orders]
 
 
-def test_classify_signed_lex_charges_candidates_and_comparisons(monkeypatch):
-    # d = 3, no order: 48 candidates, 105 pair orbits compared with them in
-    # all; with the 62 pair representatives still to walk, 670 steps
-    def classify(budget, cold):
+def test_classify_signed_lex_charges_tied_orbits_per_step(monkeypatch):
+    # d = 3 has 62 pair orbits of distinct points.  No order: the first step
+    # reads all 62 at 3 free coordinates and none qualifies, 186 steps; with
+    # the 517 steps of walking the pair orbits, 703.  The lexicographic order
+    # then reads the 12 orbits tied on coordinate 0 at 2 coordinates and the
+    # 2 tied on coordinates 0 and 1 at one: 212 steps.
+    lex = {desc for desc, (p, q) in pair_orbit_reps(3).items() if atom_values(p) < atom_values(q)}
+    lex3 = SignedLex((0, 1, 2), ("asc",) * 3)
+
+    def classify(order, budget, cold):
         if cold:
             definable._pair_reps.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(errors, "WORK_BUDGET", budget)
-            return classify_signed_lex((), 3)
+            return classify_signed_lex(order, 3)
 
-    for total, cold in ((153, False), (670, True)):
-        assert classify(total, cold) is None
+    for order, total, cold, answer in (((), 186, False, None), ((), 703, True, None), (lex, 212, False, lex3)):
+        assert classify(order, total, cold) == answer
         with pytest.raises(TooLarge, match="signed lexicographic"):
-            classify(total - 1, cold)
+            classify(order, total - 1, cold)
 
 
 def test_classify_signed_lex_past_the_budget_raises():
-    # d = 7: 645,120 candidates compared on 2,027,025 pair orbits in all
-    with pytest.raises(TooLarge, match="work budget"):
-        classify_signed_lex((), 7)
+    # d = 7: 48,638 pair orbits, walked and then read at 7 coordinates within
+    # the budget; d = 8 raises in the pre-count of its 265,728, before any
+    # is walked or read
+    assert classify_signed_lex((), 7) is None
+    with pytest.raises(TooLarge, match="orbit enumeration"):
+        classify_signed_lex((), 8)
 
 
 def test_order_calls_reject_dimension_below_one():
@@ -1454,6 +1488,40 @@ def test_order_calls_reject_dimension_below_one():
         enumerate_invariant_orders(DefStructure(DLO, (Sort("t", 0),), ()))
     # rejected before any cache lookup
     assert (definable._pair_reps.cache_info(), definable._composition_table.cache_info()) == before
+
+
+def _rotate_fibers_over(vertex):
+    return gallery.fiber_rotation(gallery.pair_cover().sample(make_sample(DLO, 3)), [0, vertex], 2)
+
+
+JORD1 = increasing_tuple_structure(1)
+# per parameter: the call with x in its place, the error it raises, and the
+# name its message gives x
+INT_PARAMETERS = {
+    "Sort.dim": (lambda x: Sort("t", x), InvalidDimension, "sort 't' dimension"),
+    "AtomBase.alphabet": (lambda x: AtomBase(True, x), InvalidLabel, "alphabet size"),
+    "SignedLex.sigma": (lambda x: SignedLex((x, 0), ("asc", "asc")), InvalidDimension, "coordinate"),
+    "make_sample": (lambda x: make_sample(DLO, x), InvalidLabel, "sample size"),
+    "point_orbits": (lambda x: point_orbits(JORD1, x), InvalidDimension, "tuple length"),
+    "unlabelled_growth": (lambda x: unlabelled_growth(JORD1, x), InvalidDimension, "subset size"),
+    "full_power_def": (lambda x: full_power_def(JORD1, x), InvalidDimension, "power dimension"),
+    "full_power": (lambda x: full_power(FinStructure(Signature(()), 2), x), InvalidDimension, "power dimension"),
+    "increasing_tuple_structure": (increasing_tuple_structure, InvalidDimension, "dimension"),
+    "classify_signed_lex": (lambda x: classify_signed_lex((), x), InvalidDimension, "dimension"),
+    "spider": (gallery.spider, TooSmall, "spider row count"),
+    "involution_report": (gallery.involution_report, InvalidLabel, "sample size"),
+    "fiber_rotation": (_rotate_fibers_over, InvalidElement, "vertex"),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 1.0, "1", True], ids=["float", "integral-float", "str", "bool"])
+@pytest.mark.parametrize("name", list(INT_PARAMETERS))
+def test_sizes_dimensions_and_alphabets_must_be_ints(name, bad):
+    # a float or a bool once passed as the int it equals (AtomBase(True, 2.0)
+    # made growth counts floats), and a string raised a bare TypeError
+    call, error, what = INT_PARAMETERS[name]
+    with pytest.raises(error, match=f"^{re.escape(what)} {re.escape(repr(bad))} is not an int$"):
+        call(bad)
 
 
 def test_sampling_functorial_small():

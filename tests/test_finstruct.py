@@ -121,10 +121,15 @@ def test_structure_size_must_be_an_int(bad):
 
 @NOT_INTS
 def test_hom_images_must_be_ints(bad):
+    # every check of a map refuses the image, where (0, 1.0) and (0, True)
+    # once passed as the identity and (0, "1") raised a bare TypeError
     s = digraph(2, {(0, 1)})
-    with pytest.raises(InvalidElement, match=f"image {re.escape(repr(bad))} is not an int"):
-        Hom(s, s, (0, bad))
+    checks = (Hom, hom_violations, lambda s, t, m: gallery.is_sample_automorphism(s, m))
+    for check, mapping in itertools.product(checks, ((0, bad), (bad, 1))):
+        with pytest.raises(InvalidElement, match=f"image {re.escape(repr(bad))} is not an int"):
+            check(s, s, mapping)
     assert Hom(s, s, (0, 1)).mapping == (0, 1)
+    assert hom_violations(s, s, (0, 1)) == [] and gallery.is_sample_automorphism(s, (0, 1))
 
 
 @NOT_INTS
