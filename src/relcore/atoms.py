@@ -61,6 +61,7 @@ class Atom:
     def __post_init__(self):
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
+        require_ints([self.label], "label", InvalidLabel)
         if self.label < 0:
             raise InvalidLabel(f"negative label {self.label}")
 
@@ -150,6 +151,7 @@ def make_sample(base: AtomBase, n: int, labels: Optional[Sequence[int]] = None) 
         labels = list(labels)
         if len(labels) != n:
             raise InvalidLabel(f"expected {n} labels, got {len(labels)}")
+    require_ints(labels, "label", InvalidLabel)
     for lab in labels:
         if not 0 <= lab < base.alphabet:
             raise InvalidLabel(f"label {lab} out of range for alphabet {base.alphabet}")

@@ -278,7 +278,7 @@ def _structure_on(D: DefStructure, encoded: Sequence) -> FinStructure:
     it."""
     sig = D.signature()
     rels = _run(_plan(D, [si for si, _ in encoded]), [word for _, word in encoded], len(sig.relations))
-    return FinStructure(sig, len(encoded), dict(zip(sig.names(), map(frozenset, rels))))
+    return FinStructure._built(sig, len(encoded), dict(zip(sig.names(), map(frozenset, rels))))
 
 
 def sample(D: DefStructure, A: AtomSample) -> SampleResult:

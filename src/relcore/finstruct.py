@@ -66,7 +66,14 @@ class Signature:
 
 @dataclass(frozen=True, eq=True)
 class FinStructure:
-    """A finite relational structure on domain 0..size-1."""
+    """A finite relational structure on domain 0..size-1.
+
+    The constructor checks everything: the size is an int >= 0, every tuple
+    has its relation's arity and lies inside the domain, and every relation
+    is in the signature.  Structures relcore builds from its own valid
+    structures (samples, induced parts, unions, powers) are made by
+    `_built`, which trusts its caller instead.
+    """
 
     signature: Signature
     size: int
@@ -93,6 +100,16 @@ class FinStructure:
         if extra:
             raise SignatureMismatch(f"relations {sorted(extra)} not in signature")
         object.__setattr__(self, "relations", rels)
+
+    @classmethod
+    def _built(cls, signature: Signature, size: int, relations: dict) -> "FinStructure":
+        """A structure relcore built itself, made with no check.  The caller
+        guarantees what the constructor would check and normalise: relations
+        holds every relation of the signature, in signature order, as a
+        frozenset of tuples of its arity over 0..size-1."""
+        self = object.__new__(cls)
+        self.__dict__.update(signature=signature, size=size, relations=relations)
+        return self
 
     def rel(self, name: str) -> frozenset[tuple[int, ...]]:
         return self.relations[name]
@@ -146,7 +163,12 @@ def hom_violations(source: FinStructure, target: FinStructure, mapping: Sequence
 
 @dataclass(frozen=True)
 class Hom:
-    """A validated homomorphism between two structures with equal signature."""
+    """A homomorphism between two structures with equal signature.
+
+    The constructor checks the signatures and runs `hom_violations` on the
+    map.  Maps relcore's own search finds are made by `_found`, which
+    trusts the search instead.
+    """
 
     source: FinStructure
     target: FinStructure
@@ -159,6 +181,15 @@ class Hom:
         problems = hom_violations(self.source, self.target, self.mapping)
         if problems:
             raise HomValidationError("; ".join(problems[:3]))
+
+    @classmethod
+    def _found(cls, source: FinStructure, target: FinStructure, mapping: tuple[int, ...]) -> "Hom":
+        """A map relcore's search found or composed, made with no check.  The
+        caller guarantees a tuple that is a homomorphism between structures
+        of one signature."""
+        self = object.__new__(cls)
+        self.__dict__.update(source=source, target=target, mapping=mapping)
+        return self
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -206,7 +237,7 @@ def induced_substructure(
             for t in structure.relations[name]
             if all(x in keep for x in t)
         )
-    return FinStructure(structure.signature, len(old_ids), rels), old_ids
+    return FinStructure._built(structure.signature, len(old_ids), rels), old_ids
 
 
 def disjoint_union(left: FinStructure, right: FinStructure) -> FinStructure:
@@ -218,7 +249,7 @@ def disjoint_union(left: FinStructure, right: FinStructure) -> FinStructure:
         rels[name] = left.relations[name] | frozenset(
             tuple(x + shift for x in t) for t in right.relations[name]
         )
-    return FinStructure(left.signature, left.size + right.size, rels)
+    return FinStructure._built(left.signature, left.size + right.size, rels)
 
 
 def full_power(structure: FinStructure, d: int) -> FinStructure:
@@ -250,7 +281,8 @@ def full_power(structure: FinStructure, d: int) -> FinStructure:
                 if tuple(combo[l][js[l]] for l in range(arity)) in base:
                     tuples.add(tuple(index[t] for t in combo))
             rels[rel_name] = frozenset(tuples)
-    return FinStructure(Signature(tuple(names)), len(domain), rels)
+    sig = Signature(tuple(names))
+    return FinStructure._built(sig, len(domain), {name: rels[name] for name in sig.names()})
 
 
 class _TargetTables:
@@ -559,7 +591,7 @@ def find_hom(
     found = _HomSearch(source, target, mode).run(partial, lexicographic=False, limit=1)
     if not found:
         return None
-    return Hom(source, target, found[0])
+    return Hom._found(source, target, found[0])
 
 
 def enumerate_endos(structure: FinStructure, limit: Optional[int] = None) -> list[Hom]:
@@ -569,7 +601,7 @@ def enumerate_endos(structure: FinStructure, limit: Optional[int] = None) -> lis
         if limit < 0:
             raise InvalidInput(f"endomorphism limit must be >= 0, got {limit}")
     found = _HomSearch(structure, structure, "hom").run(None, lexicographic=True, limit=limit)
-    return [Hom(structure, structure, m) for m in found]
+    return [Hom._found(structure, structure, m) for m in found]
 
 
 @metered
@@ -586,7 +618,7 @@ def find_noninjective_endo(structure: FinStructure) -> Optional[Hom]:
     for v in range(structure.size):
         found = search.run(None, lexicographic=False, limit=1, avoid=v)
         if found:
-            return Hom(structure, structure, found[0])
+            return Hom._found(structure, structure, found[0])
     return None
 
 
@@ -631,7 +663,7 @@ def compute_core(structure: FinStructure) -> CoreResult:
     # permutation whose inverse is again an endomorphism; composing with the
     # inverse makes the retraction fix the core pointwise.
     inverse = {f[c]: i for i, c in enumerate(old_ids)}
-    retraction = Hom(structure, core, tuple(inverse[w] for w in f))
+    retraction = Hom._found(structure, core, tuple(inverse[w] for w in f))
     return CoreResult(core, retraction, old_ids, was_core)
 
 

@@ -167,9 +167,19 @@ def kernel_check(cs: CoverSample) -> bool:
 def induced_base_map(cs: CoverSample, endo: Sequence[int]) -> tuple[int, ...]:
     """Map on pair-graph vertices induced by a fiber-respecting map upstairs.
 
-    Raises KernelViolation when the input merges fibers inconsistently, and
-    refuses maps whose induced action breaks an E or N tuple.
+    Raises InvalidElement for a map that is not one int in
+    0..total.size-1 per point upstairs, KernelViolation when the input
+    merges fibers inconsistently, and refuses maps whose induced action
+    breaks an E or N tuple.
     """
+    endo = list(endo)
+    require_ints(endo, "image")
+    size = cs.total.structure.size
+    if len(endo) != size:
+        raise InvalidElement(f"map has length {len(endo)}, the cover sample has {size} points")
+    for y in endo:
+        if not 0 <= y < size:
+            raise InvalidElement(f"image {y} outside 0..{size - 1}")
     result: dict[int, int] = {}
     for x, b in enumerate(cs.projection):
         image = cs.projection[endo[x]]
@@ -184,7 +194,8 @@ def induced_base_map(cs: CoverSample, endo: Sequence[int]) -> tuple[int, ...]:
 
 
 def fiber_rotation(cs: CoverSample, vertices: Iterable[int], k: int) -> tuple[int, ...]:
-    """Rotate the tag on every fiber over the chosen pair-graph vertices."""
+    """Rotate the tag on every fiber over the chosen pair-graph vertices by k."""
+    require_ints([k], "rotation")
     vertices = list(vertices)
     require_ints(vertices, "vertex")
     chosen = set(vertices)

@@ -1490,8 +1490,18 @@ def test_order_calls_reject_dimension_below_one():
     assert (definable._pair_reps.cache_info(), definable._composition_table.cache_info()) == before
 
 
+def _cover3():
+    return gallery.pair_cover().sample(make_sample(DLO, 3))
+
+
 def _rotate_fibers_over(vertex):
-    return gallery.fiber_rotation(gallery.pair_cover().sample(make_sample(DLO, 3)), [0, vertex], 2)
+    return gallery.fiber_rotation(_cover3(), [0, vertex], 2)
+
+
+def _base_map_of(image):
+    """induced_base_map of the identity with point 0 sent to image."""
+    cs = _cover3()
+    return gallery.induced_base_map(cs, (image,) + tuple(range(1, cs.total.structure.size)))
 
 
 JORD1 = increasing_tuple_structure(1)
@@ -1511,6 +1521,10 @@ INT_PARAMETERS = {
     "spider": (gallery.spider, TooSmall, "spider row count"),
     "involution_report": (gallery.involution_report, InvalidLabel, "sample size"),
     "fiber_rotation": (_rotate_fibers_over, InvalidElement, "vertex"),
+    "fiber_rotation.k": (lambda x: gallery.fiber_rotation(_cover3(), [0], x), InvalidElement, "rotation"),
+    "induced_base_map": (_base_map_of, InvalidElement, "image"),
+    "Atom.label": (lambda x: Atom(Fraction(0), x), InvalidLabel, "label"),
+    "make_sample.labels": (lambda x: make_sample(labeled_dlo(2), 2, [0, x]), InvalidLabel, "label"),
 }
 
 

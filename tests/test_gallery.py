@@ -143,6 +143,22 @@ def test_induced_base_map_cases():
         gallery.induced_base_map(cs, tuple(split))
 
 
+def test_induced_base_map_refuses_maps_of_the_wrong_shape():
+    # a short map and an image equal to the size raised a bare IndexError,
+    # a long map passed, and -1 read the last point
+    cs = gallery.pair_cover().sample(make_sample(DLO, 3))
+    n = cs.total.structure.size
+    identity = list(range(n))
+    for endo, message in [
+        (identity[:-1], f"map has length {n - 1}, the cover sample has {n} points"),
+        (identity + [0], f"map has length {n + 1}, the cover sample has {n} points"),
+        ([-1] + identity[1:], f"image -1 outside 0..{n - 1}"),
+        ([n] + identity[1:], f"image {n} outside 0..{n - 1}"),
+    ]:
+        with pytest.raises(InvalidElement, match=f"^{message}$"):
+            gallery.induced_base_map(cs, endo)
+
+
 def test_fiber_rotations_form_elementary_abelian_group():
     cs = gallery.pair_cover().sample(make_sample(DLO, 4))
     n = cs.total.structure.size
