@@ -92,6 +92,20 @@ def _run(report: Report, check_id: str, fn: Callable[[], str]) -> None:
     report.checks.append(Check(check_id, status, details, time.perf_counter() - start))
 
 
+def _rechecked(h: Hom | None) -> Hom | None:
+    """A map the search returned, rebuilt through the public constructors.
+
+    The search makes its answers without re-checking them; the suites check
+    them here.  The source and target are rebuilt with `FinStructure(...)`
+    and the map with `Hom(...)`, so a tuple out of range or a map that is not
+    a homomorphism raises.
+    """
+    if h is None:
+        return None
+    source, target = (FinStructure(s.signature, s.size, s.relations) for s in (h.source, h.target))
+    return Hom(source, target, h.mapping)
+
+
 # ---------------------------------------------------------------- suite 1
 
 
@@ -171,7 +185,7 @@ def suite_johnson_core() -> Report:
         assert len(generated) == 120
         assert {h.mapping for h in endos} == generated, "endos beyond atom permutations"
         for h in endos:
-            assert gallery.is_sample_automorphism(j, h.mapping)
+            assert gallery.is_sample_automorphism(j, _rechecked(h).mapping)
         return "120 endomorphisms, all induced by atom permutations"
 
     _run(report, "johnson-endos-5-atoms", check)
@@ -224,6 +238,7 @@ def suite_spider() -> Report:
             collapse = gallery.spider_collapse_hom(n)
             assert not hom_violations(s, s, collapse.mapping)
             res = compute_core(s)
+            _rechecked(res.retraction)
             assert res.core.size == 2 * n + 1, f"core has {res.core.size} elements"
             assert is_core(res.core)
             for new, old in enumerate(res.old_ids):
@@ -335,8 +350,9 @@ def suite_companions() -> Report:
         for size in range(1, 5):
             for pi in itertools.permutations(range(size)):
                 pattern = _two_order_pattern(pi)
-                h = find_hom(pattern, comp.structure, "embedding")
+                h = _rechecked(find_hom(pattern, comp.structure, "embedding"))
                 assert h is not None, f"pattern {pi} does not embed"
+                assert h.is_embedding(), f"pattern {pi}: the map found does not embed"
                 tried += 1
         return f"{tried} two-order patterns embedded into 56 sampled pairs"
 
@@ -350,10 +366,12 @@ def suite_companions() -> Report:
             explicit.append(comp4.points.index(target))
         h = Hom(qst4.structure, comp4.structure, tuple(explicit))
         assert h.is_embedding(), "class-to-copy map must embed"
-        assert find_hom(qst4.structure, comp4.structure, "embedding") is not None
+        found = _rechecked(find_hom(qst4.structure, comp4.structure, "embedding"))
+        assert found is not None and found.is_embedding()
         comp3 = sample(gallery.partitioned_dlo_companion(), make_sample(DLO, 3))
         qst6 = sample(gallery.partitioned_dlo(), make_sample(labeled_dlo(2), 6))
-        assert find_hom(comp3.structure, qst6.structure, "embedding") is not None
+        found = _rechecked(find_hom(comp3.structure, qst6.structure, "embedding"))
+        assert found is not None and found.is_embedding()
         return "mutual embeddings found"
 
     def check_cut():
@@ -429,6 +447,7 @@ def suite_core_engine(seed: int = 0) -> Report:
         for i in range(200):
             s = random_structure(rng)
             res = compute_core(s)
+            _rechecked(res.retraction)
             assert is_core(res.core), f"round {i}: core still collapses"
             again = compute_core(res.core)
             assert again.was_core and again.core.size == res.core.size
@@ -439,7 +458,7 @@ def suite_core_engine(seed: int = 0) -> Report:
 
             twin = _permuted_copy(s, rng) if rng.random() < 0.5 else _mutated_copy(s, rng)
             same_form = canonical_form(s) == canonical_form(twin)
-            has_iso = find_hom(s, twin, "iso") is not None
+            has_iso = _rechecked(find_hom(s, twin, "iso")) is not None
             assert same_form == has_iso, f"round {i}: canonical form and search disagree"
             iso_agreements += 1
         return f"200 structures: cores verified, {iso_agreements} iso cross-checks"

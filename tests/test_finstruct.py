@@ -260,9 +260,10 @@ def test_find_hom_modes():
     bigger = disjoint_union(path, digraph(1, set()))
     emb = find_hom(path, bigger, "embedding")
     assert emb is not None and emb.is_embedding()
+    assert emb.mapping == (0, 1, 2)
     # homomorphic image may flatten, embedding may not
     loopy = digraph(1, {(0, 0)})
-    assert find_hom(path, loopy, "hom") is not None
+    assert find_hom(path, loopy, "hom").mapping == (0, 0, 0)
     assert find_hom(path, loopy, "embedding") is None
     iso = find_hom(path, path, "iso")
     assert iso is not None and sorted(iso.mapping) == list(range(path.size)) and iso.is_embedding()
@@ -365,6 +366,7 @@ def test_compute_core_two_edges_collapse():
     assert not is_core(two_k2)
     res = compute_core(two_k2)
     assert res.core.size == 2
+    assert res.old_ids == (2, 3) and res.retraction.mapping == (0, 1, 0, 1)
     assert canonical_form(res.core) == canonical_form(K2)
 
 

@@ -8,7 +8,6 @@ structure and map to equal the public construction of the same result:
 `==`, `repr` and `to_json()` identical, and every map a homomorphism.
 """
 
-import hashlib
 import random
 
 import pytest
@@ -30,6 +29,7 @@ from relcore.finstruct import (
     induced_substructure,
 )
 from relcore.gallery import _definable_registry, lookup_definable
+from relcore import verify
 from relcore.verify import _permuted_copy, random_structure
 
 MODES = ("hom", "embedding", "iso")
@@ -116,27 +116,23 @@ def test_built_structures_and_found_maps_equal_the_public_construction(monkeypat
             _assert_same(*_trusted_and_checked(monkeypatch, build))
 
 
-def _search_answers_digest() -> str:
-    """sha256 of the cores, retractions and maps found on 100 seeded random
-    structures and permuted copies."""
-    rng = random.Random(7)
-    answers = []
-    for _ in range(100):
-        s = random_structure(rng, max_size=6)
-        t = _permuted_copy(s, rng)
-        c = compute_core(s)
-        maps = [find_hom(s, t, mode) for mode in MODES]
-        maps += [find_hom(t, c.core, "hom"), find_hom(c.core, t, "embedding")]
-        maps += enumerate_endos(s, limit=20)
-        for h in maps:
-            assert h is None or hom_violations(h.source, h.target, h.mapping) == []
-        answers.append((c.core.to_json(), c.retraction.mapping, c.old_ids, c.was_core))
-        answers.append([None if h is None else h.mapping for h in maps])
-    return hashlib.sha256(repr(answers).encode()).hexdigest()
-
-
 @pytest.mark.trusted_builds
-def test_search_answers_are_those_of_the_checked_construction():
-    """The digest as computed by the release before the private paths, which
-    made every structure and map through the public constructors."""
-    assert _search_answers_digest() == "cb08dc5c6ba1ded024c721313cc96ed3b03dbb2f796bd3b314aa57bb47ffe0cd"
+def test_verify_suites_check_the_maps_the_search_returns(monkeypatch):
+    """A search answer that is not a homomorphism fails every suite check
+    that uses it, with the error of the public constructor."""
+    def bad_find_hom(source, target, mode):
+        return None if find_hom(source, target, mode) is None else Hom._found(source, target, (0,) * source.size)
+
+    def bad_compute_core(structure):
+        res = compute_core(structure)
+        return CoreResult(res.core, Hom._found(structure, res.core, (res.core.size,) * structure.size), res.old_ids, res.was_core)
+
+    monkeypatch.setattr(verify, "find_hom", bad_find_hom)
+    monkeypatch.setattr(verify, "compute_core", bad_compute_core)
+    reports = [verify.suite_spider(), verify.suite_companions(), verify.suite_core_engine()]
+    details = {c.id: c.details for r in reports for c in r.checks if c.status == "fail"}
+    assert set(details) == {
+        "spider-2", "spider-3", "spider-4",
+        "two-order-age", "partition-companion-embeddings", "random-cores-seed0",
+    }
+    assert all(d.startswith(("HomValidationError", "InvalidElement")) for d in details.values()), details
