@@ -9,7 +9,8 @@ One backtracker, `_HomSearch`, assigns every value.  It is set up once per
 (source, target, mode) and run as often as needed.  Its callers steer a run
 only by restricting the initial candidate sets: `find_hom(partial=...)`
 fixes the images of some elements, and the core test runs one set-up once
-per element, with that element left out of every set.
+per element, with that element left out of every set.  Embeddings and
+isomorphisms also reflect each relation of arity >= 3, checked once per map.
 """
 
 from __future__ import annotations
@@ -68,11 +69,12 @@ class Signature:
 class FinStructure:
     """A finite relational structure on domain 0..size-1.
 
-    The constructor checks everything: the size is an int >= 0, every tuple
-    has its relation's arity and lies inside the domain, and every relation
-    is in the signature.  Structures relcore builds from its own valid
-    structures (samples, induced parts, unions, powers) are made by
-    `_built`, which trusts its caller instead.
+    The constructor checks everything: the size is an int >= 0, every entry
+    of a relation is a tuple of its relation's arity whose elements are ints
+    (not bools) inside the domain, and every relation is in the signature.
+    Structures relcore builds from its own valid structures (samples,
+    induced parts, unions, powers) are made by `_built`, which trusts its
+    caller instead.
     """
 
     signature: Signature
@@ -86,9 +88,16 @@ class FinStructure:
         rels = {}
         for name, arity in self.signature.relations:
             tuples = self.relations.get(name, frozenset())
-            if not isinstance(tuples, frozenset):
-                tuples = frozenset(map(tuple, tuples))
-            if {len(t) for t in tuples} - {arity}:
+            try:  # tuple.__len__ refuses an entry that is not a tuple
+                if not isinstance(tuples, frozenset):
+                    tuples = frozenset(map(tuple, tuples))
+                lengths = set(map(tuple.__len__, tuples))
+            except TypeError:
+                raise SignatureMismatch(f"{name!r} is not a set of tuples") from None
+            # element types are read in a C loop; require_ints names a bad one
+            if not {int}.issuperset(map(type, itertools.chain.from_iterable(tuples))):
+                require_ints(itertools.chain.from_iterable(tuples), "element")
+            if lengths - {arity}:
                 bad = next(t for t in tuples if len(t) != arity)
                 raise SignatureMismatch(f"{name!r} expects arity {arity}, got {bad}")
             elements = set(itertools.chain.from_iterable(tuples))
@@ -294,16 +303,14 @@ class _TargetTables:
     masks the elements w with (w, ..., w) in the r-th relation;
     adjacent[2r][w] and adjacent[2r + 1][w] mask the out- and in-neighbours
     of w in the r-th binary relation.  The link rows of each (kind, strong)
-    and the converse tuples, which only strong modes read, are built when a
-    search first asks for them.
+    are built when a search first asks for them.
     """
 
-    __slots__ = ("m", "signature", "relations", "held", "adjacent", "tables", "_back")
+    __slots__ = ("m", "held", "adjacent", "tables")
 
     def __init__(self, target: FinStructure):
         m = target.size
         self.m = m
-        self.signature, self.relations = target.signature, target.relations
         self.held: list[int] = []
         self.adjacent: list[list[int]] = []
         for name, arity in target.signature.relations:
@@ -323,7 +330,6 @@ class _TargetTables:
             self.held.append(held)
         # keyed by kind << 1 | strong
         self.tables: dict[int, tuple[int, ...]] = {}
-        self._back: Optional[list[list[tuple[str, tuple[int, ...]]]]] = None
 
     def rows(self, strong: bool, k: int) -> tuple[int, ...]:
         """The mask cut into u's set when v -> w, for each w, where k = kind[v, u]."""
@@ -342,19 +348,6 @@ class _TargetTables:
             rows = self.tables[k << 1 | strong] = tuple(masks)
         return rows
 
-    def back(self) -> list[list[tuple[str, tuple[int, ...]]]]:
-        """back[w]: (relation name, tuple) for the tuples of arity >= 3 through
-        w with two or more distinct elements."""
-        if self._back is None:
-            self._back = [[] for _ in range(self.m)]
-            for name, arity in self.signature.relations:
-                for t in self.relations[name] if arity >= 3 else ():
-                    elements = set(t)
-                    if len(elements) > 1:
-                        for w in elements:
-                            self._back[w].append((name, t))
-        return self._back
-
 
 class _HomSearch:
     """Backtracking search for the maps of one mode from source to target.
@@ -362,8 +355,9 @@ class _HomSearch:
     The set-up is built once per (source, target, mode) and `run` may be
     called any number of times; each run only narrows a copy of the
     initial candidate sets.  mode is one of "hom", "embedding", "iso".
-    The set-up reads the target only through `_TargetTables`; the source
-    side (candidate sets, links and tuple lists) is built per search.
+    The set-up reads the target only through `_TargetTables` and its
+    relations of arity >= 3; the source side (candidate sets, links and
+    tuple lists) is built per search.
 
     Each candidate set is an int bitmask over target elements.  Tuples
     with one distinct element, those of unary relations and loops among
@@ -378,9 +372,10 @@ class _HomSearch:
     values that complete an image tuple in the target relation: forward
     checking for non-binary constraints (nFC in Bessiere, Meseguer, Freuder
     and Larrosa, "On forward checking for non-binary constraint
-    satisfaction", AI 141, 2002).  In strong modes a value w is tried only
-    if every target tuple of arity >= 3 through w whose other elements are
-    all images has its preimage in the source.  An isomorphism maps each
+    satisfaction", AI 141, 2002).  The cuts above make strong modes reflect
+    unary tuples, loops and binary relations; each complete map is then
+    dropped unless every target tuple of arity >= 3 inside its image has
+    its preimage in the source.  An isomorphism maps each
     relation onto the target's, so iso mode runs only when every relation
     has as many tuples in the source as in the target.
     """
@@ -397,8 +392,8 @@ class _HomSearch:
         # arity >= 3 through v with two or more distinct elements
         self.links: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
         self.checks: list[list] = [[] for _ in range(n)]
-        self.back = None
-        self.source_relations = source.relations
+        # the (source, target) relations of arity >= 3 that strong modes reflect
+        self.reflect: list[tuple[frozenset, frozenset]] = []
         self.domains: Optional[list[int]] = None
         if (mode == "iso" and n != m) or (strong and n > m):
             return
@@ -427,6 +422,8 @@ class _HomSearch:
                         on.add(a)
                 i += 2
             else:
+                if strong and arity > 2:
+                    self.reflect.append((s_rel, t_rel))
                 for t in s_rel:
                     elements = set(t)
                     if len(elements) == 1:
@@ -446,8 +443,6 @@ class _HomSearch:
         pairs = [(v, u) for v in range(n) for u in range(n) if u != v] if strong else kind
         for v, u in pairs:
             self.links[v].append((u, tables.rows(strong, kind.get((v, u), 0))))
-        if strong:
-            self.back = tables.back()
         self.domains = domains
 
     def run(
@@ -467,7 +462,8 @@ class _HomSearch:
         variable may take; both only narrow the initial candidate sets.
 
         Every value tried counts one step, every value the forward check on
-        tuples of arity >= 3 tests one more, and every stored map n steps.
+        tuples of arity >= 3 tests one more, every target tuple the
+        reflection check reads one more, and every stored map n steps.
         The count is kept inline and charged to the work budget once, when
         the run ends or when it exceeds the headroom it started with.
         """
@@ -483,19 +479,22 @@ class _HomSearch:
             domains[v] &= 1 << w
         if not all(domains):
             return []
-        links, checks, back, source_relations = self.links, self.checks, self.back, self.source_relations
+        links, checks, reflect = self.links, self.checks, self.reflect
 
         assignment: list[Optional[int]] = [None] * n
-        # read only in strong modes, where no two variables share an image
-        inverse: list[Optional[int]] = [None] * m
         solutions: list[tuple[int, ...]] = []
         work, allowed = 0, headroom()
 
-        def converse(v: int, w: int) -> bool:
-            for name, t in back[w]:
-                pre = tuple([v if y == w else inverse[y] for y in t])
-                if None not in pre and pre not in source_relations[name]:
-                    return False
+        def reflects() -> bool:
+            """Whether the complete, injective assignment reflects `reflect`."""
+            nonlocal work
+            preimage = dict(zip(assignment, range(n))).get
+            for s_rel, t_rel in reflect:
+                work += len(t_rel)
+                for t in t_rel:
+                    pre = tuple(map(preimage, t))
+                    if None not in pre and pre not in s_rel:
+                        return False
             return True
 
         def forward(v: int, current: list[int]) -> bool:
@@ -532,6 +531,8 @@ class _HomSearch:
             """Returns True when the solution limit has been reached."""
             nonlocal work
             if not left:
+                if reflect and not reflects():
+                    return False
                 work += n
                 if work > allowed:
                     charge(work, "hom search")
@@ -554,8 +555,6 @@ class _HomSearch:
                 work += 1
                 if work > allowed:
                     charge(work, "hom search")
-                if back and back[w] and not converse(v, w):
-                    continue
                 pruned = list(current)
                 for u, rows in links[v]:
                     if assignment[u] is None:
@@ -564,9 +563,9 @@ class _HomSearch:
                             break
                         pruned[u] = cut
                 else:
-                    assignment[v], inverse[w] = w, v
+                    assignment[v] = w
                     done = (not checks[v] or forward(v, pruned)) and backtrack(pruned, left - 1)
-                    assignment[v] = inverse[w] = None
+                    assignment[v] = None
                     if done:
                         return True
             return False

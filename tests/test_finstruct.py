@@ -100,6 +100,31 @@ def test_relation_checks_name_the_offender(kind):
     assert (rel is given) == (kind is frozenset)
 
 
+@pytest.mark.parametrize(
+    "entries, error, message",
+    [
+        ({(0, 1.0)}, InvalidElement, "element 1.0 is not an int"),
+        ({(0, True)}, InvalidElement, "element True is not an int"),
+        # True equals 1, so a set of the distinct elements would not hold it
+        ({(1, True)}, InvalidElement, "element True is not an int"),
+        ({(0, "1")}, InvalidElement, "element '1' is not an int"),
+        (frozenset({0}), SignatureMismatch, "'E' is not a set of tuples"),
+        (frozenset({(0, 1), None}), SignatureMismatch, "'E' is not a set of tuples"),
+        (None, SignatureMismatch, "'E' is not a set of tuples"),
+        ([0], SignatureMismatch, "'E' is not a set of tuples"),
+    ],
+    ids=["float", "bool", "bool-beside-1", "str", "int-entry", "none-entry", "none", "list-of-ints"],
+)
+def test_relation_entries_must_be_tuples_of_ints(entries, error, message):
+    # each once passed the constructor (and broke the search and the
+    # canonical form later) or raised a bare TypeError
+    sig = Signature((("E", 2),))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        FinStructure(sig, 2, {"E": entries})
+    for given in ({(0, 1)}, [[0, 1]], frozenset({(0, 1)})):
+        assert FinStructure(sig, 2, {"E": given}).rel("E") == frozenset({(0, 1)})
+
+
 @pytest.mark.parametrize("arity", [1.9, "2", True, 0], ids=["float", "str", "bool", "zero"])
 def test_signature_accepts_only_positive_int_arities(arity):
     with pytest.raises(SignatureMismatch, match=f"relation 'E' has arity {re.escape(repr(arity))}$"):
@@ -321,6 +346,63 @@ def test_search_work_budget_counts_forward_checks(monkeypatch):
     monkeypatch.setattr(errors, "WORK_BUDGET", 41)
     with pytest.raises(TooLarge, match="work budget"):
         is_core(chain)
+
+
+def test_strong_modes_drop_a_map_that_does_not_reflect(monkeypatch):
+    # no source tuple, one target tuple: the map 0 -> 0, 1 -> 1, 2 -> 2 is a
+    # hom whose image holds (0, 1, 2), so no embedding; 2 -> 3 is the first
+    # one found.  4 values tried, the one target tuple read by the check at
+    # each of the 2 complete maps, and 3 for the map stored: 9 steps
+    source = ternary(3, set())
+    target = ternary(4, {(0, 1, 2)})
+    monkeypatch.setattr(errors, "WORK_BUDGET", 9)
+    assert find_hom(source, target, "embedding").mapping == (0, 1, 3)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 8)
+    with pytest.raises(TooLarge, match="work budget"):
+        find_hom(source, target, "embedding")
+    monkeypatch.undo()
+    # the 24 injective maps less the 6 onto {0, 1, 2}
+    embeddings = _search(source, target, "embedding", None, True, None)
+    assert len(embeddings) == 18 and all(not {0, 1, 2} <= set(f) for f in embeddings)
+    assert find_hom(source, target, "hom").mapping == (0, 0, 0)
+    # only relations of arity >= 3 are checked; the masks reflect the others
+    sig = Signature((("P", 1), ("E", 2), ("T", 3)))
+    marked = FinStructure(sig, 3, {"P": {(0,)}, "E": {(0, 1)}, "T": {(0, 1, 2)}})
+    assert _HomSearch(marked, marked, "embedding").reflect == [(marked.rel("T"), marked.rel("T"))]
+    assert _HomSearch(marked, marked, "hom").reflect == []
+
+
+def betweenness(atoms):
+    D = gallery.betweenness_reduct()
+    return sample(D, make_sample(D.base, atoms)).structure
+
+
+def relabelled(structure, perm):
+    rels = {name: frozenset(tuple(perm[x] for x in t) for t in ts) for name, ts in structure.relations.items()}
+    return FinStructure(structure.signature, structure.size, rels)
+
+
+def test_first_maps_on_ternary_relations():
+    # betweenness samples of the dense local order and relabelled copies;
+    # the first maps and counts were taken from the earlier search, which
+    # checked reflection as each value was tried
+    b4, b5, b6 = betweenness(4), betweenness(5), betweenness(6)
+    p5, p6 = relabelled(b5, [4, 2, 0, 3, 1]), relabelled(b6, [2, 5, 0, 3, 1, 4])
+    # b5 without the tuples on the atoms 0, 1, 2 has fewer tuples on every
+    # 5 elements of b6, so no map reflects
+    thin = FinStructure(b5.signature, 5, {"betw": frozenset(t for t in b5.rel("betw") if set(t) != {0, 1, 2})})
+    cases = [
+        (b4, p6, "embedding", (0, 3, 1, 2), 24),
+        (b5, p6, "embedding", (0, 3, 1, 2, 5), 20),
+        (p5, b5, "iso", (0, 2, 4, 1, 3), 10),
+        (b6, p6, "iso", (2, 5, 0, 3, 1, 4), 2),
+        (thin, b6, "embedding", None, 0),
+    ]
+    for i, (s, t, mode, first, count) in enumerate(cases):
+        h = find_hom(s, t, mode)
+        assert (h and h.mapping) == first, i
+        maps = _search(s, t, mode, None, True, None)
+        assert len(maps) == count and all(Hom(s, t, f).is_embedding() for f in maps), i
 
 
 def test_unknown_search_mode_is_invalid_input():
