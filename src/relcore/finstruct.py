@@ -10,7 +10,7 @@ One backtracker, `_HomSearch`, assigns every value.  It is set up once per
 only by restricting the initial candidate sets: `find_hom(partial=...)`
 fixes the images of some elements, and the core test runs one set-up once
 per element, with that element left out of every set.  Embeddings and
-isomorphisms also reflect each relation of arity >= 3, checked once per map.
+isomorphisms also reflect each relation of arity >= 3 as each value is tried.
 """
 
 from __future__ import annotations
@@ -355,9 +355,8 @@ class _HomSearch:
     The set-up is built once per (source, target, mode) and `run` may be
     called any number of times; each run only narrows a copy of the
     initial candidate sets.  mode is one of "hom", "embedding", "iso".
-    The set-up reads the target only through `_TargetTables` and its
-    relations of arity >= 3; the source side (candidate sets, links and
-    tuple lists) is built per search.
+    The set-up takes the target's masks from `_TargetTables` and builds
+    the rest (candidate sets, links and tuple lists) per search.
 
     Each candidate set is an int bitmask over target elements.  Tuples
     with one distinct element, those of unary relations and loops among
@@ -372,10 +371,9 @@ class _HomSearch:
     values that complete an image tuple in the target relation: forward
     checking for non-binary constraints (nFC in Bessiere, Meseguer, Freuder
     and Larrosa, "On forward checking for non-binary constraint
-    satisfaction", AI 141, 2002).  The cuts above make strong modes reflect
-    unary tuples, loops and binary relations; each complete map is then
-    dropped unless every target tuple of arity >= 3 inside its image has
-    its preimage in the source.  An isomorphism maps each
+    satisfaction", AI 141, 2002).  In strong modes a value w is tried only
+    if every target tuple of arity >= 3 through w whose other elements are
+    all images has its preimage in the source.  An isomorphism maps each
     relation onto the target's, so iso mode runs only when every relation
     has as many tuples in the source as in the target.
     """
@@ -389,11 +387,11 @@ class _HomSearch:
         n, m = source.size, target.size
         self.n, self.m = n, m
         # checks[v] holds (target relation, source tuple) for the tuples of
-        # arity >= 3 through v with two or more distinct elements
+        # arity >= 3 through v with two or more distinct elements; through[w],
+        # in strong modes, (source relation, target tuple) for those through w
         self.links: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
         self.checks: list[list] = [[] for _ in range(n)]
-        # the (source, target) relations of arity >= 3 that strong modes reflect
-        self.reflect: list[tuple[frozenset, frozenset]] = []
+        through = self.through = [[] for _ in range(m)] if strong else None
         self.domains: Optional[list[int]] = None
         if (mode == "iso" and n != m) or (strong and n > m):
             return
@@ -422,8 +420,10 @@ class _HomSearch:
                         on.add(a)
                 i += 2
             else:
-                if strong and arity > 2:
-                    self.reflect.append((s_rel, t_rel))
+                for t in t_rel if strong else ():
+                    if len(elements := set(t)) > 1:
+                        for w in elements:
+                            through[w].append((s_rel, t))
                 for t in s_rel:
                     elements = set(t)
                     if len(elements) == 1:
@@ -461,11 +461,11 @@ class _HomSearch:
         the images of some variables and avoid is a target element no
         variable may take; both only narrow the initial candidate sets.
 
-        Every value tried counts one step, every value the forward check on
-        tuples of arity >= 3 tests one more, every target tuple the
-        reflection check reads one more, and every stored map n steps.
-        The count is kept inline and charged to the work budget once, when
-        the run ends or when it exceeds the headroom it started with.
+        Every value tried counts one step, and so does every value the
+        forward check tests and every target tuple through a value the
+        reflection check tries; every stored map counts n.  The count is
+        kept inline and charged to the work budget once, when the run ends
+        or when it exceeds the headroom it started with.
         """
         n, m = self.n, self.m
         if limit == 0 or self.domains is None:
@@ -479,22 +479,22 @@ class _HomSearch:
             domains[v] &= 1 << w
         if not all(domains):
             return []
-        links, checks, reflect = self.links, self.checks, self.reflect
+        links, checks, through = self.links, self.checks, self.through
 
         assignment: list[Optional[int]] = [None] * n
+        # read only in strong modes, where no two variables share an image
+        inverse: list[Optional[int]] = [None] * m
         solutions: list[tuple[int, ...]] = []
         work, allowed = 0, headroom()
 
-        def reflects() -> bool:
-            """Whether the complete, injective assignment reflects `reflect`."""
+        def reflects(v: int, w: int) -> bool:
+            """With v -> w, whether each target tuple through w inside the image has a source preimage."""
             nonlocal work
-            preimage = dict(zip(assignment, range(n))).get
-            for s_rel, t_rel in reflect:
-                work += len(t_rel)
-                for t in t_rel:
-                    pre = tuple(map(preimage, t))
-                    if None not in pre and pre not in s_rel:
-                        return False
+            work += len(through[w])
+            for s_rel, t in through[w]:
+                pre = tuple([v if y == w else inverse[y] for y in t])
+                if None not in pre and pre not in s_rel:
+                    return False
             return True
 
         def forward(v: int, current: list[int]) -> bool:
@@ -531,8 +531,6 @@ class _HomSearch:
             """Returns True when the solution limit has been reached."""
             nonlocal work
             if not left:
-                if reflect and not reflects():
-                    return False
                 work += n
                 if work > allowed:
                     charge(work, "hom search")
@@ -555,6 +553,8 @@ class _HomSearch:
                 work += 1
                 if work > allowed:
                     charge(work, "hom search")
+                if through and through[w] and not reflects(v, w):
+                    continue
                 pruned = list(current)
                 for u, rows in links[v]:
                     if assignment[u] is None:
@@ -563,9 +563,9 @@ class _HomSearch:
                             break
                         pruned[u] = cut
                 else:
-                    assignment[v] = w
+                    assignment[v], inverse[w] = w, v
                     done = (not checks[v] or forward(v, pruned)) and backtrack(pruned, left - 1)
-                    assignment[v] = None
+                    assignment[v] = inverse[w] = None
                     if done:
                         return True
             return False

@@ -348,16 +348,16 @@ def test_search_work_budget_counts_forward_checks(monkeypatch):
         is_core(chain)
 
 
-def test_strong_modes_drop_a_map_that_does_not_reflect(monkeypatch):
-    # no source tuple, one target tuple: the map 0 -> 0, 1 -> 1, 2 -> 2 is a
-    # hom whose image holds (0, 1, 2), so no embedding; 2 -> 3 is the first
-    # one found.  4 values tried, the one target tuple read by the check at
-    # each of the 2 complete maps, and 3 for the map stored: 9 steps
+def test_strong_modes_drop_a_value_that_does_not_reflect(monkeypatch):
+    # no source tuple, one target tuple: 0 -> 0, 1 -> 1 leaves 2 -> 2 a hom
+    # value whose image would hold (0, 1, 2), so no embedding; 2 -> 3 is the
+    # first one found.  4 values tried, the one target tuple through each of
+    # 0, 1 and 2 read as that value is tried, and 3 for the map stored: 10
     source = ternary(3, set())
     target = ternary(4, {(0, 1, 2)})
-    monkeypatch.setattr(errors, "WORK_BUDGET", 9)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 10)
     assert find_hom(source, target, "embedding").mapping == (0, 1, 3)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 8)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 9)
     with pytest.raises(TooLarge, match="work budget"):
         find_hom(source, target, "embedding")
     monkeypatch.undo()
@@ -365,11 +365,32 @@ def test_strong_modes_drop_a_map_that_does_not_reflect(monkeypatch):
     embeddings = _search(source, target, "embedding", None, True, None)
     assert len(embeddings) == 18 and all(not {0, 1, 2} <= set(f) for f in embeddings)
     assert find_hom(source, target, "hom").mapping == (0, 0, 0)
-    # only relations of arity >= 3 are checked; the masks reflect the others
+    # only tuples of arity >= 3 with two or more distinct elements are
+    # checked; the masks reflect the others
     sig = Signature((("P", 1), ("E", 2), ("T", 3)))
-    marked = FinStructure(sig, 3, {"P": {(0,)}, "E": {(0, 1)}, "T": {(0, 1, 2)}})
-    assert _HomSearch(marked, marked, "embedding").reflect == [(marked.rel("T"), marked.rel("T"))]
-    assert _HomSearch(marked, marked, "hom").reflect == []
+    marked = FinStructure(sig, 3, {"P": {(0,)}, "E": {(0, 1)}, "T": {(0, 1, 2), (2, 2, 2)}})
+    through = [[(marked.rel("T"), (0, 1, 2))]] * 3
+    assert _HomSearch(marked, marked, "embedding").through == through
+    assert _HomSearch(marked, marked, "iso").through == through
+    assert _HomSearch(marked, marked, "hom").through is None
+
+
+def test_sparse_source_into_dense_target_is_refuted_early(monkeypatch):
+    # no tuple on 6 elements into every triple of distinct elements on 8:
+    # any 3 images hold a target tuple, so each third value is dropped as it
+    # is tried.  8, 56 and 336 values at depths 1-3, each also reading the
+    # 3 * 7 * 6 = 126 target tuples through it: 400 * 127 = 50,800 steps.
+    # A check on complete maps only would read 336 tuples at each of the
+    # 8! / 2! = 20,160 injective maps, past the default budget
+    source = ternary(6, set())
+    target = ternary(8, itertools.permutations(range(8), 3))
+    assert find_hom(source, target, "embedding") is None
+    monkeypatch.setattr(errors, "WORK_BUDGET", 50_800)
+    assert find_hom(source, target, "embedding") is None
+    monkeypatch.setattr(errors, "WORK_BUDGET", 50_799)
+    with pytest.raises(TooLarge, match="work budget"):
+        find_hom(source, target, "embedding")
+    assert find_hom(source, target, "hom").mapping == (0,) * 6
 
 
 def betweenness(atoms):
