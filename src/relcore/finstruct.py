@@ -8,9 +8,9 @@ individualization-refinement for isomorphism testing.
 One backtracker, `_HomSearch`, assigns every value.  It is set up once per
 (source, target, mode) and run as often as needed.  Its callers steer a run
 only by restricting the initial candidate sets: `find_hom(partial=...)`
-fixes the images of some elements, and the core test runs one set-up once
-per element, with that element left out of every set.  Embeddings and
-isomorphisms also reflect each relation of arity >= 3 as each value is tried.
+fixes the images of some elements, and the core test runs one set-up with each
+element in turn left out of every set, skipping the orbits of refuted ones.
+Embeddings and isomorphisms reflect relations of arity >= 3 per value tried.
 """
 
 from __future__ import annotations
@@ -603,26 +603,56 @@ def enumerate_endos(structure: FinStructure, limit: Optional[int] = None) -> lis
     return [Hom._found(structure, structure, m) for m in found]
 
 
+def _occurrence_profiles(structure: FinStructure) -> list[tuple[int, ...]]:
+    """Per element, the column (relation, position) of each occurrence, in order."""
+    occurs: list[list[int]] = [[] for _ in range(structure.size)]
+    columns = (column for tuples in structure.relations.values() for column in zip(*tuples))
+    for j, column in enumerate(columns):
+        for x in column:
+            occurs[x].append(j)
+    return list(map(tuple, occurs))
+
+
 @metered
 def find_noninjective_endo(structure: FinStructure) -> Optional[Hom]:
     """An endomorphism that is not injective, or None if the structure is a core.
 
     A non-injective endomorphism of a finite structure misses some element,
     so the structure is a core iff no search S -> S without v succeeds, for
-    v = 0, 1, ... (Hell and Nesetril, "The core of a graph", 1992).  The
-    first map found is returned, so the result is deterministic.  The
-    searches share one set-up and charge one work meter.
+    v = 0, 1, ... (Hell and Nesetril, "The core of a graph", 1992).  A map h
+    avoiding g(u), g an automorphism, gives g^-1 h avoiding u, so v is skipped
+    if its orbit under the automorphisms found so far meets a refuted element.
+    Before refuting v, one run maps r -> v for the first refuted r with v's
+    occurrence profile; an injective map is an automorphism.  The map returned
+    is the one that a search per element, in order, returns.  All runs share
+    one set-up and charge one work meter the steps `_HomSearch.run` counts.
     """
     search = _HomSearch(structure, structure, "hom")
+    refuted: list[int] = []
+    automorphisms: list[tuple[int, ...]] = []
     for v in range(structure.size):
+        if automorphisms and _orbit_meets(v, refuted, automorphisms):
+            continue
+        if v == 1:  # 0 is refuted, and a second element is about to be
+            profiles = _occurrence_profiles(structure)
+            first = {profiles[0]: 0}  # profile -> the first element refuted with it
+        r = first.get(profiles[v]) if v else None
+        found = None if r is None else search.run({r: v}, lexicographic=False, limit=1)
+        if found and len(set(found[0])) == len(found[0]):
+            automorphisms.append(found[0])
+            continue
         found = search.run(None, lexicographic=False, limit=1, avoid=v)
         if found:
             return Hom._found(structure, structure, found[0])
+        refuted.append(v)
+        if v:
+            first.setdefault(profiles[v], v)
     return None
 
 
 def is_core(structure: FinStructure) -> bool:
-    """True iff every endomorphism is injective (hence an automorphism)."""
+    """True iff every endomorphism is injective (hence an automorphism); one
+    refutation per element outside the orbits of those already refuted."""
     return find_noninjective_endo(structure) is None
 
 
@@ -720,7 +750,7 @@ def _individualize(colours: list[int], w: int) -> list[int]:
     return [x + 1 if x > c or (x == c and v != w) else x for v, x in enumerate(colours)]
 
 
-def _orbit_meets(w: int, tried: list[int], generators: list[list[int]]) -> bool:
+def _orbit_meets(w: int, tried: list[int], generators: Sequence[Sequence[int]]) -> bool:
     """Whether the orbit of w under the group generated by `generators` meets `tried`."""
     orbit = {w}
     frontier = [w]

@@ -433,12 +433,14 @@ def test_unknown_search_mode_is_invalid_input():
 
 
 def test_compute_core_charges_one_meter(monkeypatch):
-    # the undirected 6-cycle folds onto an edge: 12 steps find the folding
-    # and 2 more refute a fold of the edge, 14 in all
+    # the undirected 6-cycle folds onto an edge: 12 steps find the folding.
+    # On the edge, 1 step refutes a map without 0, and 4 find the swap
+    # 0 -> 1, 1 -> 0 (2 values tried, 2 for the map) in place of the 1 step
+    # that refuted a map without 1; 17 in all
     hexagon = digraph(6, {(i, (i + 1) % 6) for i in range(6)} | {((i + 1) % 6, i) for i in range(6)})
-    monkeypatch.setattr(errors, "WORK_BUDGET", 14)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 17)
     assert compute_core(hexagon).core == K2
-    monkeypatch.setattr(errors, "WORK_BUDGET", 13)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 16)
     with pytest.raises(TooLarge, match="work budget"):
         compute_core(hexagon)
     # each search fits the smaller budget alone
@@ -586,6 +588,97 @@ def test_noninjective_endo_is_deterministic():
     e2 = find_noninjective_endo(two_k2)
     assert e1.mapping == e2.mapping
     assert len(set(e1.mapping)) < two_k2.size
+
+
+def per_element_noninjective_endo(structure):
+    """The core test with one refutation run per element, v = 0, 1, ...:
+    the oracle for `find_noninjective_endo`, which skips elements in the
+    orbit of a refuted one."""
+    search = _HomSearch(structure, structure, "hom")
+    for v in range(structure.size):
+        found = search.run(None, lexicographic=False, limit=1, avoid=v)
+        if found:
+            return Hom(structure, structure, found[0])
+    return None
+
+
+def pair_cover_sample(atoms):
+    return sample(gallery.pair_cover().total, make_sample(DLO, atoms)).structure
+
+
+def tagged_pair_sample(atoms):
+    return sample(gallery.tagged_pair_structure(), make_sample(DLO, atoms)).structure
+
+
+def cycle(n):
+    return digraph(n, {(i, (i + 1) % n) for i in range(n)} | {((i + 1) % n, i) for i in range(n)})
+
+
+# A regular tournament on 11 elements, each beating the five listed; every
+# element has the same occurrence profile and the only automorphism is the
+# identity (3-cycles of the circulant tournament reversed at random)
+RIGID_TOURNAMENT = digraph(11, {(a, b) for a, bs in enumerate([
+    (3, 6, 8, 9, 10), (0, 2, 4, 5, 6), (0, 3, 4, 7, 10), (1, 7, 8, 9, 10),
+    (0, 3, 5, 7, 8), (0, 2, 3, 6, 10), (2, 3, 4, 7, 9), (0, 1, 5, 8, 9),
+    (1, 2, 5, 6, 9), (1, 2, 4, 5, 10), (1, 4, 6, 7, 8),
+]) for b in bs})
+
+
+def core_test_inputs():
+    rng = random.Random(31)  # the 100 structures of the set-up test above
+    structures = [random_structure(rng, max_size=6) for _ in range(100)]
+    structures += [johnson(a) for a in (5, 6, 7)] + [gallery.spider(n) for n in (3, 4, 5)]
+    structures += [pair_cover_sample(4), tagged_pair_sample(4), pair_cover_sample(3), RIGID_TOURNAMENT]
+    # twins: structures beside a relabelled copy of themselves.  In
+    # C5 + C7 + C7 no endomorphism misses an element of the 5-cycle, and the
+    # runs r -> v within it find folds of the 7-cycles, not automorphisms
+    twins = [K3, johnson(4), pair_cover_sample(2)] + [random_structure(rng, max_size=5) for _ in range(20)]
+    structures += [disjoint_union(s, relabelled(s, rng.sample(range(s.size), s.size))) for s in twins]
+    structures.append(disjoint_union(cycle(5), disjoint_union(cycle(7), cycle(7))))
+    return structures
+
+
+def test_core_test_matches_per_element_refutations(monkeypatch):
+    structures = core_test_inputs()
+    cores = []
+    for i, s in enumerate(structures):
+        e, oracle = find_noninjective_endo(s), per_element_noninjective_endo(s)
+        assert (e and e.mapping) == (oracle and oracle.mapping), f"structure {i}"
+        cores.append(compute_core(s))
+    assert len(enumerate_endos(RIGID_TOURNAMENT)) == 1
+    # compute_core over the oracle: the same parts, hence the same core,
+    # kept elements and retraction
+    monkeypatch.setattr(finstruct, "find_noninjective_endo", per_element_noninjective_endo)
+    for i, (s, res) in enumerate(zip(structures, cores)):
+        old = compute_core(s)
+        assert (res.core, res.old_ids, res.retraction.mapping, res.was_core) == (
+            old.core, old.old_ids, old.retraction.mapping, old.was_core), f"structure {i}"
+
+
+def test_core_test_refutes_once_per_orbit(monkeypatch):
+    runs = []
+
+    class Counted(_HomSearch):
+        def run(self, partial, lexicographic, limit, avoid=None):
+            runs.append("refute" if avoid is not None else "map r -> v")
+            return super().run(partial, lexicographic, limit, avoid)
+
+    monkeypatch.setattr(finstruct, "_HomSearch", Counted)
+    # each automorphism group is transitive: 0 is refuted, and the elements
+    # outside the orbit of 0 under the automorphisms found so far are each
+    # reached by one run that finds another automorphism
+    for s, automorphisms in ((johnson(6), 5), (pair_cover_sample(4), 3)):
+        runs.clear()
+        assert is_core(s)
+        assert runs == ["refute"] + ["map r -> v"] * automorphisms
+
+
+def test_johnson_sample_on_8_atoms_is_a_core_within_a_second():
+    s = johnson(8)
+    start = time.perf_counter()
+    assert is_core(s)
+    elapsed = time.perf_counter() - start
+    assert s.size == 28 and elapsed < 1.0, f"is_core took {elapsed:.2f}s"
 
 
 def test_canonical_form_relabelings():
