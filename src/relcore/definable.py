@@ -648,10 +648,10 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
     set of pair-orbit descriptors it contains.
 
     Every candidate must be irreflexive, total, antisymmetric and
-    transitive on a sample with 3*d atoms; since three points involve at
-    most 3*d atoms and every 3-point type is realized at that size,
+    transitive on one point triple per orbit (see _composition_table);
     invariance makes the check conclusive.  Every composition-table triple
-    examined (577,128 in all at d = 3) is charged to the work budget.
+    examined (577,128 in all at d = 3) is charged to the work budget, and
+    the orbit walk to the call that builds the table.
     """
     if len(D.sorts) != 1:
         raise Unsupported("invariant order enumeration needs a single sort")
@@ -693,67 +693,49 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
 @functools.lru_cache(maxsize=3)
 def _composition_table(d: int):
     """Pair classes of Jord_d and their composition table, built once per d
-    from one point triple per orbit.
+    from one point triple (i, j, k) per orbit (see _orbits); the walk is
+    charged to the call that builds the table.
 
-    The points are the d-subsets of a 3d-atom sample, which realizes every
-    orbit of point pairs and triples; of the triples only the one per orbit
-    whose atoms are an initial segment {0..u-1} is read (15,956 of 592,704
-    at d = 3).  The classes are numbered 0, 1, ... in order of first
-    meeting.  Returns, as tuples, the table indexed by first class, the
-    number of triples per first class, the diagonal class, the (class,
-    swapped class) pairs of the other classes, and the descriptor of every
-    class.  The table's entry for c_ij holds, per class c_jk in order of
-    first meeting, (c_jk, bitmask of the classes c_ik), over the point
-    triples i != j != k with c_jk not the diagonal, which it is exactly
-    when k == j; triples[c_ij] counts those triples, one per (c_jk, c_ik)
-    pair.  Each pair of pairs puts the class with the lesser descriptor
-    first, and the pairs are sorted by descriptors.
-
-    A pair (p, q) is keyed by its interleaving: for each atom of p or q in
-    value order, 1, 2 or 3 as p, q or both hold it; a new class is named
-    from its key, p holding the atoms with bit 1 and q those with bit 2.
+    A pair's class is keyed by its slots relabelled to their support and
+    named by its descriptor (see _type).  Returns, as tuples, the table
+    indexed by first class, the number of triples per first class, the
+    diagonal class, the (class, swapped class) pairs of the other classes,
+    sorted by descriptors with the lesser first, and the descriptor of every
+    class.  The entry for c_ij holds, per c_jk, (c_jk, bitmask of the c_ik)
+    over the triples with i != j != k; each orbit gives its own (c_jk, c_ik),
+    so triples[c_ij] is the entry's bit count.
     """
-    points = list(itertools.combinations(range(3 * d), d))
-    masks = [sum(1 << k for k in p) for p in points]
-    # a byte per atom, 1 where p holds it: p + 2q, zero bytes dropped, keys (p, q)
-    codes = [sum(1 << 8 * k for k in p) for p in points]
-    ids: dict[bytes, int] = {}
+    # a pair's slots, and the same relabelled to their support, key its class
+    ids: dict[tuple, int] = {}
     names = []
-    classes = []
-    for p, code in zip(points, codes):
-        row = []
-        for q, other in zip(points, codes):
-            key = (code + 2 * other).to_bytes(3 * d, "little").replace(b"\0", b"")
+
+    def cls(p, q):
+        c = ids.get((p, q))
+        if c is None:
+            support = sorted({*p, *q})
+            key = tuple(map(support.index, p)), tuple(map(support.index, q))
             c = ids.get(key)
             if c is None:
                 c = ids[key] = len(names)
-                shape = [(0, tuple(k for k, b in enumerate(key) if b & bit)) for bit in (1, 2)]
-                names.append(_type((0,) * len(key), shape, DLO, False))
-            row.append(c)
-        classes.append(row)
-    # per union m of two points, the points k that fill m up to an initial segment
-    unions = {a | b for a in masks for b in masks}
-    completing = {m: [k for k, m_k in enumerate(masks) if (x := m | m_k) & (x + 1) == 0] for m in unions}
-    by_first: list[dict] = [{} for _ in names]
-    triples = [0] * len(names)
+                names.append(_type((0,) * len(support), ((0, key[0]), (0, key[1])), DLO, False))
+            ids[p, q] = c
+        return c
+
+    by_first: dict[int, dict] = {}
     swapped = {}
-    for i, (row, m_i) in enumerate(zip(classes, masks)):
-        for j, (c_ij, m_j) in enumerate(zip(row, masks)):
-            if i != j:
-                ik = by_first[c_ij]
-                for k in completing[m_i | m_j]:
-                    if k != j:
-                        c_jk = classes[j][k]
-                        ik[c_jk] = ik.get(c_jk, 0) | 1 << row[k]
-                        triples[c_ij] += 1
-                swapped[c_ij] = classes[j][i]
-
-    def named(pair):
-        return names[pair[0]], names[pair[1]]
-
-    pairs = sorted({min(pair, pair[::-1], key=named) for pair in swapped.items()}, key=named)
-    table = tuple(tuple(ik.items()) for ik in by_first)
-    return table, tuple(triples), classes[0][0], tuple(pairs), tuple(names)
+    for _, ((_, i), (_, j), (_, k)) in _orbits(DefStructure(DLO, (Sort("t", d),), ()), 3, False):
+        if i != j:
+            c_ij = cls(i, j)
+            swapped[c_ij] = cls(j, i)
+            if k != j:
+                ik = by_first.setdefault(c_ij, {})
+                c_jk = cls(j, k)
+                ik[c_jk] = ik.get(c_jk, 0) | 1 << cls(i, k)
+    pairs = sorted(((a, b) for a, b in swapped.items() if names[a] < names[b]), key=lambda pair: names[pair[0]])
+    table = tuple(tuple(by_first.get(c, {}).items()) for c in range(len(names)))
+    triples = tuple(sum(ik.bit_count() for _, ik in entry) for entry in table)
+    diag = tuple(range(d))
+    return table, triples, cls(diag, diag), tuple(pairs), tuple(names)
 
 
 @dataclass(frozen=True)

@@ -1104,16 +1104,20 @@ def expand(groups):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_composition_table_matches_list_table(d):
-    # the same pairs per first class, grouped by c_jk in order of first
-    # meeting, one triple counted per pair; the same classes and pairs
+    # compared by descriptor, so free of class numbering: the same classes,
+    # diagonal and pairs, and per first class the same (c_jk, c_ik) pairs,
+    # each c_jk grouped once per entry and one triple counted per pair
     masks, triples, diag, pairs, names = definable._composition_table(d)
-    by_first, *rest = list_composition_table(d)
-    assert (diag, pairs, names) == tuple(rest)
-    assert len(masks) == len(triples) == len(by_first) == len(names)
-    for groups, count, want in zip(masks, triples, by_first):
-        assert sorted(expand(groups)) == sorted(want)
-        assert count == len(want)
-        assert [c_jk for c_jk, _ in groups] == list(dict.fromkeys(c_jk for c_jk, _ in want))
+    by_first, want_diag, want_pairs, want_names = list_composition_table(d)
+    assert sorted(names) == sorted(want_names) and len(set(names)) == len(names)
+    assert names[diag] == want_names[want_diag]
+    assert [(names[a], names[b]) for a, b in pairs] == [(want_names[a], want_names[b]) for a, b in want_pairs]
+    assert len(masks) == len(triples) == len(names)
+    want = {want_names[c]: sorted((want_names[a], want_names[b]) for a, b in rest) for c, rest in enumerate(by_first)}
+    for c, (groups, count) in enumerate(zip(masks, triples)):
+        assert sorted((names[a], names[b]) for a, b in expand(groups)) == want[names[c]]
+        assert count == len(want[names[c]])
+        assert len({c_jk for c_jk, _ in groups}) == len(groups)
     assert sum(triples) == {1: 8, 2: 384, 3: 15956}[d]
 
 
@@ -1153,20 +1157,39 @@ def orders_and_steps(d):
     return enumerate_invariant_orders(increasing_tuple_structure(d)), errors._spent.get()
 
 
+# the steps of the triple-orbit walk that builds the composition table, and
+# the composition-table triples the search examines, per d
+TABLE_WALK_STEPS = {1: 96, 2: 3638, 3: 177060}
+ORDER_SEARCH_STEPS = {1: 8, 2: 1776, 3: 577128}
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_bitmask_order_search_matches_status_list_search(d):
-    # the same orders in the same order, and the same steps charged
-    assert orders_and_steps(d) == status_list_orders(d)
+    # the same orders in the same order, and the same steps charged once the
+    # table is built; the call that builds it also charges the orbit walk
+    definable._composition_table.cache_clear()
+    want, steps = status_list_orders(d)
+    assert steps == ORDER_SEARCH_STEPS[d]
+    assert orders_and_steps(d) == (want, steps + TABLE_WALK_STEPS[d])
+    assert orders_and_steps(d) == (want, steps)
 
 
 def test_invariant_order_search_budget(monkeypatch):
-    # the search examines 1,776 composition-table triples at d = 2
+    # the search examines 1,776 composition-table triples at d = 2; the call
+    # that builds the table first walks the triple orbits, 3,638 steps
     jord2 = increasing_tuple_structure(2)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 1776)
-    assert len(enumerate_invariant_orders(jord2)) == 8
-    monkeypatch.setattr(errors, "WORK_BUDGET", 1775)
-    with pytest.raises(TooLarge, match="work budget"):
-        enumerate_invariant_orders(jord2)
+
+    def orders(budget, cold):
+        if cold:
+            definable._composition_table.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(errors, "WORK_BUDGET", budget)
+            return enumerate_invariant_orders(jord2)
+
+    for total, cold in ((1776 + 3638, True), (1776, False)):
+        with pytest.raises(TooLarge, match="work budget"):
+            orders(total - 1, cold)
+        assert len(orders(total, cold)) == 8
 
 
 def digest(value):
