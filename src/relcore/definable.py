@@ -23,7 +23,6 @@ from .errors import (
     BaseMismatch,
     InvalidDimension,
     SignatureMismatch,
-    TooLarge,
     Unsupported,
     charge,
     headroom,
@@ -629,10 +628,14 @@ def growth_up_to_reversal(D: DefStructure, n: int) -> int:
 
 def increasing_tuple_structure(d: int) -> DefStructure:
     """The canonical ordered base in dimension d: strictly increasing
-    d-tuples with all coordinatewise order and equality relations."""
+    d-tuples with all coordinatewise order and equality relations.  Its
+    2d^2 clauses are charged before any is built, at full_power_def's rate:
+    seven steps each, two for the atomic formula (built, then checked), two
+    per guard entry, and one."""
     require_ints([d], "dimension", InvalidDimension)
     if d < 1:
         raise InvalidDimension(f"need dimension >= 1, got {d}")
+    charge(7 * 2 * d * d, f"a structure with {2 * d * d} clauses")
     clauses = [
         RelationClause(f"{name}{i + 1}{j + 1}", 2, (GUARD_ANY, GUARD_ANY), atomic(i, d + j))
         for i in range(d)
@@ -649,9 +652,11 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
 
     Every candidate must be irreflexive, total, antisymmetric and
     transitive on one point triple per orbit (see _composition_table);
-    invariance makes the check conclusive.  Every composition-table triple
-    examined (577,128 in all at d = 3) is charged to the work budget, and
-    the orbit walk to the call that builds the table.
+    invariance makes the check conclusive.  Each decision charges the
+    entries of the table row it scans, at least one, as the triple (i, j, i)
+    is in every row but the diagonal's: 120,156 in all at d = 3.  The orbit
+    walks charge the call that builds the table, and the budget is the only
+    bound on d: from d = 4 the triple orbits' pre-count raises TooLarge.
     """
     if len(D.sorts) != 1:
         raise Unsupported("invariant order enumeration needs a single sort")
@@ -660,82 +665,65 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
     d = D.sorts[0].dim
     if d < 1:
         raise InvalidDimension(f"need dimension >= 1, got {d}")
-    if d > 3:
-        raise TooLarge(f"dimension {d} outside supported range 1..3")
 
     # A triple (a, b, c) broken by points i, j, k (a, b true, c false)
     # makes the rotations (b, swap c, swap a) from j, k, i and
     # (swap c, a, swap b) from k, i, j broken too, so a decision breaks a
     # triple exactly when it breaks one whose first descriptor it set true.
-    masks, triples, diag, pairs, names = _composition_table(d)
+    rows, pairs, names = _composition_table(d)
     results = []
-
-    def descend(idx: int, true: int, false: int):
-        """Decide pairs[idx:], the classes in the bitmasks true and false
-        being decided already."""
+    stack = [(0, 0, 1)]  # pairs decided, then true and false classes as bitmasks; the diagonal is false
+    while stack:
+        idx, true, false = stack.pop()
         if idx == len(pairs):
             results.append(tuple(sorted(names[c] for c in range(len(names)) if true >> c & 1)))
-            return
+            continue
         a, b = pairs[idx]
         for chosen, dropped in ((a, b), (b, a)):
             now_true, now_false = true | 1 << chosen, false | 1 << dropped
-            charge(triples[chosen], "invariant order search")
-            if not any(now_true >> c_jk & 1 and ik & now_false for c_jk, ik in masks[chosen]):
-                descend(idx + 1, now_true, now_false)
-
-    descend(0, 0, 1 << diag)
-    # descend reaches itself through its closure; breaking that cycle frees
-    # the table now instead of at the next cyclic garbage collection.
-    descend = None
+            charge(len(rows[chosen]), "invariant order search")
+            if not any(now_true >> c_jk & 1 and ik & now_false for c_jk, ik in rows[chosen]):
+                stack.append((idx + 1, now_true, now_false))
     return sorted(results)
 
 
 @functools.lru_cache(maxsize=3)
 def _composition_table(d: int):
     """Pair classes of Jord_d and their composition table, built once per d
-    from one point triple (i, j, k) per orbit (see _orbits); the walk is
-    charged to the call that builds the table.
+    from one point triple (i, j, k) per orbit (see _orbits).  The walks are
+    charged to the call that builds the table, the triple orbits' pre-count
+    before the pair walk, so that a d too large raises at once.
 
-    A pair's class is keyed by its slots relabelled to their support and
-    named by its descriptor (see _type).  Returns, as tuples, the table
-    indexed by first class, the number of triples per first class, the
-    diagonal class, the (class, swapped class) pairs of the other classes,
-    sorted by descriptors with the lesser first, and the descriptor of every
-    class.  The entry for c_ij holds, per c_jk, (c_jk, bitmask of the c_ik)
-    over the triples with i != j != k; each orbit gives its own (c_jk, c_ik),
-    so triples[c_ij] is the entry's bit count.
+    Class 0 is the diagonal and class c >= 1 the pair _pair_reps(d)[c - 1];
+    a pair's slots, relabelled to their support, look up its class.
+    Returns, as tuples, the rows, the swap pairs and every class's
+    descriptor.  The row of c_ij holds, per c_jk, (c_jk, bitmask of the
+    c_ik) over the triples with i != j != k.  A swap pair is a class and
+    its reversed shape's, the lesser descriptor first, sorted by it.
     """
-    # a pair's slots, and the same relabelled to their support, key its class
-    ids: dict[tuple, int] = {}
-    names = []
+    triples = _orbits(DefStructure(DLO, (Sort("t", d),), ()), 3, False)
+    next(triples)  # runs the pre-count; the first orbit, (i, i, i), adds nothing
+    diag = ((0, tuple(range(d))),) * 2
+    reps = ((_type((0,) * d, diag, DLO, False), diag),) + _pair_reps(d)
+    names = tuple(name for name, _ in reps)
+    ids = {(p, q): c for c, (_, ((_, p), (_, q))) in enumerate(reps)}
 
     def cls(p, q):
         c = ids.get((p, q))
         if c is None:
             support = sorted({*p, *q})
-            key = tuple(map(support.index, p)), tuple(map(support.index, q))
-            c = ids.get(key)
-            if c is None:
-                c = ids[key] = len(names)
-                names.append(_type((0,) * len(support), ((0, key[0]), (0, key[1])), DLO, False))
-            ids[p, q] = c
+            c = ids[p, q] = ids[tuple(map(support.index, p)), tuple(map(support.index, q))]
         return c
 
-    by_first: dict[int, dict] = {}
-    swapped = {}
-    for _, ((_, i), (_, j), (_, k)) in _orbits(DefStructure(DLO, (Sort("t", d),), ()), 3, False):
-        if i != j:
-            c_ij = cls(i, j)
-            swapped[c_ij] = cls(j, i)
-            if k != j:
-                ik = by_first.setdefault(c_ij, {})
-                c_jk = cls(j, k)
-                ik[c_jk] = ik.get(c_jk, 0) | 1 << cls(i, k)
-    pairs = sorted(((a, b) for a, b in swapped.items() if names[a] < names[b]), key=lambda pair: names[pair[0]])
-    table = tuple(tuple(by_first.get(c, {}).items()) for c in range(len(names)))
-    triples = tuple(sum(ik.bit_count() for _, ik in entry) for entry in table)
-    diag = tuple(range(d))
-    return table, triples, cls(diag, diag), tuple(pairs), tuple(names)
+    rows: list[dict] = [{} for _ in reps]
+    for _, ((_, i), (_, j), (_, k)) in triples:
+        if i != j != k:
+            row = rows[cls(i, j)]
+            c_jk = cls(j, k)
+            row[c_jk] = row.get(c_jk, 0) | 1 << cls(i, k)
+    swaps = [(c, ids[q, p]) for c, (_, ((_, p), (_, q))) in enumerate(reps)]
+    pairs = sorted(((a, b) for a, b in swaps if names[a] < names[b]), key=lambda pair: names[pair[0]])
+    return tuple(tuple(row.items()) for row in rows), tuple(pairs), names
 
 
 @dataclass(frozen=True)

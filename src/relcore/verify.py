@@ -27,7 +27,7 @@ from .definable import (
     sample,
     unlabelled_growth,
 )
-from .errors import RelcoreError
+from .errors import RelcoreError, Unsupported
 from .finstruct import (
     FinStructure,
     Hom,
@@ -566,6 +566,11 @@ SEEDED_SUITES = {"core-engine", "functoriality"}
 
 
 def run_suite(name: str, seed: int = 0) -> Report:
+    """The named suite's report.  Every check is an assert statement, so
+    under python -O (or PYTHONOPTIMIZE) each would pass unchecked; there
+    the call raises instead."""
+    if not __debug__:
+        raise Unsupported("verify checks are assert statements, which python -O skips")
     if name in SEEDED_SUITES:
         return SUITES[name](seed=seed)  # type: ignore[call-arg]
     return SUITES[name]()

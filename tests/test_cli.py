@@ -384,9 +384,9 @@ def test_malformed_atom_spec_exits_2(capsys, spec):
     assert_input_error(*run(capsys, "sample", "gallery:QST", "--atoms", spec))
 
 
-def run_entry_point(*argv, hash_seed="0", stdout=subprocess.PIPE):
-    """Run `python -m relcore.cli` in a child that imports the same relcore as
-    this process, installed or not."""
+def run_entry_point(*argv, hash_seed="0", stdout=subprocess.PIPE, flags=()):
+    """Run `python [flags] -m relcore.cli` in a child that imports the same
+    relcore as this process, installed or not."""
     src = str(Path(relcore.__file__).resolve().parents[1])
     env = {
         **os.environ,
@@ -394,7 +394,7 @@ def run_entry_point(*argv, hash_seed="0", stdout=subprocess.PIPE):
         "PYTHONHASHSEED": hash_seed,
     }
     return subprocess.run(
-        [sys.executable, "-m", "relcore.cli", *argv],
+        [sys.executable, *flags, "-m", "relcore.cli", *argv],
         stdout=stdout,
         stderr=subprocess.PIPE,
         timeout=60,
@@ -405,6 +405,14 @@ def run_entry_point(*argv, hash_seed="0", stdout=subprocess.PIPE):
 def test_malformed_atom_spec_from_entry_point():
     proc = run_entry_point("sample", "gallery:DLO", "--atoms", "1/0")
     assert_input_error(proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+
+
+def test_verify_refuses_to_run_without_assertions():
+    # every check is an assert statement, which python -O skips, so every
+    # check would pass unchecked
+    proc = run_entry_point("verify", "--suite", "spider", flags=("-O",))
+    assert_input_error(proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+    assert "python -O" in proc.stderr.decode()
 
 
 def test_closed_stdout_exits_without_traceback():
@@ -443,6 +451,10 @@ def test_core_commands_are_deterministic(command, code):
         ["is-core", "gallery:Jord1@100000000"],
         # a spider this large raises before any tuple is built
         ["is-core", "gallery:spider3000"],
+        # the pre-count of Jord4's triple orbits raises before any is walked,
+        # and Jord5000's 50 million clauses before any is built
+        ["classify-orders", "--d", "4"],
+        ["classify-orders", "--d", "5000"],
         # digits that int() refuses: a superscript, and more than Python converts
         ["sample", "gallery:jord1", "--atoms", "\u00b2"],
         ["is-core", "gallery:spider\u00b2"],

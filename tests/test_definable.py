@@ -1096,43 +1096,48 @@ def list_composition_table(d):
     return tuple(map(tuple, by_first)), classes[0][0], tuple(pairs), tuple(names)
 
 
-def expand(groups):
-    """A table entry's (c_jk, bitmask of the c_ik) groups as (c_jk, c_ik)
+def expand(row):
+    """A table row's (c_jk, bitmask of the c_ik) entries as (c_jk, c_ik)
     pairs."""
-    return [(c_jk, c_ik) for c_jk, ik in groups for c_ik in range(ik.bit_length()) if ik >> c_ik & 1]
+    return [(c_jk, c_ik) for c_jk, ik in row for c_ik in range(ik.bit_length()) if ik >> c_ik & 1]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_composition_table_matches_list_table(d):
-    # compared by descriptor, so free of class numbering: the same classes,
-    # diagonal and pairs, and per first class the same (c_jk, c_ik) pairs,
-    # each c_jk grouped once per entry and one triple counted per pair
-    masks, triples, diag, pairs, names = definable._composition_table(d)
+    # compared by descriptor, so free of the oracle's class numbering: the
+    # same classes, diagonal and pairs, and per first class the same
+    # (c_jk, c_ik) pairs, each c_jk once per row.  Class 0 is the diagonal
+    # and the others are the pair walk's, in its order.  Each triple orbit
+    # gives its own (c_jk, c_ik), so the rows' bit counts are the triples
+    rows, pairs, names = definable._composition_table(d)
     by_first, want_diag, want_pairs, want_names = list_composition_table(d)
     assert sorted(names) == sorted(want_names) and len(set(names)) == len(names)
-    assert names[diag] == want_names[want_diag]
+    assert names[0] == want_names[want_diag]
+    assert names[1:] == tuple(desc for desc, _ in definable._pair_reps(d))
     assert [(names[a], names[b]) for a, b in pairs] == [(want_names[a], want_names[b]) for a, b in want_pairs]
-    assert len(masks) == len(triples) == len(names)
+    assert len(rows) == len(names)
+    # so every decision, which scans the row of a class in a pair, charges
+    assert all(rows[c] for pair in pairs for c in pair)
     want = {want_names[c]: sorted((want_names[a], want_names[b]) for a, b in rest) for c, rest in enumerate(by_first)}
-    for c, (groups, count) in enumerate(zip(masks, triples)):
-        assert sorted((names[a], names[b]) for a, b in expand(groups)) == want[names[c]]
-        assert count == len(want[names[c]])
-        assert len({c_jk for c_jk, _ in groups}) == len(groups)
-    assert sum(triples) == {1: 8, 2: 384, 3: 15956}[d]
+    for c, row in enumerate(rows):
+        assert sorted((names[a], names[b]) for a, b in expand(row)) == want[names[c]]
+        assert len({c_jk for c_jk, _ in row}) == len(row)
+    assert sum(ik.bit_count() for row in rows for _, ik in row) == {1: 8, 2: 384, 3: 15956}[d]
 
 
 @errors.metered
 def status_list_orders(d):
     """The former invariant-order search on one status list (None, True or
     False per class), the oracle for the bitmask one: the orders found and
-    the steps charged."""
+    the steps charged, one per distinct c_jk among the triples a decision
+    examines (the entries of its table row)."""
     by_first, diag, pairs, names = list_composition_table(d)
     results = []
     status = [None] * len(names)
 
     def violated(chosen):
         rests = by_first[chosen]
-        errors.charge(len(rests), "invariant order search")
+        errors.charge(len({c_jk for c_jk, _ in rests}), "invariant order search")
         return any(status[c_jk] and status[c_ik] is False for c_jk, c_ik in rests)
 
     def descend(idx):
@@ -1153,43 +1158,70 @@ def status_list_orders(d):
 
 
 @errors.metered
-def orders_and_steps(d):
-    return enumerate_invariant_orders(increasing_tuple_structure(d)), errors._spent.get()
+def orders_and_steps(D):
+    return enumerate_invariant_orders(D), errors._spent.get()
 
 
-# the steps of the triple-orbit walk that builds the composition table, and
-# the composition-table triples the search examines, per d
-TABLE_WALK_STEPS = {1: 96, 2: 3638, 3: 177060}
-ORDER_SEARCH_STEPS = {1: 8, 2: 1776, 3: 577128}
+# the steps of the orbit walks that build the composition table (the
+# triple walk, then the pair walk it reads the classes from), and the
+# table-row entries the search scans, per d
+TABLE_WALK_STEPS = {1: 96 + 17, 2: 3638 + 90, 3: 177060 + 517}
+ORDER_SEARCH_STEPS = {1: 4, 2: 600, 3: 120156}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_bitmask_order_search_matches_status_list_search(d):
     # the same orders in the same order, and the same steps charged once the
-    # table is built; the call that builds it also charges the orbit walk
+    # table is built; the call that builds it also charges the orbit walks
+    jord = increasing_tuple_structure(d)
     definable._composition_table.cache_clear()
+    definable._pair_reps.cache_clear()
     want, steps = status_list_orders(d)
     assert steps == ORDER_SEARCH_STEPS[d]
-    assert orders_and_steps(d) == (want, steps + TABLE_WALK_STEPS[d])
-    assert orders_and_steps(d) == (want, steps)
+    assert orders_and_steps(jord) == (want, steps + TABLE_WALK_STEPS[d])
+    assert orders_and_steps(jord) == (want, steps)
 
 
 def test_invariant_order_search_budget(monkeypatch):
-    # the search examines 1,776 composition-table triples at d = 2; the call
-    # that builds the table first walks the triple orbits, 3,638 steps
+    # the search scans 600 table-row entries at d = 2; the call that builds
+    # the table first walks the triple and pair orbits, 3,728 steps
     jord2 = increasing_tuple_structure(2)
 
     def orders(budget, cold):
         if cold:
             definable._composition_table.cache_clear()
+            definable._pair_reps.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(errors, "WORK_BUDGET", budget)
             return enumerate_invariant_orders(jord2)
 
-    for total, cold in ((1776 + 3638, True), (1776, False)):
+    for total, cold in ((600 + 3728, True), (600, False)):
         with pytest.raises(TooLarge, match="work budget"):
             orders(total - 1, cold)
         assert len(orders(total, cold)) == 8
+
+
+def test_invariant_orders_past_d3_are_refused_by_the_precount():
+    # no dimension cap: the pre-count of the triple orbits raises before the
+    # pair orbits the table reads its classes from are walked
+    definable._pair_reps.cache_clear()
+    for d in range(4, 9):
+        with pytest.raises(TooLarge, match="orbit enumeration"):
+            enumerate_invariant_orders(increasing_tuple_structure(d))
+    assert definable._pair_reps.cache_info().currsize == 0
+
+
+def test_increasing_tuple_structure_charges_its_clauses_first(monkeypatch):
+    # 2d^2 clauses at seven steps each, charged before any is built: d =
+    # 10,000 raises at once, and Jord1..3 build within 14, 56 and 126 steps
+    with pytest.raises(TooLarge, match="200000000 clauses"):
+        increasing_tuple_structure(10_000)
+    for d in (1, 2, 3):
+        monkeypatch.setattr(errors, "WORK_BUDGET", 14 * d * d)
+        assert len(increasing_tuple_structure(d).clauses) == 2 * d * d
+        monkeypatch.setattr(errors, "WORK_BUDGET", 14 * d * d - 1)
+        with pytest.raises(TooLarge, match=f"{2 * d * d} clauses"):
+            increasing_tuple_structure(d)
 
 
 def digest(value):
@@ -1287,10 +1319,10 @@ def named_table(table):
     """The table of definable._composition_table, on class ids, in the
     former string-keyed form: the descriptor triples per first descriptor,
     the diagonal's descriptor and the pairs as descriptor pairs."""
-    masks, _, diag, pairs, names = table
-    by_first = [expand(groups) for groups in masks]
+    rows, pairs, names = table
+    by_first = [expand(row) for row in rows]
     triples = {names[c]: [(names[c], names[a], names[b]) for a, b in rest] for c, rest in enumerate(by_first) if rest}
-    return triples, names[diag], [(names[a], names[b]) for a, b in pairs]
+    return triples, names[0], [(names[a], names[b]) for a, b in pairs]
 
 
 def composition_as_sets(table):
@@ -1440,10 +1472,10 @@ def test_classify_signed_lex_round_trip(d):
 def test_order_tables_are_immutable_and_repeat():
     for d in (1, 2, 3):
         table = definable._composition_table(d)
-        masks, triples, _, pairs, names = table
-        assert all(isinstance(part, tuple) for part in (table, masks, triples, pairs, names))
-        assert all(isinstance(rest, tuple) for rest in masks)
-        assert all(isinstance(pair, tuple) for rest in masks for pair in rest)
+        rows, pairs, names = table
+        assert all(isinstance(part, tuple) for part in (table, rows, pairs, names))
+        assert all(isinstance(row, tuple) for row in rows)
+        assert all(isinstance(entry, tuple) for row in rows for entry in row)
         assert definable._composition_table(d) == table
         reps = definable._pair_reps(d)
         assert isinstance(reps, tuple) and all(isinstance(rep, tuple) for rep in reps)
