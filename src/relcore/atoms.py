@@ -151,8 +151,4 @@ def make_sample(base: AtomBase, n: int, labels: Optional[Sequence[int]] = None) 
         labels = list(labels)
         if len(labels) != n:
             raise InvalidLabel(f"expected {n} labels, got {len(labels)}")
-    require_ints(labels, "label", InvalidLabel)
-    for lab in labels:
-        if not 0 <= lab < base.alphabet:
-            raise InvalidLabel(f"label {lab} out of range for alphabet {base.alphabet}")
     return AtomSample(base, tuple(Atom(Fraction(i), labels[i]) for i in range(n)))

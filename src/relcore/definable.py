@@ -438,7 +438,8 @@ def _covers(D: DefStructure, n: int, as_set: bool) -> list:
     for s in range(n * D.max_dim() + 1):
         k = sum(math.comb(s, sort.dim) for sort in D.sorts)
         within.append(math.comb(k, n) if as_set else k**n)
-        covers.append(within[s] and sum((-1) ** j * math.comb(s, j) * within[s - j] for j in range(s + 1)))
+        covers.append(within[s] and sum(  # within[s - j] is 0 for all but a few j
+            (-1) ** j * math.comb(s, j) * w for j, w in enumerate(reversed(within)) if w))
         work += k + D.base.alphabet**s * covers[s] * (n + s)
         if work > allowed:
             break
@@ -621,8 +622,8 @@ def unlabelled_growth(D: DefStructure, n: int, mode: str = "base") -> int:
 
 
 def growth_up_to_reversal(D: DefStructure, n: int) -> int:
-    """Growth with a class and its relation-reversed class identified:
-    unlabelled_growth(D, n, "reversal")."""
+    """unlabelled_growth(D, n, "reversal"), an alias kept only for the
+    public API and for relbench, which calls and traces it by name."""
     return unlabelled_growth(D, n, "reversal")
 
 

@@ -3,7 +3,7 @@
 Provides homomorphism / embedding / isomorphism search by backtracking with
 forward checking on tuples of every arity, endomorphism enumeration, core
 computation by iterated image shrinking, and a canonical form by
-individualization-refinement for isomorphism testing.
+individualization-refinement, both starting from `_occurrence_profiles`.
 
 One backtracker, `_HomSearch`, assigns every value.  It is set up once per
 (source, target, mode) and run as often as needed.  Its callers steer a run
@@ -603,11 +603,13 @@ def enumerate_endos(structure: FinStructure, limit: Optional[int] = None) -> lis
     return [Hom._found(structure, structure, m) for m in found]
 
 
-def _occurrence_profiles(structure: FinStructure) -> list[tuple[int, ...]]:
-    """Per element, the column (relation, position) of each occurrence, in order."""
-    occurs: list[list[int]] = [[] for _ in range(structure.size)]
-    columns = (column for tuples in structure.relations.values() for column in zip(*tuples))
-    for j, column in enumerate(columns):
+def _occurrence_profiles(n: int, rels: Iterable) -> list[tuple[int, ...]]:
+    """Per element v of 0..n-1, the column (position p, relation r) of each
+    occurrence of v in rels, numbered in order of p, then of r, as refinement's
+    codes sort (see _refiner): v's cell in the first round from the uniform colouring."""
+    occurs: list[list[int]] = [[] for _ in range(n)]
+    by_position = itertools.zip_longest(*[zip(*tuples) for tuples in rels])
+    for j, column in enumerate(c for position in by_position for c in position if c):
         for x in column:
             occurs[x].append(j)
     return list(map(tuple, occurs))
@@ -634,7 +636,7 @@ def find_noninjective_endo(structure: FinStructure) -> Optional[Hom]:
         if automorphisms and _orbit_meets(v, refuted, automorphisms):
             continue
         if v == 1:  # 0 is refuted, and a second element is about to be
-            profiles = _occurrence_profiles(structure)
+            profiles = _occurrence_profiles(structure.size, structure.relations.values())
             first = {profiles[0]: 0}  # profile -> the first element refuted with it
         r = first.get(profiles[v]) if v else None
         found = None if r is None else search.run({r: v}, lexicographic=False, limit=1)
@@ -699,7 +701,7 @@ def compute_core(structure: FinStructure) -> CoreResult:
 def _refiner(n: int, rels: Sequence) -> Callable[[list[int]], list[int]]:
     """Colour refinement on the structure on 0..n-1 with the relations rels:
     a function from a colouring to the coarsest equitable colouring that
-    refines it.
+    refines it (round one from the uniform colouring: _occurrence_profiles).
 
     Each round numbers the distinct coloured tuples (relation index,
     colours of the tuple) below K, the number of tuples, in sorted order;
@@ -788,7 +790,7 @@ def _canonical_encoding(n: int, rels: Sequence) -> tuple:
 
     Individualization-refinement in the style of McKay and Piperno,
     "Practical graph isomorphism II" (2014), for relations of any arity.
-    The search tree starts at the coarsest equitable colouring; each node
+    The search tree starts at the ranked occurrence profiles, refined; each node
     individualizes, in turn, every vertex of its first smallest non-singleton
     cell and refines again.  Every discrete leaf orders the domain.  The
     tree is built from labelling-invariant choices only, so isomorphic
@@ -850,7 +852,9 @@ def _canonical_encoding(n: int, rels: Sequence) -> tuple:
                 return resume
         return None
 
-    visit([0] * n, [])
+    profiles = _occurrence_profiles(n, rels)
+    rank = {profile: c for c, profile in enumerate(sorted(set(profiles)))}
+    visit([rank[profile] for profile in profiles], [])
     # visit reaches itself through its closure; breaking that cycle frees the
     # search state now instead of at the next cyclic garbage collection.
     visit = None

@@ -22,7 +22,6 @@ from .definable import (
     Sort,
     enumerate_invariant_orders,
     classify_signed_lex,
-    growth_up_to_reversal,
     increasing_tuple_structure,
     sample,
     unlabelled_growth,
@@ -292,7 +291,7 @@ def suite_growth() -> Report:
     def check_betw():
         s2 = gallery.dense_local_order()
         up = [local_order_count(n) for n in range(1, max_n + 1)]
-        down = [growth_up_to_reversal(s2, n) for n in range(1, max_n + 1)]
+        down = [unlabelled_growth(s2, n, "reversal") for n in range(1, max_n + 1)]
         for a, b in zip(up, down):
             assert b <= a, f"quotient exceeded the unquotiented count: {down} vs {up}"
             assert 2 * b >= a, "quotient merged more than pairs"

@@ -7,9 +7,10 @@ import time
 
 import pytest
 
-from relcore import finstruct, gallery
+from relcore import definable, errors, finstruct, gallery
 from relcore.atoms import make_sample
 from relcore.definable import sample, unlabelled_growth
+from relcore.errors import TooLarge
 from relcore.finstruct import FinStructure, Signature, canonical_form
 from relcore.verify import _mutated_copy, _permuted_copy, local_order_count, random_structure
 
@@ -171,14 +172,15 @@ def test_local_order_growth_beyond_default_cap(n):
     assert unlabelled_growth(s2, n, "homogeneous") == local_order_count(n)
 
 
-def old_refine(incidences, tuples, colours):
+def old_refine(incidences, tuples, colours, rounds=None):
     """The former colour refinement, the oracle for finstruct._refiner:
     tuples lists (relation index, tuple) and incidences[v] lists (position,
     tuple index) for every position at which v occurs.  Each round gives v
     the key (old colour, sorted multiset of (position, relation, colours of
-    the tuple)) and renumbers the keys 0..k-1 in sorted order."""
+    the tuple)) and renumbers the keys 0..k-1 in sorted order.  It stops at
+    a stable colouring, or after `rounds` rounds when that is given."""
     cells = len(set(colours))
-    while cells < len(colours):
+    while cells < len(colours) and rounds != 0:
         coloured = [(r, tuple([colours[x] for x in t])) for r, t in tuples]
         keys = [
             (colours[v], tuple(sorted([(p, coloured[i]) for p, i in occ])))
@@ -190,6 +192,7 @@ def old_refine(incidences, tuples, colours):
         rank = {k: i for i, k in enumerate(ranked)}
         colours = [rank[k] for k in keys]
         cells = len(ranked)
+        rounds = None if rounds is None else rounds - 1
     return colours
 
 
@@ -256,3 +259,75 @@ def test_forms_match_old_refinement_forms(monkeypatch):
             old = [canonical_form(g) for g in group]
         assert partition(new) == partition(old)
         assert new[0] == new[1]
+
+
+def ranked_profiles(n, rels):
+    profiles = finstruct._occurrence_profiles(n, rels)
+    rank = {p: c for c, p in enumerate(sorted(set(profiles)))}
+    return [rank[p] for p in profiles]
+
+
+def with_empty_relations():
+    """Structures where empty relations sit before, between and after
+    nonempty ones, so that two relations start at the same tuple number."""
+    sig = Signature((("A", 2), ("B", 3), ("C", 1), ("D", 2)))
+    yield FinStructure(sig, 0, {})
+    yield FinStructure(sig, 1, {})
+    yield FinStructure(sig, 4, {"B": {(0, 1, 2), (2, 2, 3)}, "D": {(3, 0)}})
+    yield FinStructure(sig, 5, {"A": {(0, 1), (1, 0)}, "C": {(4,)}})
+    yield FinStructure(sig, 3, {"D": {(0, 1), (1, 2), (2, 0)}})
+
+
+def test_occurrence_profiles_are_the_first_refinement_round():
+    # ranking the occurrence profiles gives, colour for colour, the first
+    # round of the old refinement from the uniform colouring, and refining
+    # from there reaches the colouring refinement reaches from the uniform one
+    rng = random.Random(31)
+    structures = [wide_structure(rng) for _ in range(300)] + list(with_empty_relations())
+    for s in structures:
+        n = s.size
+        rels = [s.relations[name] for name in s.signature.names()]
+        start = ranked_profiles(n, rels)
+        assert start == old_refiner(n, rels)([0] * n, rounds=1), s
+        refine = finstruct._refiner(n, rels)
+        assert refine(start) == refine([0] * n), s
+
+
+def test_search_from_profiles_matches_the_uniform_start(monkeypatch):
+    # starting the canonical search from the ranked profiles instead of the
+    # uniform colouring changes no form and no growth encoding, byte for
+    # byte; profiles that are all () rank to the uniform colouring
+    rng = random.Random(37)
+    structures = [random_structure(rng, max_size=9) for _ in range(700)]
+    structures += [wide_structure(rng) for _ in range(300)] + list(with_empty_relations())
+    encodings = []
+    search = definable._canonical_encoding
+
+    def recorded(n, rels):
+        encodings.append(search(n, rels))
+        return encodings[-1]
+
+    monkeypatch.setattr(definable, "_canonical_encoding", recorded)
+    growth = [("s2", 7, "homogeneous"), ("s2", 7, "reversal"), ("betw", 6, "homogeneous"), ("y", 3, "homogeneous")]
+    runs = []
+    for uniform in (False, True):
+        if uniform:
+            monkeypatch.setattr(finstruct, "_occurrence_profiles", lambda n, rels: [()] * n)
+        encodings.clear()
+        forms = [canonical_form(s) for s in structures]
+        counts = [unlabelled_growth(gallery.lookup_definable(name), n, mode) for name, n, mode in growth]
+        runs.append((forms, counts, list(encodings)))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == [local_order_count(7), 9, 5, 14]
+
+
+def test_x4_canonical_form_charges(monkeypatch):
+    # the 48-element X@4 sample: n plus the number of tuples for each of the
+    # refinement tree's nodes, 106,272 steps in all
+    x = gallery.tagged_pair_structure()
+    x4 = sample(x, make_sample(x.base, 4)).structure
+    monkeypatch.setattr(errors, "WORK_BUDGET", 106272)
+    canonical_form(x4)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 106271)
+    with pytest.raises(TooLarge, match="work budget"):
+        canonical_form(x4)

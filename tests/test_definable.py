@@ -664,6 +664,11 @@ def test_pure_set_pair_growth_counts_graphs_without_isolated_vertices():
         lambda: sample(increasing_tuple_structure(1), make_sample(DLO, 10**6)),
         # 18,014,998 tuples, 18 million of them inequality pairs
         lambda: gallery.spider(3000),
+        # a clause-free dim-20,000 sort: the pre-count sums only the terms
+        # of its inclusion-exclusion that can be nonzero
+        lambda: point_orbits(DefStructure(DLO, (Sort("q", 20_000),), ()), 2),
+        lambda: point_orbits(DefStructure(PURE_SET, (Sort("q", 20_000),), ()), 2),
+        lambda: enumerate_invariant_orders(DefStructure(DLO, (Sort("q", 20_000),), ())),
     ],
     ids=[
         "labelled-growth-40",
@@ -676,6 +681,9 @@ def test_pure_set_pair_growth_counts_graphs_without_isolated_vertices():
         "make-sample-1e8",
         "jord1-sample-1e6",
         "spider-3000",
+        "dim-20000-orbits",
+        "pure-set-dim-20000-orbits",
+        "dim-20000-invariant-orders",
     ],
 )
 def test_over_budget_raises_at_once(call):
