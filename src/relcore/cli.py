@@ -14,13 +14,13 @@ import os
 import sys
 from typing import Optional
 
-from .atoms import Atom, AtomSample, make_sample
+from .atoms import DLO, Atom, AtomSample, make_sample
 from .definable import (
     DefStructure,
+    Sort,
     classify_signed_lex,
     enumerate_invariant_orders,
     full_power_def,
-    increasing_tuple_structure,
     point_orbits,
     sample,
     unlabelled_growth,
@@ -196,8 +196,9 @@ def cmd_growth(args) -> int:
 
 
 def cmd_classify_orders(args) -> int:
-    d = increasing_tuple_structure(args.d)
-    orders = enumerate_invariant_orders(d)
+    # the orders read only the sort's dimension, so Jord_d's 2d^2 clauses
+    # (increasing_tuple_structure) are left unbuilt
+    orders = enumerate_invariant_orders(DefStructure(DLO, (Sort("t", args.d),), ()))
     out = []
     for order in orders:
         slex = classify_signed_lex(order, args.d)
@@ -310,7 +311,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (CliError, RelcoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # relcore recurses only into nested JSON and formulas
+    except RecursionError:  # nested JSON and formulas; the searches raise TooLarge
         print("error: input nested too deeply for the interpreter", file=sys.stderr)
         return 2
 

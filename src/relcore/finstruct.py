@@ -4,6 +4,8 @@ Provides homomorphism / embedding / isomorphism search by backtracking with
 forward checking on tuples of every arity, endomorphism enumeration, core
 computation by iterated image shrinking, and a canonical form by
 individualization-refinement, both starting from `_occurrence_profiles`.
+The canonical search reads each relation once as its columns, zip(*tuples);
+its occurrence profiles, refinement rounds and leaf encodings read those.
 
 One backtracker, `_HomSearch`, assigns every value.  It is set up once per
 (source, target, mode) and run as often as needed.  Its callers steer a run
@@ -16,10 +18,9 @@ Embeddings and isomorphisms reflect relations of arity >= 3 per value tried.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     HomValidationError,
@@ -27,6 +28,7 @@ from .errors import (
     InvalidElement,
     InvalidInput,
     SignatureMismatch,
+    TooLarge,
     charge,
     headroom,
     json_int,
@@ -465,7 +467,9 @@ class _HomSearch:
         forward check tests and every target tuple through a value the
         reflection check tries; every stored map counts n.  The count is
         kept inline and charged to the work budget once, when the run ends
-        or when it exceeds the headroom it started with.
+        or when it exceeds the headroom it started with.  The search recurses
+        once per variable; one deeper than the interpreter's recursion limit
+        raises TooLarge.
         """
         n, m = self.n, self.m
         if limit == 0 or self.domains is None:
@@ -570,10 +574,14 @@ class _HomSearch:
                         return True
             return False
 
-        backtrack(domains, n)
-        # backtrack reaches itself through its closure; breaking that cycle frees
-        # the run's state now instead of at the next cyclic garbage collection.
-        backtrack = None
+        try:
+            backtrack(domains, n)
+        except RecursionError:
+            raise TooLarge(f"hom search {n} variables deep, past the interpreter's recursion limit") from None
+        finally:
+            # backtrack reaches itself through its closure; breaking that cycle
+            # frees the run's state now instead of at the next cyclic collection.
+            backtrack = None
         charge(work, "hom search")
         return solutions
 
@@ -603,12 +611,13 @@ def enumerate_endos(structure: FinStructure, limit: Optional[int] = None) -> lis
     return [Hom._found(structure, structure, m) for m in found]
 
 
-def _occurrence_profiles(n: int, rels: Iterable) -> list[tuple[int, ...]]:
+def _occurrence_profiles(n: int, columns: Iterable) -> list[tuple[int, ...]]:
     """Per element v of 0..n-1, the column (position p, relation r) of each
-    occurrence of v in rels, numbered in order of p, then of r, as refinement's
-    codes sort (see _refiner): v's cell in the first round from the uniform colouring."""
+    occurrence of v, where columns[r] holds relation r's columns (zip(*tuples)),
+    numbered in order of p, then of r, as refinement's codes sort (see
+    _refine): v's cell in the first round from the uniform colouring."""
     occurs: list[list[int]] = [[] for _ in range(n)]
-    by_position = itertools.zip_longest(*[zip(*tuples) for tuples in rels])
+    by_position = itertools.zip_longest(*columns)
     for j, column in enumerate(c for position in by_position for c in position if c):
         for x in column:
             occurs[x].append(j)
@@ -636,7 +645,7 @@ def find_noninjective_endo(structure: FinStructure) -> Optional[Hom]:
         if automorphisms and _orbit_meets(v, refuted, automorphisms):
             continue
         if v == 1:  # 0 is refuted, and a second element is about to be
-            profiles = _occurrence_profiles(structure.size, structure.relations.values())
+            profiles = _occurrence_profiles(structure.size, [zip(*ts) for ts in structure.relations.values()])
             first = {profiles[0]: 0}  # profile -> the first element refuted with it
         r = first.get(profiles[v]) if v else None
         found = None if r is None else search.run({r: v}, lexicographic=False, limit=1)
@@ -698,10 +707,11 @@ def compute_core(structure: FinStructure) -> CoreResult:
     return CoreResult(core, retraction, old_ids, was_core)
 
 
-def _refiner(n: int, rels: Sequence) -> Callable[[list[int]], list[int]]:
-    """Colour refinement on the structure on 0..n-1 with the relations rels:
-    a function from a colouring to the coarsest equitable colouring that
-    refines it (round one from the uniform colouring: _occurrence_profiles).
+def _refine(n: int, columns: Sequence, colours: list[int]) -> list[int]:
+    """Colour refinement on the structure on 0..n-1 whose r-th relation has
+    the columns columns[r] (zip(*tuples)): the coarsest equitable colouring
+    that refines colours (round one from the uniform colouring:
+    _occurrence_profiles).
 
     Each round numbers the distinct coloured tuples (relation index,
     colours of the tuple) below K, the number of tuples, in sorted order;
@@ -711,39 +721,28 @@ def _refiner(n: int, rels: Sequence) -> Callable[[list[int]], list[int]]:
     pairs they stand for, so cells keep their relative order and the
     result does not depend on how the domain is labelled.
     """
-    # the tuples numbered relation by relation; getters[r] reads the colours
-    # of relation r's tuples, and vertex v occurs in tuple incident[k] at
-    # position p, with shift[k] = p * K, for k in range(starts[v], ends[v])
-    getters = [[operator.itemgetter(*t) for t in ts] for ts in rels]
-    tuples = [t for ts in rels for t in ts]
-    occurs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, t in enumerate(tuples):
-        for p, x in enumerate(t):
-            occurs[x].append((p * len(tuples), i))
-    shift = [s for occ in occurs for s, _ in occ]
-    incident = [i for occ in occurs for _, i in occ]
-    ends = list(itertools.accumulate(map(len, occurs)))
-    starts = [0] + ends[:-1]
-
-    def refine(colours: list[int]) -> list[int]:
-        cells = len(set(colours))
-        while cells < n:
-            codes: list[int] = []
-            for gs in getters:
-                coloured = [g(colours) for g in gs]
-                ids = {c: k for k, c in enumerate(sorted(set(coloured)), len(codes))}
-                codes += map(ids.__getitem__, coloured)
-            flat = list(map(operator.add, shift, map(codes.__getitem__, incident)))
-            keys = [(c, tuple(sorted(flat[a:b]))) for c, a, b in zip(colours, starts, ends)]
-            ranked = sorted(set(keys))
-            if len(ranked) == cells:
-                break
-            rank = {key: k for k, key in enumerate(ranked)}
-            colours = [rank[key] for key in keys]
-            cells = len(ranked)
-        return colours
-
-    return refine
+    size = sum(len(cols[0]) for cols in columns if cols)  # K, the number of tuples
+    cells = len(set(colours))
+    while cells < n:
+        codes: list[list[int]] = [[] for _ in range(n)]
+        below = 0
+        for cols in columns:
+            coloured = list(zip(*[[colours[x] for x in col] for col in cols]))
+            ids = {c: k for k, c in enumerate(sorted(set(coloured)), below)}
+            numbers = list(map(ids.__getitem__, coloured))
+            below += len(numbers)
+            for p, col in enumerate(cols):
+                shift = p * size
+                for x, k in zip(col, numbers):
+                    codes[x].append(shift + k)
+        keys = [(c, tuple(sorted(cs))) for c, cs in zip(colours, codes)]
+        ranked = sorted(set(keys))
+        if len(ranked) == cells:
+            break
+        rank = {key: k for k, key in enumerate(ranked)}
+        colours = [rank[key] for key in keys]
+        cells = len(ranked)
+    return colours
 
 
 def _individualize(colours: list[int], w: int) -> list[int]:
@@ -790,6 +789,8 @@ def _canonical_encoding(n: int, rels: Sequence) -> tuple:
 
     Individualization-refinement in the style of McKay and Piperno,
     "Practical graph isomorphism II" (2014), for relations of any arity.
+    Each relation is read once as its columns, zip(*tuples); the occurrence
+    profiles, every refinement round and every leaf read those columns.
     The search tree starts at the ranked occurrence profiles, refined; each node
     individualizes, in turn, every vertex of its first smallest non-singleton
     cell and refines again.  Every discrete leaf orders the domain.  The
@@ -802,10 +803,11 @@ def _canonical_encoding(n: int, rels: Sequence) -> tuple:
     returns to that level; and a node skips every child in the orbit of an
     already searched child under the automorphisms found so far that fix
     the node's path.  Every node visited charges n plus the number of
-    tuples to the work budget.
+    tuples to the work budget.  A search deeper than the interpreter's
+    recursion limit raises TooLarge.
     """
     steps = n + sum(map(len, rels))
-    refine = _refiner(n, rels)
+    columns = [list(zip(*ts)) for ts in rels]
 
     # Leaves are (encoding, labels, path); best holds the least encoding.
     first: Optional[tuple] = None
@@ -814,7 +816,7 @@ def _canonical_encoding(n: int, rels: Sequence) -> tuple:
 
     def leaf(labels: list[int], path: list[int]) -> Optional[int]:
         nonlocal first, best
-        encoding = tuple(tuple(sorted([tuple([labels[x] for x in t]) for t in ts])) for ts in rels)
+        encoding = tuple(tuple(sorted(zip(*[[labels[x] for x in col] for col in cols]))) for cols in columns)
         if first is None:
             first = best = (encoding, labels, path)
             return None
@@ -832,7 +834,7 @@ def _canonical_encoding(n: int, rels: Sequence) -> tuple:
     def visit(colours: list[int], path: list[int]) -> Optional[int]:
         """Search below a node; returns the depth to resume at, if shallower."""
         charge(steps, "canonical form")
-        colours = refine(colours)
+        colours = _refine(n, columns, colours)
         if len(set(colours)) == n:
             return leaf(colours, path)
         cells: dict[int, list[int]] = {}
@@ -852,10 +854,14 @@ def _canonical_encoding(n: int, rels: Sequence) -> tuple:
                 return resume
         return None
 
-    profiles = _occurrence_profiles(n, rels)
+    profiles = _occurrence_profiles(n, columns)
     rank = {profile: c for c, profile in enumerate(sorted(set(profiles)))}
-    visit([rank[profile] for profile in profiles], [])
-    # visit reaches itself through its closure; breaking that cycle frees the
-    # search state now instead of at the next cyclic garbage collection.
-    visit = None
+    try:
+        visit([rank[profile] for profile in profiles], [])
+    except RecursionError:
+        raise TooLarge(f"canonical search up to {n} levels deep, past the interpreter's recursion limit") from None
+    finally:
+        # visit reaches itself through its closure; breaking that cycle frees
+        # the search state now instead of at the next cyclic garbage collection.
+        visit = None
     return best[0]

@@ -1,15 +1,17 @@
 """Canonical form by individualization-refinement against a brute-force oracle."""
 
 import functools
+import gc
 import itertools
+import operator
 import random
 import time
 
 import pytest
 
 from relcore import definable, errors, finstruct, gallery
-from relcore.atoms import make_sample
-from relcore.definable import sample, unlabelled_growth
+from relcore.atoms import PURE_SET, make_sample
+from relcore.definable import DefStructure, Sort, sample, unlabelled_growth
 from relcore.errors import TooLarge
 from relcore.finstruct import FinStructure, Signature, canonical_form
 from relcore.verify import _mutated_copy, _permuted_copy, local_order_count, random_structure
@@ -173,7 +175,7 @@ def test_local_order_growth_beyond_default_cap(n):
 
 
 def old_refine(incidences, tuples, colours, rounds=None):
-    """The former colour refinement, the oracle for finstruct._refiner:
+    """The former colour refinement, the oracle for finstruct._refine:
     tuples lists (relation index, tuple) and incidences[v] lists (position,
     tuple index) for every position at which v occurs.  Each round gives v
     the key (old colour, sorted multiset of (position, relation, colours of
@@ -197,13 +199,23 @@ def old_refine(incidences, tuples, colours, rounds=None):
 
 
 def old_refiner(n, rels):
-    """finstruct._refiner's interface on old_refine."""
+    """A function from a colouring to its refinement, on old_refine."""
     tuples = [(r, t) for r, ts in enumerate(rels) for t in ts]
     incidences = [[] for _ in range(n)]
     for i, (_, t) in enumerate(tuples):
         for p, x in enumerate(t):
             incidences[x].append((p, i))
     return functools.partial(old_refine, incidences, tuples)
+
+
+def refined(n, rels, colours):
+    """finstruct._refine on the columns of rels."""
+    return finstruct._refine(n, [list(zip(*ts)) for ts in rels], colours)
+
+
+def rows(columns):
+    """The tuples of each relation back from its columns, in their order."""
+    return [list(zip(*cols)) for cols in columns]
 
 
 def wide_structure(rng):
@@ -239,9 +251,8 @@ def test_refinement_matches_old_refine():
         wide += max(a for _, a in s.signature.relations) >= 9
         starts = [[0] * n, [rng.randrange(3) for _ in range(n)]]
         starts.append(finstruct._individualize(old_refiner(n, rels)([0] * n), rng.randrange(n)))
-        new = finstruct._refiner(n, rels)
         for colours in starts:
-            assert new(colours) == old_refiner(n, rels)(colours), (s, colours)
+            assert refined(n, rels, colours) == old_refiner(n, rels)(colours), (s, colours)
     assert wide > 100
 
 
@@ -255,14 +266,14 @@ def test_forms_match_old_refinement_forms(monkeypatch):
         group = [s, _permuted_copy(s, rng)] + [_permuted_copy(_mutated_copy(s, rng), rng) for _ in range(3)]
         new = [canonical_form(g) for g in group]
         with monkeypatch.context() as m:
-            m.setattr(finstruct, "_refiner", old_refiner)
+            m.setattr(finstruct, "_refine", lambda n, columns, colours: old_refiner(n, rows(columns))(colours))
             old = [canonical_form(g) for g in group]
         assert partition(new) == partition(old)
         assert new[0] == new[1]
 
 
 def ranked_profiles(n, rels):
-    profiles = finstruct._occurrence_profiles(n, rels)
+    profiles = finstruct._occurrence_profiles(n, [list(zip(*ts)) for ts in rels])
     rank = {p: c for c, p in enumerate(sorted(set(profiles)))}
     return [rank[p] for p in profiles]
 
@@ -289,8 +300,7 @@ def test_occurrence_profiles_are_the_first_refinement_round():
         rels = [s.relations[name] for name in s.signature.names()]
         start = ranked_profiles(n, rels)
         assert start == old_refiner(n, rels)([0] * n, rounds=1), s
-        refine = finstruct._refiner(n, rels)
-        assert refine(start) == refine([0] * n), s
+        assert refined(n, rels, start) == refined(n, rels, [0] * n), s
 
 
 def test_search_from_profiles_matches_the_uniform_start(monkeypatch):
@@ -312,7 +322,7 @@ def test_search_from_profiles_matches_the_uniform_start(monkeypatch):
     runs = []
     for uniform in (False, True):
         if uniform:
-            monkeypatch.setattr(finstruct, "_occurrence_profiles", lambda n, rels: [()] * n)
+            monkeypatch.setattr(finstruct, "_occurrence_profiles", lambda n, columns: [()] * n)
         encodings.clear()
         forms = [canonical_form(s) for s in structures]
         counts = [unlabelled_growth(gallery.lookup_definable(name), n, mode) for name, n, mode in growth]
@@ -331,3 +341,158 @@ def test_x4_canonical_form_charges(monkeypatch):
     monkeypatch.setattr(errors, "WORK_BUDGET", 106271)
     with pytest.raises(TooLarge, match="work budget"):
         canonical_form(x4)
+
+
+def layout_refiner(n, rels):
+    """The former refinement on a per-structure layout, the oracle for
+    finstruct._refine on columns: one itemgetter per tuple, and per vertex
+    the (shift p * K, tuple index) of each of its occurrences."""
+    getters = [[operator.itemgetter(*t) for t in ts] for ts in rels]
+    tuples = [t for ts in rels for t in ts]
+    occurs = [[] for _ in range(n)]
+    for i, t in enumerate(tuples):
+        for p, x in enumerate(t):
+            occurs[x].append((p * len(tuples), i))
+    shift = [s for occ in occurs for s, _ in occ]
+    incident = [i for occ in occurs for _, i in occ]
+    ends = list(itertools.accumulate(map(len, occurs)))
+    starts = [0] + ends[:-1]
+
+    def refine(colours):
+        cells = len(set(colours))
+        while cells < n:
+            codes = []
+            for gs in getters:
+                coloured = [g(colours) for g in gs]
+                ids = {c: k for k, c in enumerate(sorted(set(coloured)), len(codes))}
+                codes += map(ids.__getitem__, coloured)
+            flat = list(map(operator.add, shift, map(codes.__getitem__, incident)))
+            keys = [(c, tuple(sorted(flat[a:b]))) for c, a, b in zip(colours, starts, ends)]
+            ranked = sorted(set(keys))
+            if len(ranked) == cells:
+                break
+            rank = {key: k for k, key in enumerate(ranked)}
+            colours = [rank[key] for key in keys]
+            cells = len(ranked)
+        return colours
+
+    return refine
+
+
+def layout_encoding(n, rels):
+    """The former canonical search, the oracle for finstruct._canonical_encoding:
+    the layout refinement above, profiles read from each relation's lazy
+    columns, and each leaf relabelling every tuple on its own."""
+    steps = n + sum(map(len, rels))
+    refine = layout_refiner(n, rels)
+    first = best = None
+    automorphisms = []
+
+    def leaf(labels, path):
+        nonlocal first, best
+        encoding = tuple(tuple(sorted([tuple([labels[x] for x in t]) for t in ts])) for ts in rels)
+        if first is None:
+            first = best = (encoding, labels, path)
+            return None
+        for seen in (first, best):
+            if encoding == seen[0]:
+                vertex_at = [0] * n
+                for v, c in enumerate(labels):
+                    vertex_at[c] = v
+                automorphisms.append([vertex_at[c] for c in seen[1]])
+                return next(k for k, (a, b) in enumerate(zip(seen[2], path)) if a != b)
+        if encoding < best[0]:
+            best = (encoding, labels, path)
+        return None
+
+    def visit(colours, path):
+        errors.charge(steps, "canonical form")
+        colours = refine(colours)
+        if len(set(colours)) == n:
+            return leaf(colours, path)
+        cells = {}
+        for v, c in enumerate(colours):
+            cells.setdefault(c, []).append(v)
+        _, target = min((len(vs), c) for c, vs in cells.items() if len(vs) > 1)
+        depth = len(path)
+        tried = []
+        for w in cells[target]:
+            if tried:
+                fixing = [g for g in automorphisms if all(g[u] == u for u in path)]
+                if finstruct._orbit_meets(w, tried, fixing):
+                    continue
+            tried.append(w)
+            resume = visit(finstruct._individualize(colours, w), path + [w])
+            if resume is not None and resume < depth:
+                return resume
+        return None
+
+    profiles = finstruct._occurrence_profiles(n, [zip(*ts) for ts in rels])
+    rank = {profile: c for c, profile in enumerate(sorted(set(profiles)))}
+    visit([rank[profile] for profile in profiles], [])
+    visit = None
+    return best[0]
+
+
+def layout_form(structure):
+    """canonical_form's bytes from layout_encoding."""
+    n = structure.size
+    rels = [structure.relations[name] for name in structure.signature.names()]
+    return repr((tuple(structure.signature.relations), n, layout_encoding(n, rels))).encode("utf-8")
+
+
+def gallery_samples():
+    """The J@6, X@4, Y@4, betweenness@7 and S2@8 samples."""
+    for name, atoms in [("johnson", 6), ("x", 4), ("y", 4), ("betw", 7), ("s2", 8)]:
+        D = gallery.lookup_definable(name)
+        yield sample(D, make_sample(D.base, atoms)).structure
+
+
+def test_column_search_matches_the_layout_search():
+    # reading each relation once as its columns changes no form, byte for
+    # byte: seeded random structures, wide ones (arity 9 and 10), empty
+    # relations before, between and after nonempty ones, and gallery samples
+    rng = random.Random(41)
+    structures = [random_structure(rng, max_size=9) for _ in range(1500)]
+    structures += [wide_structure(rng) for _ in range(1500)] + list(with_empty_relations())
+    structures += list(gallery_samples())
+    assert len(structures) >= 3000
+    for s in structures:
+        assert canonical_form(s) == layout_form(s), s
+
+
+def test_column_growth_encodings_match_the_layout_search(monkeypatch):
+    # every encoding growth asks for is the layout search's: S2 in
+    # homogeneous and reversal mode, betweenness, Y and pure-set pairs
+    calls = []
+    search = definable._canonical_encoding
+
+    def recorded(n, rels):
+        calls.append((n, [list(ts) for ts in rels], search(n, rels)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(definable, "_canonical_encoding", recorded)
+    growth = [("s2", 8, "homogeneous"), ("s2", 8, "reversal"), ("betw", 7, "homogeneous"), ("y", 3, "homogeneous")]
+    counts = [unlabelled_growth(gallery.lookup_definable(name), n, mode) for name, n, mode in growth]
+    # the set keys of the orbit walk on atom pairs of (N; =)
+    pairs = DefStructure(PURE_SET, (Sort("e", 2),), ())
+    counts.append(unlabelled_growth(pairs, 4))
+    assert counts == [local_order_count(8), 12, 9, 14, 11]
+    assert len(calls) > 300
+    for n, rels, encoding in calls:
+        assert encoding == layout_encoding(n, rels), (n, rels)
+
+
+def test_canonical_search_past_the_recursion_limit_raises_too_large():
+    # the search individualizes one element per level: with no tuples, 1,100
+    # elements pass the interpreter's recursion limit before the budget;
+    # the refusal leaves no reference cycle behind
+    empty = FinStructure(Signature((("E", 2),)), 1100, {})
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(TooLarge, match="canonical search up to 1100 levels deep"):
+            canonical_form(empty)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -528,6 +529,29 @@ def test_input_nested_too_deeply_exits_2(tmp_path, depth, kind):
     err = proc.stderr.decode()
     assert_input_error(proc.returncode, proc.stdout.decode(), err)
     assert len(err.splitlines()) == 1
+
+
+def test_search_deeper_than_the_recursion_limit_exits_2(tmp_path, capsys):
+    # a flat input can still be too deep for the searches, which recurse
+    # once per element: the CLI names the search, not nesting
+    n = 1100
+    path = {"signature": [{"name": "E", "arity": 2}], "size": n,
+            "relations": {"E": [[i, i + 1] for i in range(n - 1)]}}
+    f = tmp_path / "path.json"
+    f.write_text(json.dumps(path))
+    for argv in (["hom", str(f), str(f), "--mode", "iso"], ["is-core", str(f)]):
+        code, out, err = run(capsys, *argv)
+        assert_input_error(code, out, err)
+        assert "hom search 1100 variables deep" in err
+        assert "nested" not in err
+
+
+def test_classify_orders_builds_no_clauses(capsys):
+    # the orders read only the dimension: d = 300 raises in the orbit
+    # pre-count without building Jord300's 180,000 clauses
+    start = time.perf_counter()
+    assert_input_error(*run(capsys, "classify-orders", "--d", "300"))
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(

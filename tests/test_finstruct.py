@@ -555,6 +555,28 @@ def test_search_state_freed_on_return(call):
         gc.enable()
 
 
+def directed_path(n):
+    return FinStructure(Signature((("E", 2),)), n, {"E": frozenset((i, i + 1) for i in range(n - 1))})
+
+
+def test_search_past_the_recursion_limit_raises_too_large():
+    # the search recurses once per variable: a flat input of 1,100 elements
+    # passes the interpreter's recursion limit and is refused as too large,
+    # with no reference cycle left behind; 700 elements still answer
+    path = directed_path(700)
+    assert find_hom(path, path, "iso").mapping == tuple(range(700))
+    path = directed_path(1100)
+    for call in (lambda: find_hom(path, path, "iso"), lambda: is_core(path)):
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(TooLarge, match="hom search 1100 variables deep"):
+                call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 def test_noninjective_endo_sets_up_one_search(monkeypatch):
     built = []
 
