@@ -311,7 +311,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (CliError, RelcoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # nested JSON and formulas; the searches raise TooLarge
+    except RecursionError:  # nested JSON and formulas; every search is a loop
         print("error: input nested too deeply for the interpreter", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     HomValidationError,
@@ -28,7 +28,6 @@ from .errors import (
     InvalidElement,
     InvalidInput,
     SignatureMismatch,
-    TooLarge,
     charge,
     headroom,
     json_int,
@@ -442,19 +441,17 @@ class _HomSearch:
         if not all(domains):
             return
 
+        if strong:
+            charge(n * (n - 1), "hom search set-up")
         pairs = [(v, u) for v in range(n) for u in range(n) if u != v] if strong else kind
         for v, u in pairs:
             self.links[v].append((u, tables.rows(strong, kind.get((v, u), 0))))
         self.domains = domains
 
     def run(
-        self,
-        partial: Optional[dict[int, int]],
-        lexicographic: bool,
-        limit: Optional[int],
-        avoid: Optional[int] = None,
-    ) -> list[tuple[int, ...]]:
-        """The maps found, in the order found, up to limit.
+        self, partial: Optional[dict[int, int]], lexicographic: bool, avoid: Optional[int] = None
+    ) -> Iterator[tuple[int, ...]]:
+        """Yield the maps, in the order found.
 
         With lexicographic=True the variable order is 0,1,2,... and
         solutions come out sorted as tuples; otherwise the variable with the
@@ -463,32 +460,33 @@ class _HomSearch:
         the images of some variables and avoid is a target element no
         variable may take; both only narrow the initial candidate sets.
 
-        Every value tried counts one step, and so does every value the
-        forward check tests and every target tuple through a value the
-        reflection check tries; every stored map counts n.  The count is
-        kept inline and charged to the work budget once, when the run ends
-        or when it exceeds the headroom it started with.  The search recurses
-        once per variable; one deeper than the interpreter's recursion limit
-        raises TooLarge.
+        The search is a loop over a stack of the assigned variables, each
+        with its untried values and the candidate sets it was assigned
+        from.  Every value tried counts 1 + n // 16 steps, since it copies
+        and scans all n candidate sets; every value the forward check tests
+        and every target tuple through a value the reflection check tries
+        counts one, and every map n.  The count is kept inline and charged
+        to the work budget before each map is yielded, when the search
+        ends, and when it exceeds the headroom left at the last charge.
         """
         n, m = self.n, self.m
-        if limit == 0 or self.domains is None:
-            return []
+        if self.domains is None:
+            return
         domains = list(self.domains)
         if avoid is not None:
             domains = [d & ~(1 << avoid) for d in domains]
         for v, w in (partial or {}).items():
             if not 0 <= v < n or not 0 <= w < m:
-                return []
+                return
             domains[v] &= 1 << w
         if not all(domains):
-            return []
+            return
         links, checks, through = self.links, self.checks, self.through
+        cost = 1 + n // 16
 
         assignment: list[Optional[int]] = [None] * n
         # read only in strong modes, where no two variables share an image
         inverse: list[Optional[int]] = [None] * m
-        solutions: list[tuple[int, ...]] = []
         work, allowed = 0, headroom()
 
         def reflects(v: int, w: int) -> bool:
@@ -531,30 +529,41 @@ class _HomSearch:
                 current[u] = keep
             return True
 
-        def backtrack(current: list[int], left: int) -> bool:
-            """Returns True when the solution limit has been reached."""
-            nonlocal work
-            if not left:
-                work += n
-                if work > allowed:
-                    charge(work, "hom search")
-                solutions.append(tuple(assignment))  # type: ignore[arg-type]
-                return limit is not None and len(solutions) >= limit
-            if lexicographic:
-                v = assignment.index(None)
+        # per assigned variable, in order: (the variable, its untried values,
+        # the candidate sets its value was cut from)
+        stack: list[tuple[int, int, list[int]]] = []
+        current = domains
+        while True:
+            if len(stack) < n:
+                if lexicographic:
+                    v = len(stack)
+                else:
+                    v, fewest = -1, m + 1
+                    for u in range(n):
+                        if assignment[u] is None:
+                            count = current[u].bit_count()
+                            if count < fewest:
+                                v, fewest = u, count
+                rest = current[v]
             else:
-                v, fewest = -1, m + 1
-                for u in range(n):
-                    if assignment[u] is None:
-                        count = current[u].bit_count()
-                        if count < fewest:
-                            v, fewest = u, count
-            rest = current[v]
-            while rest:
+                charge(work + n, "hom search")
+                yield tuple(assignment)  # type: ignore[misc]
+                work, allowed = 0, headroom()
+                rest = 0
+            # v's next value that survives the checks; once v has none left,
+            # the last assigned variable takes its next value instead
+            while True:
+                if not rest:
+                    if not stack:
+                        charge(work, "hom search")
+                        return
+                    v, rest, current = stack.pop()
+                    inverse[assignment[v]] = assignment[v] = None
+                    continue
                 low = rest & -rest
                 rest ^= low
                 w = low.bit_length() - 1
-                work += 1
+                work += cost
                 if work > allowed:
                     charge(work, "hom search")
                 if through and through[w] and not reflects(v, w):
@@ -568,24 +577,14 @@ class _HomSearch:
                         pruned[u] = cut
                 else:
                     assignment[v], inverse[w] = w, v
-                    done = (not checks[v] or forward(v, pruned)) and backtrack(pruned, left - 1)
+                    if not checks[v] or forward(v, pruned):
+                        break
                     assignment[v] = inverse[w] = None
-                    if done:
-                        return True
-            return False
-
-        try:
-            backtrack(domains, n)
-        except RecursionError:
-            raise TooLarge(f"hom search {n} variables deep, past the interpreter's recursion limit") from None
-        finally:
-            # backtrack reaches itself through its closure; breaking that cycle
-            # frees the run's state now instead of at the next cyclic collection.
-            backtrack = None
-        charge(work, "hom search")
-        return solutions
+            stack.append((v, rest, current))
+            current = pruned
 
 
+@metered
 def find_hom(
     source: FinStructure,
     target: FinStructure,
@@ -595,20 +594,19 @@ def find_hom(
     """First map found by the deterministic search, or None if exhausted."""
     if partial:
         require_ints(itertools.chain.from_iterable(partial.items()), "partial entry")
-    found = _HomSearch(source, target, mode).run(partial, lexicographic=False, limit=1)
-    if not found:
-        return None
-    return Hom._found(source, target, found[0])
+    found = next(_HomSearch(source, target, mode).run(partial, lexicographic=False), None)
+    return None if found is None else Hom._found(source, target, found)
 
 
+@metered
 def enumerate_endos(structure: FinStructure, limit: Optional[int] = None) -> list[Hom]:
     """All endomorphisms in lexicographic order of the map, up to limit."""
     if limit is not None:
         require_ints([limit], "endomorphism limit", InvalidInput)
         if limit < 0:
             raise InvalidInput(f"endomorphism limit must be >= 0, got {limit}")
-    found = _HomSearch(structure, structure, "hom").run(None, lexicographic=True, limit=limit)
-    return [Hom._found(structure, structure, m) for m in found]
+    found = _HomSearch(structure, structure, "hom").run(None, lexicographic=True)
+    return [Hom._found(structure, structure, m) for m in itertools.islice(found, limit)]
 
 
 def _occurrence_profiles(n: int, columns: Iterable) -> list[tuple[int, ...]]:
@@ -648,13 +646,13 @@ def find_noninjective_endo(structure: FinStructure) -> Optional[Hom]:
             profiles = _occurrence_profiles(structure.size, [zip(*ts) for ts in structure.relations.values()])
             first = {profiles[0]: 0}  # profile -> the first element refuted with it
         r = first.get(profiles[v]) if v else None
-        found = None if r is None else search.run({r: v}, lexicographic=False, limit=1)
-        if found and len(set(found[0])) == len(found[0]):
-            automorphisms.append(found[0])
+        found = None if r is None else next(search.run({r: v}, lexicographic=False), None)
+        if found and len(set(found)) == len(found):
+            automorphisms.append(found)
             continue
-        found = search.run(None, lexicographic=False, limit=1, avoid=v)
+        found = next(search.run(None, lexicographic=False, avoid=v), None)
         if found:
-            return Hom._found(structure, structure, found[0])
+            return Hom._found(structure, structure, found)
         refuted.append(v)
         if v:
             first.setdefault(profiles[v], v)
@@ -802,9 +800,9 @@ def _canonical_encoding(n: int, rels: Sequence) -> tuple:
     earlier one is then an image of a searched subtree, so the search
     returns to that level; and a node skips every child in the orbit of an
     already searched child under the automorphisms found so far that fix
-    the node's path.  Every node visited charges n plus the number of
-    tuples to the work budget.  A search deeper than the interpreter's
-    recursion limit raises TooLarge.
+    the node's path.  The search is a loop over a list of the nodes on the
+    current path, so returning to a level drops the nodes below it.  Every
+    node visited charges n plus the number of tuples to the work budget.
     """
     steps = n + sum(map(len, rels))
     columns = [list(zip(*ts)) for ts in rels]
@@ -813,55 +811,54 @@ def _canonical_encoding(n: int, rels: Sequence) -> tuple:
     first: Optional[tuple] = None
     best: Optional[tuple] = None
     automorphisms: list[list[int]] = []
-
-    def leaf(labels: list[int], path: list[int]) -> Optional[int]:
-        nonlocal first, best
-        encoding = tuple(tuple(sorted(zip(*[[labels[x] for x in col] for col in cols]))) for cols in columns)
-        if first is None:
-            first = best = (encoding, labels, path)
-            return None
-        for seen in (first, best):
-            if encoding == seen[0]:
-                vertex_at = [0] * n
-                for v, c in enumerate(labels):
-                    vertex_at[c] = v
-                automorphisms.append([vertex_at[c] for c in seen[1]])
-                return next(k for k, (a, b) in enumerate(zip(seen[2], path)) if a != b)
-        if encoding < best[0]:
-            best = (encoding, labels, path)
-        return None
-
-    def visit(colours: list[int], path: list[int]) -> Optional[int]:
-        """Search below a node; returns the depth to resume at, if shallower."""
-        charge(steps, "canonical form")
-        colours = _refine(n, columns, colours)
-        if len(set(colours)) == n:
-            return leaf(colours, path)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colours):
-            cells.setdefault(c, []).append(v)
-        _, target = min((len(vs), c) for c, vs in cells.items() if len(vs) > 1)
-        depth = len(path)
-        tried: list[int] = []
-        for w in cells[target]:
-            if tried:
-                fixing = [g for g in automorphisms if all(g[u] == u for u in path)]
-                if _orbit_meets(w, tried, fixing):
-                    continue
-            tried.append(w)
-            resume = visit(_individualize(colours, w), path + [w])
-            if resume is not None and resume < depth:
-                return resume
-        return None
+    # per node on the current path: its colouring, an iterator over its
+    # target cell, and the vertices of that cell individualized so far
+    nodes: list[tuple[list[int], Iterator[int], list[int]]] = []
 
     profiles = _occurrence_profiles(n, columns)
     rank = {profile: c for c, profile in enumerate(sorted(set(profiles)))}
-    try:
-        visit([rank[profile] for profile in profiles], [])
-    except RecursionError:
-        raise TooLarge(f"canonical search up to {n} levels deep, past the interpreter's recursion limit") from None
-    finally:
-        # visit reaches itself through its closure; breaking that cycle frees
-        # the search state now instead of at the next cyclic garbage collection.
-        visit = None
-    return best[0]
+    colours = [rank[profile] for profile in profiles]
+    while True:
+        charge(steps, "canonical form")
+        colours = _refine(n, columns, colours)
+        if len(set(colours)) < n:
+            cells: dict[int, list[int]] = {}
+            for v, c in enumerate(colours):
+                cells.setdefault(c, []).append(v)
+            _, target = min((len(vs), c) for c, vs in cells.items() if len(vs) > 1)
+            nodes.append((colours, iter(cells[target]), []))
+        else:
+            path = [tried[-1] for _, _, tried in nodes]
+            encoding = tuple(tuple(sorted(zip(*[[colours[x] for x in col] for col in cols]))) for cols in columns)
+            if first is None:
+                first = best = (encoding, colours, path)
+            else:
+                for seen in (first, best):
+                    if encoding == seen[0]:
+                        vertex_at = [0] * n
+                        for v, c in enumerate(colours):
+                            vertex_at[c] = v
+                        automorphisms.append([vertex_at[c] for c in seen[1]])
+                        # the subtree below the level where the paths part is an image
+                        k = next(k for k, (a, b) in enumerate(zip(seen[2], path)) if a != b)
+                        del nodes[k + 1:]
+                        break
+                else:
+                    if encoding < best[0]:
+                        best = (encoding, colours, path)
+        # the next child: of the deepest node with a vertex left outside the
+        # orbits of those tried under the automorphisms fixing its path
+        while nodes:
+            node_colours, cell, tried = nodes[-1]
+            if tried:
+                path = [t[-1] for _, _, t in nodes[:-1]]
+                fixing = [g for g in automorphisms if all(g[u] == u for u in path)]
+                cell = (w for w in cell if not _orbit_meets(w, tried, fixing))
+            w = next(cell, None)
+            if w is not None:
+                tried.append(w)
+                colours = _individualize(node_colours, w)
+                break
+            nodes.pop()
+        else:
+            return best[0]

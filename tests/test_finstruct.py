@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import time
+import weakref
 from typing import Optional
 
 import pytest
@@ -39,8 +40,8 @@ from relcore.verify import _permuted_copy, random_structure
 
 
 def _search(source, target, mode, partial, lexicographic, limit, avoid=None):
-    """One run of a fresh `_HomSearch` set-up."""
-    return _HomSearch(source, target, mode).run(partial, lexicographic, limit, avoid)
+    """The maps of one run of a fresh `_HomSearch` set-up, up to limit."""
+    return list(itertools.islice(_HomSearch(source, target, mode).run(partial, lexicographic, avoid), limit))
 
 
 def digraph(n, edges):
@@ -351,13 +352,14 @@ def test_search_work_budget_counts_forward_checks(monkeypatch):
 def test_strong_modes_drop_a_value_that_does_not_reflect(monkeypatch):
     # no source tuple, one target tuple: 0 -> 0, 1 -> 1 leaves 2 -> 2 a hom
     # value whose image would hold (0, 1, 2), so no embedding; 2 -> 3 is the
-    # first one found.  4 values tried, the one target tuple through each of
-    # 0, 1 and 2 read as that value is tried, and 3 for the map stored: 10
+    # first one found.  3 * 2 = 6 for the set-up's links, 4 values tried, the
+    # one target tuple through each of 0, 1 and 2 read as that value is
+    # tried, and 3 for the map: 16
     source = ternary(3, set())
     target = ternary(4, {(0, 1, 2)})
-    monkeypatch.setattr(errors, "WORK_BUDGET", 10)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 16)
     assert find_hom(source, target, "embedding").mapping == (0, 1, 3)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 9)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 15)
     with pytest.raises(TooLarge, match="work budget"):
         find_hom(source, target, "embedding")
     monkeypatch.undo()
@@ -379,15 +381,16 @@ def test_sparse_source_into_dense_target_is_refuted_early(monkeypatch):
     # no tuple on 6 elements into every triple of distinct elements on 8:
     # any 3 images hold a target tuple, so each third value is dropped as it
     # is tried.  8, 56 and 336 values at depths 1-3, each also reading the
-    # 3 * 7 * 6 = 126 target tuples through it: 400 * 127 = 50,800 steps.
-    # A check on complete maps only would read 336 tuples at each of the
-    # 8! / 2! = 20,160 injective maps, past the default budget
+    # 3 * 7 * 6 = 126 target tuples through it: 400 * 127 = 50,800 steps,
+    # after 6 * 5 = 30 for the set-up's links.  A check on complete maps only
+    # would read 336 tuples at each of the 8! / 2! = 20,160 injective maps,
+    # past the default budget
     source = ternary(6, set())
     target = ternary(8, itertools.permutations(range(8), 3))
     assert find_hom(source, target, "embedding") is None
-    monkeypatch.setattr(errors, "WORK_BUDGET", 50_800)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 50_830)
     assert find_hom(source, target, "embedding") is None
-    monkeypatch.setattr(errors, "WORK_BUDGET", 50_799)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 50_829)
     with pytest.raises(TooLarge, match="work budget"):
         find_hom(source, target, "embedding")
     assert find_hom(source, target, "hom").mapping == (0,) * 6
@@ -559,22 +562,78 @@ def directed_path(n):
     return FinStructure(Signature((("E", 2),)), n, {"E": frozenset((i, i + 1) for i in range(n - 1))})
 
 
-def test_search_past_the_recursion_limit_raises_too_large():
-    # the search recurses once per variable: a flat input of 1,100 elements
-    # passes the interpreter's recursion limit and is refused as too large,
-    # with no reference cycle left behind; 700 elements still answer
+def test_deep_flat_inputs_answer_or_raise_within_the_budget():
+    # the search is a loop over a stack of the assigned variables, so only
+    # the budget bounds its depth: the iso search on a flat path of 1,100
+    # elements answers, and the core test, whose values each copy 1,100 sets,
+    # runs out of budget within seconds; neither leaves a reference cycle
     path = directed_path(700)
     assert find_hom(path, path, "iso").mapping == tuple(range(700))
     path = directed_path(1100)
-    for call in (lambda: find_hom(path, path, "iso"), lambda: is_core(path)):
-        gc.collect()
-        gc.disable()
-        try:
-            with pytest.raises(TooLarge, match="hom search 1100 variables deep"):
-                call()
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+    gc.collect()
+    gc.disable()
+    try:
+        assert find_hom(path, path, "iso").mapping == tuple(range(1100))
+        assert gc.collect() == 0
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="work budget .* hom search"):
+            is_core(path)
+        assert time.perf_counter() - start < 15
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("n", [300, 700])
+def test_core_test_on_a_long_path_is_refused_within_seconds(n):
+    # each value tried charges 1 + n // 16 steps, so the budget tracks the
+    # time spent copying and scanning the n candidate sets per value
+    path = directed_path(n)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="work budget .* hom search"):
+        is_core(path)
+    assert time.perf_counter() - start < 15
+
+
+def test_strong_set_up_is_charged_before_it_is_built():
+    # embedding and iso set-ups link every ordered pair of source elements:
+    # on 2,000 elements the 3,998,000 links are refused before any is built
+    path = directed_path(2000)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="hom search set-up"):
+        find_hom(path, path, "iso")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n,per_value", [(15, 1), (16, 2)])
+def test_each_value_tried_charges_one_step_per_16_variables(monkeypatch, n, per_value):
+    # n isolated elements into one: n values tried at 1 + n // 16 steps each,
+    # then n for the map
+    source, target = digraph(n, set()), digraph(1, set())
+    needed = n * per_value + n
+    monkeypatch.setattr(errors, "WORK_BUDGET", needed)
+    assert find_hom(source, target).mapping == (0,) * n
+    monkeypatch.setattr(errors, "WORK_BUDGET", needed - 1)
+    with pytest.raises(TooLarge, match="hom search"):
+        find_hom(source, target)
+
+
+def test_abandoned_run_frees_its_state():
+    # a run is a generator; dropping it after its first map frees its stack
+    # at once, with no reference cycle left for the collector
+    s = johnson(6)
+    search = _HomSearch(s, s, "hom")
+    gc.collect()
+    gc.disable()
+    try:
+        maps = search.run(None, lexicographic=True)
+        assert next(maps) == min(h.mapping for h in enumerate_endos(s))
+        gone = weakref.ref(maps)
+        del maps
+        assert gone() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_noninjective_endo_sets_up_one_search(monkeypatch):
@@ -618,9 +677,9 @@ def per_element_noninjective_endo(structure):
     orbit of a refuted one."""
     search = _HomSearch(structure, structure, "hom")
     for v in range(structure.size):
-        found = search.run(None, lexicographic=False, limit=1, avoid=v)
-        if found:
-            return Hom(structure, structure, found[0])
+        found = next(search.run(None, lexicographic=False, avoid=v), None)
+        if found is not None:
+            return Hom(structure, structure, found)
     return None
 
 
@@ -681,9 +740,9 @@ def test_core_test_refutes_once_per_orbit(monkeypatch):
     runs = []
 
     class Counted(_HomSearch):
-        def run(self, partial, lexicographic, limit, avoid=None):
+        def run(self, partial, lexicographic, avoid=None):
             runs.append("refute" if avoid is not None else "map r -> v")
-            return super().run(partial, lexicographic, limit, avoid)
+            return super().run(partial, lexicographic, avoid)
 
     monkeypatch.setattr(finstruct, "_HomSearch", Counted)
     # each automorphism group is transitive: 0 is refuted, and the elements
