@@ -696,7 +696,8 @@ def _composition_table(d: int):
     before the pair walk, so that a d too large raises at once.
 
     Class 0 is the diagonal and class c >= 1 the pair _pair_reps(d)[c - 1];
-    a pair's slots, relabelled to their support, look up its class.
+    a pair's slots, relabelled to their support, look up its class, once
+    per slot pair before the walk (the reverse pair's is its swap).
     Returns, as tuples, the rows, the swap pairs and every class's
     descriptor.  The row of c_ij holds, per c_jk, (c_jk, bitmask of the
     c_ik) over the triples with i != j != k.  A swap pair is a class and
@@ -708,22 +709,20 @@ def _composition_table(d: int):
     reps = ((_type((0,) * d, diag, DLO, False), diag),) + _pair_reps(d)
     names = tuple(name for name, _ in reps)
     ids = {(p, q): c for c, (_, ((_, p), (_, q))) in enumerate(reps)}
-
-    def cls(p, q):
-        c = ids.get((p, q))
-        if c is None:
+    swap = [ids[q, p] for _, ((_, p), (_, q)) in reps]
+    walk = [(i, j, k) for _, ((_, i), (_, j), (_, k)) in triples if i != j != k]
+    slots = list(dict.fromkeys(itertools.chain.from_iterable(walk)))
+    cls = {p: {p: 0} for p in slots}  # cls[p][q]: the class of the slot pair (p, q)
+    for x, p in enumerate(slots):
+        for q in slots[:x]:
             support = sorted({*p, *q})
-            c = ids[p, q] = ids[tuple(map(support.index, p)), tuple(map(support.index, q))]
-        return c
-
+            c = cls[p][q] = ids[tuple(map(support.index, p)), tuple(map(support.index, q))]
+            cls[q][p] = swap[c]
     rows: list[dict] = [{} for _ in reps]
-    for _, ((_, i), (_, j), (_, k)) in triples:
-        if i != j != k:
-            row = rows[cls(i, j)]
-            c_jk = cls(j, k)
-            row[c_jk] = row.get(c_jk, 0) | 1 << cls(i, k)
-    swaps = [(c, ids[q, p]) for c, (_, ((_, p), (_, q))) in enumerate(reps)]
-    pairs = sorted(((a, b) for a, b in swaps if names[a] < names[b]), key=lambda pair: names[pair[0]])
+    for i, j, k in walk:
+        row, c_jk = rows[cls[i][j]], cls[j][k]
+        row[c_jk] = row.get(c_jk, 0) | 1 << cls[i][k]
+    pairs = sorted(((a, b) for a, b in enumerate(swap) if names[a] < names[b]), key=lambda pair: names[pair[0]])
     return tuple(tuple(row.items()) for row in rows), tuple(pairs), names
 
 

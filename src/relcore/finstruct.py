@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -304,10 +305,10 @@ class _TargetTables:
     masks the elements w with (w, ..., w) in the r-th relation;
     adjacent[2r][w] and adjacent[2r + 1][w] mask the out- and in-neighbours
     of w in the r-th binary relation.  The link rows of each (kind, strong)
-    are built when a search first asks for them.
+    and the tuples through each element are built when first asked for.
     """
 
-    __slots__ = ("m", "held", "adjacent", "tables")
+    __slots__ = ("m", "held", "adjacent", "tables", "wide")
 
     def __init__(self, target: FinStructure):
         m = target.size
@@ -329,8 +330,9 @@ class _TargetTables:
                     if (w,) * arity in rel:
                         held |= 1 << w
             self.held.append(held)
-        # keyed by kind << 1 | strong
+        # keyed by kind << 1 | strong, and by relation index
         self.tables: dict[int, tuple[int, ...]] = {}
+        self.wide: dict[int, list[list[tuple[int, ...]]]] = {}
 
     def rows(self, strong: bool, k: int) -> tuple[int, ...]:
         """The mask cut into u's set when v -> w, for each w, where k = kind[v, u]."""
@@ -348,6 +350,16 @@ class _TargetTables:
                 masks.append(mask)
             rows = self.tables[k << 1 | strong] = tuple(masks)
         return rows
+
+    def through(self, r: int, rel: frozenset) -> list[list[tuple[int, ...]]]:
+        """Per element, the tuples through it of rel, the r-th relation, with two or more distinct elements."""
+        if r not in self.wide:
+            self.wide[r] = [[] for _ in range(self.m)]
+            for t in rel:
+                if len(elements := set(t)) > 1:
+                    for w in elements:
+                        self.wide[r][w].append(t)
+        return self.wide[r]
 
 
 class _HomSearch:
@@ -406,7 +418,7 @@ class _HomSearch:
         # relation and bit 2r + 1 when (u, v) is.
         kind: dict[tuple[int, int], int] = {}
         i = 0
-        for (name, arity), held in zip(source.signature.relations, tables.held):
+        for r, ((name, arity), held) in enumerate(zip(source.signature.relations, tables.held)):
             s_rel, t_rel = source.relations[name], target.relations[name]
             if mode == "iso" and len(s_rel) != len(t_rel):
                 return
@@ -421,7 +433,10 @@ class _HomSearch:
                         on.add(a)
                 i += 2
             else:
-                for t in t_rel if strong else ():
+                if strong and n < m:  # the target's tuples through each element, kept on its tables
+                    for w, ts in enumerate(tables.through(r, t_rel)):
+                        through[w] += zip(itertools.repeat(s_rel), ts)
+                for t in t_rel if strong and n == m else ():
                     if len(elements := set(t)) > 1:
                         for w in elements:
                             through[w].append((s_rel, t))
@@ -600,13 +615,61 @@ def find_hom(
 
 @metered
 def enumerate_endos(structure: FinStructure, limit: Optional[int] = None) -> list[Hom]:
-    """All endomorphisms in lexicographic order of the map, up to limit."""
+    """All endomorphisms in lexicographic order of the map, up to limit: after
+    the core test, a core's, all automorphisms, are read off its stabilizer chain
+    (`_automorphisms`), any other's searched.  Each map listed charges n steps."""
     if limit is not None:
         require_ints([limit], "endomorphism limit", InvalidInput)
         if limit < 0:
             raise InvalidInput(f"endomorphism limit must be >= 0, got {limit}")
-    found = _HomSearch(structure, structure, "hom").run(None, lexicographic=True)
+    if is_core(structure):
+        found = _automorphisms(structure)
+    else:
+        found = _HomSearch(structure, structure, "hom").run(None, lexicographic=True)
     return [Hom._found(structure, structure, m) for m in itertools.islice(found, limit)]
+
+
+def _automorphisms(structure: FinStructure) -> Iterator[tuple[int, ...]]:
+    """The automorphisms of a core in lexicographic order, read off a stabilizer
+    chain along the base 0, 1, ..., n - 1 (Sims, 1970; Seress, "Permutation Group
+    Algorithms", 2003).  Level i holds, for each w in the orbit of i under the
+    automorphisms fixing 0..i-1, one that sends i to w.  Levels run up to the
+    first whose colouring with 0..i-1 individualized is discrete, and are built
+    from the last up: i's orbit closes under the maps found below, and each w of
+    i's cell still outside it is tried by one search that fixes 0..i-1 and maps
+    i -> w.  Every automorphism is one product t_0 . t_1 . ... of a map per level,
+    whose image of i is P(t_i(i)) for the product P of the levels above, so each
+    level's maps are taken in order of that image."""
+    n = structure.size
+    search = _HomSearch(structure, structure, "hom")
+    columns = [list(zip(*ts)) for ts in structure.relations.values()]
+    colours = _refine(n, columns, [0] * n)
+    cells: list[list[int]] = []  # per level, i's cell beyond i
+    while len(set(colours)) < n:
+        i = len(cells)
+        cells.append([w for w in range(i + 1, n) if colours[w] == colours[i]])
+        colours = _refine(n, columns, _individualize(colours, i))
+    generators, levels = [], []  # levels: (i, its maps as getters) where i's orbit is not {i}
+    for i in reversed(range(len(cells))):
+        orbit, fixed = {i: tuple(range(n))}, dict(zip(range(i), range(i)))  # the maps found so far fix i
+        for w in cells[i]:
+            if w not in orbit and (g := next(search.run({**fixed, i: w}, lexicographic=False), None)):
+                generators.append(g)
+                _closure(orbit, generators)
+        if len(orbit) > 1:
+            levels.insert(0, (i, [itemgetter(*t) for t in orbit.values()]))
+    # per level entered: the products t_0 . ... . t_k left to extend, in order
+    stack = [iter([tuple(range(n))])]
+    while stack:
+        product = next(stack[-1], None)
+        if product is None:
+            stack.pop()
+        elif len(stack) <= len(levels):
+            i, maps = levels[len(stack) - 1]
+            stack.append(iter(sorted([t(product) for t in maps], key=itemgetter(i))))
+        else:
+            charge(n, "endomorphism listing")
+            yield product
 
 
 def _occurrence_profiles(n: int, columns: Iterable) -> list[tuple[int, ...]]:
@@ -620,6 +683,18 @@ def _occurrence_profiles(n: int, columns: Iterable) -> list[tuple[int, ...]]:
         for x in column:
             occurs[x].append(j)
     return list(map(tuple, occurs))
+
+
+def _closure(orbit: dict, generators: Sequence[Sequence[int]]) -> dict:
+    """orbit, mapping each of its points x to a map that sends the base point
+    to x, grown by the generators to a full orbit (with () for maps, the points alone)."""
+    points = list(orbit)
+    for x in points:  # grows as new points are reached
+        for g in generators:
+            if g[x] not in orbit:
+                orbit[g[x]] = tuple(map(g.__getitem__, orbit[x]))
+                points.append(g[x])
+    return orbit
 
 
 @metered
@@ -640,7 +715,7 @@ def find_noninjective_endo(structure: FinStructure) -> Optional[Hom]:
     refuted: list[int] = []
     automorphisms: list[tuple[int, ...]] = []
     for v in range(structure.size):
-        if automorphisms and _orbit_meets(v, refuted, automorphisms):
+        if automorphisms and not _closure({v: ()}, automorphisms).keys().isdisjoint(refuted):
             continue
         if v == 1:  # 0 is refuted, and a second element is about to be
             profiles = _occurrence_profiles(structure.size, [zip(*ts) for ts in structure.relations.values()])
@@ -749,20 +824,6 @@ def _individualize(colours: list[int], w: int) -> list[int]:
     return [x + 1 if x > c or (x == c and v != w) else x for v, x in enumerate(colours)]
 
 
-def _orbit_meets(w: int, tried: list[int], generators: Sequence[Sequence[int]]) -> bool:
-    """Whether the orbit of w under the group generated by `generators` meets `tried`."""
-    orbit = {w}
-    frontier = [w]
-    while frontier:
-        x = frontier.pop()
-        for g in generators:
-            y = g[x]
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return not orbit.isdisjoint(tried)
-
-
 @metered
 def canonical_form(structure: FinStructure) -> bytes:
     """Canonical byte encoding: equal exactly for isomorphic structures.
@@ -853,7 +914,7 @@ def _canonical_encoding(n: int, rels: Sequence) -> tuple:
             if tried:
                 path = [t[-1] for _, _, t in nodes[:-1]]
                 fixing = [g for g in automorphisms if all(g[u] == u for u in path)]
-                cell = (w for w in cell if not _orbit_meets(w, tried, fixing))
+                cell = (w for w in cell if _closure({w: ()}, fixing).keys().isdisjoint(tried))
             w = next(cell, None)
             if w is not None:
                 tried.append(w)

@@ -419,7 +419,7 @@ def layout_encoding(n, rels):
         for w in cells[target]:
             if tried:
                 fixing = [g for g in automorphisms if all(g[u] == u for u in path)]
-                if finstruct._orbit_meets(w, tried, fixing):
+                if not finstruct._closure({w: ()}, fixing).keys().isdisjoint(tried):
                     continue
             tried.append(w)
             resume = visit(finstruct._individualize(colours, w), path + [w])

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 import re
 import time
@@ -312,13 +313,27 @@ def test_enumerate_endos_examples():
         enumerate_endos(free, limit=-1)
 
 
+def _lexicographic_endos(structure):
+    """The maps of the lexicographic search `enumerate_endos` runs on a
+    structure that is not a core, charged to one meter: its oracle."""
+    return errors.metered(_search)(structure, structure, "hom", None, True, None)
+
+
 def test_search_work_budget(monkeypatch):
     # the edgeless 2-element digraph: 6 values tried and 4 maps of 2 elements
     free = digraph(2, set())
     monkeypatch.setattr(errors, "WORK_BUDGET", 14)
-    assert len(enumerate_endos(free)) == 4
+    assert len(_lexicographic_endos(free)) == 4
     monkeypatch.setattr(errors, "WORK_BUDGET", 13)
     with pytest.raises(TooLarge, match="work budget"):
+        _lexicographic_endos(free)
+    # enumerate_endos runs the core test first: with 0 left out, 1 is the
+    # one value for each of 0 and 1, and the map (1, 1) makes 4 steps;
+    # then the same search, 18 in all
+    monkeypatch.setattr(errors, "WORK_BUDGET", 18)
+    assert [h.mapping for h in enumerate_endos(free)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    monkeypatch.setattr(errors, "WORK_BUDGET", 17)
+    with pytest.raises(TooLarge, match="work budget .* hom search"):
         enumerate_endos(free)
     # find_hom and the core test run the same search
     monkeypatch.setattr(errors, "WORK_BUDGET", 0)
@@ -336,10 +351,10 @@ def test_search_work_budget_counts_forward_checks(monkeypatch):
     # stored: 3 + 9 + 27 + 1 + 3 = 43 steps
     chain = FinStructure(Signature((("T", 3),)), 3, {"T": frozenset({(0, 1, 2)})})
     monkeypatch.setattr(errors, "WORK_BUDGET", 43)
-    assert [h.mapping for h in enumerate_endos(chain)] == [(0, 1, 2)]
+    assert _lexicographic_endos(chain) == [(0, 1, 2)]
     monkeypatch.setattr(errors, "WORK_BUDGET", 42)
     with pytest.raises(TooLarge, match="work budget"):
-        enumerate_endos(chain)
+        _lexicographic_endos(chain)
     # the core test: with v left out, 2 values for 0 and 2 for 1 under each,
     # and 2 candidates tested for 2 under each of those; 14 steps for each v
     monkeypatch.setattr(errors, "WORK_BUDGET", 42)
@@ -347,6 +362,14 @@ def test_search_work_budget_counts_forward_checks(monkeypatch):
     monkeypatch.setattr(errors, "WORK_BUDGET", 41)
     with pytest.raises(TooLarge, match="work budget"):
         is_core(chain)
+    # enumerate_endos: the core test, then the chain, which runs no search
+    # since the occurrence profiles are already discrete, and lists the
+    # identity for 3 steps: 45
+    monkeypatch.setattr(errors, "WORK_BUDGET", 45)
+    assert [h.mapping for h in enumerate_endos(chain)] == [(0, 1, 2)]
+    monkeypatch.setattr(errors, "WORK_BUDGET", 44)
+    with pytest.raises(TooLarge, match="work budget .* endomorphism listing"):
+        enumerate_endos(chain)
 
 
 def test_strong_modes_drop_a_value_that_does_not_reflect(monkeypatch):
@@ -404,6 +427,27 @@ def betweenness(atoms):
 def relabelled(structure, perm):
     rels = {name: frozenset(tuple(perm[x] for x in t) for t in ts) for name, ts in structure.relations.items()}
     return FinStructure(structure.signature, structure.size, rels)
+
+
+def test_embeddings_into_one_target_share_its_tuples():
+    # the tuples through each target element are built by the first set-up
+    # from a smaller source and kept on the target's tables; every later
+    # one reads the same tuple objects.  First maps and counts as before
+    # they were kept
+    target = relabelled(betweenness(10), [2, 3, 1, 0, 8, 7, 6, 5, 4, 9])
+    cases = [(3, (0, 1, 3), 240), (4, (0, 1, 3, 2), 280), (5, (0, 1, 3, 2, 4), 420), (3, (0, 1, 3), 240)]
+    kept = None
+    for k, first, count in cases:
+        s = betweenness(k)
+        assert find_hom(s, target, "embedding").mapping == first
+        assert len(_search(s, target, "embedding", None, True, None)) == count
+        through = _HomSearch(s, target, "embedding").through
+        kept = kept or target._search_tables.wide[0]
+        assert target._search_tables.wide == {0: kept}
+        for w in range(target.size):
+            assert len(through[w]) == len(kept[w]) and all(t is u for (_, t), u in zip(through[w], kept[w]))
+    # an equal-size set-up builds its own
+    assert _HomSearch(target, target, "iso").through and target._search_tables.wide == {0: kept}
 
 
 def test_first_maps_on_ternary_relations():
@@ -760,6 +804,77 @@ def test_johnson_sample_on_8_atoms_is_a_core_within_a_second():
     assert is_core(s)
     elapsed = time.perf_counter() - start
     assert s.size == 28 and elapsed < 1.0, f"is_core took {elapsed:.2f}s"
+
+
+def test_endos_of_a_core_from_its_chain_match_the_search():
+    # on a core the maps come from the stabilizer chain; the lexicographic
+    # search, which lists every endomorphism, is the oracle
+    cores = [s for s in core_test_inputs() if is_core(s)]
+    cores += [johnson(5), johnson(6), johnson(7), pair_cover_sample(4)]
+    assert len(cores) == 76
+    for i, s in enumerate(cores):
+        maps = [h.mapping for h in enumerate_endos(s)]
+        assert maps == list(_HomSearch(s, s, "hom").run(None, lexicographic=True)), f"core {i}"
+        for f in maps:
+            assert len(set(f)) == s.size and not hom_violations(s, s, f), f"core {i}"
+
+
+def test_endos_of_a_core_honour_the_limit():
+    s = johnson(6)
+    maps = [h.mapping for h in enumerate_endos(s)]
+    for limit in (0, 1, 50):
+        assert [h.mapping for h in enumerate_endos(s, limit)] == maps[:limit]
+
+
+@pytest.mark.parametrize("k,order", [(1, 1), (2, 1), (3, 6), (4, 48), (5, 120), (6, 720), (7, 5040)])
+def test_automorphism_group_orders_of_johnson_samples(k, order):
+    # from 5 atoms on, and on 3, every automorphism of the Johnson sample is
+    # induced by one of the k! permutations of the atoms (Whitney); on 4 it
+    # is the octahedron K(2, 2, 2), with 48, and on 2 a single point
+    assert len(enumerate_endos(johnson(k))) == order
+
+
+def test_automorphism_group_order_of_y4():
+    # k! * 2^C(k, 2) at k = 4: the atom permutations and a flip per pair
+    assert len(enumerate_endos(pair_cover_sample(4))) == 1536
+
+
+def test_chain_runs_one_search_per_new_generator(monkeypatch):
+    found = []
+
+    class Counted(_HomSearch):
+        def run(self, partial, lexicographic, avoid=None):
+            for f in super().run(partial, lexicographic, avoid):
+                found.append(f)
+                yield f
+            found.append(None)  # a search run to its end found no map
+
+    monkeypatch.setattr(finstruct, "_HomSearch", Counted)
+    # each orbit closes under the maps found for the levels below it, so
+    # the chain of J@6 needs 5 searches and that of J@8 7, and none fails
+    for k, searches in ((6, 5), (8, 7)):
+        s = johnson(k)
+        assert is_core(s)
+        found.clear()
+        assert len(list(finstruct._automorphisms(s))) == math.factorial(k)
+        assert len(found) == searches and None not in found
+
+
+def test_endos_of_johnson_8_within_the_budget(monkeypatch):
+    # the core test, 7 chain searches and 28 steps for each of the 8! maps
+    s = johnson(8)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1_256_098)
+    assert len(enumerate_endos(s)) == 40_320
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1_256_097)
+    with pytest.raises(TooLarge, match="work budget .* endomorphism listing"):
+        enumerate_endos(s)
+
+
+def test_endos_of_y5_are_past_the_budget():
+    # 5! * 2^10 = 122,880 automorphisms of 40 elements: 4.9 million steps
+    # to list
+    with pytest.raises(TooLarge, match="work budget .* endomorphism listing"):
+        enumerate_endos(pair_cover_sample(5))
 
 
 def test_canonical_form_relabelings():
