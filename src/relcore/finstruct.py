@@ -305,10 +305,10 @@ class _TargetTables:
     masks the elements w with (w, ..., w) in the r-th relation;
     adjacent[2r][w] and adjacent[2r + 1][w] mask the out- and in-neighbours
     of w in the r-th binary relation.  The link rows of each (kind, strong)
-    and the tuples through each element are built when first asked for.
+    are built when a search first asks for them.
     """
 
-    __slots__ = ("m", "held", "adjacent", "tables", "wide")
+    __slots__ = ("m", "held", "adjacent", "tables")
 
     def __init__(self, target: FinStructure):
         m = target.size
@@ -330,9 +330,8 @@ class _TargetTables:
                     if (w,) * arity in rel:
                         held |= 1 << w
             self.held.append(held)
-        # keyed by kind << 1 | strong, and by relation index
+        # keyed by kind << 1 | strong
         self.tables: dict[int, tuple[int, ...]] = {}
-        self.wide: dict[int, list[list[tuple[int, ...]]]] = {}
 
     def rows(self, strong: bool, k: int) -> tuple[int, ...]:
         """The mask cut into u's set when v -> w, for each w, where k = kind[v, u]."""
@@ -350,16 +349,6 @@ class _TargetTables:
                 masks.append(mask)
             rows = self.tables[k << 1 | strong] = tuple(masks)
         return rows
-
-    def through(self, r: int, rel: frozenset) -> list[list[tuple[int, ...]]]:
-        """Per element, the tuples through it of rel, the r-th relation, with two or more distinct elements."""
-        if r not in self.wide:
-            self.wide[r] = [[] for _ in range(self.m)]
-            for t in rel:
-                if len(elements := set(t)) > 1:
-                    for w in elements:
-                        self.wide[r][w].append(t)
-        return self.wide[r]
 
 
 class _HomSearch:
@@ -418,7 +407,7 @@ class _HomSearch:
         # relation and bit 2r + 1 when (u, v) is.
         kind: dict[tuple[int, int], int] = {}
         i = 0
-        for r, ((name, arity), held) in enumerate(zip(source.signature.relations, tables.held)):
+        for (name, arity), held in zip(source.signature.relations, tables.held):
             s_rel, t_rel = source.relations[name], target.relations[name]
             if mode == "iso" and len(s_rel) != len(t_rel):
                 return
@@ -433,10 +422,7 @@ class _HomSearch:
                         on.add(a)
                 i += 2
             else:
-                if strong and n < m:  # the target's tuples through each element, kept on its tables
-                    for w, ts in enumerate(tables.through(r, t_rel)):
-                        through[w] += zip(itertools.repeat(s_rel), ts)
-                for t in t_rel if strong and n == m else ():
+                for t in t_rel if strong else ():
                     if len(elements := set(t)) > 1:
                         for w in elements:
                             through[w].append((s_rel, t))
@@ -615,39 +601,44 @@ def find_hom(
 
 @metered
 def enumerate_endos(structure: FinStructure, limit: Optional[int] = None) -> list[Hom]:
-    """All endomorphisms in lexicographic order of the map, up to limit: after
-    the core test, a core's, all automorphisms, are read off its stabilizer chain
-    (`_automorphisms`), any other's searched.  Each map listed charges n steps."""
+    """All endomorphisms in lexicographic order of the map, up to limit.  The first
+    n + 1 are searched for, so a structure with few, a rigid one say, skips the core
+    test, which can cost far more than its listing; past them a core's, all automorphisms,
+    are read off its stabilizer chain (`_automorphisms`).  Each map charges n steps."""
     if limit is not None:
         require_ints([limit], "endomorphism limit", InvalidInput)
         if limit < 0:
             raise InvalidInput(f"endomorphism limit must be >= 0, got {limit}")
-    if is_core(structure):
-        found = _automorphisms(structure)
-    else:
-        found = _HomSearch(structure, structure, "hom").run(None, lexicographic=True)
-    return [Hom._found(structure, structure, m) for m in itertools.islice(found, limit)]
+    n, search = structure.size, _HomSearch(structure, structure, "hom")
+    found = search.run(None, lexicographic=True)
+    maps = list(itertools.islice(found, n + 1 if limit is None else min(limit, n + 1)))
+    if len(maps) > n and limit != n + 1 and is_core(structure):
+        found = itertools.islice(_automorphisms(structure, search), n + 1, None)
+    maps += itertools.islice(found, None if limit is None else limit - len(maps))
+    return [Hom._found(structure, structure, m) for m in maps]
 
 
-def _automorphisms(structure: FinStructure) -> Iterator[tuple[int, ...]]:
+def _automorphisms(structure: FinStructure, search: "_HomSearch") -> Iterator[tuple[int, ...]]:
     """The automorphisms of a core in lexicographic order, read off a stabilizer
     chain along the base 0, 1, ..., n - 1 (Sims, 1970; Seress, "Permutation Group
-    Algorithms", 2003).  Level i holds, for each w in the orbit of i under the
-    automorphisms fixing 0..i-1, one that sends i to w.  Levels run up to the
-    first whose colouring with 0..i-1 individualized is discrete, and are built
-    from the last up: i's orbit closes under the maps found below, and each w of
-    i's cell still outside it is tried by one search that fixes 0..i-1 and maps
-    i -> w.  Every automorphism is one product t_0 . t_1 . ... of a map per level,
-    whose image of i is P(t_i(i)) for the product P of the levels above, so each
-    level's maps are taken in order of that image."""
-    n = structure.size
-    search = _HomSearch(structure, structure, "hom")
+    Algorithms", 2003), with search, structure's hom-mode search of itself.  Level
+    i holds, for each w in the orbit of i under the automorphisms fixing 0..i-1,
+    one that sends i to w.  Levels run up to the first whose colouring with 0..i-1
+    individualized is discrete, each refinement charging n plus the number of
+    tuples, and are built from the last up: i's orbit closes under the maps found
+    below, and each w of i's cell still outside it is tried by one search that
+    fixes 0..i-1 and maps i -> w.  Every automorphism is one product t_0 . t_1 . ...
+    of a map per level, whose image of i is P(t_i(i)) for the product P of the
+    levels above, so each level's maps are taken in order of that image."""
+    n, steps = structure.size, structure.size + sum(map(len, structure.relations.values()))
     columns = [list(zip(*ts)) for ts in structure.relations.values()]
+    charge(steps, "stabilizer chain")
     colours = _refine(n, columns, [0] * n)
     cells: list[list[int]] = []  # per level, i's cell beyond i
     while len(set(colours)) < n:
         i = len(cells)
         cells.append([w for w in range(i + 1, n) if colours[w] == colours[i]])
+        charge(steps, "stabilizer chain")
         colours = _refine(n, columns, _individualize(colours, i))
     generators, levels = [], []  # levels: (i, its maps as getters) where i's orbit is not {i}
     for i in reversed(range(len(cells))):

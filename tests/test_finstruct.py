@@ -327,9 +327,10 @@ def test_search_work_budget(monkeypatch):
     monkeypatch.setattr(errors, "WORK_BUDGET", 13)
     with pytest.raises(TooLarge, match="work budget"):
         _lexicographic_endos(free)
-    # enumerate_endos runs the core test first: with 0 left out, 1 is the
-    # one value for each of 0 and 1, and the map (1, 1) makes 4 steps;
-    # then the same search, 18 in all
+    # enumerate_endos searches for its first n + 1 = 3 maps, then, since
+    # there are more, runs the core test: with 0 left out, 1 is the one
+    # value for each of 0 and 1, and the map (1, 1) makes 4 steps; then it
+    # goes on with the same search, 18 in all
     monkeypatch.setattr(errors, "WORK_BUDGET", 18)
     assert [h.mapping for h in enumerate_endos(free)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     monkeypatch.setattr(errors, "WORK_BUDGET", 17)
@@ -362,14 +363,26 @@ def test_search_work_budget_counts_forward_checks(monkeypatch):
     monkeypatch.setattr(errors, "WORK_BUDGET", 41)
     with pytest.raises(TooLarge, match="work budget"):
         is_core(chain)
-    # enumerate_endos: the core test, then the chain, which runs no search
-    # since the occurrence profiles are already discrete, and lists the
-    # identity for 3 steps: 45
-    monkeypatch.setattr(errors, "WORK_BUDGET", 45)
+    # enumerate_endos: the search finds the one map, fewer than n + 1, so
+    # no core test runs and the charge is the search's
+    monkeypatch.setattr(errors, "WORK_BUDGET", 43)
     assert [h.mapping for h in enumerate_endos(chain)] == [(0, 1, 2)]
-    monkeypatch.setattr(errors, "WORK_BUDGET", 44)
-    with pytest.raises(TooLarge, match="work budget .* endomorphism listing"):
+    monkeypatch.setattr(errors, "WORK_BUDGET", 42)
+    with pytest.raises(TooLarge, match="work budget .* hom search"):
         enumerate_endos(chain)
+    # its chain: one refinement, 3 elements and 1 tuple, runs no search
+    # since the colouring is already discrete, and lists the identity for
+    # 3 steps: 7
+    search = _HomSearch(chain, chain, "hom")
+    automorphisms = errors.metered(lambda: list(finstruct._automorphisms(chain, search)))
+    monkeypatch.setattr(errors, "WORK_BUDGET", 7)
+    assert automorphisms() == [(0, 1, 2)]
+    monkeypatch.setattr(errors, "WORK_BUDGET", 6)
+    with pytest.raises(TooLarge, match="work budget .* endomorphism listing"):
+        automorphisms()
+    monkeypatch.setattr(errors, "WORK_BUDGET", 3)
+    with pytest.raises(TooLarge, match="work budget .* stabilizer chain"):
+        automorphisms()
 
 
 def test_strong_modes_drop_a_value_that_does_not_reflect(monkeypatch):
@@ -427,27 +440,6 @@ def betweenness(atoms):
 def relabelled(structure, perm):
     rels = {name: frozenset(tuple(perm[x] for x in t) for t in ts) for name, ts in structure.relations.items()}
     return FinStructure(structure.signature, structure.size, rels)
-
-
-def test_embeddings_into_one_target_share_its_tuples():
-    # the tuples through each target element are built by the first set-up
-    # from a smaller source and kept on the target's tables; every later
-    # one reads the same tuple objects.  First maps and counts as before
-    # they were kept
-    target = relabelled(betweenness(10), [2, 3, 1, 0, 8, 7, 6, 5, 4, 9])
-    cases = [(3, (0, 1, 3), 240), (4, (0, 1, 3, 2), 280), (5, (0, 1, 3, 2, 4), 420), (3, (0, 1, 3), 240)]
-    kept = None
-    for k, first, count in cases:
-        s = betweenness(k)
-        assert find_hom(s, target, "embedding").mapping == first
-        assert len(_search(s, target, "embedding", None, True, None)) == count
-        through = _HomSearch(s, target, "embedding").through
-        kept = kept or target._search_tables.wide[0]
-        assert target._search_tables.wide == {0: kept}
-        for w in range(target.size):
-            assert len(through[w]) == len(kept[w]) and all(t is u for (_, t), u in zip(through[w], kept[w]))
-    # an equal-size set-up builds its own
-    assert _HomSearch(target, target, "iso").through and target._search_tables.wide == {0: kept}
 
 
 def test_first_maps_on_ternary_relations():
@@ -807,23 +799,55 @@ def test_johnson_sample_on_8_atoms_is_a_core_within_a_second():
 
 
 def test_endos_of_a_core_from_its_chain_match_the_search():
-    # on a core the maps come from the stabilizer chain; the lexicographic
-    # search, which lists every endomorphism, is the oracle
+    # past its first n + 1 maps, a core's come from the stabilizer chain;
+    # the lexicographic search, which lists every endomorphism, is the
+    # oracle of the chain, read whole, and of enumerate_endos
     cores = [s for s in core_test_inputs() if is_core(s)]
     cores += [johnson(5), johnson(6), johnson(7), pair_cover_sample(4)]
     assert len(cores) == 76
     for i, s in enumerate(cores):
-        maps = [h.mapping for h in enumerate_endos(s)]
-        assert maps == list(_HomSearch(s, s, "hom").run(None, lexicographic=True)), f"core {i}"
+        oracle = list(_HomSearch(s, s, "hom").run(None, lexicographic=True))
+        maps = list(finstruct._automorphisms(s, _HomSearch(s, s, "hom")))
+        assert maps == oracle == [h.mapping for h in enumerate_endos(s)], f"core {i}"
         for f in maps:
             assert len(set(f)) == s.size and not hom_violations(s, s, f), f"core {i}"
 
 
 def test_endos_of_a_core_honour_the_limit():
+    # J@6 has 15 elements: up to 16 maps are searched for, the rest read
+    # off the chain
     s = johnson(6)
     maps = [h.mapping for h in enumerate_endos(s)]
-    for limit in (0, 1, 50):
+    for limit in (0, 1, 15, 16, 17, 50, 720, 721):
         assert [h.mapping for h in enumerate_endos(s, limit)] == maps[:limit]
+
+
+def test_endos_of_a_long_path_are_listed_without_the_core_test(monkeypatch):
+    # the directed path's one map, the identity, is fewer than n + 1, so
+    # the listing is the search's alone; the path's core test is past the
+    # budget from about 95 elements (see the core test's FOUND in CHANGES)
+    def no_core_test(structure):
+        raise AssertionError("core test run")
+
+    monkeypatch.setattr(finstruct, "is_core", no_core_test)
+    path = directed_path(100)
+    for limit in (None, 0, 1, 2):
+        assert [h.mapping for h in enumerate_endos(path, limit)] == [tuple(range(100))][:limit]
+
+
+def test_endos_past_n_plus_1_of_a_core_with_a_costly_core_test_are_lost():
+    # the directed path on 0..99 in E and the loopless clique on 100..104 in
+    # F: a core whose 5! = 120 automorphisms are all the identity on the
+    # path.  The first 106 are searched for; past them the core test runs,
+    # and on the path it is past the budget, where the search alone listed
+    # all 120.  Pinned so that a cheaper core test or another switch shows.
+    clique = {(a, b) for a in range(100, 105) for b in range(100, 105) if a != b}
+    s = FinStructure(
+        Signature((("E", 2), ("F", 2))), 105, {"E": directed_path(100).rel("E"), "F": frozenset(clique)}
+    )
+    assert len(enumerate_endos(s, 106)) == 106
+    with pytest.raises(TooLarge, match="work budget .* hom search"):
+        enumerate_endos(s)
 
 
 @pytest.mark.parametrize("k,order", [(1, 1), (2, 1), (3, 6), (4, 48), (5, 120), (6, 720), (7, 5040)])
@@ -856,16 +880,18 @@ def test_chain_runs_one_search_per_new_generator(monkeypatch):
         s = johnson(k)
         assert is_core(s)
         found.clear()
-        assert len(list(finstruct._automorphisms(s))) == math.factorial(k)
+        assert len(list(finstruct._automorphisms(s, Counted(s, s, "hom")))) == math.factorial(k)
         assert len(found) == searches and None not in found
 
 
 def test_endos_of_johnson_8_within_the_budget(monkeypatch):
-    # the core test, 7 chain searches and 28 steps for each of the 8! maps
+    # the search for the first 29 maps, the core test, the chain's
+    # 7 refinements (28 elements and 756 tuples each) and 7 searches, and 28
+    # steps for each of the 8! maps read off it
     s = johnson(8)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 1_256_098)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1_263_780)
     assert len(enumerate_endos(s)) == 40_320
-    monkeypatch.setattr(errors, "WORK_BUDGET", 1_256_097)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1_263_779)
     with pytest.raises(TooLarge, match="work budget .* endomorphism listing"):
         enumerate_endos(s)
 
