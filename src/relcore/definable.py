@@ -61,6 +61,13 @@ class Point:
             if not self.atoms[i - 1].value < self.atoms[i].value:
                 raise InvalidDimension("point atoms must be strictly increasing")
 
+    @classmethod
+    def _built(cls, sort: int, atoms: tuple[Atom, ...]) -> "Point":
+        """A point made with no check; the caller guarantees a tuple of strictly increasing atoms."""
+        self = object.__new__(cls)
+        self.__dict__.update(sort=sort, atoms=atoms)
+        return self
+
 
 @dataclass(frozen=True)
 class RelationClause:
@@ -294,7 +301,7 @@ def sample(D: DefStructure, A: AtomSample) -> SampleResult:
         words = itertools.combinations(ranked, sort.dim)
         for word, atoms in zip(words, itertools.combinations(A.atoms, sort.dim)):
             encoded.append((si, word))
-            points.append(Point(si, atoms))
+            points.append(Point._built(si, atoms))
     return SampleResult(_structure_on(D, encoded), tuple(points))
 
 
@@ -397,7 +404,15 @@ def full_power_def(D: DefStructure, d: int) -> DefStructure:
     return DefStructure(D.base, sorts, tuple(clauses))
 
 
-def _type(word, shape, base: AtomBase, as_set: bool):
+class _Texts(dict):
+    """Each key's repr, written on its first lookup: the texts one walk's descriptors share."""
+
+    def __missing__(self, key):
+        text = self[key] = repr(key)
+        return text
+
+
+def _type(word, shape, base: AtomBase, as_set: bool, texts: Optional[_Texts] = None):
     """Canonical key of a support pattern under base automorphisms; as_set
     forgets the order of the points.  A tuple's key is its descriptor: the
     pattern on an ordered base; on an unordered one its least relabelling
@@ -405,20 +420,23 @@ def _type(word, shape, base: AtomBase, as_set: bool):
     then by the points holding them, earliest point first.  A set's key on
     an unordered base is its sorts and the canonical encoding (charged as
     it runs, never printed) of its incidence structure: a unary relation
-    per label on the atoms and per sort on the points, and membership."""
+    per label on the atoms and per sort on the points, and membership.  A
+    descriptor is repr((s, word, shape)), joined from word and point texts,
+    one texts per walk, so that each is written once."""
     shape = tuple(sorted(shape) if as_set else shape)
     s = len(word)
-    if base.ordered:
-        return repr((s, word, shape))
-    if as_set:
+    if not base.ordered and as_set:
         sorts = tuple(si for si, _ in shape)
         rels = [{(k,) for k in range(s) if word[k] == label} for label in range(base.alphabet)]
         rels += [{(s + i,) for i, sj in enumerate(sorts) if sj == si} for si in sorted(set(sorts))]
         rels.append({(k, s + i) for i, (_, slots) in enumerate(shape) for k in slots})
         return sorts, _canonical_encoding(s + len(shape), rels)
-    order = sorted(range(s), key=lambda k: (word[k], [k not in slots for _, slots in shape]))
-    relabelled = tuple((si, tuple(sorted(map(order.index, slots)))) for si, slots in shape)
-    return repr((s, tuple(word[k] for k in order), relabelled))
+    if not base.ordered:
+        order = sorted(range(s), key=lambda k: (word[k], [k not in slots for _, slots in shape]))
+        word = tuple(word[k] for k in order)
+        shape = tuple((si, tuple(sorted(map(order.index, slots)))) for si, slots in shape)
+    texts = _Texts() if texts is None else texts
+    return f"({s}, {texts[word]}, ({', '.join([texts[p] for p in shape])}{',' * (len(shape) == 1)}))"
 
 
 def _covers(D: DefStructure, n: int, as_set: bool) -> list:
@@ -464,7 +482,7 @@ def _orbits(D: DefStructure, n: int, as_set: bool):
     charges its nodes as it goes.
     """
     covers = _covers(D, n, as_set)
-    seen = set()
+    seen, texts = set(), _Texts()
     for s, count in enumerate(covers):
         if not count:
             continue
@@ -472,7 +490,7 @@ def _orbits(D: DefStructure, n: int, as_set: bool):
         for word in itertools.product(range(D.base.alphabet), repeat=s):
             for shape in covering:
                 if not D.base.ordered:
-                    key = _type(word, shape, D.base, as_set)
+                    key = _type(word, shape, D.base, as_set, texts)
                     if key in seen:
                         continue
                     seen.add(key)
@@ -557,7 +575,8 @@ def point_orbits(D: DefStructure, n: int) -> list[str]:
     require_ints([n], "tuple length", InvalidDimension)
     if n < 1:
         raise InvalidDimension(f"need n >= 1, got {n}")
-    return sorted(_type(word, shape, D.base, False) for word, shape in _orbits(D, n, False))
+    texts = _Texts()
+    return sorted(_type(word, shape, D.base, False, texts) for word, shape in _orbits(D, n, False))
 
 
 @metered
@@ -654,7 +673,7 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
     Every candidate must be irreflexive, total, antisymmetric and
     transitive on one point triple per orbit (see _composition_table);
     invariance makes the check conclusive.  Each decision charges the
-    entries of the table row it scans, at least one, as the triple (i, j, i)
+    entries of its table row, at least one, as the triple (i, j, i)
     is in every row but the diagonal's: 120,156 in all at d = 3.  The orbit
     walks charge the call that builds the table, and the budget is the only
     bound on d: from d = 4 the triple orbits' pre-count raises TooLarge.
@@ -670,22 +689,36 @@ def enumerate_invariant_orders(D: DefStructure) -> list[tuple[str, ...]]:
     # A triple (a, b, c) broken by points i, j, k (a, b true, c false)
     # makes the rotations (b, swap c, swap a) from j, k, i and
     # (swap c, a, swap b) from k, i, j broken too, so a decision breaks a
-    # triple exactly when it breaks one whose first descriptor it set true.
+    # triple exactly when it breaks one whose first descriptor it set true:
+    # when its packed row, the true classes' blocks and the false mask in
+    # every block share a bit.  The stack holds the pairs decided, then the
+    # false classes and the true classes' blocks as bitmasks.
     rows, pairs, names = _composition_table(d)
+    packed, ones = _packed_rows(d)
+    C, block = len(names), (1 << len(names)) - 1
     results = []
-    stack = [(0, 0, 1)]  # pairs decided, then true and false classes as bitmasks; the diagonal is false
+    stack = [(0, 1, 0)]  # the diagonal is false
     while stack:
-        idx, true, false = stack.pop()
+        idx, false, blocks = stack.pop()
         if idx == len(pairs):
-            results.append(tuple(sorted(names[c] for c in range(len(names)) if true >> c & 1)))
+            results.append(tuple(sorted(names[c] for c in range(C) if blocks >> c * C & 1)))
             continue
         a, b = pairs[idx]
         for chosen, dropped in ((a, b), (b, a)):
-            now_true, now_false = true | 1 << chosen, false | 1 << dropped
+            now_false, now_blocks = false | 1 << dropped, blocks | block << chosen * C
             charge(len(rows[chosen]), "invariant order search")
-            if not any(now_true >> c_jk & 1 and ik & now_false for c_jk, ik in rows[chosen]):
-                stack.append((idx + 1, now_true, now_false))
+            if not packed[chosen] & now_blocks & now_false * ones:
+                stack.append((idx + 1, now_false, now_blocks))
     return sorted(results)
+
+
+@functools.lru_cache(maxsize=3)
+def _packed_rows(d: int) -> tuple:
+    """_composition_table(d)'s rows as ints of C-bit blocks, C classes, block c_jk
+    holding the c_ik mask, and the int with a 1 at the foot of every block."""
+    rows, _, names = _composition_table(d)
+    C = len(names)
+    return tuple(sum(ik << c_jk * C for c_jk, ik in row) for row in rows), ((1 << C * C) - 1) // ((1 << C) - 1)
 
 
 @functools.lru_cache(maxsize=3)

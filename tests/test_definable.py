@@ -1190,6 +1190,60 @@ def test_bitmask_order_search_matches_status_list_search(d):
     assert orders_and_steps(jord) == (want, steps)
 
 
+def row_scan_breaks(row, now_true, now_false):
+    """The former decision test of enumerate_invariant_orders, the oracle for
+    the packed one: a scan of the chosen class's (c_jk, c_ik mask) entries
+    for a true c_jk with a false c_ik."""
+    return any(now_true >> c_jk & 1 and ik & now_false for c_jk, ik in row)
+
+
+@pytest.mark.parametrize("d,decisions", [(1, 2), (2, 50), (3, 1938)])
+def test_packed_decisions_match_the_row_scan(d, decisions):
+    # the search's walk, every decision made both ways: the packed row, the
+    # true classes' blocks (rebuilt here from the true mask) and the false
+    # mask copied into every block share a bit exactly when the row scan
+    # finds a broken triple; then random masks on every class's row
+    rows, pairs, names = definable._composition_table(d)
+    packed, ones = definable._packed_rows(d)
+    C = len(names)
+
+    def packed_breaks(chosen, now_true, now_false):
+        blocks = sum(((1 << C) - 1) << c * C for c in range(C) if now_true >> c & 1)
+        return bool(packed[chosen] & blocks & now_false * ones)
+
+    made, stack = 0, [(0, 0, 1)]
+    while stack:
+        idx, true, false = stack.pop()
+        if idx == len(pairs):
+            continue
+        a, b = pairs[idx]
+        for chosen, dropped in ((a, b), (b, a)):
+            now_true, now_false = true | 1 << chosen, false | 1 << dropped
+            made += 1
+            breaks = row_scan_breaks(rows[chosen], now_true, now_false)
+            assert packed_breaks(chosen, now_true, now_false) == breaks, (chosen, now_true, now_false)
+            if not breaks:
+                stack.append((idx + 1, now_true, now_false))
+    assert made == decisions
+    rng = random.Random(37)
+    for chosen in range(C):
+        for _ in range(20):
+            now_true, now_false = rng.getrandbits(C) | 1 << chosen, rng.getrandbits(C)
+            assert packed_breaks(chosen, now_true, now_false) == row_scan_breaks(rows[chosen], now_true, now_false)
+
+
+def test_ordered_descriptors_are_the_repr_of_their_pattern():
+    # point_orbits writes each word and point text once per call and joins
+    # them: every descriptor is the repr of its pattern, for every gallery
+    # object and bare sorts on plain and labelled orders, up to n = 3
+    bare = [DefStructure(DLO, (Sort("t", dim),), ()) for dim in (1, 2, 3)]
+    bare += [DefStructure(labeled_dlo(2), sorts, ()) for sorts in ((Sort("a", 1),), (Sort("a", 2),), (Sort("a", 1), Sort("b", 2)))]
+    for D in [gallery.lookup_definable(name) for name in sorted(gallery._definable_registry())] + bare:
+        for n in (1, 2, 3):
+            want = [repr((len(word), word, tuple(shape))) for word, shape in definable._orbits(D, n, False)]
+            assert point_orbits(D, n) == sorted(want), (D.base, D.sorts, n)
+
+
 def test_invariant_order_search_budget(monkeypatch):
     # the search scans 600 table-row entries at d = 2; the call that builds
     # the table first walks the triple and pair orbits, 3,728 steps

@@ -356,12 +356,19 @@ def test_search_work_budget_counts_forward_checks(monkeypatch):
     monkeypatch.setattr(errors, "WORK_BUDGET", 42)
     with pytest.raises(TooLarge, match="work budget"):
         _lexicographic_endos(chain)
-    # the core test: with v left out, 2 values for 0 and 2 for 1 under each,
-    # and 2 candidates tested for 2 under each of those; 14 steps for each v
+    # the refutations: with v left out, 2 values for 0 and 2 for 1 under
+    # each, and 2 candidates tested for 2 under each of those; 14 steps for
+    # each v
     monkeypatch.setattr(errors, "WORK_BUDGET", 42)
-    assert is_core(chain)
+    assert find_noninjective_endo(chain) is None
     monkeypatch.setattr(errors, "WORK_BUDGET", 41)
     with pytest.raises(TooLarge, match="work budget"):
+        find_noninjective_endo(chain)
+    # the core test: the one tuple's 3 position pairs force every pair apart
+    monkeypatch.setattr(errors, "WORK_BUDGET", 3)
+    assert is_core(chain)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 2)
+    with pytest.raises(TooLarge, match="work budget .* forced-apart pairs"):
         is_core(chain)
     # enumerate_endos: the search finds the one map, fewer than n + 1, so
     # no core test runs and the charge is the search's
@@ -786,16 +793,89 @@ def test_core_test_refutes_once_per_orbit(monkeypatch):
     # reached by one run that finds another automorphism
     for s, automorphisms in ((johnson(6), 5), (pair_cover_sample(4), 3)):
         runs.clear()
-        assert is_core(s)
+        assert find_noninjective_endo(s) is None
         assert runs == ["refute"] + ["map r -> v"] * automorphisms
 
 
+def all_pairs_forced_apart(structure):
+    """Whether every two distinct elements x, y sit at positions i != j of a
+    tuple of a relation with no tuple equal at i and j, read tuple by tuple:
+    the oracle of the core test's forced-apart check."""
+    pairs = set()
+    for ts in structure.relations.values():
+        arity = len(next(iter(ts), ()))
+        apart = [(i, j) for i, j in itertools.combinations(range(arity), 2) if all(u[i] != u[j] for u in ts)]
+        pairs.update(frozenset((t[i], t[j])) for t in ts for i, j in apart)
+    return len(pairs) == math.comb(structure.size, 2)
+
+
+def test_forced_apart_pairs_answer_the_core_test(monkeypatch):
+    # 600 seeded random structures of up to 6 elements, relations of arity
+    # 1 to 3 with and without repeated entries, and the gallery samples on
+    # 3 to 5 atoms: the core test agrees with the refutations, and it runs
+    # them exactly when some pair is not forced apart
+    rng = random.Random(37)
+    structures = []
+    for _ in range(600):
+        n, sig, rels = rng.randint(1, 6), [], {}
+        for r in range(rng.randint(1, 3)):
+            k, density, repeats = rng.randint(1, 3), rng.choice([0.1, 0.3, 0.6, 0.9]), rng.random() < 0.5
+            sig.append((f"R{r}", k))
+            rels[f"R{r}"] = {
+                t for t in itertools.product(range(n), repeat=k) if (repeats or len(set(t)) == k) and rng.random() < density
+            }
+        structures.append(FinStructure(Signature(tuple(sig)), n, rels))
+    for name in sorted(gallery._definable_registry()):
+        D = gallery.lookup_definable(name)
+        structures += [sample(D, make_sample(D.base, k)).structure for k in (3, 4, 5)]
+    refutations = []
+    search = finstruct.find_noninjective_endo
+
+    def counted(structure):
+        refutations.append(structure)
+        return search(structure)
+
+    forced = collapsing = 0
+    for i, s in enumerate(structures):
+        core = search(s) is None
+        lemma = all_pairs_forced_apart(s)
+        assert core or not lemma, f"structure {i}"
+        refutations.clear()
+        with monkeypatch.context() as m:
+            m.setattr(finstruct, "find_noninjective_endo", counted)
+            assert is_core(s) == core, f"structure {i}"
+        assert refutations == ([] if lemma else [s]), f"structure {i}"
+        forced += lemma
+        collapsing += not core
+    assert forced > 150 and collapsing > 150 and len(structures) - forced - collapsing > 50
+
+
+def test_johnson_samples_are_cores_without_a_search(monkeypatch):
+    # every pair of J@k is an edge or a non-edge, so the core test charges
+    # one check per tuple and runs no refutation: J@20 (190 elements,
+    # 35,910 tuples) fits the budget and a second
+    def no_refutation(structure):
+        raise AssertionError("refutation run")
+
+    monkeypatch.setattr(finstruct, "find_noninjective_endo", no_refutation)
+    for s, tuples in zip([johnson(k) for k in (6, 10, 20)], (210, 1980, 35_910)):
+        start = time.perf_counter()
+        monkeypatch.setattr(errors, "WORK_BUDGET", tuples)
+        assert is_core(s)
+        assert time.perf_counter() - start < 1.0
+    monkeypatch.setattr(errors, "WORK_BUDGET", 35_909)
+    with pytest.raises(TooLarge, match="work budget .* forced-apart pairs"):
+        is_core(s)
+
+
 def test_johnson_sample_on_8_atoms_is_a_core_within_a_second():
+    # the refutations, which the core test skips on this sample (every pair
+    # is forced apart)
     s = johnson(8)
     start = time.perf_counter()
-    assert is_core(s)
+    assert find_noninjective_endo(s) is None
     elapsed = time.perf_counter() - start
-    assert s.size == 28 and elapsed < 1.0, f"is_core took {elapsed:.2f}s"
+    assert s.size == 28 and elapsed < 1.0, f"the refutations took {elapsed:.2f}s"
 
 
 def test_endos_of_a_core_from_its_chain_match_the_search():
@@ -885,13 +965,14 @@ def test_chain_runs_one_search_per_new_generator(monkeypatch):
 
 
 def test_endos_of_johnson_8_within_the_budget(monkeypatch):
-    # the search for the first 29 maps, the core test, the chain's
-    # 7 refinements (28 elements and 756 tuples each) and 7 searches, and 28
-    # steps for each of the 8! maps read off it
+    # the search for the first 29 maps, the core test (every pair is forced
+    # apart: one check per tuple, 756), the chain's 7 refinements (28
+    # elements and 756 tuples each) and 7 searches, and 28 steps for each of
+    # the 8! maps read off it
     s = johnson(8)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 1_263_780)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1_137_988)
     assert len(enumerate_endos(s)) == 40_320
-    monkeypatch.setattr(errors, "WORK_BUDGET", 1_263_779)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1_137_987)
     with pytest.raises(TooLarge, match="work budget .* endomorphism listing"):
         enumerate_endos(s)
 
