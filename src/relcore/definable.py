@@ -61,13 +61,6 @@ class Point:
             if not self.atoms[i - 1].value < self.atoms[i].value:
                 raise InvalidDimension("point atoms must be strictly increasing")
 
-    @classmethod
-    def _built(cls, sort: int, atoms: tuple[Atom, ...]) -> "Point":
-        """A point made with no check; the caller guarantees a tuple of strictly increasing atoms."""
-        self = object.__new__(cls)
-        self.__dict__.update(sort=sort, atoms=atoms)
-        return self
-
 
 @dataclass(frozen=True)
 class RelationClause:
@@ -301,7 +294,7 @@ def sample(D: DefStructure, A: AtomSample) -> SampleResult:
         words = itertools.combinations(ranked, sort.dim)
         for word, atoms in zip(words, itertools.combinations(A.atoms, sort.dim)):
             encoded.append((si, word))
-            points.append(Point._built(si, atoms))
+            points.append(Point(si, atoms))
     return SampleResult(_structure_on(D, encoded), tuple(points))
 
 
@@ -792,7 +785,8 @@ def _pair_reps(d: int) -> tuple:
     """(descriptor, shape) of one pair per orbit of distinct Jord_d points,
     from the orbit walk (see _orbits); slots order as the atoms' values do."""
     pairs = _orbits(DefStructure(DLO, (Sort("t", d),), ()), 2, False)
-    return tuple((_type(word, shape, DLO, False), shape) for word, shape in pairs if shape[0] != shape[1])
+    texts = _Texts()
+    return tuple((_type(word, shape, DLO, False, texts), shape) for word, shape in pairs if shape[0] != shape[1])
 
 
 @metered

@@ -1,22 +1,20 @@
 """Every test validates every structure and map relcore builds.
 
-relcore makes the structures, maps and sampled points it builds from its
-own valid results through three private paths that skip the public checks:
-`FinStructure._built`, `Hom._found` and `Point._built`.  The autouse fixture
-below routes them through the public constructors, which check everything,
-and also asserts the form their callers promise.  A test marked
-`trusted_builds` runs the private paths as they are, to compare them with
-the public ones.
+relcore makes the structures and maps it builds from its own valid
+results through two private paths that skip the public checks:
+`FinStructure._built` and `Hom._found`.  The autouse fixture below routes
+both through the public constructors, which check everything, and also
+asserts the form `_built` callers promise.  A test marked `trusted_builds`
+runs the private paths as they are, to compare them with the public ones.
 """
 
 import pytest
 
-from relcore.definable import Point
 from relcore.finstruct import FinStructure, Hom
 
 
 def pytest_configure(config):
-    config.addinivalue_line("markers", "trusted_builds: run FinStructure._built, Hom._found and Point._built unchecked")
+    config.addinivalue_line("markers", "trusted_builds: run FinStructure._built and Hom._found unchecked")
 
 
 def _checked_built(signature, size, relations):
@@ -30,14 +28,8 @@ def _checked_found(source, target, mapping):
     return Hom(source, target, mapping)
 
 
-def _checked_point(sort, atoms):
-    assert type(atoms) is tuple, "atoms is not a tuple"
-    return Point(sort, atoms)
-
-
 @pytest.fixture(autouse=True)
 def checked_private_paths(request, monkeypatch):
     if request.node.get_closest_marker("trusted_builds") is None:
         monkeypatch.setattr(FinStructure, "_built", staticmethod(_checked_built))
         monkeypatch.setattr(Hom, "_found", staticmethod(_checked_found))
-        monkeypatch.setattr(Point, "_built", staticmethod(_checked_point))

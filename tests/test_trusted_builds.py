@@ -1,30 +1,20 @@
 """The private construction paths against the public constructors.
 
-`FinStructure._built`, `Hom._found` and `Point._built` make the structures,
-maps and sampled points relcore builds from its own valid results without
-re-checking them.  Elsewhere in the tests conftest.py routes them through
-the public constructors; the tests marked `trusted_builds` run them
-unchecked and require every structure and map to equal the public
-construction of the same result: `==`, `repr` and `to_json()` identical,
-and every map a homomorphism; every point equal in each field and in hash.
+`FinStructure._built` and `Hom._found` make the structures and maps relcore
+builds from its own valid results without re-checking them.  Elsewhere in
+the tests conftest.py routes both through the public constructors; the
+tests marked `trusted_builds` run them unchecked and require every
+structure and map to equal the public construction of the same result:
+`==`, `repr` and `to_json()` identical, and every map a homomorphism.
 """
 
-import math
 import random
 
 import pytest
 
-from relcore.atoms import PURE_SET, Atom, AtomBase, make_sample
-from relcore.definable import (
-    DefStructure,
-    Point,
-    Sort,
-    full_power_def,
-    increasing_tuple_structure,
-    induce_on_points,
-    sample,
-)
-from relcore.errors import HomValidationError, InvalidDimension, InvalidElement
+from relcore.atoms import make_sample
+from relcore.definable import induce_on_points, sample
+from relcore.errors import HomValidationError, InvalidElement
 from relcore.finstruct import (
     CoreResult,
     FinStructure,
@@ -38,7 +28,6 @@ from relcore.finstruct import (
     hom_violations,
     induced_substructure,
 )
-from relcore import gallery
 from relcore.gallery import _definable_registry, lookup_definable
 from relcore import verify
 from relcore.verify import _permuted_copy, random_structure
@@ -47,15 +36,13 @@ MODES = ("hom", "embedding", "iso")
 
 
 def test_tests_check_the_private_paths():
-    """The conftest fixture is active: the private paths check everything."""
+    """The conftest fixture is active: both private paths check everything."""
     sig = Signature((("E", 2),))
     with pytest.raises(InvalidElement, match="element 5 outside domain of size 2"):
         FinStructure._built(sig, 2, {"E": frozenset({(0, 5)})})
     s = FinStructure(sig, 2, {"E": {(0, 1)}})
     with pytest.raises(HomValidationError, match=r"E\(0, 1\) maps to E\(1, 0\)"):
         Hom._found(s, s, (1, 0))
-    with pytest.raises(InvalidDimension, match="strictly increasing"):
-        Point._built(0, (Atom(1), Atom(0)))
 
 
 def _trusted_and_checked(monkeypatch, build):
@@ -65,7 +52,6 @@ def _trusted_and_checked(monkeypatch, build):
     with monkeypatch.context() as m:
         m.setattr(FinStructure, "_built", staticmethod(FinStructure))
         m.setattr(Hom, "_found", staticmethod(Hom))
-        m.setattr(Point, "_built", staticmethod(Point))
         checked = build()
     return trusted, checked
 
@@ -93,35 +79,6 @@ def _assert_same(trusted, checked):
             assert a.to_json() == b.to_json()
             assert list(a.relations) == list(a.signature.names())
             assert all(type(ts) is frozenset for ts in a.relations.values())
-
-
-@pytest.mark.trusted_builds
-def test_sampled_points_equal_the_public_construction():
-    # sample builds its points unchecked: every sample of the definable
-    # benchmark workload, then labelled, unordered and labelled unordered
-    # bases, each point equal to Point(sort, atoms) in every field and hash
-    jord = {d: increasing_tuple_structure(d) for d in (1, 2, 3)}
-    sorts = (Sort("a", 1), Sort("b", 2), Sort("c", 3))
-    cases = [
-        (jord[2], 14),
-        (jord[3], 9),
-        (gallery.pair_cover().total, 8),
-        (gallery.tagged_pair_structure(), 6),
-        (gallery.generic_permutation_companion(), 12),
-        (gallery.betweenness_reduct(), 14),
-        (full_power_def(jord[1], 2), 7),
-        (lookup_definable("qst"), 9),
-        (lookup_definable("s2"), 8),
-        (DefStructure(PURE_SET, sorts, ()), 7),
-        (DefStructure(AtomBase(ordered=False, alphabet=2), sorts, ()), 7),
-    ]
-    for D, k in cases:
-        points = sample(D, make_sample(D.base, k)).points
-        assert len(points) == sum(math.comb(k, sort.dim) for sort in D.sorts)
-        for p in points:
-            checked = Point(p.sort, p.atoms)
-            assert type(p.atoms) is tuple and p.__dict__ == checked.__dict__
-            assert p == checked and hash(p) == hash(checked) and repr(p) == repr(checked)
 
 
 @pytest.mark.trusted_builds
